@@ -290,7 +290,7 @@ class PrimaryBoard(_RadioBoard):
             self.mac.on_ack(packet.ack_for[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecondaryConfig:
     sensing_interval_ms: int = 35_000
     heartbeat_period_ms: int = 60_000
