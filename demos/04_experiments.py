@@ -5,7 +5,7 @@ tabulates how much the hot-spare secondary board and the slotted MAC buy.
 Takes ~15 s.  Run: python3 demos/04_experiments.py
 """
 
-from redwsn import build_preset, compare_scenarios, run_scenario
+from redwsn import build_preset, compare_reports, run_scenario
 
 SEEDS = list(range(5, 15))
 
@@ -27,6 +27,6 @@ for gw_id in ("gw-home", "gw-backup"):
 print("\nslotted MAC vs fixed 30 s interval (no faults, standard noise):")
 with_sarb = run_scenario(build_preset("control-noise"), SEEDS)
 without = run_scenario(build_preset("control-noise-noSARB"), SEEDS)
-delta = compare_scenarios(with_sarb, without, "prr_redundant")
+delta = compare_reports(with_sarb, without, "prr_redundant")
 print(f"  PRR {with_sarb.mean('prr_redundant'):.3f} vs {without.mean('prr_redundant'):.3f}"
       f"  ->  +{delta:.2f} pp from random slots + retransmission")

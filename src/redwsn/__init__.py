@@ -1,119 +1,30 @@
 """redwsn: discrete-event simulator and availability model for a
 redundancy-hardened LoRa-style wireless monitoring system."""
 
-from .boards import (
-    DEFAULT_THRESHOLDS,
-    Environment,
-    FaultKind,
-    FaultSpec,
-    PrimaryBoard,
-    SecondaryBoard,
-    SecondaryConfig,
-    ThresholdTable,
-)
-from .channel import Channel, ChannelParams, NoiseSource, Position, path_loss_db, rssi_at
 from .ctmc import (
-    DEFAULT_FAILURE_RATE,
-    DEFAULT_REPAIR_RATE,
     BirthDeathModel,
     build_generator,
-    failure_probability,
     failure_probability_table,
     mttf_non_repairable,
     steady_state_closed_form,
     steady_state_linear_solve,
 )
-from .engine import EventHandle, SchedulingError, Simulator, ms_to_us, stream_rng, us_to_ms
-from .gateway import Gateway, Server, ServerEntry
 from .lora import LoraParams, time_on_air_ms
-from .mac import RetxQueue, SarbConfig, SarbMac
-from .metrics import (
-    IterationMetrics,
-    MetricsReport,
-    compare_reports,
-    compute_detection_rate,
-    compute_prr,
-    delay_violations,
-    rssi_summary,
-)
-from .packets import Packet, PacketKind, SensorReading, detect_anomaly, detect_incomplete
-from .scenario import (
-    PRESET_NAMES,
-    ConfigError,
-    GatewayConfig,
-    NodeConfig,
-    NoiseConfig,
-    ScenarioConfig,
-    build_preset,
-    compare_scenarios,
-    export_report,
-    load_scenario,
-    run_scenario,
-)
-from .simulation import Simulation
+from .metrics import compare_reports
+from .scenario import build_preset, run_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BirthDeathModel",
-    "Channel",
-    "ChannelParams",
-    "ConfigError",
-    "DEFAULT_FAILURE_RATE",
-    "DEFAULT_REPAIR_RATE",
-    "DEFAULT_THRESHOLDS",
-    "Environment",
-    "EventHandle",
-    "FaultKind",
-    "FaultSpec",
-    "Gateway",
-    "GatewayConfig",
-    "IterationMetrics",
     "LoraParams",
-    "MetricsReport",
-    "NodeConfig",
-    "NoiseConfig",
-    "NoiseSource",
-    "PRESET_NAMES",
-    "Packet",
-    "PacketKind",
-    "Position",
-    "PrimaryBoard",
-    "RetxQueue",
-    "SarbConfig",
-    "SarbMac",
-    "ScenarioConfig",
-    "SchedulingError",
-    "SecondaryBoard",
-    "SecondaryConfig",
-    "SensorReading",
-    "Server",
-    "ServerEntry",
-    "Simulation",
-    "Simulator",
-    "ThresholdTable",
     "build_generator",
     "build_preset",
     "compare_reports",
-    "compare_scenarios",
-    "compute_detection_rate",
-    "compute_prr",
-    "delay_violations",
-    "detect_anomaly",
-    "detect_incomplete",
-    "export_report",
-    "failure_probability",
     "failure_probability_table",
-    "load_scenario",
     "mttf_non_repairable",
-    "ms_to_us",
-    "path_loss_db",
-    "rssi_at",
-    "rssi_summary",
     "run_scenario",
     "steady_state_closed_form",
     "steady_state_linear_solve",
-    "stream_rng",
     "time_on_air_ms",
-    "us_to_ms",
 ]

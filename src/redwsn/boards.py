@@ -9,7 +9,7 @@ its data is incomplete/anomalous.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -233,13 +233,12 @@ class PrimaryBoard(_RadioBoard):
         tx_power_dbm: float = 14.0,
         data_bytes: int = 76,
         sensing_poll_ms: int = 5_000,
-        expected_slot_log: Optional[list[int]] = None,
     ):
         super().__init__(sim, channel, node_id, BoardRole.PRIMARY, position, env, faults, tx_power_dbm)
         self.thresholds = thresholds
         self.data_bytes = data_bytes
         self.sensing_poll_ms = sensing_poll_ms
-        self.expected_slots_us: list[int] = expected_slot_log if expected_slot_log is not None else []
+        self.expected_slots_us: list[int] = []
         self._in_emergency = False
         self.mac = SarbMac(
             sim,

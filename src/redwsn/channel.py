@@ -103,15 +103,20 @@ class Transmission:
         return self.start_us < end_us and start_us < self.end_us
 
 
-@dataclass
-class NoiseSource:
+NOISE_SOURCE_ID = "noise"
+
+
+@dataclass(frozen=True)
+class NoiseConfig:
     """Periodic interferer: one burst of payload_bytes every period +- jitter."""
 
-    source_id: str = "noise"
+    enabled: bool = True
     period_ms: int = 500
     payload_bytes: int = 10
-    jitter_ms: int = 0
-    position: Position = Position(0.0, 0.0)
+    # Jitter breaks the phase lock between the burst train and the MAC
+    # timers, which all live on the same 500 ms grid.
+    jitter_ms: int = 50
+    position: Position = Position(-1.5, 0.5)
     tx_power_dbm: float = 14.0
 
 
@@ -224,26 +229,24 @@ class Channel:
             receiver.on_receive(tx.packet, rssi, now)
 
 
-def start_noise(channel: Channel, source: NoiseSource, duration_us: int, rng: np.random.Generator) -> int:
+def start_noise(channel: Channel, noise: NoiseConfig, duration_us: int, rng: np.random.Generator) -> int:
     """Schedule the full burst train for the scenario; returns the burst count.
 
     Burst k+1 starts period +- jitter after burst k (jitter drawn uniformly),
     never before the previous burst ends.
     """
-    period_us = ms_to_us(source.period_ms)
-    jitter_us = ms_to_us(source.jitter_ms)
-    airtime_us = time_on_air_us(source.payload_bytes, channel.lora)
-    packet = Packet(kind=PacketKind.NOISE, node_id=source.source_id, size_bytes=source.payload_bytes)
+    period_us = ms_to_us(noise.period_ms)
+    jitter_us = ms_to_us(noise.jitter_ms)
+    airtime_us = time_on_air_us(noise.payload_bytes, channel.lora)
+    packet = Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes)
+
+    def burst():
+        channel.begin_transmission(NOISE_SOURCE_ID, noise.position, packet, noise.tx_power_dbm)
 
     count = 0
     t = period_us
     while t <= duration_us:
-        start = t
-
-        def burst(start_us=start):
-            channel.begin_transmission(source.source_id, source.position, packet, source.tx_power_dbm)
-
-        channel.sim.schedule_at(start, burst)
+        channel.sim.schedule_at(t, burst)
         count += 1
         step = period_us
         if jitter_us > 0:

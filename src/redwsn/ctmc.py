@@ -8,8 +8,7 @@ failure reduces to  pi_0 = 1 / (1 + sum_k m^k / (k! l^k)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +18,25 @@ DEFAULT_REPAIR_RATE = 20.83e-3  # per hour (one repair roughly every 48 h)
 
 @dataclass(frozen=True)
 class BirthDeathModel:
+    """State-dependent rates: boards fail independently (l_i = i*l) and one
+    repair person works regardless of backlog (m_i = m).  Subclasses
+    override `lam` and `mu` for other policies."""
+
     n_boards: int
     failure_rate: float = DEFAULT_FAILURE_RATE
     repair_rate: float = DEFAULT_REPAIR_RATE
-    # State-dependent policies; defaults: boards fail independently
-    # (l_i = i*l) and one repair person works regardless of backlog.
-    failure_rate_policy: Callable[[int], float] = None  # type: ignore[assignment]
-    repair_rate_policy: Callable[[int], float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.n_boards < 1:
             raise ValueError("need at least one board")
         if self.failure_rate <= 0 or self.repair_rate <= 0:
             raise ValueError("rates must be positive")
-        if self.failure_rate_policy is None:
-            object.__setattr__(self, "failure_rate_policy", lambda i: i * self.failure_rate)
-        if self.repair_rate_policy is None:
-            object.__setattr__(self, "repair_rate_policy", lambda i: self.repair_rate)
 
     def lam(self, i: int) -> float:
-        return self.failure_rate_policy(i)
+        return i * self.failure_rate
 
     def mu(self, i: int) -> float:
-        return self.repair_rate_policy(i)
+        return self.repair_rate
 
 
 def build_generator(model: BirthDeathModel) -> np.ndarray:

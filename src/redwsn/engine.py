@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 US_PER_MS = 1000
-US_PER_S = 1_000_000
 
 
 def ms_to_us(ms: float) -> int:

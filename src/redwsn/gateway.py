@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .boards import FaultKind, FaultSpec
@@ -94,7 +94,6 @@ class Gateway:
         self.rx_extra_loss_db = rx_extra_loss_db
         self.tx_power_dbm = tx_power_dbm
         self.fail_windows = fail_windows or []
-        self.rx_log: list[tuple[Packet, float, int]] = []
         channel.add_receiver(self)
 
     @classmethod
@@ -114,7 +113,6 @@ class Gateway:
             return
         if packet.kind not in (PacketKind.DATA, PacketKind.HEARTBEAT):
             return  # noise is interference only; acks are for boards
-        self.rx_log.append((packet, rssi_dbm, now_us))
         self.server.on_gateway_reception(self.entity_id, packet, rssi_dbm, now_us)
         if (
             packet.kind is PacketKind.DATA

@@ -9,7 +9,7 @@ denominator lets the with- and without-redundancy ratios share one base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,19 +132,6 @@ class IterationMetrics:
     epochs_fault_active: int
     rssi: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "prr_redundant": self.prr_redundant,
-            "prr_primary_only": self.prr_primary_only,
-            "detection_rate": self.detection_rate,
-            "delay_violations": self.delay_violations,
-            "duplicate_count": self.duplicate_count,
-            "epochs_total": self.epochs_total,
-            "epochs_fault_active": self.epochs_fault_active,
-            "rssi": self.rssi,
-        }
-
 
 _MEAN_FIELDS = (
     "prr_redundant",
@@ -178,7 +165,7 @@ class MetricsReport:
         return {
             "scenario": self.scenario,
             "seeds": list(self.seeds),
-            "iterations": [it.as_dict() for it in self.iterations],
+            "iterations": [asdict(it) for it in self.iterations],
             "summary": self.summary(),
         }
 

@@ -23,16 +23,6 @@ SENSOR_FIELDS: tuple[str, ...] = (
     "humidity_pct_3",
 )
 
-# Physical measurement ranges of the installed sensors.
-SENSOR_RANGES: dict[str, tuple[float, float]] = {
-    "co2_ppm": (400.0, 10_000.0),
-    "pressure_hpa": (300.0, 1_100.0),
-    "o2_percent": (0.0, 25.0),
-    "co_ppm": (0.0, 1_000.0),
-    **{f"temp_c_{i}": (0.0, 80.0) for i in range(4)},
-    **{f"humidity_pct_{i}": (0.0, 100.0) for i in range(4)},
-}
-
 
 class PacketKind(Enum):
     DATA = "data"

@@ -13,13 +13,14 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .boards import DEFAULT_THRESHOLDS, FaultKind, FaultSpec, SecondaryConfig, ThresholdTable
-from .channel import ChannelParams, Position
+from .channel import ChannelParams, NoiseConfig, Position
 from .lora import LoraParams
 from .mac import SarbConfig
-from .metrics import IterationMetrics, MetricsReport, compare_reports
+from .metrics import IterationMetrics, MetricsReport
 from .simulation import Simulation
 
 
@@ -48,18 +49,6 @@ class GatewayConfig:
     extra_loss_db: float = 0.0
     tx_power_dbm: float = 14.0
     fail_windows: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    enabled: bool = True
-    period_ms: int = 500
-    payload_bytes: int = 10
-    # Jitter breaks the phase lock between the burst train and the MAC
-    # timers, which all live on the same 500 ms grid.
-    jitter_ms: int = 50
-    position: Position = Position(-1.5, 0.5)
-    tx_power_dbm: float = 14.0
 
 
 @dataclass(frozen=True)
@@ -177,36 +166,6 @@ def build_preset(name: str) -> ScenarioConfig:
 
 # -- loading -------------------------------------------------------------------
 
-_SECTION_TYPES = {
-    "mac": SarbConfig,
-    "noise": NoiseConfig,
-    "channel": ChannelParams,
-    "lora": LoraParams,
-    "secondary": SecondaryConfig,
-}
-_TOP_SCALARS = {
-    "name": str,
-    "duration_ms": int,
-    "iterations": int,
-    "base_seed": int,
-    "max_monitoring_delay_ms": int,
-    "preset": str,
-}
-
-
-def _coerce(raw: str, target_type):
-    if target_type is bool or target_type == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
-
 
 def _parse_flat(text: str) -> dict:
     """Dotted-key lines into a nested dict; '#' starts a comment."""
@@ -228,103 +187,69 @@ def _parse_flat(text: str) -> dict:
     return tree
 
 
-def _apply_section(cfg_obj, section: str, overrides: dict):
-    fields = type(cfg_obj).__dataclass_fields__
-    kwargs = {}
-    for key, raw in overrides.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key: {section}.{key}")
-        ftype = fields[key].type
-        current = getattr(cfg_obj, key)
-        if isinstance(raw, str):
-            if isinstance(current, bool) or ftype == "bool":
-                value = _coerce(raw, bool)
-            elif isinstance(current, int) and not isinstance(current, bool):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            elif isinstance(current, Position):
-                raise ConfigError(f"{section}.{key}: positions need JSON configs")
-            else:
-                value = raw
-        else:
-            value = raw
-        kwargs[key] = value
-    return replace(cfg_obj, **kwargs)
-
-
 def _config_from_tree(tree: dict) -> ScenarioConfig:
     tree = dict(tree)
     preset = tree.pop("preset", None)
-    cfg = build_preset(str(preset)) if preset else ScenarioConfig()
-
-    top_kwargs = {}
-    for key in list(tree):
-        value = tree[key]
-        if key in _TOP_SCALARS:
-            top_kwargs[key] = _coerce(value, _TOP_SCALARS[key]) if isinstance(value, str) else value
-            tree.pop(key)
-    if top_kwargs:
-        cfg = replace(cfg, **top_kwargs)
-
-    for section in list(tree):
-        value = tree.pop(section)
-        if section in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {section!r} must hold nested keys")
-            updated = _apply_section(getattr(cfg, section), section, value)
-            cfg = replace(cfg, **{section: updated})
-        elif section == "nodes":
-            cfg = replace(cfg, nodes=tuple(_node_from_dict(v) for v in value))
-        elif section == "gateways":
-            cfg = replace(cfg, gateways=tuple(_gateway_from_dict(v) for v in value))
-        elif section == "faults":
-            cfg = replace(cfg, faults=tuple(_fault_from_dict(v) for v in value))
-        else:
-            raise ConfigError(f"unknown key: {section}")
-    return cfg
+    base = build_preset(str(preset)) if preset else ScenarioConfig()
+    if "thresholds" in tree:
+        # The emergency threshold table is fixed in code, not loadable.
+        raise ConfigError("unknown key: thresholds")
+    return _build(ScenarioConfig, tree, "", base)
 
 
-def _position_from(value) -> Position:
-    if isinstance(value, dict):
-        return Position(float(value["x"]), float(value["y"]))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Position(float(value[0]), float(value[1]))
-    raise ConfigError(f"cannot parse position from {value!r}")
+def _build(cls, tree, path: str, base=None):
+    """A ``cls`` from a tree of keys, or ``base`` with those keys replaced."""
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{path}: expected nested keys, got {tree!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in tree.items():
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"unknown key: {where}")
+        kwargs[key] = _coerce(value, hints[key], where, getattr(base, key, None))
+    return replace(base, **kwargs) if base is not None else cls(**kwargs)
 
 
-def _node_from_dict(value: dict) -> NodeConfig:
-    allowed = {"id", "position", "has_secondary", "tx_power_dbm"}
-    _reject_unknown(value, allowed, "nodes")
-    kwargs = dict(value)
-    if "position" in kwargs:
-        kwargs["position"] = _position_from(kwargs["position"])
-    return NodeConfig(**kwargs)
+def _coerce(value, ftype, path: str, current=None):
+    """``value`` as the declared field type.
 
-
-def _gateway_from_dict(value: dict) -> GatewayConfig:
-    allowed = {"id", "position", "acks_enabled", "extra_loss_db", "tx_power_dbm", "fail_windows"}
-    _reject_unknown(value, allowed, "gateways")
-    kwargs = dict(value)
-    if "position" in kwargs:
-        kwargs["position"] = _position_from(kwargs["position"])
-    if "fail_windows" in kwargs:
-        kwargs["fail_windows"] = tuple((int(a), int(b)) for a, b in kwargs["fail_windows"])
-    return GatewayConfig(**kwargs)
-
-
-def _fault_from_dict(value: dict) -> FaultSpec:
-    allowed = {"kind", "target", "start_ms", "end_ms", "affected_sensor", "anomaly_multiplier"}
-    _reject_unknown(value, allowed, "faults")
-    kwargs = dict(value)
-    kwargs["kind"] = FaultKind(kwargs["kind"])
-    return FaultSpec(**kwargs)
-
-
-def _reject_unknown(value: dict, allowed: set, section: str):
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {section}.{key}")
+    Strings (every flat-file value) parse into the type; other JSON values
+    must already have it, except that an integer serves as a float.  A
+    position is ``[x, y]`` or ``{"x": .., "y": ..}``; any other dataclass
+    field is a section whose keys replace those of ``current``.
+    """
+    args = get_args(ftype)
+    if type(None) in args:  # Optional[T]
+        if value is None:
+            return None
+        (ftype,) = (t for t in args if t is not type(None))
+    if get_origin(ftype) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        items = get_args(ftype)
+        types = [items[0]] * len(value) if items[-1] is Ellipsis else list(items)
+        if len(types) != len(value):
+            raise ConfigError(f"{path}: expected {len(types)} items, got {value!r}")
+        return tuple(_coerce(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, types)))
+    if ftype is Position:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            value = {"x": value[0], "y": value[1]}
+        return _build(Position, value, path)
+    if is_dataclass(ftype):
+        return _build(ftype, value, path, current)
+    if isinstance(value, str):
+        if ftype is not bool:
+            return ftype(value)
+        if value.lower() in ("true", "1", "yes"):
+            return True
+        if value.lower() in ("false", "0", "no"):
+            return False
+    elif ftype is float and type(value) is int:
+        return float(value)
+    elif type(value) is ftype:
+        return value
+    raise ConfigError(f"{path}: expected {ftype.__name__}, got {value!r}")
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -370,7 +295,7 @@ def report_to_json(report: MetricsReport) -> str:
 def _csv_rows(report: MetricsReport) -> list[tuple[str, str, str, str]]:
     rows = []
     for it in report.iterations:
-        flat = it.as_dict()
+        flat = asdict(it)
         rssi = flat.pop("rssi")
         iteration = str(flat.pop("seed"))
         for metric, value in flat.items():
@@ -407,5 +332,3 @@ def export_report(report: MetricsReport, fmt: str, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
 
-
-compare_scenarios = compare_reports

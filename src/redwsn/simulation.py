@@ -11,7 +11,7 @@ from .boards import (
     PrimaryBoard,
     SecondaryBoard,
 )
-from .channel import Channel, NoiseSource, start_noise
+from .channel import Channel, start_noise
 from .engine import Simulator, ms_to_us
 from .gateway import Gateway, Server
 from .metrics import (
@@ -82,8 +82,6 @@ class Simulation:
                     tx_power_dbm=node_cfg.tx_power_dbm,
                 )
 
-        self.noise_burst_count = 0
-
     def run(self) -> IterationMetrics:
         cfg = self.cfg
         duration_us = ms_to_us(cfg.duration_ms)
@@ -92,17 +90,7 @@ class Simulation:
         for secondary in self.secondaries.values():
             secondary.start()
         if cfg.noise.enabled:
-            source = NoiseSource(
-                source_id="noise",
-                period_ms=cfg.noise.period_ms,
-                payload_bytes=cfg.noise.payload_bytes,
-                jitter_ms=cfg.noise.jitter_ms,
-                position=cfg.noise.position,
-                tx_power_dbm=cfg.noise.tx_power_dbm,
-            )
-            self.noise_burst_count = start_noise(
-                self.channel, source, duration_us, self.sim.rng("noise-schedule")
-            )
+            start_noise(self.channel, cfg.noise, duration_us, self.sim.rng("noise-schedule"))
         self.sim.run_until(duration_us)
         return self._metrics()
 
@@ -149,7 +137,10 @@ class Simulation:
 
         violations = delay_violations(entries, list(slots_by_node), cfg.duration_ms, bound)
         rssi = {
-            gw.entity_id: rssi_summary([r for _, r, _ in gw.rx_log]) for gw in self.gateways
+            gw.entity_id: rssi_summary(
+                [e.rssi_dbm for e in self.server.raw if e.gateway_id == gw.entity_id]
+            )
+            for gw in self.gateways
         }
         return IterationMetrics(
             seed=self.seed,

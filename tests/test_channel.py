@@ -6,7 +6,7 @@ import pytest
 from redwsn.channel import (
     Channel,
     ChannelParams,
-    NoiseSource,
+    NoiseConfig,
     Position,
     path_loss_db,
     rssi_at,
@@ -182,7 +182,7 @@ def test_noise_train_counts_and_respects_duration():
     channel = Channel(sim, params=quiet_params())
     probe = Probe("gw", Position(0, 0))
     channel.add_receiver(probe)
-    source = NoiseSource(period_ms=500, payload_bytes=10, jitter_ms=0, position=Position(1, 0))
+    source = NoiseConfig(period_ms=500, payload_bytes=10, jitter_ms=0, position=Position(1, 0))
     count = start_noise(channel, source, 10_000_000, sim.rng("noise-schedule"))
     sim.run_until(10_000_000 + 50_000)
     assert count == 20  # one burst per 500 ms over 10 s
@@ -195,6 +195,6 @@ def test_noise_jitter_keeps_mean_period():
     channel = Channel(sim, params=quiet_params())
     probe = Probe("gw", Position(0, 0))
     channel.add_receiver(probe)
-    source = NoiseSource(period_ms=500, payload_bytes=10, jitter_ms=50, position=Position(1, 0))
+    source = NoiseConfig(period_ms=500, payload_bytes=10, jitter_ms=50, position=Position(1, 0))
     count = start_noise(channel, source, 600_000_000, sim.rng("noise-schedule"))
     assert count == pytest.approx(1200, rel=0.02)

@@ -95,9 +95,11 @@ def test_closed_form_survives_extreme_ratios():
 
 def test_custom_policies():
     # Unlimited repair crew: mu_i = (n - i) * mu.
-    m = BirthDeathModel(
-        2, failure_rate=1.0, repair_rate=1.0, repair_rate_policy=lambda i: (2 - i) * 1.0
-    )
+    class UnlimitedCrew(BirthDeathModel):
+        def mu(self, i):
+            return (self.n_boards - i) * self.repair_rate
+
+    m = UnlimitedCrew(2, failure_rate=1.0, repair_rate=1.0)
     pi = steady_state_closed_form(m)
     # Two independent M/M/1 components each with availability 1/2.
     assert pi == pytest.approx([0.25, 0.5, 0.25])
