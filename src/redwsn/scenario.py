@@ -166,6 +166,8 @@ def build_preset(name: str) -> ScenarioConfig:
 
 # -- loading -------------------------------------------------------------------
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
 
 def _parse_flat(text: str) -> dict:
     """Dotted-key lines into a nested dict; '#' starts a comment."""
@@ -238,16 +240,14 @@ def _coerce(value, ftype, path: str, current=None):
         return _build(Position, value, path)
     if is_dataclass(ftype):
         return _build(ftype, value, path, current)
-    if isinstance(value, str):
-        if ftype is not bool:
+    if ftype is bool and isinstance(value, str):
+        value = _BOOL_WORDS.get(value.lower(), value)
+    elif isinstance(value, str) or (ftype is float and type(value) is int):
+        try:
             return ftype(value)
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-    elif ftype is float and type(value) is int:
-        return float(value)
-    elif type(value) is ftype:
+        except ValueError:
+            pass
+    if type(value) is ftype:
         return value
     raise ConfigError(f"{path}: expected {ftype.__name__}, got {value!r}")
 

@@ -86,3 +86,13 @@ def test_sim_run_deterministic_stdout(capsys, tmp_path):
     main_sim(["run", str(cfg), "--seeds", "5"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "tree", [{"duration_ms": True}, {"duration_ms": 180000.5}, {"noise": {"enabled": 0}}]
+)
+def test_sim_run_mistyped_json_is_config_error(capsys, tmp_path, tree):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"preset": "control-clean", **tree}))
+    assert main_sim(["run", str(cfg), "--seeds", "1"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err

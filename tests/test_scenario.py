@@ -132,6 +132,40 @@ def test_load_json_config(tmp_path):
     assert not cfg.noise.enabled
 
 
+@pytest.mark.parametrize("position", [[1, 2], {"x": 1, "y": 2}])
+def test_json_noise_position_loads_and_runs(tmp_path, position):
+    path = tmp_path / "noise.json"
+    tree = {"preset": "control-noise", **SHORT, "noise": {"position": position}}
+    path.write_text(json.dumps(tree))
+    cfg = load_scenario(str(path))
+    assert cfg.noise.position == Position(1.0, 2.0)
+    assert run_scenario(cfg, seeds=[1]).iterations[0].epochs_total > 0
+
+
+HF_FAULT = {"kind": "hard_failure", "target": "n1.primary"}
+
+
+@pytest.mark.parametrize(
+    "tree, key",
+    [
+        ({"duration_ms": True}, "duration_ms"),
+        ({"duration_ms": 180000.5}, "duration_ms"),
+        ({"noise": {"enabled": 0}}, "noise.enabled"),
+        ({"noise": {"position": [1, 2, 3]}}, "noise.position"),
+        ({"noise": {"position": {"x": 1}}}, "'y'"),
+        ({"gateways": [{"id": "gw", "fail_windows": [[1, 2.5]]}]}, r"fail_windows\[0\]\[1\]"),
+        ({"faults": [{**HF_FAULT, "start_ms": "x"}]}, r"faults\[0\].start_ms"),
+        ({"faults": [{**HF_FAULT, "kind": "meltdown"}]}, r"faults\[0\].kind"),
+        ({"thresholds": {}}, "thresholds"),
+    ],
+)
+def test_json_values_must_match_field_types(tmp_path, tree, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tree))
+    with pytest.raises(ConfigError, match=key):
+        load_scenario(str(path))
+
+
 def test_unknown_key_is_named(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nodez = 3\n")
