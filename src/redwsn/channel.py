@@ -136,6 +136,7 @@ class Channel:
         self._shadow_rng = shadowing_rng if shadowing_rng is not None else sim.rng("channel-shadowing")
         self._receivers: list[Receiver] = []
         self._log: list[Transmission] = []
+        self._longest_airtime_us = 0
         self._next_tx_id = 0
 
     def add_receiver(self, receiver: Receiver) -> None:
@@ -175,15 +176,16 @@ class Channel:
             end_us=now + airtime,
         )
         self._next_tx_id += 1
+        self._longest_airtime_us = max(self._longest_airtime_us, airtime)
         self._prune(now)
         self._log.append(tx)
         self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
         return tx.tx_id
 
     def _prune(self, now_us: int) -> None:
-        # Anything that ended more than a second ago can no longer overlap a
-        # live frame (max airtime is well under a second).
-        horizon = now_us - 1_000_000
+        # A frame still on the air started at most the longest airtime ago,
+        # so a frame that ended before that can no longer overlap one.
+        horizon = now_us - self._longest_airtime_us
         if self._log and self._log[0].end_us < horizon:
             self._log = [t for t in self._log if t.end_us >= horizon]
 

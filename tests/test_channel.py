@@ -13,7 +13,7 @@ from redwsn.channel import (
     start_noise,
 )
 from redwsn.engine import Simulator
-from redwsn.lora import time_on_air_us
+from redwsn.lora import LoraParams, time_on_air_us
 from redwsn.packets import Packet, PacketKind
 
 
@@ -104,6 +104,26 @@ def test_collision_kills_both_when_no_capture():
     channel.begin_transmission("a", Position(2, 0), data_packet("a"), 14.0)
     channel.begin_transmission("b", Position(0, 2), data_packet("b"), 14.0)
     sim.run_until(1_000_000)
+    assert probe.heard == []
+
+
+def test_long_frame_collides_with_frame_that_ended_long_ago():
+    # At SF12 a 76-byte frame lasts 3.28 s, so a collision partner that
+    # ended two seconds before a later frame starts must still count.
+    sim = Simulator()
+    lora = LoraParams(spreading_factor=12, low_data_rate_optimize=True)
+    channel = Channel(sim, params=quiet_params(), lora=lora)
+    probe = Probe("gw", Position(0, 0))
+    channel.add_receiver(probe)
+
+    def send(source, position, size):
+        channel.begin_transmission(source, position, data_packet(source, size), 14.0)
+
+    send("a", Position(2, 0), 10)  # on the air for 0.99 s
+    sim.schedule_at(500_000, lambda: send("b", Position(0, 2), 76))  # same RSSI as a
+    # 18 dB weaker than b, so b would capture it.
+    sim.schedule_at(2_500_000, lambda: send("c", Position(16, 0), 10))
+    sim.run_until(5_000_000)
     assert probe.heard == []
 
 
