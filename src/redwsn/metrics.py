@@ -162,12 +162,7 @@ class MetricsReport:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seeds": list(self.seeds),
-            "iterations": [asdict(it) for it in self.iterations],
-            "summary": self.summary(),
-        }
+        return {**asdict(self), "summary": self.summary()}
 
 
 def compare_reports(a: MetricsReport, b: MetricsReport, metric: str) -> float:
