@@ -166,6 +166,15 @@ def test_json_values_must_match_field_types(tmp_path, tree, key):
         load_scenario(str(path))
 
 
+def test_sections_are_validated_together(tmp_path):
+    # A longer slot range needs a longer sensing interval; the config must
+    # not be validated half-applied, whatever the key order.
+    path = tmp_path / "slots.cfg"
+    path.write_text("mac.slot_max_ms = 40000\nsecondary.sensing_interval_ms = 45000\n")
+    cfg = load_scenario(str(path))
+    assert (cfg.mac.slot_max_ms, cfg.secondary.sensing_interval_ms) == (40_000, 45_000)
+
+
 def test_unknown_key_is_named(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nodez = 3\n")
