@@ -10,7 +10,8 @@ the capture threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
@@ -90,17 +91,19 @@ class Receiver(Protocol):
 class Transmission:
     tx_id: int
     source_id: str
-    position: Position
     packet: Packet
-    tx_power_dbm: float
     start_us: int
     end_us: int
-    # RSSI is drawn once per (frame, receiver) link and cached so collision
-    # comparisons are consistent no matter which frame resolves first.
-    rssi_cache: dict[str, float] = field(default_factory=dict)
+    # Per receiver, in the channel's receiver order: transmit power minus
+    # path loss (shared by every frame from the same position and power),
+    # and the RSSI, drawn once per (frame, receiver) link and cached so
+    # collision comparisons are consistent no matter which frame resolves
+    # first.
+    mean_dbm: array
+    rssi: array
 
-    def overlaps(self, start_us: int, end_us: int) -> bool:
-        return self.start_us < end_us and start_us < self.end_us
+    def overlaps(self, other: "Transmission") -> bool:
+        return self.start_us < other.end_us and other.start_us < self.end_us
 
 
 NOISE_SOURCE_ID = "noise"
@@ -120,6 +123,13 @@ class NoiseConfig:
     tx_power_dbm: float = 14.0
 
 
+# RSSI slot of a link not drawn yet; a drawn value is finite.
+_UNDRAWN = math.inf
+# Shadowing values drawn per numpy call.  A block consumed in order holds the
+# same values as one scalar draw per link.
+_DRAW_BLOCK = 1024
+
+
 class Channel:
     """Single shared medium owned by one simulation instance."""
 
@@ -128,27 +138,44 @@ class Channel:
         sim: Simulator,
         params: ChannelParams = ChannelParams(),
         lora: LoraParams = LoraParams(),
-        shadowing_rng: Optional[np.random.Generator] = None,
     ):
         self.sim = sim
         self.params = params
         self.lora = lora
-        self._shadow_rng = shadowing_rng if shadowing_rng is not None else sim.rng("channel-shadowing")
+        self._shadow_rng = sim.rng("channel-shadowing")
+        self._draws = array("d")
+        self._next_draw = 0
         self._receivers: list[Receiver] = []
+        self._rx_extra_loss_db = array("d")
+        # A fresh frame's RSSI row: one undrawn slot per receiver.
+        self._undrawn = array("d")
+        self._mean_dbm: dict[tuple[Position, float], array] = {}
         self._log: list[Transmission] = []
+        self._source_end_us: dict[str, int] = {}
         self._longest_airtime_us = 0
         self._next_tx_id = 0
 
     def add_receiver(self, receiver: Receiver) -> None:
+        """Register a receiver; only while no frame is on the air, because
+        the frames' per-receiver caches are sized when they start."""
+        now = self.sim.now_us
+        if any(tx.end_us >= now for tx in self._log):
+            raise RuntimeError("receivers must be added while no frame is on the air")
         self._receivers.append(receiver)
+        self._rx_extra_loss_db.append(receiver.rx_extra_loss_db)
+        self._undrawn.append(_UNDRAWN)
+        self._mean_dbm.clear()
+
+    def close(self) -> None:
+        """Forget the receivers, which hold this channel in turn, so a
+        finished run is freed without waiting for the cycle collector."""
+        self._receivers = []
 
     def busy_until(self, source_id: str) -> int:
         """End time of the source's in-flight frame, or the current time."""
-        t = self.sim.now_us
-        for tx in self._log:
-            if tx.source_id == source_id and tx.end_us > t:
-                t = tx.end_us
-        return t
+        now = self.sim.now_us
+        end = self._source_end_us.get(source_id, now)
+        return end if end > now else now
 
     def begin_transmission(
         self,
@@ -169,18 +196,35 @@ class Channel:
         tx = Transmission(
             tx_id=self._next_tx_id,
             source_id=source_id,
-            position=position,
             packet=packet,
-            tx_power_dbm=tx_power_dbm,
             start_us=now,
             end_us=now + airtime,
+            mean_dbm=self._link_means(position, tx_power_dbm),
+            rssi=self._undrawn[:],
         )
         self._next_tx_id += 1
         self._longest_airtime_us = max(self._longest_airtime_us, airtime)
+        self._source_end_us[source_id] = tx.end_us
         self._prune(now)
         self._log.append(tx)
         self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
         return tx.tx_id
+
+    def _link_means(self, position: Position, tx_power_dbm: float) -> array:
+        """Transmit power minus path loss to every receiver, cached per
+        transmitter position and power."""
+        key = (position, tx_power_dbm)
+        means = self._mean_dbm.get(key)
+        if means is None:
+            means = array(
+                "d",
+                [
+                    tx_power_dbm - path_loss_db(position.distance_to(r.position), self.params)
+                    for r in self._receivers
+                ],
+            )
+            self._mean_dbm[key] = means
+        return means
 
     def _prune(self, now_us: int) -> None:
         # A frame still on the air started at most the longest airtime ago,
@@ -189,46 +233,53 @@ class Channel:
         if self._log and self._log[0].end_us < horizon:
             self._log = [t for t in self._log if t.end_us >= horizon]
 
-    def _link_rssi(self, tx: Transmission, receiver: Receiver) -> float:
-        cached = tx.rssi_cache.get(receiver.entity_id)
-        if cached is None:
-            cached = (
-                rssi_at(tx.position, receiver.position, tx.tx_power_dbm, self._shadow_rng, self.params)
-                - receiver.rx_extra_loss_db
-            )
-            tx.rssi_cache[receiver.entity_id] = cached
-        return cached
+    def _draw_rssi(self, tx: Transmission, i: int) -> float:
+        """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
+        plus one shadowing draw, clamped to the AGC ceiling, minus the
+        receiver's extra loss (the arithmetic of rssi_at, in its order)."""
+        rssi = tx.mean_dbm[i]
+        sigma = self.params.shadowing_sigma_db
+        if sigma > 0:
+            k = self._next_draw
+            if k == len(self._draws):
+                self._draws = array("d", self._shadow_rng.normal(0.0, sigma, _DRAW_BLOCK).tobytes())
+                k = 0
+            self._next_draw = k + 1
+            rssi += self._draws[k]
+        agc = self.params.agc_ceiling_dbm
+        # min(rssi, agc) without the builtin call: this runs once per link.
+        rssi = (agc if agc < rssi else rssi) - self._rx_extra_loss_db[i]
+        tx.rssi[i] = rssi
+        return rssi
 
     def _resolve(self, tx: Transmission) -> None:
         now = self.sim.now_us
-        for receiver in self._receivers:
-            if receiver.entity_id == tx.source_id:
+        overlapping = [other for other in self._log if other is not tx and other.overlaps(tx)]
+        # Half-duplex: a receiver that transmitted during any part of the
+        # frame hears nothing.  Every other receiver sees all overlapping
+        # frames as interference.
+        deaf = {other.source_id for other in overlapping}
+        deaf.add(tx.source_id)
+        sensitivity = self.params.sensitivity_dbm
+        capture = self.params.capture_threshold_db
+        for i, receiver in enumerate(self._receivers):
+            if receiver.entity_id in deaf:
                 continue
-            # Half-duplex: a receiver that transmitted during any part of the
-            # frame hears nothing.
-            deaf = any(
-                other.source_id == receiver.entity_id and other.overlaps(tx.start_us, tx.end_us)
-                for other in self._log
-            )
-            if deaf:
+            rssi = tx.rssi[i]
+            if rssi == _UNDRAWN:
+                rssi = self._draw_rssi(tx, i)
+            if rssi < sensitivity:
                 continue
-            rssi = self._link_rssi(tx, receiver)
-            if rssi < self.params.sensitivity_dbm:
-                continue
-            overlapping = [
-                other
-                for other in self._log
-                if other.tx_id != tx.tx_id
-                and other.source_id != receiver.entity_id
-                and other.overlaps(tx.start_us, tx.end_us)
-            ]
-            captured = all(
-                rssi >= self._link_rssi(other, receiver) + self.params.capture_threshold_db
-                for other in overlapping
-            )
-            if not captured:
-                continue
-            receiver.on_receive(tx.packet, rssi, now)
+            # Interferers are drawn lazily, stopping at the first one that
+            # defeats capture.
+            for other in overlapping:
+                interference = other.rssi[i]
+                if interference == _UNDRAWN:
+                    interference = self._draw_rssi(other, i)
+                if rssi < interference + capture:
+                    break
+            else:
+                receiver.on_receive(tx.packet, rssi, now)
 
 
 def start_noise(channel: Channel, noise: NoiseConfig, duration_us: int, rng: np.random.Generator) -> int:

@@ -72,7 +72,10 @@ class EventHandle:
         self.cancelled = False
 
     def cancel(self) -> None:
+        # Drop the callback too: it may hold the object that holds this
+        # handle, a cycle only the garbage collector would otherwise free.
         self.cancelled = True
+        self.fn = None
 
 
 class Simulator:
@@ -111,3 +114,9 @@ class Simulator:
             processed += 1
         self.now_us = t_end_us
         return processed
+
+    def close(self) -> None:
+        """Cancel every pending event, releasing the callbacks."""
+        for _, _, handle in self._heap:
+            handle.cancel()
+        self._heap.clear()

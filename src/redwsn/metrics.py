@@ -9,6 +9,7 @@ denominator lets the with- and without-redundancy ratios share one base.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -17,21 +18,21 @@ import numpy as np
 from .gateway import ServerEntry
 
 
-def _covered(
-    entries: list[ServerEntry],
-    node_id: str,
-    slot_ms: float,
-    bound_ms: float,
-    roles: tuple[str, ...],
-) -> bool:
-    return any(
-        e.node_id == node_id
-        and e.kind == "data"
-        and e.valid
-        and e.board_role in roles
-        and slot_ms <= e.time_ms < slot_ms + bound_ms
-        for e in entries
-    )
+def _arrivals(entries: list[ServerEntry], roles: tuple[str, ...]) -> dict[str, list[float]]:
+    """Per node, the sorted arrival times of valid data from boards in roles."""
+    times: dict[str, list[float]] = {}
+    for e in entries:
+        if e.kind == "data" and e.valid and e.board_role in roles:
+            times.setdefault(e.node_id, []).append(e.time_ms)
+    for node_times in times.values():
+        node_times.sort()
+    return times
+
+
+def _covered(times: list[float], slot_ms: float, bound_ms: float) -> bool:
+    """True iff some arrival falls in [slot, slot + bound)."""
+    i = bisect_left(times, slot_ms)
+    return i < len(times) and times[i] < slot_ms + bound_ms
 
 
 def compute_prr(
@@ -44,8 +45,9 @@ def compute_prr(
     total = sum(len(slots) for slots in slots_by_node.values())
     if total == 0:
         raise ValueError("expected schedule is empty")
+    arrivals = _arrivals(entries, roles)
     covered = sum(
-        _covered(entries, node, slot, bound_ms, roles)
+        _covered(arrivals.get(node, []), slot, bound_ms)
         for node, slots in slots_by_node.items()
         for slot in slots
     )
@@ -66,16 +68,18 @@ def compute_detection_rate(
     those epochs for which a secondary backup/corrective packet was received
     within the bound.
     """
+    primary = _arrivals(entries, ("primary",))
+    secondary = _arrivals(entries, ("secondary",))
     missed = 0
     detected = 0
     for node, slots in slots_by_node.items():
         for slot in slots:
             if not fault_active(node, slot):
                 continue
-            if _covered(entries, node, slot, bound_ms, roles=("primary",)):
+            if _covered(primary.get(node, []), slot, bound_ms):
                 continue
             missed += 1
-            if _covered(entries, node, slot, bound_ms, roles=("secondary",)):
+            if _covered(secondary.get(node, []), slot, bound_ms):
                 detected += 1
     if missed == 0:
         raise ValueError("scenario produced no faulty/missed primary epochs")

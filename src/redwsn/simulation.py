@@ -92,7 +92,20 @@ class Simulation:
         if cfg.noise.enabled:
             start_noise(self.channel, cfg.noise, duration_us, self.sim.rng("noise-schedule"))
         self.sim.run_until(duration_us)
-        return self._metrics()
+        try:
+            return self._metrics()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Break the run's reference cycles (pending events, channel and
+        receivers, board and MAC), so a finished run is freed as soon as the
+        caller drops it rather than at the next full garbage collection.
+        The server and each primary's expected slots stay readable."""
+        self.sim.close()
+        self.channel.close()
+        for primary in self.primaries.values():
+            primary.mac = None
 
     # -- metrics -------------------------------------------------------------
 

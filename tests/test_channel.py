@@ -1,7 +1,10 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redwsn.channel import (
     Channel,
@@ -218,3 +221,210 @@ def test_noise_jitter_keeps_mean_period():
     source = NoiseConfig(period_ms=500, payload_bytes=10, jitter_ms=50, position=Position(1, 0))
     count = start_noise(channel, source, 600_000_000, sim.rng("noise-schedule"))
     assert count == pytest.approx(1200, rel=0.02)
+
+
+def test_receivers_cannot_join_while_a_frame_is_on_the_air():
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    channel.add_receiver(Probe("gw", Position(0, 0)))
+    channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    with pytest.raises(RuntimeError):
+        channel.add_receiver(Probe("late", Position(1, 0)))
+    sim.run_until(1_000_000)
+    late = Probe("late", Position(1, 0))
+    channel.add_receiver(late)  # the air is clear again
+    channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    sim.run_until(2_000_000)
+    assert len(late.heard) == 1
+
+
+def test_shadowing_is_drawn_from_the_channel_stream_only():
+    with pytest.raises(TypeError):
+        Channel(Simulator(), shadowing_rng=np.random.default_rng(0))
+    # More frames than one block of draws: the block refill must continue
+    # the stream exactly where scalar draws would.
+    sim = Simulator(master_seed=7)
+    params = ChannelParams(shadowing_sigma_db=3.0)
+    channel = Channel(sim, params=params)
+    probe = Probe("gw", Position(0, 0))
+    channel.add_receiver(probe)
+    frames = 1500
+    for k in range(frames):
+        sim.schedule_at(
+            k * 200_000,
+            lambda: channel.begin_transmission("n1.primary", Position(3, 0), data_packet(), 14.0),
+        )
+    sim.run_until(frames * 200_000)
+    stream = Simulator(master_seed=7).rng("channel-shadowing")
+    expected = [rssi_at(Position(3, 0), Position(0, 0), 14.0, stream, params) for _ in range(frames)]
+    assert [rssi for _, rssi, _ in probe.heard] == expected
+
+
+@dataclass
+class ReferenceFrame:
+    tx_id: int
+    source_id: str
+    position: Position
+    packet: Packet
+    tx_power_dbm: float
+    start_us: int
+    end_us: int
+    rssi_cache: dict = field(default_factory=dict)
+
+    def overlaps(self, start_us, end_us):
+        return self.start_us < end_us and start_us < self.end_us
+
+
+class ReferenceChannel:
+    """The resolver as it was before frames were resolved once: per
+    receiver, one log scan for deafness, one for interferers, and one
+    rssi_at call per link.  The oracle for the differential test."""
+
+    def __init__(self, sim, params, lora):
+        self.sim = sim
+        self.params = params
+        self.lora = lora
+        self._shadow_rng = sim.rng("channel-shadowing")
+        self._receivers = []
+        self._log = []
+        self._longest_airtime_us = 0
+        self._next_tx_id = 0
+
+    def add_receiver(self, receiver):
+        self._receivers.append(receiver)
+
+    def busy_until(self, source_id):
+        t = self.sim.now_us
+        for tx in self._log:
+            if tx.source_id == source_id and tx.end_us > t:
+                t = tx.end_us
+        return t
+
+    def begin_transmission(self, source_id, position, packet, tx_power_dbm):
+        now = self.sim.now_us
+        airtime = time_on_air_us(packet.size_bytes, self.lora)
+        tx = ReferenceFrame(self._next_tx_id, source_id, position, packet, tx_power_dbm, now, now + airtime)
+        self._next_tx_id += 1
+        self._longest_airtime_us = max(self._longest_airtime_us, airtime)
+        horizon = now - self._longest_airtime_us
+        if self._log and self._log[0].end_us < horizon:
+            self._log = [t for t in self._log if t.end_us >= horizon]
+        self._log.append(tx)
+        self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
+
+    def _link_rssi(self, tx, receiver):
+        cached = tx.rssi_cache.get(receiver.entity_id)
+        if cached is None:
+            cached = (
+                rssi_at(tx.position, receiver.position, tx.tx_power_dbm, self._shadow_rng, self.params)
+                - receiver.rx_extra_loss_db
+            )
+            tx.rssi_cache[receiver.entity_id] = cached
+        return cached
+
+    def _resolve(self, tx):
+        now = self.sim.now_us
+        for receiver in self._receivers:
+            if receiver.entity_id == tx.source_id:
+                continue
+            deaf = any(
+                other.source_id == receiver.entity_id and other.overlaps(tx.start_us, tx.end_us)
+                for other in self._log
+            )
+            if deaf:
+                continue
+            rssi = self._link_rssi(tx, receiver)
+            if rssi < self.params.sensitivity_dbm:
+                continue
+            overlapping = [
+                other
+                for other in self._log
+                if other.tx_id != tx.tx_id
+                and other.source_id != receiver.entity_id
+                and other.overlaps(tx.start_us, tx.end_us)
+            ]
+            if all(
+                rssi >= self._link_rssi(other, receiver) + self.params.capture_threshold_db
+                for other in overlapping
+            ):
+                receiver.on_receive(tx.packet, rssi, now)
+
+
+class Recorder:
+    """Receiver that logs every delivery; an acking one answers data frames
+    the moment they end, as a gateway does."""
+
+    def __init__(self, entity_id, position, rx_extra_loss_db, channel, log, acks):
+        self.entity_id = entity_id
+        self.position = position
+        self.rx_extra_loss_db = rx_extra_loss_db
+        self.channel = channel
+        self.log = log
+        self.acks = acks
+
+    def on_receive(self, packet, rssi_dbm, now_us):
+        self.log.append((self.entity_id, packet.kind, packet.node_id, packet.seq, rssi_dbm.hex(), now_us))
+        if self.acks and packet.kind is PacketKind.DATA and self.channel.busy_until(self.entity_id) <= now_us:
+            ack = Packet(kind=PacketKind.ACK, node_id=self.entity_id, seq=packet.seq, size_bytes=8)
+            self.channel.begin_transmission(self.entity_id, self.position, ack, 14.0)
+
+
+coordinates = st.floats(-30.0, 30.0, allow_nan=False)
+
+
+@st.composite
+def channel_scenarios(draw):
+    n = draw(st.integers(2, 8))
+    receivers = [
+        (f"r{i}", Position(draw(coordinates), draw(coordinates)), draw(st.floats(0.0, 12.0)))
+        for i in range(n)
+    ]
+    # Sources are some of the receivers plus two transmit-only ones.
+    sources = [(rid, position) for rid, position, _ in receivers]
+    sources += [(f"x{i}", Position(draw(coordinates), draw(coordinates))) for i in range(2)]
+    frames = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 60),  # start in 100 ms steps: equal starts are common
+                st.sampled_from(sources),
+                st.integers(1, 80),  # payload bytes
+                st.sampled_from((2.0, 14.0)),  # transmit power, dBm
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    sf = draw(st.integers(7, 12))
+    lora = LoraParams(spreading_factor=sf, low_data_rate_optimize=sf >= 11)
+    params = ChannelParams(shadowing_sigma_db=draw(st.floats(0.5, 8.0)))
+    return draw(st.integers(0, 2**32 - 1)), params, lora, receivers, frames
+
+
+def deliveries(make_channel, scenario):
+    seed, params, lora, receivers, frames = scenario
+    sim = Simulator(master_seed=seed)
+    channel = make_channel(sim, params, lora)
+    log = []
+    for i, (rid, position, extra_loss) in enumerate(receivers):
+        channel.add_receiver(Recorder(rid, position, extra_loss, channel, log, acks=i == 0))
+
+    def send(seq, source_id, position, size, power):
+        if channel.busy_until(source_id) > sim.now_us:
+            log.append(("busy", source_id, seq))
+            return
+        packet = Packet(kind=PacketKind.DATA, node_id=source_id, seq=seq, size_bytes=size)
+        channel.begin_transmission(source_id, position, packet, power)
+
+    for seq, (step, (source_id, position), size, power) in enumerate(frames):
+        sim.schedule_at(step * 100_000, lambda a=(seq, source_id, position, size, power): send(*a))
+    sim.run_until(20_000_000)
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=channel_scenarios())
+def test_resolution_matches_the_per_receiver_reference(scenario):
+    got = deliveries(lambda sim, params, lora: Channel(sim, params=params, lora=lora), scenario)
+    assert got == deliveries(ReferenceChannel, scenario)
+    received = [entry[:4] for entry in got if entry[0] != "busy"]
+    assert len(received) == len(set(received))  # each (frame, receiver) at most once

@@ -63,6 +63,23 @@ def test_cancelled_event_does_not_fire():
     assert fired == [2]
 
 
+def test_cancel_drops_the_callback():
+    handle = Simulator().schedule_at(10, lambda: None)
+    handle.cancel()
+    assert handle.fn is None
+
+
+def test_close_cancels_every_pending_event():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule_at(t, lambda t=t: fired.append(t)) for t in (10, 20, 30)]
+    sim.run_until(15)
+    sim.close()
+    assert all(h.cancelled and h.fn is None for h in handles[1:])
+    assert sim.run_until(100) == 0
+    assert fired == [10]
+
+
 def test_scheduling_in_the_past_raises():
     sim = Simulator()
     sim.run_until(100)

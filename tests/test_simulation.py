@@ -1,0 +1,45 @@
+"""A finished Simulation keeps its results readable and is freed by
+reference counting alone, without waiting for the cycle collector."""
+
+import gc
+import weakref
+from dataclasses import replace
+
+from redwsn.channel import Position
+from redwsn.scenario import NodeConfig, build_preset
+from redwsn.simulation import Simulation
+
+
+def two_node_control_noise():
+    # Two simulated minutes: the first data slot (20-30 s) needs its whole
+    # 40 s monitoring window inside the run to be scored.
+    return replace(
+        build_preset("control-noise"),
+        nodes=(
+            NodeConfig(id="n1", position=Position(2.0, 0.0)),
+            NodeConfig(id="n2", position=Position(0.0, 3.0)),
+        ),
+        duration_ms=120_000,
+    )
+
+
+def test_finished_run_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(two_node_control_noise(), seed=5)
+        sim.run()
+        channel = weakref.ref(sim.channel)
+        secondary = weakref.ref(sim.secondaries["n1"])
+        del sim
+        assert channel() is None
+        assert secondary() is None
+    finally:
+        gc.enable()
+
+
+def test_results_stay_readable_after_run():
+    sim = Simulation(two_node_control_noise(), seed=5)
+    sim.run()
+    assert any(e.kind == "data" for e in sim.server.deduplicated())
+    assert all(primary.expected_slots_us for primary in sim.primaries.values())
