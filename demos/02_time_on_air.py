@@ -16,5 +16,5 @@ for label, size in (("ack", 8), ("noise burst", 10), ("heartbeat", 12), ("sensor
 
 print("\nsensor data frame vs spreading factor:")
 for sf in range(7, 13):
-    p = replace(params, spreading_factor=sf, low_data_rate_optimize=sf >= 11)
+    p = replace(params, spreading_factor=sf)
     print(f"  SF{sf:<2}  {time_on_air_ms(76, p):9.3f} ms")

@@ -19,6 +19,7 @@ from .channel import Channel, Position
 from .engine import Simulator, ms_to_us
 from .mac import SarbConfig, SarbMac
 from .packets import (
+    DATA_BYTES,
     SENSOR_FIELDS,
     BoardRole,
     Packet,
@@ -112,6 +113,8 @@ _WALK_SIGMA = {
     **{f"humidity_pct_{i}": 0.05 for i in range(4)},
 }
 _WALK_BAND = 0.05  # walk stays within +-5 % of nominal
+_SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
+_SENSING_POLL_MS = 5_000  # primary's threshold check between data slots
 
 
 class Environment:
@@ -144,7 +147,6 @@ class _RadioBoard:
         env: Environment,
         faults: list[FaultSpec],
         tx_power_dbm: float,
-        sensor_noise_rel: float = 0.005,
     ):
         self.sim = sim
         self.channel = channel
@@ -156,14 +158,13 @@ class _RadioBoard:
         self.env = env
         self.faults = [f for f in faults if f.target == self.entity_id]
         self.tx_power_dbm = tx_power_dbm
-        self._sensor_noise_rel = sensor_noise_rel
         self._sense_rng = sim.rng(f"{self.entity_id}-sensor")
         self._last_fault_tags: frozenset = frozenset()
         self._seq = itertools.count(1)
         channel.add_receiver(self)
 
-    def is_powered(self, t_ms: Optional[float] = None) -> bool:
-        t = self.sim.now_us / 1000 if t_ms is None else t_ms
+    def is_powered(self) -> bool:
+        t = self.sim.now_us / 1000
         return not any(f.kind is FaultKind.HARD_FAILURE and f.active(t) for f in self.faults)
 
     def sense(self) -> Optional[SensorReading]:
@@ -179,7 +180,7 @@ class _RadioBoard:
         tags = set()
         truth = self.env.sample()
         for name in SENSOR_FIELDS:
-            v = truth[name] * (1.0 + float(self._sense_rng.normal(0.0, self._sensor_noise_rel)))
+            v = truth[name] * (1.0 + float(self._sense_rng.normal(0.0, _SENSOR_NOISE_REL)))
             for fault in self.faults:
                 if fault.affected_sensor != name or not fault.active(t_ms):
                     continue
@@ -231,13 +232,9 @@ class PrimaryBoard(_RadioBoard):
         mac_cfg: SarbConfig,
         thresholds: ThresholdTable = DEFAULT_THRESHOLDS,
         tx_power_dbm: float = 14.0,
-        data_bytes: int = 76,
-        sensing_poll_ms: int = 5_000,
     ):
         super().__init__(sim, channel, node_id, BoardRole.PRIMARY, position, env, faults, tx_power_dbm)
         self.thresholds = thresholds
-        self.data_bytes = data_bytes
-        self.sensing_poll_ms = sensing_poll_ms
         self.expected_slots_us: list[int] = []
         self._in_emergency = False
         self.mac = SarbMac(
@@ -256,7 +253,7 @@ class PrimaryBoard(_RadioBoard):
 
     def start(self) -> None:
         self.mac.start()
-        self.sim.schedule_in(ms_to_us(self.sensing_poll_ms), self._sensing_poll)
+        self.sim.schedule_in(ms_to_us(_SENSING_POLL_MS), self._sensing_poll)
 
     def _build_data_packet(self, emergency: bool) -> Packet:
         reading = self.sense()
@@ -265,14 +262,14 @@ class PrimaryBoard(_RadioBoard):
             node_id=self.node_id,
             board_role=BoardRole.PRIMARY,
             seq=self.next_seq(),
-            size_bytes=self.data_bytes,
+            size_bytes=DATA_BYTES,
             reading=reading,
             emergency=emergency,
             fault_tags=self._last_fault_tags,
         )
 
     def _sensing_poll(self) -> None:
-        self.sim.schedule_in(ms_to_us(self.sensing_poll_ms), self._sensing_poll)
+        self.sim.schedule_in(ms_to_us(_SENSING_POLL_MS), self._sensing_poll)
         if not self.is_powered():
             self._in_emergency = False
             return
@@ -297,7 +294,6 @@ class SecondaryConfig:
     # transmission goes out.
     sense_duration_ms: int = 3_500
     heartbeat_bytes: int = 12
-    data_bytes: int = 76
     anomaly_rel_threshold: float = 0.25
 
 
@@ -392,7 +388,7 @@ class SecondaryBoard(_RadioBoard):
                 node_id=self.node_id,
                 board_role=BoardRole.SECONDARY,
                 seq=self.next_seq(),
-                size_bytes=self.cfg.data_bytes,
+                size_bytes=DATA_BYTES,
                 reading=reading,
                 corrective=corrective,
                 responds_to=responds_to,

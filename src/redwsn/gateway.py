@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .boards import FaultKind, FaultSpec
+from .boards import FaultSpec
 from .channel import Channel, Position
 from .engine import Simulator
 from .packets import BoardRole, Packet, PacketKind
@@ -69,7 +68,8 @@ class Server:
 
 class Gateway:
     """Radio receiver that forwards to the server and acknowledges primary
-    data frames (when it is the acking gateway for its module)."""
+    data frames (when it is the acking gateway for its module).  It is down
+    while any of the faults aimed at its id is active."""
 
     ACK_BYTES = 8
 
@@ -83,7 +83,7 @@ class Gateway:
         acks_enabled: bool = True,
         rx_extra_loss_db: float = 0.0,
         tx_power_dbm: float = 14.0,
-        fail_windows: Optional[list[tuple[int, int]]] = None,
+        faults: tuple[FaultSpec, ...] = (),
     ):
         self.sim = sim
         self.channel = channel
@@ -93,20 +93,12 @@ class Gateway:
         self.acks_enabled = acks_enabled
         self.rx_extra_loss_db = rx_extra_loss_db
         self.tx_power_dbm = tx_power_dbm
-        self.fail_windows = fail_windows or []
+        self.faults = [f for f in faults if f.target == gateway_id]
         channel.add_receiver(self)
-
-    @classmethod
-    def fail_windows_from(cls, gateway_id: str, faults: list[FaultSpec]) -> list[tuple[int, int]]:
-        return [
-            (f.start_ms, f.end_ms)
-            for f in faults
-            if f.kind is FaultKind.GATEWAY_FAILURE and f.target == gateway_id
-        ]
 
     def failed(self, now_us: int) -> bool:
         t_ms = now_us / 1000
-        return any(start <= t_ms < end for start, end in self.fail_windows)
+        return any(f.active(t_ms) for f in self.faults)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if self.failed(now_us):

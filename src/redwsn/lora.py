@@ -13,8 +13,8 @@ class LoraParams:
     """Radio settings of the single shared channel.
 
     Defaults: SF7, 125 kHz, coding rate 4/5, 8-symbol preamble, explicit
-    header, CRC on, no low-data-rate optimization.  Frequency is metadata
-    only (868 MHz band); the simulation is single-channel.
+    header, CRC on.  Low-data-rate optimization follows from SF and
+    bandwidth (see ``time_on_air_ms``).  The simulation is single-channel.
     """
 
     spreading_factor: int = 7
@@ -23,8 +23,6 @@ class LoraParams:
     preamble_symbols: int = 8
     explicit_header: bool = True
     crc_on: bool = True
-    low_data_rate_optimize: bool = False
-    frequency_hz: int = 868_000_000
 
     def __post_init__(self):
         if not 6 <= self.spreading_factor <= 12:
@@ -48,14 +46,16 @@ def time_on_air_ms(payload_bytes: int, params: LoraParams = LoraParams()) -> flo
 
         8 + max(ceil((8*PL - 4*SF + 28 + 16*CRC - 20*IH) / (4*(SF - 2*DE))) * (CR + 4), 0)
 
-    where CR is the coding-rate numerator excess (1..4), IH=1 for implicit
-    header and DE=1 with low-data-rate optimization.
+    where CR is the coding-rate numerator excess (1..4) and IH=1 for implicit
+    header.  DE=1 turns on low-data-rate optimization, which the SX127x
+    datasheet requires whenever a symbol lasts longer than 16 ms (SF11 and
+    SF12 at 125 kHz, SF12 at 250 kHz).
     """
     if payload_bytes < 0:
         raise ValueError("payload size must be non-negative")
     sf = params.spreading_factor
     t_sym = symbol_time_ms(params)
-    de = 1 if params.low_data_rate_optimize else 0
+    de = 1 if 2**sf * 1000 > 16 * params.bandwidth_hz else 0
     ih = 0 if params.explicit_header else 1
     crc = 1 if params.crc_on else 0
     cr = params.coding_rate_denominator - 4

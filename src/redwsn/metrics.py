@@ -59,14 +59,15 @@ def compute_detection_rate(
     slots_by_node: dict[str, list[float]],
     fault_active: Callable[[str, float], bool],
     bound_ms: float = 40_000.0,
-) -> float:
+) -> Optional[float]:
     """Secondary responsiveness on faulty/missed primary epochs.
 
     Denominator: epochs whose slot falls inside a fault window on the node's
     primary board and that no valid primary packet served within the bound
     (the primary either stayed silent or shipped faulty data).  Numerator:
     those epochs for which a secondary backup/corrective packet was received
-    within the bound.
+    within the bound.  None when no such epoch exists: with no fault, or
+    when a brief fault only touched epochs the primary still served.
     """
     primary = _arrivals(entries, ("primary",))
     secondary = _arrivals(entries, ("secondary",))
@@ -82,7 +83,7 @@ def compute_detection_rate(
             if _covered(secondary.get(node, []), slot, bound_ms):
                 detected += 1
     if missed == 0:
-        raise ValueError("scenario produced no faulty/missed primary epochs")
+        return None
     return detected / missed
 
 
@@ -96,12 +97,10 @@ def delay_violations(
     exceed the maximum monitoring delay (run boundaries included)."""
     if bound_ms <= 0:
         raise ValueError("bound must be positive")
+    arrivals = _arrivals(entries, ("primary", "secondary"))
     violations = 0
     for node in node_ids:
-        times = sorted(
-            e.time_ms for e in entries if e.node_id == node and e.kind == "data" and e.valid
-        )
-        checkpoints = [0.0, *times, duration_ms]
+        checkpoints = [0.0, *arrivals.get(node, []), duration_ms]
         violations += sum(
             1 for a, b in zip(checkpoints, checkpoints[1:]) if b - a > bound_ms
         )

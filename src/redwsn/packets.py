@@ -23,6 +23,9 @@ SENSOR_FIELDS: tuple[str, ...] = (
     "humidity_pct_3",
 )
 
+# Size of a data frame carrying one full reading, from either board.
+DATA_BYTES = 76
+
 
 class PacketKind(Enum):
     DATA = "data"

@@ -16,7 +16,7 @@ import os
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .boards import DEFAULT_THRESHOLDS, FaultKind, FaultSpec, SecondaryConfig, ThresholdTable
+from .boards import FaultKind, FaultSpec, SecondaryConfig
 from .channel import ChannelParams, NoiseConfig, Position
 from .lora import LoraParams
 from .mac import SarbConfig
@@ -48,7 +48,6 @@ class GatewayConfig:
     acks_enabled: bool = True
     extra_loss_db: float = 0.0
     tx_power_dbm: float = 14.0
-    fail_windows: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class ScenarioConfig:
     channel: ChannelParams = ChannelParams()
     lora: LoraParams = LoraParams()
     secondary: SecondaryConfig = SecondaryConfig()
-    thresholds: ThresholdTable = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
         if self.duration_ms <= 0:
@@ -79,7 +77,29 @@ class ScenarioConfig:
             raise ConfigError("at least one gateway is required")
         if self.secondary.sensing_interval_ms <= self.mac.slot_max_ms:
             raise ConfigError("sensing interval must exceed the maximum transmission interval")
+        if self.max_monitoring_delay_ms <= 0:
+            raise ConfigError("max_monitoring_delay_ms must be positive")
+        # The first data slot comes at most one interval in; its monitoring
+        # window must fit in the run, or no epoch can be scored.
+        first_slot_ms = self.mac.slot_max_ms if self.mac.enabled else self.mac.fixed_interval_ms
+        if self.duration_ms < first_slot_ms + self.max_monitoring_delay_ms:
+            raise ConfigError(f"duration_ms must be at least {first_slot_ms + self.max_monitoring_delay_ms}")
+        self._check_fault_targets()
         self._check_fault_overlap()
+
+    def _check_fault_targets(self):
+        gateways = {g.id for g in self.gateways}
+        boards = {f"{n.id}.primary" for n in self.nodes}
+        boards |= {f"{n.id}.secondary" for n in self.nodes if n.has_secondary}
+        for f in self.faults:
+            if f.kind is FaultKind.GATEWAY_FAILURE:
+                if f.target not in gateways:
+                    raise ConfigError(f"gateway_failure target {f.target!r} is not a gateway id")
+            elif f.target not in boards:
+                raise ConfigError(
+                    f"{f.kind.value} target {f.target!r} is not a board"
+                    " (<node>.primary, or <node>.secondary for a node with a secondary)"
+                )
 
     def _check_fault_overlap(self):
         hard = [f for f in self.faults if f.kind is FaultKind.HARD_FAILURE]
@@ -113,10 +133,10 @@ PRESET_NAMES = (
 _FAULT_WINDOW = (300_000, 1_500_000)  # minutes 5..25 of a 30-minute run
 
 
-def _board_fault(kind: FaultKind, sensor: str | None = None) -> FaultSpec:
+def _fault(kind: FaultKind, target: str, sensor: str | None = None) -> FaultSpec:
     return FaultSpec(
         kind=kind,
-        target="n1.primary",
+        target=target,
         start_ms=_FAULT_WINDOW[0],
         end_ms=_FAULT_WINDOW[1],
         affected_sensor=sensor,
@@ -136,16 +156,16 @@ def build_preset(name: str) -> ScenarioConfig:
     elif root == "control-noise":
         cfg = base
     elif root == "HF":
-        cfg = replace(base, faults=(_board_fault(FaultKind.HARD_FAILURE),))
+        cfg = replace(base, faults=(_fault(FaultKind.HARD_FAILURE, "n1.primary"),))
     elif root == "SF1":
-        cfg = replace(base, faults=(_board_fault(FaultKind.SENSOR_READ_FAILURE, "co2_ppm"),))
+        cfg = replace(base, faults=(_fault(FaultKind.SENSOR_READ_FAILURE, "n1.primary", "co2_ppm"),))
     elif root == "SF2":
-        cfg = replace(base, faults=(_board_fault(FaultKind.SENSOR_ANOMALY, "co2_ppm"),))
+        cfg = replace(base, faults=(_fault(FaultKind.SENSOR_ANOMALY, "n1.primary", "co2_ppm"),))
     elif root == "GWF":
         cfg = replace(
             base,
             gateways=(
-                GatewayConfig(id="gw-home", fail_windows=(_FAULT_WINDOW,)),
+                GatewayConfig(id="gw-home"),
                 GatewayConfig(
                     id="gw-backup",
                     position=Position(12.0, 0.0),
@@ -153,6 +173,7 @@ def build_preset(name: str) -> ScenarioConfig:
                     extra_loss_db=4.0,  # one wall in the path
                 ),
             ),
+            faults=(_fault(FaultKind.GATEWAY_FAILURE, "gw-home"),),
         )
     else:
         raise ConfigError(f"unknown preset: {name!r} (see `sim presets`)")
@@ -193,9 +214,6 @@ def _config_from_tree(tree: dict) -> ScenarioConfig:
     tree = dict(tree)
     preset = tree.pop("preset", None)
     base = build_preset(str(preset)) if preset else ScenarioConfig()
-    if "thresholds" in tree:
-        # The emergency threshold table is fixed in code, not loadable.
-        raise ConfigError("unknown key: thresholds")
     return _build(ScenarioConfig, tree, "", base)
 
 
@@ -229,11 +247,8 @@ def _coerce(value, ftype, path: str, current=None):
     if get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
-        items = get_args(ftype)
-        types = [items[0]] * len(value) if items[-1] is Ellipsis else list(items)
-        if len(types) != len(value):
-            raise ConfigError(f"{path}: expected {len(types)} items, got {value!r}")
-        return tuple(_coerce(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, types)))
+        item, _ = get_args(ftype)  # every tuple field is tuple[T, ...]
+        return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if ftype is Position:
         if isinstance(value, (list, tuple)) and len(value) == 2:
             value = {"x": value[0], "y": value[1]}

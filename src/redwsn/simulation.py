@@ -5,12 +5,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .boards import (
-    Environment,
-    FaultKind,
-    PrimaryBoard,
-    SecondaryBoard,
-)
+from .boards import Environment, PrimaryBoard, SecondaryBoard
 from .channel import Channel, start_noise
 from .engine import Simulator, ms_to_us
 from .gateway import Gateway, Server
@@ -36,23 +31,20 @@ class Simulation:
         self.channel = Channel(self.sim, params=cfg.channel, lora=cfg.lora)
         self.server = Server()
 
-        self.gateways: list[Gateway] = []
-        for gw_cfg in cfg.gateways:
-            fail_windows = list(gw_cfg.fail_windows)
-            fail_windows += Gateway.fail_windows_from(gw_cfg.id, cfg.faults)
-            self.gateways.append(
-                Gateway(
-                    self.sim,
-                    self.channel,
-                    self.server,
-                    gateway_id=gw_cfg.id,
-                    position=gw_cfg.position,
-                    acks_enabled=gw_cfg.acks_enabled,
-                    rx_extra_loss_db=gw_cfg.extra_loss_db,
-                    tx_power_dbm=gw_cfg.tx_power_dbm,
-                    fail_windows=fail_windows,
-                )
+        self.gateways = [
+            Gateway(
+                self.sim,
+                self.channel,
+                self.server,
+                gateway_id=gw_cfg.id,
+                position=gw_cfg.position,
+                acks_enabled=gw_cfg.acks_enabled,
+                rx_extra_loss_db=gw_cfg.extra_loss_db,
+                tx_power_dbm=gw_cfg.tx_power_dbm,
+                faults=cfg.faults,
             )
+            for gw_cfg in cfg.gateways
+        ]
 
         self.primaries: dict[str, PrimaryBoard] = {}
         self.secondaries: dict[str, SecondaryBoard] = {}
@@ -66,7 +58,6 @@ class Simulation:
                 env=env,
                 faults=cfg.faults,
                 mac_cfg=cfg.mac,
-                thresholds=cfg.thresholds,
                 tx_power_dbm=node_cfg.tx_power_dbm,
             )
             self.primaries[node_cfg.id] = primary
@@ -112,14 +103,7 @@ class Simulation:
     def _fault_active(self, node_id: str, t_ms: float) -> bool:
         """Ground truth: is a board/sensor fault on this node's primary
         active at the given time?"""
-        target = f"{node_id}.primary"
-        return any(
-            f.target == target
-            and f.kind
-            in (FaultKind.HARD_FAILURE, FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY)
-            and f.active(t_ms)
-            for f in self.cfg.faults
-        )
+        return any(f.active(t_ms) for f in self.primaries[node_id].faults)
 
     def _metrics(self) -> IterationMetrics:
         cfg = self.cfg
@@ -138,15 +122,13 @@ class Simulation:
         prr = compute_prr(entries, slots_by_node, bound)
         prr_primary = compute_prr(entries, slots_by_node, bound, roles=("primary",))
 
-        faulty_missed = sum(
+        fault_epochs = sum(
             1
             for node, slots in slots_by_node.items()
             for slot in slots
             if self._fault_active(node, slot)
         )
-        detection = None
-        if faulty_missed:
-            detection = compute_detection_rate(entries, slots_by_node, self._fault_active, bound)
+        detection = compute_detection_rate(entries, slots_by_node, self._fault_active, bound)
 
         violations = delay_violations(entries, list(slots_by_node), cfg.duration_ms, bound)
         rssi = {
@@ -163,6 +145,6 @@ class Simulation:
             delay_violations=violations,
             duplicate_count=self.server.duplicate_count,
             epochs_total=sum(len(s) for s in slots_by_node.values()),
-            epochs_fault_active=faulty_missed,
+            epochs_fault_active=fault_epochs,
             rssi=rssi,
         )

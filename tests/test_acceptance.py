@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from redwsn.boards import FaultKind, FaultSpec
 from redwsn.cli import EXIT_OK, main_avail
 from redwsn.ctmc import BirthDeathModel, build_generator, steady_state_closed_form, steady_state_linear_solve
 from redwsn.lora import time_on_air_ms
@@ -144,8 +145,8 @@ def test_acceptance_gateway_failover():
         assert backup["median"] > -120.0 and home["median"] > -120.0
     all_failed = replace(
         cfg,
-        gateways=tuple(
-            replace(g, fail_windows=((0, cfg.duration_ms),)) for g in cfg.gateways
+        faults=tuple(
+            FaultSpec(FaultKind.GATEWAY_FAILURE, g.id, 0, cfg.duration_ms) for g in cfg.gateways
         ),
     )
     dead = run_scenario(all_failed, SEEDS[:3])

@@ -114,7 +114,7 @@ def test_long_frame_collides_with_frame_that_ended_long_ago():
     # At SF12 a 76-byte frame lasts 3.28 s, so a collision partner that
     # ended two seconds before a later frame starts must still count.
     sim = Simulator()
-    lora = LoraParams(spreading_factor=12, low_data_rate_optimize=True)
+    lora = LoraParams(spreading_factor=12)
     channel = Channel(sim, params=quiet_params(), lora=lora)
     probe = Probe("gw", Position(0, 0))
     channel.add_receiver(probe)
@@ -395,7 +395,7 @@ def channel_scenarios(draw):
         )
     )
     sf = draw(st.integers(7, 12))
-    lora = LoraParams(spreading_factor=sf, low_data_rate_optimize=sf >= 11)
+    lora = LoraParams(spreading_factor=sf)
     params = ChannelParams(shadowing_sigma_db=draw(st.floats(0.5, 8.0)))
     return draw(st.integers(0, 2**32 - 1)), params, lora, receivers, frames
 

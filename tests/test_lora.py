@@ -50,19 +50,33 @@ def test_ack_and_heartbeat_sizes():
     preamble=st.integers(6, 16),
     explicit=st.booleans(),
     crc=st.booleans(),
-    ldro=st.booleans(),
+    bw=st.sampled_from((125_000, 250_000, 500_000)),
 )
-def test_matches_reference_formula(payload, sf, cr, preamble, explicit, crc, ldro):
+def test_matches_reference_formula(payload, sf, cr, preamble, explicit, crc, bw):
     params = LoraParams(
         spreading_factor=sf,
+        bandwidth_hz=bw,
         coding_rate_denominator=cr,
         preamble_symbols=preamble,
         explicit_header=explicit,
         crc_on=crc,
-        low_data_rate_optimize=ldro,
     )
-    expected = reference_toa_ms(payload, sf, 125_000, cr, preamble, explicit, crc, ldro)
+    ldro = (2**sf) / bw * 1000.0 > 16.0  # datasheet: symbols longer than 16 ms
+    expected = reference_toa_ms(payload, sf, bw, cr, preamble, explicit, crc, ldro)
     assert time_on_air_ms(payload, params) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sf, bw, ldro",
+    [(11, 125_000, True), (12, 125_000, True), (12, 250_000, True), (10, 125_000, False), (11, 250_000, False)],
+)
+def test_low_data_rate_optimization_follows_symbol_time(sf, bw, ldro):
+    params = LoraParams(spreading_factor=sf, bandwidth_hz=bw)
+    expected = reference_toa_ms(76, sf, bw, 5, 8, True, True, ldro)
+    assert time_on_air_ms(76, params) == pytest.approx(expected, rel=1e-12)
+    assert time_on_air_ms(76, params) != pytest.approx(
+        reference_toa_ms(76, sf, bw, 5, 8, True, True, not ldro), rel=1e-12
+    )
 
 
 @given(payload=st.integers(0, 254))

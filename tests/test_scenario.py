@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from redwsn.boards import FaultKind
+from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Position
 from redwsn.scenario import (
     PRESET_NAMES,
@@ -57,7 +58,7 @@ def test_gwf_preset_has_backup_gateway():
     backup = cfg.gateways[1]
     assert backup.position.distance_to(Position(0, 0)) == pytest.approx(12.0)
     assert backup.extra_loss_db > 0 and not backup.acks_enabled
-    assert cfg.gateways[0].fail_windows == ((300_000, 1_500_000),)
+    assert cfg.faults == (FaultSpec(FaultKind.GATEWAY_FAILURE, "gw-home", 300_000, 1_500_000),)
 
 
 def test_variant_suffixes():
@@ -153,7 +154,7 @@ HF_FAULT = {"kind": "hard_failure", "target": "n1.primary"}
         ({"noise": {"enabled": 0}}, "noise.enabled"),
         ({"noise": {"position": [1, 2, 3]}}, "noise.position"),
         ({"noise": {"position": {"x": 1}}}, "'y'"),
-        ({"gateways": [{"id": "gw", "fail_windows": [[1, 2.5]]}]}, r"fail_windows\[0\]\[1\]"),
+        ({"faults": [{**HF_FAULT, "target": "n1.primray"}]}, "n1.primray"),
         ({"faults": [{**HF_FAULT, "start_ms": "x"}]}, r"faults\[0\].start_ms"),
         ({"faults": [{**HF_FAULT, "kind": "meltdown"}]}, r"faults\[0\].kind"),
         ({"thresholds": {}}, "thresholds"),
@@ -164,6 +165,57 @@ def test_json_values_must_match_field_types(tmp_path, tree, key):
     path.write_text(json.dumps(tree))
     with pytest.raises(ConfigError, match=key):
         load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "tree, target",
+    [
+        ({"faults": [{"kind": "gateway_failure", "target": "n1.primary"}]}, "n1.primary"),
+        ({"faults": [{**HF_FAULT, "target": "gw-home"}]}, "gw-home"),
+        (
+            {"nodes": [{"id": "n1", "has_secondary": False}], "faults": [{**HF_FAULT, "target": "n1.secondary"}]},
+            "n1.secondary",
+        ),
+    ],
+)
+def test_fault_targets_are_checked_at_load(tmp_path, tree, target):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tree))
+    with pytest.raises(ConfigError, match=f"target '{target}'"):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "tree, key",
+    [
+        ({"gateways": [{"id": "gw", "fail_windows": [[1, 2]]}]}, r"gateways\[0\].fail_windows"),
+        ({"lora": {"low_data_rate_optimize": True}}, "lora.low_data_rate_optimize"),
+        ({"lora": {"frequency_hz": 868_000_000}}, "lora.frequency_hz"),
+        ({"secondary": {"data_bytes": 76}}, "secondary.data_bytes"),
+    ],
+)
+def test_removed_keys_are_unknown(tmp_path, tree, key):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(tree))
+    with pytest.raises(ConfigError, match=f"unknown key: {key}"):
+        load_scenario(str(path))
+
+
+def test_monitoring_delay_must_be_positive(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("max_monitoring_delay_ms = 0\n")
+    with pytest.raises(ConfigError, match="max_monitoring_delay_ms"):
+        load_scenario(str(path))
+
+
+def test_run_must_fit_one_scored_epoch(tmp_path):
+    # The first data slot may come 30 s in, and its 40 s window must fit.
+    path = tmp_path / "short.cfg"
+    path.write_text("duration_ms = 60000\n")
+    with pytest.raises(ConfigError, match="duration_ms"):
+        load_scenario(str(path))
+    path.write_text("duration_ms = 70000\n")
+    assert run_scenario(load_scenario(str(path)), seeds=[1]).iterations[0].epochs_total >= 1
 
 
 def test_sections_are_validated_together(tmp_path):
@@ -211,8 +263,6 @@ def test_resolve_scenario_accepts_presets_and_paths(tmp_path):
 
 
 def short_cfg(**overrides):
-    from dataclasses import replace
-
     cfg = build_preset("control-clean")
     return replace(cfg, **{**SHORT, **overrides})
 
@@ -231,6 +281,16 @@ def test_control_clean_is_perfect():
     assert it.prr_primary_only == 1.0
     assert it.detection_rate is None
     assert it.delay_violations == 0
+
+
+def test_fault_served_by_primary_leaves_detection_undefined():
+    # One slot falls inside a 1 s fault; the recovered primary still
+    # reports within the 40 s bound, so no fault epoch was missed.
+    fault = FaultSpec(FaultKind.HARD_FAILURE, "n1.primary", 205_000, 206_000)
+    cfg = replace(build_preset("HF"), duration_ms=600_000, faults=(fault,))
+    it = run_scenario(cfg, seeds=[2]).iterations[0]
+    assert it.detection_rate is None
+    assert it.epochs_fault_active == 1
 
 
 def test_reports_are_deterministic():
