@@ -159,7 +159,6 @@ class _RadioBoard:
         self.faults = [f for f in faults if f.target == self.entity_id]
         self.tx_power_dbm = tx_power_dbm
         self._sense_rng = sim.rng(f"{self.entity_id}-sensor")
-        self._last_fault_tags: frozenset = frozenset()
         self._seq = itertools.count(1)
         channel.add_receiver(self)
 
@@ -171,7 +170,7 @@ class _RadioBoard:
         """Fresh reading; None if the board is hard-failed.
 
         Sensor faults apply per field: a read failure blanks the value, an
-        anomaly multiplies it.  Ground-truth tags ride along for metrics.
+        anomaly multiplies it.  Ground-truth tags ride on the reading.
         """
         if not self.is_powered():
             return None
@@ -191,18 +190,26 @@ class _RadioBoard:
                     v = v * fault.anomaly_multiplier
                     tags.add(f"anomaly:{name}")
             values[name] = v
-        reading = SensorReading(values=values)
-        self._last_fault_tags = frozenset(tags)
-        return reading
+        return SensorReading(values, frozenset(tags))
 
-    def next_seq(self) -> int:
-        return next(self._seq)
+    def data_packet(self, emergency: bool = False, corrective: bool = False) -> Packet:
+        """A data frame carrying a fresh reading under the board's next seq."""
+        return Packet(
+            kind=PacketKind.DATA,
+            node_id=self.node_id,
+            board_role=self.role,
+            seq=next(self._seq),
+            size_bytes=DATA_BYTES,
+            reading=self.sense(),
+            emergency=emergency,
+            corrective=corrective,
+        )
 
     def transmit(self, packet: Packet) -> Optional[int]:
         """Put a frame on the air, waiting out an in-flight frame if needed.
 
-        Returns the end-of-frame time, or None when the send was deferred or
-        the board is silenced (a deferred frame is sent fire-and-forget).
+        Returns the end-of-frame time, or None when the board is silenced or
+        the send was deferred (the board sends it once its own frame ends).
         """
         if not self.is_powered():
             return None
@@ -210,8 +217,7 @@ class _RadioBoard:
         if busy > self.sim.now_us:
             self.sim.schedule_at(busy + 1, lambda: self.transmit(packet))
             return None
-        self.channel.begin_transmission(self.entity_id, self.position, packet, self.tx_power_dbm)
-        return self.channel.busy_until(self.entity_id)
+        return self.channel.begin_transmission(self.entity_id, self.position, packet, self.tx_power_dbm)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:  # pragma: no cover
         pass
@@ -241,7 +247,7 @@ class PrimaryBoard(_RadioBoard):
             sim,
             mac_cfg,
             sim.rng(f"{self.entity_id}-mac"),
-            build_packet=self._build_data_packet,
+            build_packet=self.data_packet,
             transmit=self.transmit,
             is_powered=self.is_powered,
             on_slot=self.expected_slots_us.append,
@@ -255,19 +261,6 @@ class PrimaryBoard(_RadioBoard):
         self.mac.start()
         self.sim.schedule_in(ms_to_us(_SENSING_POLL_MS), self._sensing_poll)
 
-    def _build_data_packet(self, emergency: bool) -> Packet:
-        reading = self.sense()
-        return Packet(
-            kind=PacketKind.DATA,
-            node_id=self.node_id,
-            board_role=BoardRole.PRIMARY,
-            seq=self.next_seq(),
-            size_bytes=DATA_BYTES,
-            reading=reading,
-            emergency=emergency,
-            fault_tags=self._last_fault_tags,
-        )
-
     def _sensing_poll(self) -> None:
         self.sim.schedule_in(ms_to_us(_SENSING_POLL_MS), self._sensing_poll)
         if not self.is_powered():
@@ -276,7 +269,7 @@ class PrimaryBoard(_RadioBoard):
         reading = self.sense()
         crossed = check_thresholds(reading, self.thresholds)
         if crossed and not self._in_emergency:
-            self.mac.on_emergency(self._build_data_packet(True))
+            self.mac.on_emergency(self.data_packet(emergency=True))
         self._in_emergency = crossed
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
@@ -295,6 +288,12 @@ class SecondaryConfig:
     sense_duration_ms: int = 3_500
     heartbeat_bytes: int = 12
     anomaly_rel_threshold: float = 0.25
+
+    def __post_init__(self):
+        if self.heartbeat_period_ms <= 0 or self.anomaly_rel_threshold <= 0:
+            raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive")
+        if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
+            raise ValueError("secondary sense_duration_ms and heartbeat_bytes must not be negative")
 
 
 class SecondaryBoard(_RadioBoard):
@@ -347,7 +346,7 @@ class SecondaryBoard(_RadioBoard):
         if self._is_faulty(packet):
             self._last_responded_seq = packet.seq
             if self._substitute_allowed():
-                self._schedule_send(corrective=True, responds_to=packet.seq)
+                self._schedule_send(corrective=True)
 
     def _is_faulty(self, packet: Packet) -> bool:
         if packet.reading is None or not packet.reading.is_complete():
@@ -373,28 +372,15 @@ class SecondaryBoard(_RadioBoard):
             deadline += ms_to_us(self.cfg.sense_duration_ms)
         self._arm_watchdog(deadline)
 
-    def _schedule_send(self, corrective: bool, responds_to: Optional[int] = None) -> None:
+    def _schedule_send(self, corrective: bool) -> None:
         if self._send_pending:
             return
         self._send_pending = True
 
         def fire():
             self._send_pending = False
-            if not self.is_powered():
-                return
-            reading = self.sense()
-            packet = Packet(
-                kind=PacketKind.DATA,
-                node_id=self.node_id,
-                board_role=BoardRole.SECONDARY,
-                seq=self.next_seq(),
-                size_bytes=DATA_BYTES,
-                reading=reading,
-                corrective=corrective,
-                responds_to=responds_to,
-                fault_tags=self._last_fault_tags,
-            )
-            self.transmit(packet)
+            if self.is_powered():
+                self.transmit(self.data_packet(corrective=corrective))
 
         self.sim.schedule_in(ms_to_us(self.cfg.sense_duration_ms), fire)
 
@@ -406,7 +392,7 @@ class SecondaryBoard(_RadioBoard):
             kind=PacketKind.HEARTBEAT,
             node_id=self.node_id,
             board_role=BoardRole.SECONDARY,
-            seq=self.next_seq(),
+            seq=next(self._seq),
             size_bytes=self.cfg.heartbeat_bytes,
         )
         self.transmit(packet)

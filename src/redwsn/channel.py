@@ -89,7 +89,6 @@ class Receiver(Protocol):
 
 @dataclass
 class Transmission:
-    tx_id: int
     source_id: str
     packet: Packet
     start_us: int
@@ -122,6 +121,12 @@ class NoiseConfig:
     position: Position = Position(-1.5, 0.5)
     tx_power_dbm: float = 14.0
 
+    def __post_init__(self):
+        if self.period_ms <= 0:
+            raise ValueError("noise period_ms must be positive")
+        if self.payload_bytes < 0 or self.jitter_ms < 0:
+            raise ValueError("noise payload_bytes and jitter_ms must not be negative")
+
 
 # RSSI slot of a link not drawn yet; a drawn value is finite.
 _UNDRAWN = math.inf
@@ -153,7 +158,6 @@ class Channel:
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
         self._longest_airtime_us = 0
-        self._next_tx_id = 0
 
     def add_receiver(self, receiver: Receiver) -> None:
         """Register a receiver; only while no frame is on the air, because
@@ -184,7 +188,7 @@ class Channel:
         packet: Packet,
         tx_power_dbm: float,
     ) -> int:
-        """Put a frame on the air now; returns its transmission id.
+        """Put a frame on the air now; returns the time it ends.
 
         The source must be idle (half-duplex): callers serialize their own
         frames via busy_until().
@@ -194,7 +198,6 @@ class Channel:
             raise RuntimeError(f"source {source_id} is already transmitting")
         airtime = time_on_air_us(packet.size_bytes, self.lora)
         tx = Transmission(
-            tx_id=self._next_tx_id,
             source_id=source_id,
             packet=packet,
             start_us=now,
@@ -202,13 +205,12 @@ class Channel:
             mean_dbm=self._link_means(position, tx_power_dbm),
             rssi=self._undrawn[:],
         )
-        self._next_tx_id += 1
         self._longest_airtime_us = max(self._longest_airtime_us, airtime)
         self._source_end_us[source_id] = tx.end_us
         self._prune(now)
         self._log.append(tx)
         self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
-        return tx.tx_id
+        return tx.end_us
 
     def _link_means(self, position: Position, tx_power_dbm: float) -> array:
         """Transmit power minus path loss to every receiver, cached per

@@ -24,10 +24,6 @@ def ms_to_us(ms: float) -> int:
     return int(round(ms * US_PER_MS))
 
 
-def us_to_ms(us: int) -> float:
-    return us / US_PER_MS
-
-
 class SchedulingError(ValueError):
     """Raised when an event is scheduled before the current clock."""
 

@@ -12,7 +12,8 @@ from .packets import BoardRole, Packet, PacketKind
 
 @dataclass(frozen=True)
 class ServerEntry:
-    """One de-duplicated reception as the server sees it."""
+    """One reception as the server sees it.  ``valid`` holds for a data
+    frame whose reading is complete and carries no injected-fault tag."""
 
     node_id: str
     board_role: str
@@ -22,8 +23,6 @@ class ServerEntry:
     gateway_id: str
     rssi_dbm: float
     valid: bool
-    corrective: bool
-    emergency: bool
 
 
 class Server:
@@ -40,7 +39,7 @@ class Server:
             packet.kind is PacketKind.DATA
             and packet.reading is not None
             and packet.reading.is_complete()
-            and not packet.fault_tags
+            and not packet.reading.fault_tags
         )
         entry = ServerEntry(
             node_id=packet.node_id,
@@ -51,8 +50,6 @@ class Server:
             gateway_id=gateway_id,
             rssi_dbm=rssi_dbm,
             valid=valid,
-            corrective=packet.corrective,
-            emergency=packet.emergency,
         )
         self.raw.append(entry)
         key = (entry.node_id, entry.board_role, entry.seq)

@@ -40,6 +40,8 @@ class SarbConfig:
             raise ValueError("retransmission slots must fit before the earliest next data slot")
         if self.queue_capacity < 0 or self.ack_timeout_ms <= 0:
             raise ValueError("queue capacity and ack timeout must be positive")
+        if self.fixed_interval_ms <= 0:
+            raise ValueError("fixed_interval_ms must be positive")
 
 
 class RetxQueue:
@@ -81,7 +83,7 @@ class SarbMac:
     The owning board supplies callbacks:
       * build_packet(emergency) -> Packet      fresh data packet, next seq
       * transmit(packet) -> Optional[int]      end-of-frame time, or None if
-                                               the board is silenced
+                                               silenced or deferred
       * is_powered() -> bool                   hard-failure gate
       * on_slot(time_us)                       expected-slot bookkeeping
 
@@ -159,10 +161,12 @@ class SarbMac:
 
     def _send(self, packet: Packet) -> None:
         end_us = self._transmit(packet)
-        if end_us is None:
-            return
         if not self.cfg.enabled:
             return  # baseline: fire and forget
+        if end_us is None:
+            if self._is_powered():  # deferred: it goes out with no ack timer
+                self.queue.push(packet)
+            return
         if self._pending is not None:
             # A frame is already awaiting its ack; treat the new one as
             # unconfirmed immediately rather than tracking two timers.

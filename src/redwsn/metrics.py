@@ -2,16 +2,16 @@
 
 A *monitoring epoch* is an expected primary data slot.  An epoch counts as
 covered when a valid data packet from the node (either board) reaches the
-server within the maximum monitoring delay of the slot time; validity means
-complete, non-anomalous sensor data.  Using expected slots as the common
-denominator lets the with- and without-redundancy ratios share one base.
+server within the maximum monitoring delay of the slot time (ServerEntry
+states the validity rule).  Using expected slots as the common denominator
+lets the with- and without-redundancy ratios share one base.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ def _arrivals(entries: list[ServerEntry], roles: tuple[str, ...]) -> dict[str, l
     """Per node, the sorted arrival times of valid data from boards in roles."""
     times: dict[str, list[float]] = {}
     for e in entries:
-        if e.kind == "data" and e.valid and e.board_role in roles:
+        if e.valid and e.board_role in roles:
             times.setdefault(e.node_id, []).append(e.time_ms)
     for node_times in times.values():
         node_times.sort()
@@ -56,27 +56,24 @@ def compute_prr(
 
 def compute_detection_rate(
     entries: list[ServerEntry],
-    slots_by_node: dict[str, list[float]],
-    fault_active: Callable[[str, float], bool],
+    fault_slots: dict[str, list[float]],
     bound_ms: float = 40_000.0,
 ) -> Optional[float]:
     """Secondary responsiveness on faulty/missed primary epochs.
 
-    Denominator: epochs whose slot falls inside a fault window on the node's
-    primary board and that no valid primary packet served within the bound
-    (the primary either stayed silent or shipped faulty data).  Numerator:
-    those epochs for which a secondary backup/corrective packet was received
-    within the bound.  None when no such epoch exists: with no fault, or
-    when a brief fault only touched epochs the primary still served.
+    ``fault_slots`` holds each node's epochs inside a fault window on its
+    primary board.  Denominator: those no valid primary packet served within
+    the bound (the primary either stayed silent or shipped faulty data).
+    Numerator: those for which a secondary backup/corrective packet was
+    received within the bound.  None when no such epoch exists: with no
+    fault, or when a brief fault only touched epochs the primary still served.
     """
     primary = _arrivals(entries, ("primary",))
     secondary = _arrivals(entries, ("secondary",))
     missed = 0
     detected = 0
-    for node, slots in slots_by_node.items():
+    for node, slots in fault_slots.items():
         for slot in slots:
-            if not fault_active(node, slot):
-                continue
             if _covered(primary.get(node, []), slot, bound_ms):
                 continue
             missed += 1

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -45,6 +45,7 @@ class SensorReading:
     could not be read."""
 
     values: dict[str, Optional[float]]
+    fault_tags: frozenset = frozenset()  # injected-fault ground truth; metrics only
 
     def missing_fields(self) -> list[str]:
         return [k for k in SENSOR_FIELDS if self.values.get(k) is None]
@@ -63,22 +64,8 @@ class Packet:
     reading: Optional[SensorReading] = None
     emergency: bool = False
     corrective: bool = False
-    # Sequence number of the primary packet a corrective responds to.
-    responds_to: Optional[int] = None
-    # Ground-truth tags set at sense time when an injected sensor fault
-    # touched this reading; used only by metrics, never by node logic.
-    fault_tags: frozenset = field(default_factory=frozenset)
     # For acks: (node_id, seq) of the acknowledged data packet.
     ack_for: Optional[tuple[str, int]] = None
-
-
-def detect_incomplete(packet: Packet) -> list[str]:
-    """Names of the sensor fields absent from a data packet."""
-    if packet.kind is not PacketKind.DATA:
-        raise ValueError("incompleteness is defined for data packets only")
-    if packet.reading is None:
-        return list(SENSOR_FIELDS)
-    return packet.reading.missing_fields()
 
 
 def detect_anomaly(

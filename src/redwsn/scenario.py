@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .boards import FaultKind, FaultSpec, SecondaryConfig
-from .channel import ChannelParams, NoiseConfig, Position
+from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
 from .lora import LoraParams
 from .mac import SarbConfig
 from .metrics import IterationMetrics, MetricsReport
@@ -84,13 +84,25 @@ class ScenarioConfig:
         first_slot_ms = self.mac.slot_max_ms if self.mac.enabled else self.mac.fixed_interval_ms
         if self.duration_ms < first_slot_ms + self.max_monitoring_delay_ms:
             raise ConfigError(f"duration_ms must be at least {first_slot_ms + self.max_monitoring_delay_ms}")
+        self._check_radio_ids()
         self._check_fault_targets()
         self._check_fault_overlap()
 
+    def _board_ids(self) -> list[str]:
+        ids = [f"{n.id}.primary" for n in self.nodes]
+        return ids + [f"{n.id}.secondary" for n in self.nodes if n.has_secondary]
+
+    def _check_radio_ids(self):
+        # The channel keys busy time and deafness by radio id.
+        seen = {NOISE_SOURCE_ID}
+        for rid in [g.id for g in self.gateways] + self._board_ids():
+            if rid in seen:
+                raise ConfigError(f"radio id {rid!r} is used twice; node and gateway ids must be unique")
+            seen.add(rid)
+
     def _check_fault_targets(self):
         gateways = {g.id for g in self.gateways}
-        boards = {f"{n.id}.primary" for n in self.nodes}
-        boards |= {f"{n.id}.secondary" for n in self.nodes if n.has_secondary}
+        boards = set(self._board_ids())
         for f in self.faults:
             if f.kind is FaultKind.GATEWAY_FAILURE:
                 if f.target not in gateways:

@@ -100,11 +100,6 @@ class Simulation:
 
     # -- metrics -------------------------------------------------------------
 
-    def _fault_active(self, node_id: str, t_ms: float) -> bool:
-        """Ground truth: is a board/sensor fault on this node's primary
-        active at the given time?"""
-        return any(f.active(t_ms) for f in self.primaries[node_id].faults)
-
     def _metrics(self) -> IterationMetrics:
         cfg = self.cfg
         entries = self.server.deduplicated()
@@ -122,13 +117,12 @@ class Simulation:
         prr = compute_prr(entries, slots_by_node, bound)
         prr_primary = compute_prr(entries, slots_by_node, bound, roles=("primary",))
 
-        fault_epochs = sum(
-            1
-            for node, slots in slots_by_node.items()
-            for slot in slots
-            if self._fault_active(node, slot)
-        )
-        detection = compute_detection_rate(entries, slots_by_node, self._fault_active, bound)
+        # Ground truth: the epochs during a fault on the node's primary board.
+        fault_slots = {
+            node_id: [t for t in slots_by_node[node_id] if any(f.active(t) for f in primary.faults)]
+            for node_id, primary in self.primaries.items()
+        }
+        detection = compute_detection_rate(entries, fault_slots, bound)
 
         violations = delay_violations(entries, list(slots_by_node), cfg.duration_ms, bound)
         rssi = {
@@ -145,6 +139,6 @@ class Simulation:
             delay_violations=violations,
             duplicate_count=self.server.duplicate_count,
             epochs_total=sum(len(s) for s in slots_by_node.values()),
-            epochs_fault_active=fault_epochs,
+            epochs_fault_active=sum(len(s) for s in fault_slots.values()),
             rssi=rssi,
         )

@@ -181,7 +181,8 @@ def test_transmitter_does_not_hear_itself():
 def test_busy_source_cannot_double_transmit():
     sim = Simulator()
     channel = Channel(sim, params=quiet_params())
-    channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    end_us = channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    assert end_us == channel.busy_until("n1.primary") > sim.now_us
     with pytest.raises(RuntimeError):
         channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
 

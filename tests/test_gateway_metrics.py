@@ -20,14 +20,15 @@ def full_reading():
 
 
 def data_packet(seq=1, role=BoardRole.PRIMARY, reading=None, fault_tags=frozenset(), **kw):
+    if reading is None:
+        reading = SensorReading(full_reading().values, fault_tags)
     return Packet(
         kind=PacketKind.DATA,
         node_id="n1",
         board_role=role,
         seq=seq,
         size_bytes=76,
-        reading=full_reading() if reading is None else reading,
-        fault_tags=fault_tags,
+        reading=reading,
         **kw,
     )
 
@@ -136,8 +137,6 @@ def entry(time_ms, role="primary", valid=True, seq=None, node="n1"):
         gateway_id="gw",
         rssi_dbm=-98.0,
         valid=valid,
-        corrective=False,
-        emergency=False,
     )
 
 
@@ -167,22 +166,20 @@ def test_prr_redundant_at_least_primary_only():
 
 
 def test_detection_rate_over_missed_fault_epochs():
-    slots = {"n1": [0.0, 25_000.0, 50_000.0]}
-    fault_active = lambda node, t: t >= 20_000.0
-    # Epoch 0 healthy; epoch 25 s fault-active, secondary answers; 50 s missed.
+    # Epochs at 0, 25 s and 50 s; the fault covers the last two.  The
+    # secondary answers at 25 s; 50 s is missed.
+    fault_slots = {"n1": [25_000.0, 50_000.0]}
     entries = [entry(1_000.0), entry(30_000.0, role="secondary")]
-    assert compute_detection_rate(entries, slots, fault_active) == pytest.approx(1 / 2)
+    assert compute_detection_rate(entries, fault_slots) == pytest.approx(1 / 2)
 
 
 def test_detection_rate_excludes_primary_served_epochs():
-    slots = {"n1": [0.0]}
-    fault_active = lambda node, t: True
     entries = [entry(5_000.0)]  # valid primary packet serves the epoch
-    assert compute_detection_rate(entries, slots, fault_active) is None
+    assert compute_detection_rate(entries, {"n1": [0.0]}) is None
 
 
 def test_detection_rate_is_none_without_fault_epochs():
-    assert compute_detection_rate([], {"n1": [0.0]}, lambda n, t: False) is None
+    assert compute_detection_rate([], {"n1": []}) is None
 
 
 def test_delay_violations_count_gaps_and_boundaries():

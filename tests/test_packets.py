@@ -1,13 +1,4 @@
-import pytest
-
-from redwsn.packets import (
-    SENSOR_FIELDS,
-    Packet,
-    PacketKind,
-    SensorReading,
-    detect_anomaly,
-    detect_incomplete,
-)
+from redwsn.packets import SENSOR_FIELDS, SensorReading, detect_anomaly
 
 
 def full_reading(value=10.0, **overrides):
@@ -31,18 +22,6 @@ def test_missing_field_detected():
     reading = full_reading(co2_ppm=None)
     assert not reading.is_complete()
     assert reading.missing_fields() == ["co2_ppm"]
-
-
-def test_detect_incomplete_on_data_packet():
-    packet = Packet(kind=PacketKind.DATA, reading=full_reading(o2_percent=None))
-    assert detect_incomplete(packet) == ["o2_percent"]
-    empty = Packet(kind=PacketKind.DATA, reading=None)
-    assert detect_incomplete(empty) == list(SENSOR_FIELDS)
-
-
-def test_detect_incomplete_rejects_non_data():
-    with pytest.raises(ValueError):
-        detect_incomplete(Packet(kind=PacketKind.HEARTBEAT))
 
 
 def test_anomaly_threshold_is_strict():

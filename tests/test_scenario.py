@@ -201,6 +201,30 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        # Each of these used to load and then hang or score wrong numbers.
+        ({"secondary": {"heartbeat_period_ms": 0}}, "heartbeat_period_ms"),
+        ({"secondary": {"sense_duration_ms": -1}}, "sense_duration_ms"),
+        ({"secondary": {"heartbeat_bytes": -3}}, "heartbeat_bytes"),
+        ({"secondary": {"anomaly_rel_threshold": 0.0}}, "anomaly_rel_threshold"),
+        ({"noise": {"payload_bytes": -1}}, "payload_bytes"),
+        ({"noise": {"period_ms": 0}}, "period_ms"),
+        ({"noise": {"jitter_ms": -5}}, "jitter_ms"),
+        ({"mac": {"enabled": False, "fixed_interval_ms": 0}}, "fixed_interval_ms"),
+        ({"nodes": [{"id": "n1"}, {"id": "n1", "position": [4, 0]}]}, "radio id 'n1.primary'"),
+        ({"preset": "GWF", "gateways": [{"id": "gw-home"}, {"id": "gw-home"}]}, "radio id 'gw-home'"),
+        ({"gateways": [{"id": "noise"}]}, "radio id 'noise'"),
+    ],
+)
+def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tree))
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(str(path))
+
+
 def test_monitoring_delay_must_be_positive(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("max_monitoring_delay_ms = 0\n")
