@@ -21,6 +21,7 @@ from .mac import SarbConfig, SarbMac
 from .packets import (
     DATA_BYTES,
     SENSOR_FIELDS,
+    SENSOR_TABLE,
     BoardRole,
     Packet,
     PacketKind,
@@ -34,6 +35,9 @@ class FaultKind(Enum):
     SENSOR_READ_FAILURE = "sensor_read_failure"
     SENSOR_ANOMALY = "sensor_anomaly"
     GATEWAY_FAILURE = "gateway_failure"
+
+
+_SENSOR_FAULTS = (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY)
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class FaultSpec:
     def __post_init__(self):
         if self.start_ms >= self.end_ms:
             raise ValueError("fault window must have start < end")
-        if self.kind in (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY):
+        if self.kind in _SENSOR_FAULTS:
             if self.affected_sensor not in SENSOR_FIELDS:
                 raise ValueError(f"unknown sensor field: {self.affected_sensor!r}")
 
@@ -58,63 +62,20 @@ class FaultSpec:
         return self.start_ms <= t_ms < self.end_ms
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
-    """Per-field (lower, upper) emergency bounds."""
-
-    bounds: dict[str, tuple[float, float]]
-
-    def __post_init__(self):
-        for name, (lo, hi) in self.bounds.items():
-            if name not in SENSOR_FIELDS:
-                raise ValueError(f"unknown sensor field: {name!r}")
-            if lo >= hi:
-                raise ValueError(f"threshold for {name} must have lower < upper")
-
-
-DEFAULT_THRESHOLDS = ThresholdTable(
-    bounds={
-        "co2_ppm": (450.0, 3_000.0),
-        "pressure_hpa": (900.0, 1_090.0),
-        "o2_percent": (18.0, 23.0),
-        "co_ppm": (0.0, 100.0),
-        **{f"temp_c_{i}": (5.0, 40.0) for i in range(4)},
-        **{f"humidity_pct_{i}": (10.0, 90.0) for i in range(4)},
-    }
-)
-
-
-def check_thresholds(reading: SensorReading, thresholds: ThresholdTable) -> bool:
-    """True iff any present field lies outside its bounds (absent fields do
-    not trigger; absence is a sensor failure symptom, not an emergency)."""
-    for name, (lo, hi) in thresholds.bounds.items():
-        value = reading.values.get(name)
-        if value is not None and not lo <= value <= hi:
-            return True
-    return False
-
-
-# Quiet habitat defaults: nominal midpoints and the per-sample random-walk
-# step for each monitored field.
-_NOMINAL = {
-    "co2_ppm": 800.0,
-    "pressure_hpa": 1_013.0,
-    "o2_percent": 20.9,
-    "co_ppm": 5.0,
-    **{f"temp_c_{i}": 22.0 for i in range(4)},
-    **{f"humidity_pct_{i}": 45.0 for i in range(4)},
-}
-_WALK_SIGMA = {
-    "co2_ppm": 2.0,
-    "pressure_hpa": 0.1,
-    "o2_percent": 0.01,
-    "co_ppm": 0.02,
-    **{f"temp_c_{i}": 0.03 for i in range(4)},
-    **{f"humidity_pct_{i}": 0.05 for i in range(4)},
-}
+# Per-field columns of SENSOR_TABLE, in SENSOR_FIELDS order.
+_NOMINAL_VALUES, _WALK_STEP, _EMERGENCY_LO, _EMERGENCY_HI = map(np.array, zip(*SENSOR_TABLE.values()))
 _WALK_BAND = 0.05  # walk stays within +-5 % of nominal
+_WALK_LO, _WALK_HI = _NOMINAL_VALUES * (1 - _WALK_BAND), _NOMINAL_VALUES * (1 + _WALK_BAND)
 _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
 _SENSING_POLL_MS = 5_000  # primary's threshold check between data slots
+
+
+def check_thresholds(reading: SensorReading) -> bool:
+    """True iff any present field lies outside its emergency bounds (absent
+    fields do not trigger; absence is a sensor failure symptom, not an
+    emergency)."""
+    v = reading.values
+    return bool(((v < _EMERGENCY_LO) | (v > _EMERGENCY_HI)).any())
 
 
 class Environment:
@@ -123,15 +84,13 @@ class Environment:
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._values = dict(_NOMINAL)
+        self._values = _NOMINAL_VALUES
 
-    def sample(self) -> dict[str, float]:
-        for name, sigma in _WALK_SIGMA.items():
-            nominal = _NOMINAL[name]
-            lo, hi = nominal * (1 - _WALK_BAND), nominal * (1 + _WALK_BAND)
-            v = self._values[name] + float(self._rng.normal(0.0, sigma))
-            self._values[name] = min(max(v, lo), hi)
-        return dict(self._values)
+    def sample(self) -> np.ndarray:
+        """The next true values, in SENSOR_FIELDS order (a fresh array)."""
+        step = self._rng.normal(0.0, _WALK_STEP)
+        self._values = np.minimum(np.maximum(self._values + step, _WALK_LO), _WALK_HI)
+        return self._values
 
 
 class _RadioBoard:
@@ -169,27 +128,29 @@ class _RadioBoard:
     def sense(self) -> Optional[SensorReading]:
         """Fresh reading; None if the board is hard-failed.
 
-        Sensor faults apply per field: a read failure blanks the value, an
-        anomaly multiplies it.  Ground-truth tags ride on the reading.
+        Sensor faults apply per field, in list order: a read failure makes the
+        value NaN, an anomaly multiplies it.  Ground-truth tags ride on the
+        reading.
         """
         if not self.is_powered():
             return None
         t_ms = self.sim.now_us / 1000
-        values: dict[str, Optional[float]] = {}
-        tags = set()
         truth = self.env.sample()
-        for name in SENSOR_FIELDS:
-            v = truth[name] * (1.0 + float(self._sense_rng.normal(0.0, _SENSOR_NOISE_REL)))
-            for fault in self.faults:
-                if fault.affected_sensor != name or not fault.active(t_ms):
-                    continue
-                if fault.kind is FaultKind.SENSOR_READ_FAILURE:
-                    v = None
-                    tags.add(f"read_failure:{name}")
-                elif fault.kind is FaultKind.SENSOR_ANOMALY:
-                    v = v * fault.anomaly_multiplier
-                    tags.add(f"anomaly:{name}")
-            values[name] = v
+        values = truth * (1.0 + self._sense_rng.normal(0.0, _SENSOR_NOISE_REL, len(SENSOR_FIELDS)))
+        tags = set()
+        for fault in self.faults:
+            # Only sensor faults name a field; any other kind may carry
+            # anything in affected_sensor.
+            if fault.kind not in _SENSOR_FAULTS or not fault.active(t_ms):
+                continue
+            name = fault.affected_sensor
+            i = SENSOR_FIELDS.index(name)
+            if fault.kind is FaultKind.SENSOR_READ_FAILURE:
+                values[i] = np.nan
+                tags.add(f"read_failure:{name}")
+            else:
+                values[i] *= fault.anomaly_multiplier
+                tags.add(f"anomaly:{name}")
         return SensorReading(values, frozenset(tags))
 
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Packet:
@@ -236,11 +197,9 @@ class PrimaryBoard(_RadioBoard):
         env: Environment,
         faults: list[FaultSpec],
         mac_cfg: SarbConfig,
-        thresholds: ThresholdTable = DEFAULT_THRESHOLDS,
         tx_power_dbm: float = 14.0,
     ):
         super().__init__(sim, channel, node_id, BoardRole.PRIMARY, position, env, faults, tx_power_dbm)
-        self.thresholds = thresholds
         self.expected_slots_us: list[int] = []
         self._in_emergency = False
         self.mac = SarbMac(
@@ -267,7 +226,7 @@ class PrimaryBoard(_RadioBoard):
             self._in_emergency = False
             return
         reading = self.sense()
-        crossed = check_thresholds(reading, self.thresholds)
+        crossed = check_thresholds(reading)
         if crossed and not self._in_emergency:
             self.mac.on_emergency(self.data_packet(emergency=True))
         self._in_emergency = crossed

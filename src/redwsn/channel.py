@@ -52,6 +52,12 @@ class ChannelParams:
     sensitivity_dbm: float = -120.0
     agc_ceiling_dbm: float = -90.0
 
+    def __post_init__(self):
+        if not self.reference_distance_m > 0:
+            raise ValueError("channel reference_distance_m must be positive")
+        if not self.shadowing_sigma_db >= 0:
+            raise ValueError("channel shadowing_sigma_db must not be negative")
+
 
 def path_loss_db(distance_m: float, params: ChannelParams) -> float:
     d = max(distance_m, params.reference_distance_m)

@@ -32,6 +32,10 @@ class SarbConfig:
     fixed_interval_ms: int = 30_000
 
     def __post_init__(self):
+        if self.slot_min_ms <= 0 or self.retx_interval_ms <= 0:
+            raise ValueError("mac slot_min_ms and retx_interval_ms must be positive")
+        if self.retx_slots_per_cycle < 0:
+            raise ValueError("mac retx_slots_per_cycle must not be negative")
         if self.slot_min_ms > self.slot_max_ms:
             raise ValueError("slot_min must not exceed slot_max")
         if self.slot_step_ms <= 0 or (self.slot_max_ms - self.slot_min_ms) % self.slot_step_ms:
@@ -72,9 +76,6 @@ class RetxQueue:
 
     def clear(self) -> None:
         self._items.clear()
-
-    def snapshot(self) -> list[Packet]:
-        return list(self._items)
 
 
 class SarbMac:

@@ -6,22 +6,21 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-# The twelve monitored fields: four scalar gas/pressure sensors plus four
-# temperature/humidity probe pairs.
-SENSOR_FIELDS: tuple[str, ...] = (
-    "co2_ppm",
-    "pressure_hpa",
-    "o2_percent",
-    "co_ppm",
-    "temp_c_0",
-    "temp_c_1",
-    "temp_c_2",
-    "temp_c_3",
-    "humidity_pct_0",
-    "humidity_pct_1",
-    "humidity_pct_2",
-    "humidity_pct_3",
-)
+import numpy as np
+
+# The twelve monitored fields, in reading order: four scalar gas/pressure
+# sensors plus four temperature/humidity probe pairs.  Per field: the quiet
+# habitat's nominal value, the per-sample random-walk step, and the
+# (lower, upper) emergency bounds.
+SENSOR_TABLE: dict[str, tuple[float, float, float, float]] = {
+    "co2_ppm": (800.0, 2.0, 450.0, 3_000.0),
+    "pressure_hpa": (1_013.0, 0.1, 900.0, 1_090.0),
+    "o2_percent": (20.9, 0.01, 18.0, 23.0),
+    "co_ppm": (5.0, 0.02, 0.0, 100.0),
+    **{f"temp_c_{i}": (22.0, 0.03, 5.0, 40.0) for i in range(4)},
+    **{f"humidity_pct_{i}": (45.0, 0.05, 10.0, 90.0) for i in range(4)},
+}
+SENSOR_FIELDS: tuple[str, ...] = tuple(SENSOR_TABLE)
 
 # Size of a data frame carrying one full reading, from either board.
 DATA_BYTES = 76
@@ -39,19 +38,19 @@ class BoardRole(Enum):
     SECONDARY = "secondary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorReading:
-    """One snapshot of all monitored fields; a None value means the sensor
-    could not be read."""
+    """One snapshot of all monitored fields, in SENSOR_FIELDS order; a NaN
+    value means the sensor could not be read."""
 
-    values: dict[str, Optional[float]]
+    values: np.ndarray
     fault_tags: frozenset = frozenset()  # injected-fault ground truth; metrics only
 
     def missing_fields(self) -> list[str]:
-        return [k for k in SENSOR_FIELDS if self.values.get(k) is None]
+        return [SENSOR_FIELDS[i] for i in np.flatnonzero(np.isnan(self.values))]
 
     def is_complete(self) -> bool:
-        return not self.missing_fields()
+        return not np.isnan(self.values).any()
 
 
 @dataclass(frozen=True)
@@ -78,14 +77,8 @@ def detect_anomaly(
 
     A field is flagged iff |p - s| / max(|s|, eps) is strictly greater than
     the threshold; the comparison says that *some* board is wrong, not which.
-    Fields absent on either side are skipped.
+    A field missing (NaN) on either side is never flagged.
     """
-    flagged = []
-    for name in SENSOR_FIELDS:
-        p = primary.values.get(name)
-        s = secondary.values.get(name)
-        if p is None or s is None:
-            continue
-        if abs(p - s) / max(abs(s), eps) > rel_threshold:
-            flagged.append(name)
-    return flagged
+    p, s = primary.values, secondary.values
+    flagged = np.abs(p - s) / np.maximum(np.abs(s), eps) > rel_threshold
+    return [SENSOR_FIELDS[i] for i in np.flatnonzero(flagged)]

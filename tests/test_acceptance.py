@@ -129,8 +129,8 @@ def test_acceptance_lifo_queue_property_suite():
             else:
                 with pytest.raises(IndexError):
                     queue.pop()
-        assert len(queue) <= 10
-        assert [p.seq for p in queue.snapshot()] == [p.seq for p in model]
+        assert len(queue) == len(model) <= 10
+    assert [queue.pop().seq for _ in range(len(queue))] == [p.seq for p in reversed(model)]
 
 
 def test_acceptance_gateway_failover():

@@ -1,20 +1,21 @@
+import math
+
+import numpy as np
 import pytest
 
 from redwsn.boards import (
-    DEFAULT_THRESHOLDS,
     Environment,
     FaultKind,
     FaultSpec,
     PrimaryBoard,
     SecondaryBoard,
     SecondaryConfig,
-    ThresholdTable,
     check_thresholds,
 )
 from redwsn.channel import Channel, ChannelParams, Position
-from redwsn.engine import Simulator, ms_to_us
+from redwsn.engine import Simulator, ms_to_us, stream_rng
 from redwsn.mac import SarbConfig
-from redwsn.packets import BoardRole, Packet, PacketKind, SensorReading
+from redwsn.packets import SENSOR_FIELDS, SENSOR_TABLE, BoardRole, Packet, PacketKind, SensorReading
 
 
 class GatewayProbe:
@@ -81,27 +82,28 @@ def test_fault_spec_validation():
         FaultSpec(kind=FaultKind.SENSOR_READ_FAILURE, target="n1.primary", affected_sensor="nope")
 
 
-def test_threshold_table_validation():
-    with pytest.raises(ValueError):
-        ThresholdTable(bounds={"co2_ppm": (10.0, 5.0)})
-    with pytest.raises(ValueError):
-        ThresholdTable(bounds={"unknown_field": (0.0, 1.0)})
-
-
 def test_threshold_check_ignores_missing_fields():
-    values = {name: None for name in DEFAULT_THRESHOLDS.bounds}
-    assert not check_thresholds(SensorReading(values=values), DEFAULT_THRESHOLDS)
-    values["co2_ppm"] = 5_000.0
-    assert check_thresholds(SensorReading(values=values), DEFAULT_THRESHOLDS)
+    values = np.full(len(SENSOR_FIELDS), np.nan)
+    assert not check_thresholds(SensorReading(values=values))
+    values[SENSOR_FIELDS.index("co2_ppm")] = 5_000.0
+    assert check_thresholds(SensorReading(values=values))
+
+
+def test_walk_band_lies_inside_emergency_bounds():
+    # A healthy board's readings stay near the +-5 % walk band, so only an
+    # injected anomaly can cross an emergency bound.
+    for name, (nominal, _, lo, hi) in SENSOR_TABLE.items():
+        assert lo < nominal * (1 - 0.05) and nominal * (1 + 0.05) < hi, name
 
 
 def test_environment_stays_in_band_and_is_shared():
     sim = Simulator(master_seed=3)
     env = Environment(sim.rng("env"))
+    co2, o2 = SENSOR_FIELDS.index("co2_ppm"), SENSOR_FIELDS.index("o2_percent")
     for _ in range(500):
         sample = env.sample()
-        assert 760.0 <= sample["co2_ppm"] <= 840.0
-        assert 19.855 <= sample["o2_percent"] <= 21.945
+        assert 760.0 <= sample[co2] <= 840.0
+        assert 19.855 <= sample[o2] <= 21.945
 
 
 # -- healthy operation ------------------------------------------------------------
@@ -141,9 +143,10 @@ def test_deferred_send_is_tracked_by_the_mac():
     )
     primary.mac.on_emergency(first)
     primary.mac.on_emergency(second)
-    assert primary.mac.queue.snapshot() == [second]
+    assert len(primary.mac.queue) == 1
     sim.run_until(ms_to_us(1_000))
     assert [(p.seq, t) for p, _, t in gw.heard] == [(1, 138_496), (2, 276_993)]
+    assert primary.mac.queue.pop() is second
 
 
 # -- hard failure -----------------------------------------------------------------
@@ -280,23 +283,110 @@ def test_secondary_hard_failure_silences_backups():
 
 
 def test_emergency_threshold_fires_outside_slots():
-    tight = ThresholdTable(bounds={"co2_ppm": (450.0, 700.0)})  # ambient ~800 crosses it
-    sim = Simulator(master_seed=7)
-    channel = Channel(sim, params=ChannelParams(shadowing_sigma_db=0.0))
-    gw = GatewayProbe()
-    channel.add_receiver(gw)
-    env = Environment(sim.rng("n1-environment"))
-    primary = PrimaryBoard(
-        sim,
-        channel,
-        node_id="n1",
-        position=Position(2, 0),
-        env=env,
-        faults=[],
-        mac_cfg=SarbConfig(),
-        thresholds=tight,
+    # 1.3 x the ~20.9 % ambient O2 is above the 23 % emergency bound.
+    o2_high = FaultSpec(
+        kind=FaultKind.SENSOR_ANOMALY,
+        target="n1.primary",
+        start_ms=0,
+        end_ms=600_000,
+        affected_sensor="o2_percent",
+        anomaly_multiplier=1.3,
     )
+    sim, gw, primary, _ = build_node(faults=[o2_high], seed=7, with_secondary=False)
     primary.start()
     sim.run_until(ms_to_us(20_000))
     emergencies = [p for p, _, _ in gw.heard if p.emergency]
     assert emergencies  # fired from the 5 s sensing poll, before the first slot
+    assert all(p.reading.fault_tags == {"anomaly:o2_percent"} for p in emergencies)
+
+
+# -- array readings against the per-field scalar path -----------------------------
+
+
+def reference_walk(rng):
+    """The per-field scalar walk the array draw replaced: one step per
+    field, each clamped to +-5 % of nominal."""
+    truth = {name: row[0] for name, row in SENSOR_TABLE.items()}
+    while True:
+        for name, (nominal, sigma, _, _) in SENSOR_TABLE.items():
+            v = truth[name] + float(rng.normal(0.0, sigma))
+            truth[name] = min(max(v, nominal * (1 - 0.05)), nominal * (1 + 0.05))
+        yield [truth[name] for name in SENSOR_FIELDS]
+
+
+def reference_readings(seed, faults, times_ms):
+    """The per-field scalar path the array readings replaced: the board
+    draws one noise factor per field, then each field's faults apply in
+    list order.  A field that could not be read stays missing under an
+    anomaly (the scalar path crashed there)."""
+    walk = reference_walk(stream_rng(seed, "n1-environment"))
+    sense_rng = stream_rng(seed, "n1.primary-sensor")
+    readings = []
+    for t_ms in times_ms:
+        if any(f.kind is FaultKind.HARD_FAILURE and f.active(t_ms) for f in faults):
+            readings.append(None)
+            continue
+        values, tags = [], set()
+        for name, true_value in zip(SENSOR_FIELDS, next(walk)):
+            v = true_value * (1.0 + float(sense_rng.normal(0.0, 0.005)))
+            for fault in faults:
+                if fault.affected_sensor != name or not fault.active(t_ms):
+                    continue
+                if fault.kind is FaultKind.SENSOR_READ_FAILURE:
+                    v = None
+                    tags.add(f"read_failure:{name}")
+                elif fault.kind is FaultKind.SENSOR_ANOMALY:
+                    v = None if v is None else v * fault.anomaly_multiplier
+                    tags.add(f"anomaly:{name}")
+            values.append(math.nan if v is None else v)
+        readings.append((values, tags))
+    return readings
+
+
+def test_environment_matches_the_per_field_walk():
+    env = Environment(stream_rng(11, "env"))
+    walk = reference_walk(stream_rng(11, "env"))
+    samples = np.array([env.sample() for _ in range(3_000)])
+    np.testing.assert_array_equal(samples, [next(walk) for _ in range(3_000)])
+    lo, hi = samples.min(axis=0), samples.max(axis=0)
+    co2 = SENSOR_FIELDS.index("co2_ppm")
+    assert (lo[co2], hi[co2]) == (800.0 * (1 - 0.05), 800.0 * (1 + 0.05))  # the clamp is exercised
+
+
+def sensor_fault(kind, sensor, start_s, end_s, multiplier=1.5):
+    return FaultSpec(kind, "n1.primary", start_s * 1000, end_s * 1000, sensor, multiplier)
+
+
+READ, ANOM = FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY
+MIXED_FAULTS = [
+    sensor_fault(READ, "co2_ppm", 60, 300),
+    sensor_fault(ANOM, "o2_percent", 120, 400, 1.3),
+    # Both kinds on one field, overlapping, in either list order.
+    sensor_fault(READ, "temp_c_1", 150, 350),
+    sensor_fault(ANOM, "temp_c_1", 250, 450),
+    sensor_fault(ANOM, "humidity_pct_2", 200, 500, 0.6),
+    sensor_fault(READ, "humidity_pct_2", 300, 420),
+    # Two anomalies on one field; rounding depends on their order.
+    sensor_fault(ANOM, "co_ppm", 100, 200, 1.7),
+    sensor_fault(ANOM, "co_ppm", 150, 250, 1.3),
+    # Only sensor faults name a field.
+    FaultSpec(FaultKind.HARD_FAILURE, "n1.primary", 520_000, 540_000, "not-a-field"),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_array_readings_match_the_per_field_path(seed):
+    times_ms = list(range(0, 600_000, 5_000))
+    sim, _, primary, _ = build_node(faults=MIXED_FAULTS, seed=seed, with_secondary=False)
+    expected = reference_readings(seed, MIXED_FAULTS, times_ms)
+    for t_ms, want in zip(times_ms, expected):
+        sim.run_until(ms_to_us(t_ms))
+        reading = primary.sense()
+        if want is None:
+            assert reading is None
+            continue
+        values, tags = want
+        np.testing.assert_array_equal(reading.values, values)
+        assert reading.fault_tags == tags
+    assert sum(w is None for w in expected) == 4
+

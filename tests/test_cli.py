@@ -61,6 +61,17 @@ def test_sim_run_csv_to_file(capsys, tmp_path):
     assert ",mean,mean_prr_redundant," in text
 
 
+def test_sim_run_read_failure_and_anomaly_on_one_field(capsys, tmp_path):
+    # The field is missing; the anomaly on it must not crash the run.
+    fault = {"target": "n1.primary", "affected_sensor": "co2_ppm", "start_ms": 0, "end_ms": 120_000}
+    faults = [{"kind": "sensor_read_failure", **fault}, {"kind": "sensor_anomaly", **fault}]
+    cfg = tmp_path / "both.json"
+    cfg.write_text(json.dumps({"preset": "control-clean", "duration_ms": 120_000, "faults": faults}))
+    assert main_sim(["run", str(cfg), "--seeds", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["iterations"][0]["prr_primary_only"] == 0.0
+
+
 def test_sim_run_unknown_scenario_is_config_error(capsys):
     assert main_sim(["run", "no-such-preset"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from redwsn.boards import FaultKind, FaultSpec
@@ -16,7 +17,7 @@ from redwsn.packets import SENSOR_FIELDS, BoardRole, Packet, PacketKind, SensorR
 
 
 def full_reading():
-    return SensorReading(values={name: 10.0 for name in SENSOR_FIELDS})
+    return SensorReading(values=np.full(len(SENSOR_FIELDS), 10.0))
 
 
 def data_packet(seq=1, role=BoardRole.PRIMARY, reading=None, fault_tags=frozenset(), **kw):
@@ -116,7 +117,9 @@ def test_dedup_distinct_seqs_and_roles_retained():
 
 def test_validity_rules():
     server = Server()
-    incomplete = SensorReading(values={name: (None if name == "co2_ppm" else 1.0) for name in SENSOR_FIELDS})
+    values = np.full(len(SENSOR_FIELDS), 1.0)
+    values[SENSOR_FIELDS.index("co2_ppm")] = np.nan
+    incomplete = SensorReading(values=values)
     server.on_gateway_reception("gw", data_packet(seq=1), -98.0, 0)
     server.on_gateway_reception("gw", data_packet(seq=2, reading=incomplete), -98.0, 1)
     server.on_gateway_reception("gw", data_packet(seq=3, fault_tags=frozenset({"anomaly:co2_ppm"})), -98.0, 2)

@@ -49,7 +49,8 @@ def test_queue_eviction_removes_oldest():
     q = RetxQueue(capacity=3)
     evicted = [q.push(make_packet(seq)) for seq in range(5)]
     assert [e.seq for e in evicted if e is not None] == [0, 1]
-    assert [p.seq for p in q.snapshot()] == [2, 3, 4]
+    assert len(q) == 3
+    assert [q.pop().seq for _ in range(3)] == [4, 3, 2]
 
 
 def test_queue_pop_empty_raises():
@@ -93,7 +94,7 @@ def test_queue_matches_reference_model(ops):
             if evicted is not None:
                 assert evicted.seq == expected_evicted.seq
         assert len(q) == len(model) <= 10
-        assert [p.seq for p in q.snapshot()] == [p.seq for p in model]
+    assert [q.pop().seq for _ in range(len(q))] == [p.seq for p in reversed(model)]
 
 
 # -- MAC state machine -----------------------------------------------------------

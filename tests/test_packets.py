@@ -1,9 +1,13 @@
+import numpy as np
+
 from redwsn.packets import SENSOR_FIELDS, SensorReading, detect_anomaly
 
 
 def full_reading(value=10.0, **overrides):
-    values = {name: value for name in SENSOR_FIELDS}
-    values.update(overrides)
+    """A reading with every field at value; an override of None is missing."""
+    values = np.full(len(SENSOR_FIELDS), value)
+    for name, v in overrides.items():
+        values[SENSOR_FIELDS.index(name)] = np.nan if v is None else v
     return SensorReading(values=values)
 
 

@@ -216,6 +216,11 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"nodes": [{"id": "n1"}, {"id": "n1", "position": [4, 0]}]}, "radio id 'n1.primary'"),
         ({"preset": "GWF", "gateways": [{"id": "gw-home"}, {"id": "gw-home"}]}, "radio id 'gw-home'"),
         ({"gateways": [{"id": "noise"}]}, "radio id 'noise'"),
+        ({"mac": {"retx_interval_ms": -6000}}, "retx_interval_ms"),
+        ({"mac": {"retx_slots_per_cycle": -2, "slot_min_ms": -10000}}, "slot_min_ms"),
+        ({"mac": {"retx_slots_per_cycle": -1}}, "retx_slots_per_cycle"),
+        ({"channel": {"shadowing_sigma_db": -3}}, "shadowing_sigma_db"),
+        ({"channel": {"reference_distance_m": 0}}, "reference_distance_m"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
