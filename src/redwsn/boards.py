@@ -125,15 +125,13 @@ class _RadioBoard:
         t = self.sim.now_us / 1000
         return not any(f.kind is FaultKind.HARD_FAILURE and f.active(t) for f in self.faults)
 
-    def sense(self) -> Optional[SensorReading]:
-        """Fresh reading; None if the board is hard-failed.
+    def sense(self) -> SensorReading:
+        """Fresh reading; callers check power first.
 
         Sensor faults apply per field, in list order: a read failure makes the
         value NaN, an anomaly multiplies it.  Ground-truth tags ride on the
         reading.
         """
-        if not self.is_powered():
-            return None
         t_ms = self.sim.now_us / 1000
         truth = self.env.sample()
         values = truth * (1.0 + self._sense_rng.normal(0.0, _SENSOR_NOISE_REL, len(SENSOR_FIELDS)))
@@ -153,8 +151,11 @@ class _RadioBoard:
                 tags.add(f"anomaly:{name}")
         return SensorReading(values, frozenset(tags))
 
-    def data_packet(self, emergency: bool = False, corrective: bool = False) -> Packet:
-        """A data frame carrying a fresh reading under the board's next seq."""
+    def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:
+        """A data frame carrying a fresh reading under the board's next seq;
+        None while the board is hard-failed (it uses up no seq)."""
+        if not self.is_powered():
+            return None
         return Packet(
             kind=PacketKind.DATA,
             node_id=self.node_id,
@@ -208,7 +209,6 @@ class PrimaryBoard(_RadioBoard):
             sim.rng(f"{self.entity_id}-mac"),
             build_packet=self.data_packet,
             transmit=self.transmit,
-            is_powered=self.is_powered,
             on_slot=self.expected_slots_us.append,
         )
         for fault in self.faults:
@@ -232,10 +232,8 @@ class PrimaryBoard(_RadioBoard):
         self._in_emergency = crossed
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if not self.is_powered():
-            return
-        if packet.kind is PacketKind.ACK and packet.ack_for and packet.ack_for[0] == self.node_id:
-            self.mac.on_ack(packet.ack_for[1])
+        if packet.kind is PacketKind.ACK and packet.node_id == self.node_id and self.is_powered():
+            self.mac.on_ack(packet.seq)
 
 
 @dataclass(frozen=True)
@@ -290,11 +288,9 @@ class SecondaryBoard(_RadioBoard):
         self._watchdog = self.sim.schedule_at(deadline_us, self._watchdog_expired)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if not self.is_powered():
-            return
         if packet.kind is not PacketKind.DATA or packet.node_id != self.node_id:
             return
-        if packet.board_role is not BoardRole.PRIMARY:
+        if packet.board_role is not BoardRole.PRIMARY or not self.is_powered():
             return
         # Any overheard primary data packet proves the primary is alive, so
         # the watchdog resets even when the payload turns out to be faulty
@@ -308,14 +304,9 @@ class SecondaryBoard(_RadioBoard):
                 self._schedule_send(corrective=True)
 
     def _is_faulty(self, packet: Packet) -> bool:
-        if packet.reading is None or not packet.reading.is_complete():
+        if not packet.reading.is_complete():
             return True
-        own = self.sense()
-        if own is None:
-            return False
-        return bool(
-            detect_anomaly(packet.reading, own, rel_threshold=self.cfg.anomaly_rel_threshold)
-        )
+        return detect_anomaly(packet.reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
 
     def _substitute_allowed(self) -> bool:
         if self.sim.now_us < self._next_substitute_us:
@@ -338,8 +329,9 @@ class SecondaryBoard(_RadioBoard):
 
         def fire():
             self._send_pending = False
-            if self.is_powered():
-                self.transmit(self.data_packet(corrective=corrective))
+            packet = self.data_packet(corrective=corrective)
+            if packet is not None:
+                self.transmit(packet)
 
         self.sim.schedule_in(ms_to_us(self.cfg.sense_duration_ms), fire)
 

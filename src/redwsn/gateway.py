@@ -98,10 +98,10 @@ class Gateway:
         return any(f.active(t_ms) for f in self.faults)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if self.failed(now_us):
-            return
         if packet.kind not in (PacketKind.DATA, PacketKind.HEARTBEAT):
             return  # noise is interference only; acks are for boards
+        if self.failed(now_us):
+            return
         self.server.on_gateway_reception(self.entity_id, packet, rssi_dbm, now_us)
         if (
             packet.kind is PacketKind.DATA
@@ -115,11 +115,6 @@ class Gateway:
         # covers the loss with a (benign) retransmission.
         if self.channel.busy_until(self.entity_id) > self.sim.now_us:
             return
-        ack = Packet(
-            kind=PacketKind.ACK,
-            node_id=self.entity_id,
-            seq=packet.seq,
-            size_bytes=self.ACK_BYTES,
-            ack_for=(packet.node_id, packet.seq),
-        )
+        # An ack carries the node id and seq of the frame it acknowledges.
+        ack = Packet(kind=PacketKind.ACK, node_id=packet.node_id, seq=packet.seq, size_bytes=self.ACK_BYTES)
         self.channel.begin_transmission(self.entity_id, self.position, ack, self.tx_power_dbm)

@@ -82,15 +82,19 @@ class SarbMac:
     """Per-board MAC state machine, driven entirely by the event loop.
 
     The owning board supplies callbacks:
-      * build_packet(emergency) -> Packet      fresh data packet, next seq
+      * build_packet(emergency) -> Optional[Packet]
+                                               fresh data packet, next seq;
+                                               None while the board is off
       * transmit(packet) -> Optional[int]      end-of-frame time, or None if
-                                               silenced or deferred
-      * is_powered() -> bool                   hard-failure gate
+                                               the send was deferred
       * on_slot(time_us)                       expected-slot bookkeeping
 
-    The slot clock keeps ticking while the board is hard-failed (so the
-    monitoring-epoch schedule is independent of injected faults); only the
-    transmissions are suppressed.
+    The MAC never asks whether the board has power.  The host calls
+    power_cycle when the board loses power, which empties the queue and the
+    ack timer; while the board is off, build_packet returns None and the host
+    sends no emergencies, so nothing refills them.  The slot clock keeps
+    ticking through an outage (so the monitoring-epoch schedule is
+    independent of injected faults); only the transmissions stop.
     """
 
     def __init__(
@@ -98,9 +102,8 @@ class SarbMac:
         sim: Simulator,
         cfg: SarbConfig,
         rng: np.random.Generator,
-        build_packet: Callable[[bool], Packet],
+        build_packet: Callable[[bool], Optional[Packet]],
         transmit: Callable[[Packet], Optional[int]],
-        is_powered: Callable[[], bool],
         on_slot: Callable[[int], None],
     ):
         self.sim = sim
@@ -108,7 +111,6 @@ class SarbMac:
         self.rng = rng
         self._build_packet = build_packet
         self._transmit = transmit
-        self._is_powered = is_powered
         self._on_slot = on_slot
         self.queue = RetxQueue(cfg.queue_capacity)
         self._pending: Optional[tuple[Packet, object]] = None  # (packet, timeout handle)
@@ -142,20 +144,16 @@ class SarbMac:
             for k in range(1, self.cfg.retx_slots_per_cycle + 1):
                 self.sim.schedule_at(now + k * ms_to_us(self.cfg.retx_interval_ms), self._retx_slot)
         self.sim.schedule_at(self._draw_offset_us(), self._data_slot)
-        if not self._is_powered():
-            return
         packet = self._build_packet(False)
-        self._send(packet)
+        if packet is not None:
+            self._send(packet)
 
     def _retx_slot(self) -> None:
-        if not self._is_powered() or self._pending is not None or not len(self.queue):
-            return
-        self._send(self.queue.pop())
+        if self._pending is None and len(self.queue):
+            self._send(self.queue.pop())
 
     def on_emergency(self, emergency_packet: Packet) -> None:
         """Threshold crossing: transmit outside the slot schedule, right away."""
-        if not self._is_powered():
-            return
         self._send(emergency_packet)
 
     # -- transmission and acknowledgement ------------------------------------
@@ -164,9 +162,8 @@ class SarbMac:
         end_us = self._transmit(packet)
         if not self.cfg.enabled:
             return  # baseline: fire and forget
-        if end_us is None:
-            if self._is_powered():  # deferred: it goes out with no ack timer
-                self.queue.push(packet)
+        if end_us is None:  # deferred: it goes out with no ack timer
+            self.queue.push(packet)
             return
         if self._pending is not None:
             # A frame is already awaiting its ack; treat the new one as
@@ -181,11 +178,10 @@ class SarbMac:
         if self._pending is None or self._pending[0] is not packet:
             return
         self._pending = None
-        if self._is_powered():
-            self.queue.push(packet)
+        self.queue.push(packet)
 
     def on_ack(self, acked_seq: int) -> None:
-        if not self._is_powered() or self._pending is None:
+        if self._pending is None:
             return
         packet, handle = self._pending
         if packet.seq == acked_seq:

@@ -63,8 +63,6 @@ class Packet:
     reading: Optional[SensorReading] = None
     emergency: bool = False
     corrective: bool = False
-    # For acks: (node_id, seq) of the acknowledged data packet.
-    ack_for: Optional[tuple[str, int]] = None
 
 
 def detect_anomaly(
@@ -72,13 +70,12 @@ def detect_anomaly(
     secondary: SensorReading,
     rel_threshold: float = 0.25,
     eps: float = 1e-9,
-) -> list[str]:
-    """Fields whose primary/secondary discrepancy exceeds the threshold.
+) -> bool:
+    """True iff some field's primary/secondary discrepancy exceeds the threshold.
 
     A field is flagged iff |p - s| / max(|s|, eps) is strictly greater than
     the threshold; the comparison says that *some* board is wrong, not which.
     A field missing (NaN) on either side is never flagged.
     """
     p, s = primary.values, secondary.values
-    flagged = np.abs(p - s) / np.maximum(np.abs(s), eps) > rel_threshold
-    return [SENSOR_FIELDS[i] for i in np.flatnonzero(flagged)]
+    return bool((np.abs(p - s) / np.maximum(np.abs(s), eps) > rel_threshold).any())

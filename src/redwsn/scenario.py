@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
@@ -247,9 +248,10 @@ def _coerce(value, ftype, path: str, current=None):
     """``value`` as the declared field type.
 
     Strings (every flat-file value) parse into the type; other JSON values
-    must already have it, except that an integer serves as a float.  A
-    position is ``[x, y]`` or ``{"x": .., "y": ..}``; any other dataclass
-    field is a section whose keys replace those of ``current``.
+    must already have it, except that an integer serves as a float.  A float
+    must be finite: flat ``nan``/``inf`` and JSON ``NaN``/``Infinity`` are
+    refused.  A position is ``[x, y]`` or ``{"x": .., "y": ..}``; any other
+    dataclass field is a section whose keys replace those of ``current``.
     """
     args = get_args(ftype)
     if type(None) in args:  # Optional[T]
@@ -271,9 +273,11 @@ def _coerce(value, ftype, path: str, current=None):
         value = _BOOL_WORDS.get(value.lower(), value)
     elif isinstance(value, str) or (ftype is float and type(value) is int):
         try:
-            return ftype(value)
-        except ValueError:
+            value = ftype(value)
+        except (ValueError, OverflowError):
             pass
+    if ftype is float and type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite float, got {value!r}")
     if type(value) is ftype:
         return value
     raise ConfigError(f"{path}: expected {ftype.__name__}, got {value!r}")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator, ms_to_us, stream_rng
 from redwsn.mac import SarbConfig
 from redwsn.packets import SENSOR_FIELDS, SENSOR_TABLE, BoardRole, Packet, PacketKind, SensorReading
+from redwsn.scenario import build_preset
+from redwsn.simulation import Simulation
 
 
 class GatewayProbe:
@@ -201,6 +204,60 @@ def test_primary_resumes_after_fault_and_watchdog_requiesces():
     assert late_secondary == []
 
 
+def test_down_board_builds_and_sends_nothing():
+    # HF on a quiet channel, plus an outage of the spare that covers the end
+    # of the primary's outage and runs past it.  No acks, so the MAC queue is
+    # full when the primary goes down.
+    cfg = build_preset("HF")
+    spare_down = FaultSpec(FaultKind.HARD_FAILURE, "n1.secondary", 1_200_000, 1_700_000)
+    cfg = replace(
+        cfg,
+        noise=replace(cfg.noise, enabled=False),
+        gateways=(replace(cfg.gateways[0], acks_enabled=False),),
+        faults=cfg.faults + (spare_down,),
+    )
+    run = Simulation(cfg, seed=1)
+    primary, mac = run.primaries["n1"], run.primaries["n1"].mac
+    boards = {b.entity_id: b for b in (primary, run.secondaries["n1"])}
+    outages = {f.target: f for f in cfg.faults}
+    assert set(outages) == set(boards)
+
+    on_air = []  # (time_us, source id, packet)
+    begin = run.channel.begin_transmission
+
+    def record(source_id, position, packet, tx_power_dbm):
+        on_air.append((run.sim.now_us, source_id, packet))
+        return begin(source_id, position, packet, tx_power_dbm)
+
+    run.channel.begin_transmission = record
+    # Per board, at 1 s steps through its outage: (powered, MAC queue length,
+    # ack pending) of the node's one MAC.
+    probes = {target: [] for target in outages}
+
+    def probe(board):
+        probes[board.entity_id].append((board.is_powered(), len(mac.queue), mac._pending is not None))
+
+    for target, fault in outages.items():
+        for t_ms in range(fault.start_ms, fault.end_ms, 1_000):
+            run.sim.schedule_at(ms_to_us(t_ms), lambda b=boards[target]: probe(b))
+    queued_before = []
+    down_us = ms_to_us(outages[primary.entity_id].start_ms)
+    run.sim.schedule_at(down_us - 1, lambda: queued_before.append(len(mac.queue)))
+    run.run()
+
+    assert queued_before == [mac.cfg.queue_capacity]
+    assert [len(p) for p in probes.values()] == [1_200, 500]
+    assert not any(powered for p in probes.values() for powered, _, _ in p)
+    assert not any(queued or pending for _, queued, pending in probes[primary.entity_id])
+    for source, fault in outages.items():
+        times = [t for t, s, _ in on_air if s == source]
+        assert not [t for t in times if fault.active(t / 1000)]
+        assert min(times) < ms_to_us(fault.start_ms) and max(times) >= ms_to_us(fault.end_ms)
+        # A down board uses up no seq: the on-air seqs run 1, 2, ... unbroken.
+        seqs = {p.seq for _, s, p in on_air if s == source}
+        assert seqs == set(range(1, max(seqs) + 1))
+
+
 # -- sensor faults ----------------------------------------------------------------
 
 SF_READ = FaultSpec(
@@ -381,10 +438,10 @@ def test_array_readings_match_the_per_field_path(seed):
     expected = reference_readings(seed, MIXED_FAULTS, times_ms)
     for t_ms, want in zip(times_ms, expected):
         sim.run_until(ms_to_us(t_ms))
-        reading = primary.sense()
         if want is None:
-            assert reading is None
+            assert not primary.is_powered()
             continue
+        reading = primary.sense()
         values, tags = want
         np.testing.assert_array_equal(reading.values, values)
         assert reading.fault_tags == tags

@@ -101,7 +101,8 @@ def test_queue_matches_reference_model(ops):
 
 
 class Harness:
-    """Wires a SarbMac to scripted transmit/power behaviour."""
+    """Wires a SarbMac to scripted transmit/power behaviour, keeping the
+    host contract: no frame is built while off, power loss calls power_cycle."""
 
     def __init__(self, cfg=SarbConfig(), seed=0, airtime_us=138_496):
         self.sim = Simulator(master_seed=seed)
@@ -118,11 +119,12 @@ class Harness:
             self.sim.rng("mac"),
             build_packet=self._build,
             transmit=self._transmit,
-            is_powered=lambda: self.powered,
             on_slot=self.slots.append,
         )
 
     def _build(self, emergency):
+        if not self.powered:
+            return None
         self._seq += 1
         return Packet(
             kind=PacketKind.DATA, node_id="n1", seq=self._seq, size_bytes=76, emergency=emergency
@@ -197,6 +199,7 @@ def test_slot_clock_ticks_while_unpowered():
     h.mac.start()
     h.sim.run_until(35_000_000)
     h.powered = False
+    h.mac.power_cycle()
     h.sim.run_until(335_000_000)
     h.powered = True
     h.sim.run_until(400_000_000)

@@ -31,24 +31,24 @@ def test_missing_field_detected():
 def test_anomaly_threshold_is_strict():
     base = full_reading(100.0)
     at_threshold = full_reading(100.0, co2_ppm=125.0)  # exactly 25 %
-    assert detect_anomaly(at_threshold, base) == []
+    assert detect_anomaly(at_threshold, base) is False
     above = full_reading(100.0, co2_ppm=125.1)
-    assert detect_anomaly(above, base) == ["co2_ppm"]
+    assert detect_anomaly(above, base) is True
 
 
 def test_anomaly_skips_missing_fields():
     primary = full_reading(100.0, co2_ppm=None)
     secondary = full_reading(100.0)
-    assert detect_anomaly(primary, secondary) == []
+    assert detect_anomaly(primary, secondary) is False
 
 
 def test_anomaly_symmetric_in_direction():
     base = full_reading(100.0)
     low = full_reading(100.0, co_ppm=60.0)
-    assert detect_anomaly(low, base) == ["co_ppm"]
+    assert detect_anomaly(low, base) is True
 
 
 def test_anomaly_near_zero_reference_uses_epsilon():
     primary = full_reading(100.0, co_ppm=1.0)
     secondary = full_reading(100.0, co_ppm=0.0)
-    assert "co_ppm" in detect_anomaly(primary, secondary)
+    assert detect_anomaly(primary, secondary) is True

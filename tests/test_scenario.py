@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -144,6 +145,7 @@ def test_json_noise_position_loads_and_runs(tmp_path, position):
 
 
 HF_FAULT = {"kind": "hard_failure", "target": "n1.primary"}
+SF2_FAULT = {"kind": "sensor_anomaly", "target": "n1.primary", "affected_sensor": "co2_ppm"}
 
 
 @pytest.mark.parametrize(
@@ -221,12 +223,27 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"mac": {"retx_slots_per_cycle": -1}}, "retx_slots_per_cycle"),
         ({"channel": {"shadowing_sigma_db": -3}}, "shadowing_sigma_db"),
         ({"channel": {"reference_distance_m": 0}}, "reference_distance_m"),
+        # JSON NaN: no corrective is ever sent, or every frame is captured.
+        ({"preset": "SF2", "secondary": {"anomaly_rel_threshold": math.nan}}, "secondary.anomaly_rel_threshold"),
+        ({"preset": "SF2", "channel": {"capture_threshold_db": math.nan}}, "channel.capture_threshold_db"),
+        (
+            {"faults": [{**SF2_FAULT, "anomaly_multiplier": math.nan}]},
+            r"faults\[0\].anomaly_multiplier",
+        ),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(tree))
     with pytest.raises(ConfigError, match=message):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"preset = SF2\nchannel.capture_threshold_db = {value}\n")
+    with pytest.raises(ConfigError, match="channel.capture_threshold_db: expected a finite float"):
         load_scenario(str(path))
 
 
