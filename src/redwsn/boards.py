@@ -46,14 +46,14 @@ class FaultSpec:
 
     kind: FaultKind
     target: str  # "<node>.primary", "<node>.secondary" or a gateway id
-    start_ms: int = 300_000
+    start_ms: int = 300_000  # minutes 5..25 of a 30-minute run
     end_ms: int = 1_500_000
     affected_sensor: Optional[str] = None
     anomaly_multiplier: float = 1.5
 
     def __post_init__(self):
-        if self.start_ms >= self.end_ms:
-            raise ValueError("fault window must have start < end")
+        if not 0 <= self.start_ms < self.end_ms:
+            raise ValueError("fault window must have 0 <= start_ms < end_ms")
         if self.kind in _SENSOR_FAULTS:
             if self.affected_sensor not in SENSOR_FIELDS:
                 raise ValueError(f"unknown sensor field: {self.affected_sensor!r}")
@@ -93,6 +93,19 @@ class Environment:
         return self._values
 
 
+@dataclass(frozen=True)
+class NodeConfig:
+    id: str
+    position: Position = Position(2.0, 0.0)
+    has_secondary: bool = True
+    tx_power_dbm: float = 14.0
+
+    @property
+    def secondary_position(self) -> Position:
+        # The spare sits on the same node, a hand's width from the primary.
+        return Position(self.position.x, self.position.y + 0.1)
+
+
 class _RadioBoard:
     """Shared radio behaviour: half-duplex serialization and fault gating."""
 
@@ -100,23 +113,21 @@ class _RadioBoard:
         self,
         sim: Simulator,
         channel: Channel,
-        node_id: str,
+        node: NodeConfig,
         role: BoardRole,
-        position: Position,
         env: Environment,
-        faults: list[FaultSpec],
-        tx_power_dbm: float,
+        faults: tuple[FaultSpec, ...],
     ):
         self.sim = sim
         self.channel = channel
-        self.node_id = node_id
+        self.node_id = node.id
         self.role = role
-        self.entity_id = f"{node_id}.{role.value}"
-        self.position = position
+        self.entity_id = f"{node.id}.{role.value}"
+        self.position = node.position if role is BoardRole.PRIMARY else node.secondary_position
         self.rx_extra_loss_db = 0.0
         self.env = env
         self.faults = [f for f in faults if f.target == self.entity_id]
-        self.tx_power_dbm = tx_power_dbm
+        self.tx_power_dbm = node.tx_power_dbm
         self._sense_rng = sim.rng(f"{self.entity_id}-sensor")
         self._seq = itertools.count(1)
         channel.add_receiver(self)
@@ -193,14 +204,12 @@ class PrimaryBoard(_RadioBoard):
         self,
         sim: Simulator,
         channel: Channel,
-        node_id: str,
-        position: Position,
+        node: NodeConfig,
         env: Environment,
-        faults: list[FaultSpec],
+        faults: tuple[FaultSpec, ...],
         mac_cfg: SarbConfig,
-        tx_power_dbm: float = 14.0,
     ):
-        super().__init__(sim, channel, node_id, BoardRole.PRIMARY, position, env, faults, tx_power_dbm)
+        super().__init__(sim, channel, node, BoardRole.PRIMARY, env, faults)
         self.expected_slots_us: list[int] = []
         self._in_emergency = False
         self.mac = SarbMac(
@@ -251,6 +260,8 @@ class SecondaryConfig:
             raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive")
         if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
             raise ValueError("secondary sense_duration_ms and heartbeat_bytes must not be negative")
+        if self.sense_duration_ms >= self.sensing_interval_ms:
+            raise ValueError("secondary sense_duration_ms must be less than sensing_interval_ms")
 
 
 class SecondaryBoard(_RadioBoard):
@@ -262,18 +273,15 @@ class SecondaryBoard(_RadioBoard):
         self,
         sim: Simulator,
         channel: Channel,
-        node_id: str,
-        position: Position,
+        node: NodeConfig,
         env: Environment,
-        faults: list[FaultSpec],
-        cfg: SecondaryConfig = SecondaryConfig(),
-        tx_power_dbm: float = 14.0,
+        faults: tuple[FaultSpec, ...],
+        cfg: SecondaryConfig,
     ):
-        super().__init__(sim, channel, node_id, BoardRole.SECONDARY, position, env, faults, tx_power_dbm)
+        super().__init__(sim, channel, node, BoardRole.SECONDARY, env, faults)
         self.cfg = cfg
         self._watchdog = None
         self._last_responded_seq = 0
-        self._send_pending = False
         # Substitutions run at the board's own sensing cadence: at most one
         # backup/corrective per sensing interval, however many triggers fire.
         self._next_substitute_us = 0
@@ -323,12 +331,10 @@ class SecondaryBoard(_RadioBoard):
         self._arm_watchdog(deadline)
 
     def _schedule_send(self, corrective: bool) -> None:
-        if self._send_pending:
-            return
-        self._send_pending = True
-
+        # Every call follows a passed _substitute_allowed(), at least one
+        # sensing interval after the previous pass; sense_duration_ms is
+        # shorter than that interval, so the previous fire() has already run.
         def fire():
-            self._send_pending = False
             packet = self.data_packet(corrective=corrective)
             if packet is not None:
                 self.transmit(packet)

@@ -16,7 +16,6 @@ from .ctmc import DEFAULT_FAILURE_RATE, DEFAULT_REPAIR_RATE, failure_probability
 from .scenario import (
     PRESET_NAMES,
     ConfigError,
-    export_report,
     report_to_csv,
     report_to_json,
     resolve_scenario,
@@ -39,14 +38,13 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = resolve_scenario(args.scenario)
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
-    report = run_scenario(cfg, seeds)
+    report = run_scenario(resolve_scenario(args.scenario), _parse_seeds(args.seeds))
+    payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
     if args.out:
-        export_report(report, args.format, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
         print(f"wrote {args.format} report for {report.scenario!r} to {args.out}")
     else:
-        payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
         sys.stdout.write(payload)
     return EXIT_OK
 
@@ -102,7 +100,7 @@ def _build_sim_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario by preset name or config path")
     run_p.add_argument("scenario", help="preset name (see `sim presets`) or config file path")
-    run_p.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
+    run_p.add_argument("--seeds", default="1,2,3", help="comma-separated seed list (default: 1,2,3)")
     run_p.add_argument("--out", help="write report to this path instead of stdout")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
     run_p.set_defaults(func=_cmd_run)

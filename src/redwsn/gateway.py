@@ -63,6 +63,15 @@ class Server:
         return sorted(self._first_seen.values(), key=lambda e: (e.time_ms, e.node_id, e.seq))
 
 
+@dataclass(frozen=True)
+class GatewayConfig:
+    id: str
+    position: Position = Position(0.0, 0.0)
+    acks_enabled: bool = True
+    extra_loss_db: float = 0.0
+    tx_power_dbm: float = 14.0
+
+
 class Gateway:
     """Radio receiver that forwards to the server and acknowledges primary
     data frames (when it is the acking gateway for its module).  It is down
@@ -75,22 +84,17 @@ class Gateway:
         sim: Simulator,
         channel: Channel,
         server: Server,
-        gateway_id: str,
-        position: Position,
-        acks_enabled: bool = True,
-        rx_extra_loss_db: float = 0.0,
-        tx_power_dbm: float = 14.0,
-        faults: tuple[FaultSpec, ...] = (),
+        cfg: GatewayConfig,
+        faults: tuple[FaultSpec, ...],
     ):
         self.sim = sim
         self.channel = channel
         self.server = server
-        self.entity_id = gateway_id
-        self.position = position
-        self.acks_enabled = acks_enabled
-        self.rx_extra_loss_db = rx_extra_loss_db
-        self.tx_power_dbm = tx_power_dbm
-        self.faults = [f for f in faults if f.target == gateway_id]
+        self.cfg = cfg
+        self.entity_id = cfg.id
+        self.position = cfg.position
+        self.rx_extra_loss_db = cfg.extra_loss_db
+        self.faults = [f for f in faults if f.target == cfg.id]
         channel.add_receiver(self)
 
     def failed(self, now_us: int) -> bool:
@@ -106,7 +110,7 @@ class Gateway:
         if (
             packet.kind is PacketKind.DATA
             and packet.board_role is BoardRole.PRIMARY
-            and self.acks_enabled
+            and self.cfg.acks_enabled
         ):
             self._send_ack(packet)
 
@@ -117,4 +121,4 @@ class Gateway:
             return
         # An ack carries the node id and seq of the frame it acknowledges.
         ack = Packet(kind=PacketKind.ACK, node_id=packet.node_id, seq=packet.seq, size_bytes=self.ACK_BYTES)
-        self.channel.begin_transmission(self.entity_id, self.position, ack, self.tx_power_dbm)
+        self.channel.begin_transmission(self.entity_id, self.position, ack, self.cfg.tx_power_dbm)

@@ -47,6 +47,11 @@ class SarbConfig:
         if self.fixed_interval_ms <= 0:
             raise ValueError("fixed_interval_ms must be positive")
 
+    @property
+    def max_interval_ms(self) -> int:
+        """The longest gap between two data slots."""
+        return self.slot_max_ms if self.enabled else self.fixed_interval_ms
+
 
 class RetxQueue:
     """Bounded LIFO of unacknowledged packets; full push evicts the oldest."""

@@ -1,4 +1,4 @@
-"""Scenario configuration, presets, multi-seed execution and report export.
+"""Scenario configuration, presets, multi-seed execution and report formats.
 
 Configs load from either a flat dotted-key text file (``mac.slot_min_ms=20000``)
 or a JSON document with the same key paths; unknown keys are rejected by
@@ -17,8 +17,9 @@ import os
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .boards import FaultKind, FaultSpec, SecondaryConfig
+from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
+from .gateway import GatewayConfig
 from .lora import LoraParams
 from .mac import SarbConfig
 from .metrics import IterationMetrics, MetricsReport
@@ -30,33 +31,9 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class NodeConfig:
-    id: str
-    position: Position = Position(2.0, 0.0)
-    has_secondary: bool = True
-    tx_power_dbm: float = 14.0
-
-    @property
-    def secondary_position(self) -> Position:
-        # The spare sits on the same node, a hand's width from the primary.
-        return Position(self.position.x, self.position.y + 0.1)
-
-
-@dataclass(frozen=True)
-class GatewayConfig:
-    id: str
-    position: Position = Position(0.0, 0.0)
-    acks_enabled: bool = True
-    extra_loss_db: float = 0.0
-    tx_power_dbm: float = 14.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "custom"
     duration_ms: int = 1_800_000
-    iterations: int = 3
-    base_seed: int = 1
     max_monitoring_delay_ms: int = 40_000
     nodes: tuple[NodeConfig, ...] = (NodeConfig(id="n1"),)
     gateways: tuple[GatewayConfig, ...] = (GatewayConfig(id="gw-home"),)
@@ -70,21 +47,22 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.duration_ms <= 0:
             raise ConfigError("duration_ms must be positive")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
         if not self.nodes:
             raise ConfigError("at least one node is required")
         if not self.gateways:
             raise ConfigError("at least one gateway is required")
-        if self.secondary.sensing_interval_ms <= self.mac.slot_max_ms:
-            raise ConfigError("sensing interval must exceed the maximum transmission interval")
+        if self.secondary.sensing_interval_ms <= self.mac.max_interval_ms:
+            raise ConfigError(
+                f"secondary.sensing_interval_ms must exceed the MAC's longest data interval"
+                f" ({self.mac.max_interval_ms} ms), or the watchdog fires before every data slot"
+            )
         if self.max_monitoring_delay_ms <= 0:
             raise ConfigError("max_monitoring_delay_ms must be positive")
         # The first data slot comes at most one interval in; its monitoring
         # window must fit in the run, or no epoch can be scored.
-        first_slot_ms = self.mac.slot_max_ms if self.mac.enabled else self.mac.fixed_interval_ms
-        if self.duration_ms < first_slot_ms + self.max_monitoring_delay_ms:
-            raise ConfigError(f"duration_ms must be at least {first_slot_ms + self.max_monitoring_delay_ms}")
+        shortest = self.mac.max_interval_ms + self.max_monitoring_delay_ms
+        if self.duration_ms < shortest:
+            raise ConfigError(f"duration_ms must be at least {shortest}")
         self._check_radio_ids()
         self._check_fault_targets()
         self._check_fault_overlap()
@@ -121,9 +99,6 @@ class ScenarioConfig:
                 if a.target == b.target and a.start_ms < b.end_ms and b.start_ms < a.end_ms:
                     raise ConfigError(f"overlapping hard failures on {a.target}")
 
-    def seeds(self) -> list[int]:
-        return [self.base_seed + i for i in range(self.iterations)]
-
 
 # -- presets -----------------------------------------------------------------
 
@@ -143,37 +118,23 @@ PRESET_NAMES = (
     "SF2-noRedundancy",
 )
 
-_FAULT_WINDOW = (300_000, 1_500_000)  # minutes 5..25 of a 30-minute run
-
-
-def _fault(kind: FaultKind, target: str, sensor: str | None = None) -> FaultSpec:
-    return FaultSpec(
-        kind=kind,
-        target=target,
-        start_ms=_FAULT_WINDOW[0],
-        end_ms=_FAULT_WINDOW[1],
-        affected_sensor=sensor,
-    )
-
 
 def build_preset(name: str) -> ScenarioConfig:
     """Expand a preset name into a full scenario config (pure function)."""
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset: {name!r} (see `sim presets`)")
     base = ScenarioConfig(name=name)
-    variant = name
-    no_sarb = variant.endswith("-noSARB")
-    no_redundancy = variant.endswith("-noRedundancy")
-    root = variant.replace("-noSARB", "").replace("-noRedundancy", "")
-
+    root = name.removesuffix("-noSARB").removesuffix("-noRedundancy")
     if root == "control-clean":
         cfg = replace(base, noise=replace(base.noise, enabled=False))
-    elif root == "control-noise":
-        cfg = base
     elif root == "HF":
-        cfg = replace(base, faults=(_fault(FaultKind.HARD_FAILURE, "n1.primary"),))
+        cfg = replace(base, faults=(FaultSpec(FaultKind.HARD_FAILURE, "n1.primary"),))
     elif root == "SF1":
-        cfg = replace(base, faults=(_fault(FaultKind.SENSOR_READ_FAILURE, "n1.primary", "co2_ppm"),))
+        fault = FaultSpec(FaultKind.SENSOR_READ_FAILURE, "n1.primary", affected_sensor="co2_ppm")
+        cfg = replace(base, faults=(fault,))
     elif root == "SF2":
-        cfg = replace(base, faults=(_fault(FaultKind.SENSOR_ANOMALY, "n1.primary", "co2_ppm"),))
+        fault = FaultSpec(FaultKind.SENSOR_ANOMALY, "n1.primary", affected_sensor="co2_ppm")
+        cfg = replace(base, faults=(fault,))
     elif root == "GWF":
         cfg = replace(
             base,
@@ -186,14 +147,14 @@ def build_preset(name: str) -> ScenarioConfig:
                     extra_loss_db=4.0,  # one wall in the path
                 ),
             ),
-            faults=(_fault(FaultKind.GATEWAY_FAILURE, "gw-home"),),
+            faults=(FaultSpec(FaultKind.GATEWAY_FAILURE, "gw-home"),),
         )
-    else:
-        raise ConfigError(f"unknown preset: {name!r} (see `sim presets`)")
+    else:  # control-noise
+        cfg = base
 
-    if no_sarb:
+    if name.endswith("-noSARB"):
         cfg = replace(cfg, mac=replace(cfg.mac, enabled=False))
-    if no_redundancy:
+    if name.endswith("-noRedundancy"):
         cfg = replace(cfg, nodes=tuple(replace(n, has_secondary=False) for n in cfg.nodes))
     return cfg
 
@@ -309,12 +270,12 @@ def resolve_scenario(name_or_path: str) -> ScenarioConfig:
     return load_scenario(name_or_path)
 
 
-# -- execution and export ------------------------------------------------------
+# -- execution and report formats ---------------------------------------------
 
 
-def run_scenario(cfg: ScenarioConfig, seeds: list[int] | None = None) -> MetricsReport:
+def run_scenario(cfg: ScenarioConfig, seeds: list[int]) -> MetricsReport:
     """One independent simulation per seed, aggregated into a report."""
-    seeds = list(seeds) if seeds is not None else cfg.seeds()
+    seeds = list(seeds)
     iterations: list[IterationMetrics] = [Simulation(cfg, seed).run() for seed in seeds]
     return MetricsReport(scenario=cfg.name, seeds=seeds, iterations=iterations)
 
@@ -351,15 +312,3 @@ def report_to_csv(report: MetricsReport) -> str:
     writer.writerow(("scenario", "iteration", "metric", "value"))
     writer.writerows(_csv_rows(report))
     return buf.getvalue()
-
-
-def export_report(report: MetricsReport, fmt: str, path: str) -> None:
-    if fmt == "json":
-        payload = report_to_json(report)
-    elif fmt == "csv":
-        payload = report_to_csv(report)
-    else:
-        raise ValueError(f"unsupported format: {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-

@@ -31,46 +31,15 @@ class Simulation:
         self.channel = Channel(self.sim, params=cfg.channel, lora=cfg.lora)
         self.server = Server()
 
-        self.gateways = [
-            Gateway(
-                self.sim,
-                self.channel,
-                self.server,
-                gateway_id=gw_cfg.id,
-                position=gw_cfg.position,
-                acks_enabled=gw_cfg.acks_enabled,
-                rx_extra_loss_db=gw_cfg.extra_loss_db,
-                tx_power_dbm=gw_cfg.tx_power_dbm,
-                faults=cfg.faults,
-            )
-            for gw_cfg in cfg.gateways
-        ]
-
+        self.gateways = [Gateway(self.sim, self.channel, self.server, gw, cfg.faults) for gw in cfg.gateways]
         self.primaries: dict[str, PrimaryBoard] = {}
         self.secondaries: dict[str, SecondaryBoard] = {}
-        for node_cfg in cfg.nodes:
-            env = Environment(self.sim.rng(f"{node_cfg.id}-environment"))
-            primary = PrimaryBoard(
-                self.sim,
-                self.channel,
-                node_id=node_cfg.id,
-                position=node_cfg.position,
-                env=env,
-                faults=cfg.faults,
-                mac_cfg=cfg.mac,
-                tx_power_dbm=node_cfg.tx_power_dbm,
-            )
-            self.primaries[node_cfg.id] = primary
-            if node_cfg.has_secondary:
-                self.secondaries[node_cfg.id] = SecondaryBoard(
-                    self.sim,
-                    self.channel,
-                    node_id=node_cfg.id,
-                    position=node_cfg.secondary_position,
-                    env=env,
-                    faults=cfg.faults,
-                    cfg=cfg.secondary,
-                    tx_power_dbm=node_cfg.tx_power_dbm,
+        for node in cfg.nodes:
+            env = Environment(self.sim.rng(f"{node.id}-environment"))
+            self.primaries[node.id] = PrimaryBoard(self.sim, self.channel, node, env, cfg.faults, cfg.mac)
+            if node.has_secondary:
+                self.secondaries[node.id] = SecondaryBoard(
+                    self.sim, self.channel, node, env, cfg.faults, cfg.secondary
                 )
 
     def run(self) -> IterationMetrics:

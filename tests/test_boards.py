@@ -8,6 +8,7 @@ from redwsn.boards import (
     Environment,
     FaultKind,
     FaultSpec,
+    NodeConfig,
     PrimaryBoard,
     SecondaryBoard,
     SecondaryConfig,
@@ -44,26 +45,11 @@ def build_node(faults=(), seed=0, with_secondary=True, secondary_cfg=SecondaryCo
     gw = GatewayProbe()
     channel.add_receiver(gw)
     env = Environment(sim.rng("n1-environment"))
-    primary = PrimaryBoard(
-        sim,
-        channel,
-        node_id="n1",
-        position=Position(2, 0),
-        env=env,
-        faults=list(faults),
-        mac_cfg=SarbConfig(),
-    )
+    node = NodeConfig(id="n1")
+    primary = PrimaryBoard(sim, channel, node, env, tuple(faults), SarbConfig())
     secondary = None
     if with_secondary:
-        secondary = SecondaryBoard(
-            sim,
-            channel,
-            node_id="n1",
-            position=Position(2, 0.1),
-            env=env,
-            faults=list(faults),
-            cfg=secondary_cfg,
-        )
+        secondary = SecondaryBoard(sim, channel, node, env, tuple(faults), secondary_cfg)
     return sim, gw, primary, secondary
 
 

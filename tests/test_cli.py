@@ -59,6 +59,18 @@ def test_sim_run_csv_to_file(capsys, tmp_path):
     text = out.read_text()
     assert text.startswith("scenario,iteration,metric,value")
     assert ",mean,mean_prr_redundant," in text
+    json_out = tmp_path / "report.json"
+    assert main_sim(["run", str(cfg), "--seeds", "1,2", "--out", str(json_out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main_sim(["run", str(cfg), "--seeds", "1,2"]) == EXIT_OK
+    assert json_out.read_text() == capsys.readouterr().out
+
+
+def test_sim_run_default_seeds(capsys, tmp_path):
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text("preset = control-clean\nduration_ms = 70000\n")
+    assert main_sim(["run", str(cfg)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["seeds"] == [1, 2, 3]
 
 
 def test_sim_run_read_failure_and_anomaly_on_one_field(capsys, tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from redwsn.boards import FaultKind, FaultSpec
-from redwsn.channel import Channel, ChannelParams, Position
+from redwsn.channel import Channel, ChannelParams
 from redwsn.engine import Simulator
-from redwsn.gateway import Gateway, Server, ServerEntry
+from redwsn.gateway import Gateway, GatewayConfig, Server, ServerEntry
 from redwsn.metrics import (
     MetricsReport,
     compare_reports,
@@ -38,15 +38,8 @@ def make_gateway(acks_enabled=True, faults=(), gateway_id="gw"):
     sim = Simulator()
     channel = Channel(sim, params=ChannelParams(shadowing_sigma_db=0.0))
     server = Server()
-    gw = Gateway(
-        sim,
-        channel,
-        server,
-        gateway_id=gateway_id,
-        position=Position(0, 0),
-        acks_enabled=acks_enabled,
-        faults=faults,
-    )
+    cfg = GatewayConfig(id=gateway_id, acks_enabled=acks_enabled)
+    gw = Gateway(sim, channel, server, cfg, tuple(faults))
     return sim, channel, server, gw
 
 

@@ -20,7 +20,7 @@ from redwsn.scenario import (
     run_scenario,
 )
 
-SHORT = dict(duration_ms=300_000, iterations=1)
+SHORT = dict(duration_ms=300_000)
 
 
 # -- presets ---------------------------------------------------------------------
@@ -80,8 +80,6 @@ def test_config_invariants():
     with pytest.raises(ConfigError):
         ScenarioConfig(duration_ms=0)
     with pytest.raises(ConfigError):
-        ScenarioConfig(iterations=0)
-    with pytest.raises(ConfigError):
         ScenarioConfig(nodes=())
     with pytest.raises(ConfigError):
         ScenarioConfig(gateways=())
@@ -95,13 +93,11 @@ def test_load_flat_config(tmp_path):
     path.write_text(
         "preset = HF\n"
         "duration_ms = 600000   # shorter run\n"
-        "iterations = 2\n"
         "mac.slot_min_ms = 22000\n"
         "noise.enabled = false\n"
     )
     cfg = load_scenario(str(path))
     assert cfg.duration_ms == 600_000
-    assert cfg.iterations == 2
     assert cfg.mac.slot_min_ms == 22_000
     assert not cfg.noise.enabled
     assert cfg.faults  # inherited from the HF preset
@@ -194,6 +190,8 @@ def test_fault_targets_are_checked_at_load(tmp_path, tree, target):
         ({"lora": {"low_data_rate_optimize": True}}, "lora.low_data_rate_optimize"),
         ({"lora": {"frequency_hz": 868_000_000}}, "lora.frequency_hz"),
         ({"secondary": {"data_bytes": 76}}, "secondary.data_bytes"),
+        ({"iterations": 2}, "iterations"),
+        ({"base_seed": 4}, "base_seed"),
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, tree, key):
@@ -230,6 +228,18 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
             {"faults": [{**SF2_FAULT, "anomaly_multiplier": math.nan}]},
             r"faults\[0\].anomaly_multiplier",
         ),
+        # Presets come only from the list; suffixes used to stack or be dropped.
+        ({"preset": "HF-noSARB-noRedundancy"}, "HF-noSARB-noRedundancy"),
+        ({"preset": "HF-noRedundancy-noSARB"}, "HF-noRedundancy-noSARB"),
+        ({"preset": "GWF-noSARB"}, "GWF-noSARB"),
+        # Without SARB the data interval is fixed_interval_ms, and the
+        # secondary's 35 s watchdog fired before every 40 s slot.
+        (
+            {"preset": "control-noise-noSARB", "duration_ms": 600_000, "mac": {"fixed_interval_ms": 40_000}},
+            "secondary.sensing_interval_ms",
+        ),
+        ({"faults": [{**HF_FAULT, "start_ms": -1000}]}, "start_ms"),
+        ({"secondary": {"sense_duration_ms": 40_000}}, "sense_duration_ms must be less than sensing_interval_ms"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -273,6 +283,12 @@ def test_sections_are_validated_together(tmp_path):
     assert (cfg.mac.slot_max_ms, cfg.secondary.sensing_interval_ms) == (40_000, 45_000)
 
 
+def test_slot_max_is_unused_without_sarb(tmp_path):
+    path = tmp_path / "nosarb.cfg"
+    path.write_text("preset = control-noise-noSARB\nmac.slot_max_ms = 40000\n")
+    assert load_scenario(str(path)).mac.max_interval_ms == 30_000
+
+
 def test_unknown_key_is_named(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nodez = 3\n")
@@ -314,7 +330,7 @@ def short_cfg(**overrides):
 
 
 def test_run_scenario_one_report_per_seed():
-    report = run_scenario(short_cfg(iterations=2), seeds=[1, 2])
+    report = run_scenario(short_cfg(), seeds=[1, 2])
     assert report.seeds == [1, 2]
     assert [it.seed for it in report.iterations] == [1, 2]
     assert report.mean("prr_redundant") == pytest.approx(1.0)
@@ -367,20 +383,6 @@ def test_csv_schema_and_content_matches_json():
     # Every numeric CSV value equals its JSON counterpart.
     for metric in ("prr_primary_only", "delay_violations", "duplicate_count"):
         assert float(by_metric[("1", metric)]) == it[metric]
-
-
-def test_export_report_writes_files(tmp_path):
-    from redwsn.scenario import export_report
-
-    report = run_scenario(short_cfg(), seeds=[1])
-    json_path = tmp_path / "r.json"
-    csv_path = tmp_path / "r.csv"
-    export_report(report, "json", str(json_path))
-    export_report(report, "csv", str(csv_path))
-    assert json.loads(json_path.read_text()) == report.as_dict()
-    assert csv_path.read_text().startswith("scenario,iteration,metric,value")
-    with pytest.raises(ValueError):
-        export_report(report, "xml", str(tmp_path / "r.xml"))
 
 
 def test_presets_run_fast_enough():
