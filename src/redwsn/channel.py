@@ -163,6 +163,7 @@ class Channel:
         self._mean_dbm: dict[tuple[Position, float], array] = {}
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
+        self._airtime_us: dict[int, int] = {}
         self._longest_airtime_us = 0
 
     def add_receiver(self, receiver: Receiver) -> None:
@@ -202,7 +203,9 @@ class Channel:
         now = self.sim.now_us
         if self.busy_until(source_id) > now:
             raise RuntimeError(f"source {source_id} is already transmitting")
-        airtime = time_on_air_us(packet.size_bytes, self.lora)
+        airtime = self._airtime_us.get(packet.size_bytes)
+        if airtime is None:
+            airtime = self._airtime_us[packet.size_bytes] = time_on_air_us(packet.size_bytes, self.lora)
         tx = Transmission(
             source_id=source_id,
             packet=packet,
