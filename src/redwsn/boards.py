@@ -210,6 +210,8 @@ class PrimaryBoard(_RadioBoard):
         mac_cfg: SarbConfig,
     ):
         super().__init__(sim, channel, node, BoardRole.PRIMARY, env, faults)
+        # Its own acks: an ack carries the node id of the frame it answers.
+        self.hears = ((PacketKind.ACK, node.id),)
         self.expected_slots_us: list[int] = []
         self._in_emergency = False
         self.mac = SarbMac(
@@ -241,7 +243,7 @@ class PrimaryBoard(_RadioBoard):
         self._in_emergency = crossed
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if packet.kind is PacketKind.ACK and packet.node_id == self.node_id and self.is_powered():
+        if self.is_powered():
             self.mac.on_ack(packet.seq)
 
 
@@ -279,6 +281,9 @@ class SecondaryBoard(_RadioBoard):
         cfg: SecondaryConfig,
     ):
         super().__init__(sim, channel, node, BoardRole.SECONDARY, env, faults)
+        # Its node's data frames, which are the primary's: the channel never
+        # resolves a frame at its own transmitter.
+        self.hears = ((PacketKind.DATA, node.id),)
         self.cfg = cfg
         self._watchdog = None
         self._last_responded_seq = 0
@@ -296,9 +301,7 @@ class SecondaryBoard(_RadioBoard):
         self._watchdog = self.sim.schedule_at(deadline_us, self._watchdog_expired)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if packet.kind is not PacketKind.DATA or packet.node_id != self.node_id:
-            return
-        if packet.board_role is not BoardRole.PRIMARY or not self.is_powered():
+        if not self.is_powered():
             return
         # Any overheard primary data packet proves the primary is alive, so
         # the watchdog resets even when the payload turns out to be faulty

@@ -1,10 +1,11 @@
 """Shared half-duplex radio medium.
 
-All transmissions go over a single LoRa channel.  Reception is resolved per
-receiver at frame end: a frame is delivered iff it is above sensitivity, the
-receiver was not itself transmitting during the overlap, and either nothing
-else was on the air or the frame beats every overlapping frame by at least
-the capture threshold.
+All transmissions go over a single LoRa channel.  Reception is resolved at
+frame end, at each receiver whose address filter passes the frame: it is
+delivered iff it is above sensitivity, the receiver was not itself
+transmitting during the overlap, and either nothing else was on the air or
+the frame beats every overlapping frame, addressed to that receiver or not,
+by at least the capture threshold.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ class Receiver(Protocol):
     entity_id: str
     position: Position
     rx_extra_loss_db: float
+    # The frames the receiver's address filter passes, as (kind, node id)
+    # pairs; a None node id passes every node.  A frame is resolved only at
+    # the receivers that hear it; to the rest it is interference.
+    hears: tuple[tuple[PacketKind, Optional[str]], ...]
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None: ...
 
@@ -161,6 +166,9 @@ class Channel:
         # A fresh frame's RSSI row: one undrawn slot per receiver.
         self._undrawn = array("d")
         self._mean_dbm: dict[tuple[Position, float], array] = {}
+        # Per (kind, node id): the (index, receiver) pairs that hear such a
+        # frame, in registration order.
+        self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
         self._airtime_us: dict[int, int] = {}
@@ -176,11 +184,13 @@ class Channel:
         self._rx_extra_loss_db.append(receiver.rx_extra_loss_db)
         self._undrawn.append(_UNDRAWN)
         self._mean_dbm.clear()
+        self._audiences.clear()
 
     def close(self) -> None:
         """Forget the receivers, which hold this channel in turn, so a
         finished run is freed without waiting for the cycle collector."""
         self._receivers = []
+        self._audiences.clear()
 
     def busy_until(self, source_id: str) -> int:
         """End time of the source's in-flight frame, or the current time."""
@@ -218,8 +228,23 @@ class Channel:
         self._source_end_us[source_id] = tx.end_us
         self._prune(now)
         self._log.append(tx)
-        self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
+        # A frame nobody hears, such as a noise burst, is only interference.
+        if self._audience(packet):
+            self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
         return tx.end_us
+
+    def _audience(self, packet: Packet) -> list[tuple[int, Receiver]]:
+        """The receivers that hear ``packet``, with their indices."""
+        key = (packet.kind, packet.node_id)
+        audience = self._audiences.get(key)
+        if audience is None:
+            audience = [
+                (i, r)
+                for i, r in enumerate(self._receivers)
+                if any(kind is packet.kind and node in (None, packet.node_id) for kind, node in r.hears)
+            ]
+            self._audiences[key] = audience
+        return audience
 
     def _link_means(self, position: Position, tx_power_dbm: float) -> array:
         """Transmit power minus path loss to every receiver, cached per
@@ -273,7 +298,7 @@ class Channel:
         deaf.add(tx.source_id)
         sensitivity = self.params.sensitivity_dbm
         capture = self.params.capture_threshold_db
-        for i, receiver in enumerate(self._receivers):
+        for i, receiver in self._audience(tx.packet):
             if receiver.entity_id in deaf:
                 continue
             rssi = tx.rssi[i]

@@ -94,6 +94,8 @@ class Gateway:
         self.entity_id = cfg.id
         self.position = cfg.position
         self.rx_extra_loss_db = cfg.extra_loss_db
+        # Noise is interference only; acks are for boards.
+        self.hears = ((PacketKind.DATA, None), (PacketKind.HEARTBEAT, None))
         self.faults = [f for f in faults if f.target == cfg.id]
         channel.add_receiver(self)
 
@@ -102,8 +104,6 @@ class Gateway:
         return any(f.active(t_ms) for f in self.faults)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if packet.kind not in (PacketKind.DATA, PacketKind.HEARTBEAT):
-            return  # noise is interference only; acks are for boards
         if self.failed(now_us):
             return
         self.server.on_gateway_reception(self.entity_id, packet, rssi_dbm, now_us)

@@ -27,6 +27,7 @@ class GatewayProbe:
         self.entity_id = entity_id
         self.position = position
         self.rx_extra_loss_db = 0.0
+        self.hears = ((PacketKind.DATA, None), (PacketKind.HEARTBEAT, None))
         self.heard = []
 
     def on_receive(self, packet, rssi_dbm, now_us):

@@ -20,13 +20,18 @@ from redwsn.lora import LoraParams, time_on_air_us
 from redwsn.packets import Packet, PacketKind
 
 
-class Probe:
-    """Minimal receiver recording everything it hears."""
+# Every kind from every node, noise included.
+EVERY_FRAME = tuple((kind, None) for kind in PacketKind)
 
-    def __init__(self, entity_id, position):
+
+class Probe:
+    """Minimal receiver recording every frame it hears."""
+
+    def __init__(self, entity_id, position, hears=EVERY_FRAME):
         self.entity_id = entity_id
         self.position = position
         self.rx_extra_loss_db = 0.0
+        self.hears = hears
         self.heard = []
 
     def on_receive(self, packet, rssi_dbm, now_us):
@@ -261,6 +266,46 @@ def test_shadowing_is_drawn_from_the_channel_stream_only():
     assert [rssi for _, rssi, _ in probe.heard] == expected
 
 
+def test_unheard_noise_still_defeats_capture():
+    # Noise is addressed to nobody, yet it is interference at every
+    # receiver: the data frame from 2 m arrives 2.5 dB below the burst from
+    # 1.5 m, not the 6 dB above it that capture needs.
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    gw = Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),))
+    channel.add_receiver(gw)
+    noise = Packet(kind=PacketKind.NOISE, node_id="noise", size_bytes=10)
+    channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    channel.begin_transmission("noise", Position(1.5, 0), noise, 14.0)
+    sim.run_until(1_000_000)
+    assert gw.heard == []
+    # Without the burst the same frame gets through.
+    channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    sim.run_until(2_000_000)
+    assert [p.kind for p, _, _ in gw.heard] == [PacketKind.DATA]
+
+
+def test_frame_nobody_hears_schedules_nothing():
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
+    channel.add_receiver(Probe("n1.primary", Position(2, 0), hears=((PacketKind.ACK, "n1"),)))
+    for packet in (
+        Packet(kind=PacketKind.NOISE, node_id="noise", size_bytes=10),
+        Packet(kind=PacketKind.ACK, node_id="n2", size_bytes=8),
+    ):
+        end_us = channel.begin_transmission(packet.node_id, Position(1, 0), packet, 14.0)
+        assert channel.busy_until(packet.node_id) == end_us > sim.now_us  # on the air
+    assert sim.run_until(10_000_000) == 0  # but no resolve event was pending
+    # A frame with an audience is resolved.
+    channel.begin_transmission("n1", Position(1, 0), Packet(kind=PacketKind.ACK, node_id="n1"), 14.0)
+    assert sim.run_until(20_000_000) == 1
+
+
+def hears_frame(receiver, packet):
+    return any(kind is packet.kind and node in (None, packet.node_id) for kind, node in receiver.hears)
+
+
 @dataclass
 class ReferenceFrame:
     tx_id: int
@@ -278,8 +323,9 @@ class ReferenceFrame:
 
 class ReferenceChannel:
     """The resolver as it was before frames were resolved once: per
-    receiver, one log scan for deafness, one for interferers, and one
-    rssi_at call per link.  The oracle for the differential test."""
+    receiver that hears the frame, one log scan for deafness, one for
+    interferers, and one rssi_at call per link.  The oracle for the
+    differential test."""
 
     def __init__(self, sim, params, lora):
         self.sim = sim
@@ -328,6 +374,8 @@ class ReferenceChannel:
         for receiver in self._receivers:
             if receiver.entity_id == tx.source_id:
                 continue
+            if not hears_frame(receiver, tx.packet):
+                continue
             deaf = any(
                 other.source_id == receiver.entity_id and other.overlaps(tx.start_us, tx.end_us)
                 for other in self._log
@@ -355,10 +403,11 @@ class Recorder:
     """Receiver that logs every delivery; an acking one answers data frames
     the moment they end, as a gateway does."""
 
-    def __init__(self, entity_id, position, rx_extra_loss_db, channel, log, acks):
+    def __init__(self, entity_id, position, rx_extra_loss_db, hears, channel, log, acks):
         self.entity_id = entity_id
         self.position = position
         self.rx_extra_loss_db = rx_extra_loss_db
+        self.hears = hears
         self.channel = channel
         self.log = log
         self.acks = acks
@@ -376,13 +425,16 @@ coordinates = st.floats(-30.0, 30.0, allow_nan=False)
 @st.composite
 def channel_scenarios(draw):
     n = draw(st.integers(2, 8))
-    receivers = [
-        (f"r{i}", Position(draw(coordinates), draw(coordinates)), draw(st.floats(0.0, 12.0)))
-        for i in range(n)
-    ]
+    positions = [(f"r{i}", Position(draw(coordinates), draw(coordinates))) for i in range(n)]
     # Sources are some of the receivers plus two transmit-only ones.
-    sources = [(rid, position) for rid, position, _ in receivers]
-    sources += [(f"x{i}", Position(draw(coordinates), draw(coordinates))) for i in range(2)]
+    sources = positions + [(f"x{i}", Position(draw(coordinates), draw(coordinates))) for i in range(2)]
+    # What a receiver hears: nothing, all data, all acks, every kind, or
+    # the data of one source.
+    hears = st.one_of(
+        st.sampled_from(((), ((PacketKind.DATA, None),), ((PacketKind.ACK, None),), EVERY_FRAME)),
+        st.sampled_from([sid for sid, _ in sources]).map(lambda sid: ((PacketKind.DATA, sid),)),
+    )
+    receivers = [(rid, position, draw(st.floats(0.0, 12.0)), draw(hears)) for rid, position in positions]
     frames = draw(
         st.lists(
             st.tuples(
@@ -406,8 +458,8 @@ def deliveries(make_channel, scenario):
     sim = Simulator(master_seed=seed)
     channel = make_channel(sim, params, lora)
     log = []
-    for i, (rid, position, extra_loss) in enumerate(receivers):
-        channel.add_receiver(Recorder(rid, position, extra_loss, channel, log, acks=i == 0))
+    for i, (rid, position, extra_loss, hears) in enumerate(receivers):
+        channel.add_receiver(Recorder(rid, position, extra_loss, hears, channel, log, acks=i == 0))
 
     def send(seq, source_id, position, size, power):
         if channel.busy_until(source_id) > sim.now_us:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from redwsn.boards import FaultKind, FaultSpec
-from redwsn.channel import Channel, ChannelParams
+from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator
 from redwsn.gateway import Gateway, GatewayConfig, Server, ServerEntry
 from redwsn.metrics import (
@@ -70,8 +70,14 @@ def test_secondary_data_not_acked():
 
 def test_noise_is_not_logged():
     sim, channel, server, gw = make_gateway()
-    gw.on_receive(Packet(kind=PacketKind.NOISE, node_id="noise", size_bytes=10), -92.0, 0)
+    noise = Packet(kind=PacketKind.NOISE, node_id="noise", size_bytes=10)
+    channel.begin_transmission("noise", Position(1.0, 0.0), noise, 14.0)
+    sim.run_until(1_000_000)
     assert server.raw == []
+    # The same link carries a data frame to the server.
+    channel.begin_transmission("n1.primary", Position(1.0, 0.0), data_packet(), 14.0)
+    sim.run_until(2_000_000)
+    assert [e.kind for e in server.raw] == ["data"]
 
 
 def test_failed_gateway_drops_everything():
