@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .ctmc import DEFAULT_FAILURE_RATE, DEFAULT_REPAIR_RATE, failure_probability_table
@@ -38,7 +39,11 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = run_scenario(resolve_scenario(args.scenario), _parse_seeds(args.seeds))
+    cfg, seeds = resolve_scenario(args.scenario), _parse_seeds(args.seeds)
+    # A report with nowhere to go is refused before the run, not after it.
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out}: no such directory")
+    report = run_scenario(cfg, seeds)
     payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

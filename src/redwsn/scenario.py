@@ -192,7 +192,8 @@ def _config_from_tree(tree: dict) -> ScenarioConfig:
 
 
 def _build(cls, tree, path: str, base=None):
-    """A ``cls`` from a tree of keys, or ``base`` with those keys replaced."""
+    """A ``cls`` from a tree of keys, or ``base`` with those keys replaced.
+    A section that rejects its values is named in the error."""
     if not isinstance(tree, dict):
         raise ConfigError(f"{path}: expected nested keys, got {tree!r}")
     hints = get_type_hints(cls)
@@ -202,7 +203,12 @@ def _build(cls, tree, path: str, base=None):
         if key not in hints:
             raise ConfigError(f"unknown key: {where}")
         kwargs[key] = _coerce(value, hints[key], where, getattr(base, key, None))
-    return replace(base, **kwargs) if base is not None else cls(**kwargs)
+    try:
+        return replace(base, **kwargs) if base is not None else cls(**kwargs)
+    except ValueError as exc:
+        if not path:  # the scenario's own checks name their keys
+            raise
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _coerce(value, ftype, path: str, current=None):

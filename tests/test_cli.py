@@ -66,6 +66,18 @@ def test_sim_run_csv_to_file(capsys, tmp_path):
     assert json_out.read_text() == capsys.readouterr().out
 
 
+def test_sim_run_out_into_missing_directory_fails_before_simulating(capsys, tmp_path, monkeypatch):
+    def run_scenario(cfg, seeds):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("redwsn.cli.run_scenario", run_scenario)
+    out = tmp_path / "missing-dir" / "r.json"
+    assert main_sim(["run", "control-clean", "--seeds", "1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_sim_run_default_seeds(capsys, tmp_path):
     cfg = tmp_path / "quick.cfg"
     cfg.write_text("preset = control-clean\nduration_ms = 70000\n")

@@ -249,6 +249,27 @@ def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (
+            {"preset": "HF", "faults": [HF_FAULT, {**HF_FAULT, "start_ms": -1000}]},
+            r"faults\[1\]: fault window must have 0 <= start_ms < end_ms",
+        ),
+        ({"mac": {"slot_min_ms": 0}}, "mac: "),
+        ({"secondary": {"heartbeat_bytes": -1}}, "secondary: "),
+        ({"noise": {"period_ms": 0}}, "noise: "),
+        ({"channel": {"reference_distance_m": 0}}, "channel: "),
+        ({"lora": {"spreading_factor": 5}}, "lora: "),
+    ],
+)
+def test_section_errors_name_the_section(tmp_path, tree, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tree))
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
 def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
     path = tmp_path / "bad.cfg"
