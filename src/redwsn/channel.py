@@ -166,8 +166,6 @@ class Channel:
         # A fresh frame's RSSI row: one undrawn slot per receiver.
         self._undrawn = array("d")
         self._mean_dbm: dict[tuple[Position, float], array] = {}
-        # Per (kind, node id): the (index, receiver) pairs that hear such a
-        # frame, in registration order.
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
@@ -234,7 +232,8 @@ class Channel:
         return tx.end_us
 
     def _audience(self, packet: Packet) -> list[tuple[int, Receiver]]:
-        """The receivers that hear ``packet``, with their indices."""
+        """The receivers that hear ``packet``, with their indices, in
+        registration order; cached per (kind, node id)."""
         key = (packet.kind, packet.node_id)
         audience = self._audiences.get(key)
         if audience is None:

@@ -240,18 +240,7 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ),
         ({"faults": [{**HF_FAULT, "start_ms": -1000}]}, "start_ms"),
         ({"secondary": {"sense_duration_ms": 40_000}}, "sense_duration_ms must be less than sensing_interval_ms"),
-    ],
-)
-def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(tree))
-    with pytest.raises(ConfigError, match=message):
-        load_scenario(str(path))
-
-
-@pytest.mark.parametrize(
-    "tree, message",
-    [
+        # A value a section refuses is reported under the section's path.
         (
             {"preset": "HF", "faults": [HF_FAULT, {**HF_FAULT, "start_ms": -1000}]},
             r"faults\[1\]: fault window must have 0 <= start_ms < end_ms",
@@ -263,7 +252,7 @@ def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
         ({"lora": {"spreading_factor": 5}}, "lora: "),
     ],
 )
-def test_section_errors_name_the_section(tmp_path, tree, message):
+def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(tree))
     with pytest.raises(ConfigError, match=message):
