@@ -6,12 +6,16 @@ delivered iff it is above sensitivity, the receiver was not itself
 transmitting during the overlap, and either nothing else was on the air or
 the frame beats every overlapping frame, addressed to that receiver or not,
 by at least the capture threshold.
+
+A noise train is known in advance and schedules nothing: a burst becomes a
+frame only when a resolved frame overlaps it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -87,6 +91,9 @@ def rssi_at(
 
 
 class Receiver(Protocol):
+    """A radio that frames are resolved at.  No receiver hears NOISE: a
+    noise burst is never resolved, and is only ever interference."""
+
     entity_id: str
     position: Position
     rx_extra_loss_db: float
@@ -111,6 +118,9 @@ class Transmission:
     # first.
     mean_dbm: array
     rssi: array
+    # Simulator.now_seq when the frame began: with start_us, the order in
+    # which the frame would have begun among the noise bursts.
+    seq: float
 
     def overlaps(self, other: "Transmission") -> bool:
         return self.start_us < other.end_us and other.start_us < self.end_us
@@ -137,6 +147,24 @@ class NoiseConfig:
             raise ValueError("noise period_ms must be positive")
         if self.payload_bytes < 0 or self.jitter_ms < 0:
             raise ValueError("noise payload_bytes and jitter_ms must not be negative")
+
+
+@dataclass
+class _NoiseTrain:
+    """A source's frames that nobody hears, known in advance by start time."""
+
+    source_id: str
+    packet: Packet
+    # Receivers are fixed once the train is on the channel.
+    mean_dbm: array
+    starts_us: array
+    airtime_us: int
+    # Simulator.mark() at registration: at an equal start, a burst comes
+    # after the frames begun by events scheduled before it, before the rest.
+    mark: int
+    # The bursts some resolved frame overlapped, by index, so each burst's
+    # lazily drawn RSSI row is shared by every frame it overlaps.
+    bursts: dict[int, Transmission]
 
 
 # RSSI slot of a link not drawn yet; a drawn value is finite.
@@ -169,13 +197,17 @@ class Channel:
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
-        self._airtime_us: dict[int, int] = {}
+        self._airtimes_us: dict[int, int] = {}
         self._longest_airtime_us = 0
+        self._train: Optional[_NoiseTrain] = None
 
     def add_receiver(self, receiver: Receiver) -> None:
-        """Register a receiver; only while no frame is on the air, because
-        the frames' per-receiver caches are sized when they start."""
+        """Register a receiver; only while no frame is on the air and before
+        a noise train, because the frames' per-receiver caches are sized when
+        they start."""
         now = self.sim.now_us
+        if self._train is not None:
+            raise RuntimeError("receivers must be added before the noise train")
         if any(tx.end_us >= now for tx in self._log):
             raise RuntimeError("receivers must be added while no frame is on the air")
         self._receivers.append(receiver)
@@ -186,9 +218,44 @@ class Channel:
 
     def close(self) -> None:
         """Forget the receivers, which hold this channel in turn, so a
-        finished run is freed without waiting for the cycle collector."""
+        finished run is freed without waiting for the cycle collector, and
+        the noise bursts made so far."""
         self._receivers = []
         self._audiences.clear()
+        if self._train is not None:
+            self._train.bursts.clear()
+
+    def airtime_us(self, size_bytes: int) -> int:
+        """Time on air of a frame of ``size_bytes``, cached per size."""
+        airtime = self._airtimes_us.get(size_bytes)
+        if airtime is None:
+            airtime = self._airtimes_us[size_bytes] = time_on_air_us(size_bytes, self.lora)
+        return airtime
+
+    def add_noise_train(
+        self,
+        source_id: str,
+        position: Position,
+        packet: Packet,
+        tx_power_dbm: float,
+        starts_us: array,
+    ) -> None:
+        """Put a train of frames that nobody hears on the air at the given
+        start times, increasing, each after the previous one ends.
+
+        No burst is scheduled.  A burst becomes a Transmission only when a
+        resolved frame overlaps it, and it interferes as it would have had
+        each burst been an event scheduled now.
+        """
+        self._train = _NoiseTrain(
+            source_id,
+            packet,
+            self._link_means(position, tx_power_dbm),
+            starts_us,
+            self.airtime_us(packet.size_bytes),
+            self.sim.mark(),
+            {},
+        )
 
     def busy_until(self, source_id: str) -> int:
         """End time of the source's in-flight frame, or the current time."""
@@ -211,9 +278,7 @@ class Channel:
         now = self.sim.now_us
         if self.busy_until(source_id) > now:
             raise RuntimeError(f"source {source_id} is already transmitting")
-        airtime = self._airtime_us.get(packet.size_bytes)
-        if airtime is None:
-            airtime = self._airtime_us[packet.size_bytes] = time_on_air_us(packet.size_bytes, self.lora)
+        airtime = self.airtime_us(packet.size_bytes)
         tx = Transmission(
             source_id=source_id,
             packet=packet,
@@ -221,12 +286,13 @@ class Channel:
             end_us=now + airtime,
             mean_dbm=self._link_means(position, tx_power_dbm),
             rssi=self._undrawn[:],
+            seq=self.sim.now_seq,
         )
         self._longest_airtime_us = max(self._longest_airtime_us, airtime)
         self._source_end_us[source_id] = tx.end_us
         self._prune(now)
         self._log.append(tx)
-        # A frame nobody hears, such as a noise burst, is only interference.
+        # A frame nobody hears is only interference.
         if self._audience(packet):
             self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
         return tx.end_us
@@ -267,6 +333,48 @@ class Channel:
         horizon = now_us - self._longest_airtime_us
         if self._log and self._log[0].end_us < horizon:
             self._log = [t for t in self._log if t.end_us >= horizon]
+            train = self._train
+            if train is not None and train.bursts:
+                train.bursts = {k: b for k, b in train.bursts.items() if b.end_us >= horizon}
+
+    def _with_bursts(self, tx: Transmission, overlapping: list[Transmission]) -> list[Transmission]:
+        """``overlapping``, in log order, with the bursts that overlap ``tx``
+        merged in where they would have begun: by start time, and at an
+        equal start after the frames that began before the train's mark."""
+        train = self._train
+        starts = train.starts_us
+        lo = bisect_right(starts, tx.start_us - train.airtime_us)
+        hi = bisect_left(starts, tx.end_us, lo)
+        if lo == hi:
+            return overlapping
+        mark = train.mark
+        merged = []
+        k = lo
+        for other in overlapping:
+            start = other.start_us
+            while k < hi and (starts[k] < start or (starts[k] == start and other.seq > mark)):
+                merged.append(self._burst(k))
+                k += 1
+            merged.append(other)
+        merged.extend(self._burst(j) for j in range(k, hi))
+        return merged
+
+    def _burst(self, k: int) -> Transmission:
+        """Burst ``k`` of the noise train, made the first time it is needed."""
+        train = self._train
+        burst = train.bursts.get(k)
+        if burst is None:
+            start = train.starts_us[k]
+            burst = train.bursts[k] = Transmission(
+                source_id=train.source_id,
+                packet=train.packet,
+                start_us=start,
+                end_us=start + train.airtime_us,
+                mean_dbm=train.mean_dbm,
+                rssi=self._undrawn[:],
+                seq=train.mark,
+            )
+        return burst
 
     def _draw_rssi(self, tx: Transmission, i: int) -> float:
         """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
@@ -290,6 +398,8 @@ class Channel:
     def _resolve(self, tx: Transmission) -> None:
         now = self.sim.now_us
         overlapping = [other for other in self._log if other is not tx and other.overlaps(tx)]
+        if self._train is not None:
+            overlapping = self._with_bursts(tx, overlapping)
         # Half-duplex: a receiver that transmitted during any part of the
         # frame hears nothing.  Every other receiver sees all overlapping
         # frames as interference.
@@ -318,26 +428,30 @@ class Channel:
 
 
 def start_noise(channel: Channel, noise: NoiseConfig, duration_us: int, rng: np.random.Generator) -> int:
-    """Schedule the full burst train for the scenario; returns the burst count.
+    """Put the full burst train for the scenario on the channel; returns the
+    burst count.
 
     Burst k+1 starts period +- jitter after burst k (jitter drawn uniformly),
     never before the previous burst ends.
     """
     period_us = ms_to_us(noise.period_ms)
     jitter_us = ms_to_us(noise.jitter_ms)
-    airtime_us = time_on_air_us(noise.payload_bytes, channel.lora)
+    airtime_us = channel.airtime_us(noise.payload_bytes)
     packet = Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes)
-
-    def burst():
-        channel.begin_transmission(NOISE_SOURCE_ID, noise.position, packet, noise.tx_power_dbm)
-
-    count = 0
+    starts = array("q")
+    # Jitters drawn per block hold the same values as one scalar draw per burst.
+    jitters: list[int] = []
+    j = 0
     t = period_us
     while t <= duration_us:
-        channel.sim.schedule_at(t, burst)
-        count += 1
+        starts.append(t)
         step = period_us
         if jitter_us > 0:
-            step += int(rng.integers(-jitter_us, jitter_us + 1))
+            if j == len(jitters):
+                jitters = rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK).tolist()
+                j = 0
+            step += jitters[j]
+            j += 1
         t = max(t + step, t + airtime_us + 1)
-    return count
+    channel.add_noise_train(NOISE_SOURCE_ID, noise.position, packet, noise.tx_power_dbm, starts)
+    return len(starts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,8 +42,11 @@ def _parse_seeds(raw: str) -> list[int]:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg, seeds = resolve_scenario(args.scenario), _parse_seeds(args.seeds)
     # A report with nowhere to go is refused before the run, not after it.
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise ConfigError(f"--out {args.out}: no such directory")
+    if args.out:
+        if os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out}: is a directory")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out {args.out}: no such directory")
     report = run_scenario(cfg, seeds)
     payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
     if args.out:
@@ -61,8 +65,8 @@ def _cmd_presets(_args: argparse.Namespace) -> int:
 
 
 def _avail_rows(args: argparse.Namespace) -> list[tuple[int, float]]:
-    if args.failure_rate <= 0 or args.repair_rate <= 0:
-        raise ConfigError("--lambda and --mu must be positive")
+    if not (0 < args.failure_rate < math.inf and 0 < args.repair_rate < math.inf):
+        raise ConfigError("--lambda and --mu must be finite and positive")
     if args.n_max < 1:
         raise ConfigError("--n-max must be at least 1")
     return failure_probability_table(args.failure_rate, args.repair_rate, args.n_max)

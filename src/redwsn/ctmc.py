@@ -29,8 +29,8 @@ class BirthDeathModel:
     def __post_init__(self):
         if self.n_boards < 1:
             raise ValueError("need at least one board")
-        if self.failure_rate <= 0 or self.repair_rate <= 0:
-            raise ValueError("rates must be positive")
+        if not (0 < self.failure_rate < math.inf and 0 < self.repair_rate < math.inf):
+            raise ValueError("rates must be finite and positive")
 
     def lam(self, i: int) -> float:
         return i * self.failure_rate

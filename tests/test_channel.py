@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redwsn.channel import (
+    NOISE_SOURCE_ID,
     Channel,
     ChannelParams,
     NoiseConfig,
@@ -15,7 +16,7 @@ from redwsn.channel import (
     rssi_at,
     start_noise,
 )
-from redwsn.engine import Simulator
+from redwsn.engine import Simulator, ms_to_us
 from redwsn.lora import LoraParams, time_on_air_us
 from redwsn.packets import Packet, PacketKind
 
@@ -209,14 +210,51 @@ def test_rssi_cached_per_frame_and_receiver():
 def test_noise_train_counts_and_respects_duration():
     sim = Simulator(master_seed=1)
     channel = Channel(sim, params=quiet_params())
-    probe = Probe("gw", Position(0, 0))
+    probe = Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),))
     channel.add_receiver(probe)
     source = NoiseConfig(period_ms=500, payload_bytes=10, jitter_ms=0, position=Position(1, 0))
     count = start_noise(channel, source, 10_000_000, sim.rng("noise-schedule"))
-    sim.run_until(10_000_000 + 50_000)
     assert count == 20  # one burst per 500 ms over 10 s
-    assert len(probe.heard) == 20
-    assert all(p.kind is PacketKind.NOISE for p, _, _ in probe.heard)
+    assert list(channel._train.starts_us) == [k * 500_000 for k in range(1, 21)]
+
+    # The burst from 1 m drowns a data frame from 2 m that overlaps it; a
+    # frame between two bursts arrives.
+    def send(seq):
+        packet = Packet(kind=PacketKind.DATA, node_id="n1", seq=seq)
+        channel.begin_transmission("n1.primary", Position(2, 0), packet, 14.0)
+
+    sim.schedule_at(1_020_000, lambda: send(1))
+    sim.schedule_at(1_200_000, lambda: send(2))
+    sim.run_until(10_000_000 + 50_000)
+    assert [p.seq for p, _, _ in probe.heard] == [2]
+
+
+def scalar_burst_starts(noise, airtime_us, duration_us, rng):
+    """The burst start times as start_noise drew them before the jitter came
+    in blocks: one scalar draw per burst."""
+    period_us = ms_to_us(noise.period_ms)
+    jitter_us = ms_to_us(noise.jitter_ms)
+    starts = []
+    t = period_us
+    while t <= duration_us:
+        starts.append(t)
+        step = period_us
+        if jitter_us > 0:
+            step += int(rng.integers(-jitter_us, jitter_us + 1))
+        t = max(t + step, t + airtime_us + 1)
+    return starts
+
+
+def test_noise_train_starts_match_one_scalar_draw_per_burst():
+    noise = NoiseConfig(period_ms=500, jitter_ms=50)
+    duration_us = 1_600_000_000  # about 3,200 bursts: three block refills
+    sim = Simulator(master_seed=3)
+    channel = Channel(sim)
+    count = start_noise(channel, noise, duration_us, sim.rng("noise-schedule"))
+    scalar_rng = Simulator(master_seed=3).rng("noise-schedule")
+    expected = scalar_burst_starts(noise, time_on_air_us(noise.payload_bytes), duration_us, scalar_rng)
+    assert count == len(expected) >= 3000
+    assert list(channel._train.starts_us) == expected
 
 
 def test_noise_jitter_keeps_mean_period():
@@ -242,6 +280,14 @@ def test_receivers_cannot_join_while_a_frame_is_on_the_air():
     channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
     sim.run_until(2_000_000)
     assert len(late.heard) == 1
+
+
+def test_receivers_cannot_join_after_the_noise_train():
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    start_noise(channel, NoiseConfig(), 10_000_000, sim.rng("noise-schedule"))
+    with pytest.raises(RuntimeError, match="noise train"):
+        channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
 
 
 def test_shadowing_is_drawn_from_the_channel_stream_only():
@@ -481,3 +527,103 @@ def test_resolution_matches_the_per_receiver_reference(scenario):
     assert got == deliveries(ReferenceChannel, scenario)
     received = [entry[:4] for entry in got if entry[0] != "busy"]
     assert len(received) == len(set(received))  # each (frame, receiver) at most once
+
+
+def start_noise_as_events(channel, noise, duration_us, rng):
+    """start_noise as it was when every burst was an event that put a frame
+    on the air through begin_transmission: the oracle for the train."""
+    packet = Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes)
+
+    def burst():
+        channel.begin_transmission(NOISE_SOURCE_ID, noise.position, packet, noise.tx_power_dbm)
+
+    airtime_us = time_on_air_us(noise.payload_bytes, channel.lora)
+    starts = scalar_burst_starts(noise, airtime_us, duration_us, rng)
+    for t in starts:
+        channel.sim.schedule_at(t, burst)
+    return len(starts)
+
+
+NOISY_RUN_US = 4_000_000
+
+# What a receiver hears; never noise, which is never resolved.
+NOT_NOISE = st.sampled_from(
+    (
+        ((PacketKind.DATA, None),),
+        ((PacketKind.ACK, None),),
+        ((PacketKind.DATA, None), (PacketKind.ACK, None)),
+        ((PacketKind.DATA, "x0"),),
+    )
+)
+
+
+# Close enough that most links are above sensitivity.
+near = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+@st.composite
+def noisy_scenarios(draw):
+    n = draw(st.integers(3, 6))
+    positions = [(f"r{i}", Position(draw(near), draw(near))) for i in range(n)]
+    sources = positions + [(f"x{i}", Position(draw(near), draw(near))) for i in range(2)]
+    receivers = [(rid, position, draw(st.floats(0.0, 6.0)), draw(NOT_NOISE)) for rid, position in positions]
+    noise = NoiseConfig(
+        period_ms=500,
+        payload_bytes=draw(st.integers(1, 30)),
+        jitter_ms=draw(st.sampled_from((0, 0, 50))),
+        position=Position(draw(near), draw(near)),
+        tx_power_dbm=draw(st.sampled_from((2.0, 14.0))),
+    )
+    frames = draw(
+        st.lists(
+            st.tuples(
+                # On the 500 ms grid, where jitter-free bursts start too, or
+                # a little or half a period after it.
+                st.integers(0, NOISY_RUN_US // 500_000 - 1),
+                st.sampled_from((0, 0, 20_000, 250_000)),
+                st.booleans(),  # scheduled before the train is registered
+                st.sampled_from(sources),
+                st.integers(1, 80),
+                st.sampled_from((2.0, 14.0)),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    lora = LoraParams(spreading_factor=draw(st.sampled_from((7, 8, 9, 12))))
+    params = ChannelParams(shadowing_sigma_db=draw(st.floats(0.5, 8.0)))
+    return draw(st.integers(0, 2**32 - 1)), params, lora, receivers, noise, frames
+
+
+def noisy_deliveries(start_train, scenario):
+    seed, params, lora, receivers, noise, frames = scenario
+    sim = Simulator(master_seed=seed)
+    channel = Channel(sim, params=params, lora=lora)
+    log = []
+    for i, (rid, position, extra_loss, hears) in enumerate(receivers):
+        channel.add_receiver(Recorder(rid, position, extra_loss, hears, channel, log, acks=i == 0))
+
+    def send(seq, source_id, position, size, power):
+        if channel.busy_until(source_id) > sim.now_us:
+            log.append(("busy", source_id, seq))
+            return
+        packet = Packet(kind=PacketKind.DATA, node_id=source_id, seq=seq, size_bytes=size)
+        channel.begin_transmission(source_id, position, packet, power)
+
+    def schedule(before_train):
+        for seq, (slot, offset, before, (source_id, position), size, power) in enumerate(frames):
+            if before is before_train:
+                args = (seq, source_id, position, size, power)
+                sim.schedule_at(slot * 500_000 + offset, lambda a=args: send(*a))
+
+    schedule(before_train=True)
+    log.append(("bursts", start_train(channel, noise, NOISY_RUN_US, sim.rng("noise-schedule"))))
+    schedule(before_train=False)
+    sim.run_until(NOISY_RUN_US + 5_000_000)
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=noisy_scenarios())
+def test_noise_train_matches_one_event_per_burst(scenario):
+    assert noisy_deliveries(start_noise, scenario) == noisy_deliveries(start_noise_as_events, scenario)

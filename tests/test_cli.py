@@ -30,6 +30,16 @@ def test_avail_rejects_bad_rates(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+def test_avail_refuses_non_finite_rates(capsys, flag, rate):
+    # "--flag=-inf": argparse would take a bare "-inf" for an option.
+    assert main_avail([f"{flag}={rate}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_sim_avail_subcommand(capsys):
     assert main_sim(["avail", "--n-max", "2"]) == EXIT_OK
     assert "4.7778e-03" in capsys.readouterr().out
@@ -76,6 +86,19 @@ def test_sim_run_out_into_missing_directory_fails_before_simulating(capsys, tmp_
     err = capsys.readouterr().err
     assert "config error" in err and str(out) in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("suffix", ["", "/"])
+def test_sim_run_out_into_existing_directory_fails_before_simulating(capsys, tmp_path, monkeypatch, suffix):
+    def run_scenario(cfg, seeds):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("redwsn.cli.run_scenario", run_scenario)
+    out = f"{tmp_path}{suffix}"
+    assert main_sim(["run", "control-clean", "--seeds", "1", "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and f"--out {out}: is a directory" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_run_default_seeds(capsys, tmp_path):

@@ -29,6 +29,14 @@ def test_model_validation():
         BirthDeathModel(2, repair_rate=-1.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_model_refuses_non_finite_rates(rate):
+    with pytest.raises(ValueError, match="finite"):
+        BirthDeathModel(2, failure_rate=rate)
+    with pytest.raises(ValueError, match="finite"):
+        BirthDeathModel(2, repair_rate=rate)
+
+
 def test_default_policies():
     m = BirthDeathModel(3, failure_rate=2.0, repair_rate=5.0)
     assert m.lam(2) == 4.0  # boards fail independently
