@@ -7,16 +7,17 @@ transmitting during the overlap, and either nothing else was on the air or
 the frame beats every overlapping frame, addressed to that receiver or not,
 by at least the capture threshold.
 
-A noise train is known in advance and schedules nothing: a burst becomes a
-frame only when a resolved frame overlaps it.
+A noise train is known in advance and schedules nothing: a burst joins the
+log of frames on the air only when a frame that overlaps it begins.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Protocol
 
 import numpy as np
@@ -118,8 +119,9 @@ class Transmission:
     # first.
     mean_dbm: array
     rssi: array
-    # Simulator.now_seq when the frame began: with start_us, the order in
-    # which the frame would have begun among the noise bursts.
+    # Simulator.now_seq when the frame began, or the train's mark for a
+    # noise burst: with start_us, the order in which it would have begun had
+    # each burst been an event scheduled when the train was.
     seq: float
 
     def overlaps(self, other: "Transmission") -> bool:
@@ -151,9 +153,8 @@ class NoiseConfig:
 
 @dataclass
 class _NoiseTrain:
-    """A source's frames that nobody hears, known in advance by start time."""
+    """The noise bursts, known in advance by start time."""
 
-    source_id: str
     packet: Packet
     # Receivers are fixed once the train is on the channel.
     mean_dbm: array
@@ -162,9 +163,9 @@ class _NoiseTrain:
     # Simulator.mark() at registration: at an equal start, a burst comes
     # after the frames begun by events scheduled before it, before the rest.
     mark: int
-    # The bursts some resolved frame overlapped, by index, so each burst's
-    # lazily drawn RSSI row is shared by every frame it overlaps.
-    bursts: dict[int, Transmission]
+    # The first burst not logged yet; every burst before it was logged or
+    # ended before any frame that can still begin.
+    next: int = 0
 
 
 # RSSI slot of a link not drawn yet; a drawn value is finite.
@@ -172,6 +173,9 @@ _UNDRAWN = math.inf
 # Shadowing values drawn per numpy call.  A block consumed in order holds the
 # same values as one scalar draw per link.
 _DRAW_BLOCK = 1024
+
+# The channel log's order: the order in which frames and bursts began.
+_begin_order = attrgetter("start_us", "seq")
 
 
 class Channel:
@@ -195,6 +199,8 @@ class Channel:
         self._undrawn = array("d")
         self._mean_dbm: dict[tuple[Position, float], array] = {}
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
+        # Frames and noise bursts that may still overlap a frame to resolve,
+        # in begin order.
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
         self._airtimes_us: dict[int, int] = {}
@@ -218,12 +224,9 @@ class Channel:
 
     def close(self) -> None:
         """Forget the receivers, which hold this channel in turn, so a
-        finished run is freed without waiting for the cycle collector, and
-        the noise bursts made so far."""
+        finished run is freed without waiting for the cycle collector."""
         self._receivers = []
         self._audiences.clear()
-        if self._train is not None:
-            self._train.bursts.clear()
 
     def airtime_us(self, size_bytes: int) -> int:
         """Time on air of a frame of ``size_bytes``, cached per size."""
@@ -232,30 +235,42 @@ class Channel:
             airtime = self._airtimes_us[size_bytes] = time_on_air_us(size_bytes, self.lora)
         return airtime
 
-    def add_noise_train(
-        self,
-        source_id: str,
-        position: Position,
-        packet: Packet,
-        tx_power_dbm: float,
-        starts_us: array,
-    ) -> None:
-        """Put a train of frames that nobody hears on the air at the given
-        start times, increasing, each after the previous one ends.
+    def add_noise(self, noise: NoiseConfig, duration_us: int, rng: np.random.Generator) -> int:
+        """Put the full burst train for the run on the air; returns the
+        burst count.
 
-        No burst is scheduled.  A burst becomes a Transmission only when a
-        resolved frame overlaps it, and it interferes as it would have had
-        each burst been an event scheduled now.
+        Burst k+1 starts period +- jitter after burst k (jitter drawn
+        uniformly), never before the previous burst ends.  No burst is
+        scheduled: a burst joins the log when a frame that overlaps it
+        begins, and it interferes as it would have had each burst been an
+        event scheduled now.
         """
+        period_us = ms_to_us(noise.period_ms)
+        jitter_us = ms_to_us(noise.jitter_ms)
+        airtime_us = self.airtime_us(noise.payload_bytes)
+        starts = array("q")
+        # Jitters drawn per block hold the same values as one scalar draw per burst.
+        jitters: list[int] = []
+        j = 0
+        t = period_us
+        while t <= duration_us:
+            starts.append(t)
+            step = period_us
+            if jitter_us > 0:
+                if j == len(jitters):
+                    jitters = rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK).tolist()
+                    j = 0
+                step += jitters[j]
+                j += 1
+            t = max(t + step, t + airtime_us + 1)
         self._train = _NoiseTrain(
-            source_id,
-            packet,
-            self._link_means(position, tx_power_dbm),
-            starts_us,
-            self.airtime_us(packet.size_bytes),
+            Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes),
+            self._link_means(noise.position, noise.tx_power_dbm),
+            starts,
+            airtime_us,
             self.sim.mark(),
-            {},
         )
+        return len(starts)
 
     def busy_until(self, source_id: str) -> int:
         """End time of the source's in-flight frame, or the current time."""
@@ -291,7 +306,32 @@ class Channel:
         self._longest_airtime_us = max(self._longest_airtime_us, airtime)
         self._source_end_us[source_id] = tx.end_us
         self._prune(now)
-        self._log.append(tx)
+        log = self._log
+        train = self._train
+        if train is not None:
+            # A burst that overlaps this frame and is not logged yet begins
+            # after everything logged so far: a frame logged after it began
+            # would have logged it, and bursts are logged in start order.
+            starts = train.starts_us
+            lo = bisect_right(starts, now - train.airtime_us, train.next)
+            train.next = bisect_left(starts, tx.end_us, lo)
+            for k in range(lo, train.next):
+                start = starts[k]
+                log.append(
+                    Transmission(
+                        source_id=NOISE_SOURCE_ID,
+                        packet=train.packet,
+                        start_us=start,
+                        end_us=start + train.airtime_us,
+                        mean_dbm=train.mean_dbm,
+                        rssi=self._undrawn[:],
+                        seq=train.mark,
+                    )
+                )
+        if log and log[-1].start_us >= now:
+            insort(log, tx, key=_begin_order)
+        else:
+            log.append(tx)
         # A frame nobody hears is only interference.
         if self._audience(packet):
             self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
@@ -333,48 +373,6 @@ class Channel:
         horizon = now_us - self._longest_airtime_us
         if self._log and self._log[0].end_us < horizon:
             self._log = [t for t in self._log if t.end_us >= horizon]
-            train = self._train
-            if train is not None and train.bursts:
-                train.bursts = {k: b for k, b in train.bursts.items() if b.end_us >= horizon}
-
-    def _with_bursts(self, tx: Transmission, overlapping: list[Transmission]) -> list[Transmission]:
-        """``overlapping``, in log order, with the bursts that overlap ``tx``
-        merged in where they would have begun: by start time, and at an
-        equal start after the frames that began before the train's mark."""
-        train = self._train
-        starts = train.starts_us
-        lo = bisect_right(starts, tx.start_us - train.airtime_us)
-        hi = bisect_left(starts, tx.end_us, lo)
-        if lo == hi:
-            return overlapping
-        mark = train.mark
-        merged = []
-        k = lo
-        for other in overlapping:
-            start = other.start_us
-            while k < hi and (starts[k] < start or (starts[k] == start and other.seq > mark)):
-                merged.append(self._burst(k))
-                k += 1
-            merged.append(other)
-        merged.extend(self._burst(j) for j in range(k, hi))
-        return merged
-
-    def _burst(self, k: int) -> Transmission:
-        """Burst ``k`` of the noise train, made the first time it is needed."""
-        train = self._train
-        burst = train.bursts.get(k)
-        if burst is None:
-            start = train.starts_us[k]
-            burst = train.bursts[k] = Transmission(
-                source_id=train.source_id,
-                packet=train.packet,
-                start_us=start,
-                end_us=start + train.airtime_us,
-                mean_dbm=train.mean_dbm,
-                rssi=self._undrawn[:],
-                seq=train.mark,
-            )
-        return burst
 
     def _draw_rssi(self, tx: Transmission, i: int) -> float:
         """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
@@ -398,8 +396,6 @@ class Channel:
     def _resolve(self, tx: Transmission) -> None:
         now = self.sim.now_us
         overlapping = [other for other in self._log if other is not tx and other.overlaps(tx)]
-        if self._train is not None:
-            overlapping = self._with_bursts(tx, overlapping)
         # Half-duplex: a receiver that transmitted during any part of the
         # frame hears nothing.  Every other receiver sees all overlapping
         # frames as interference.
@@ -425,33 +421,3 @@ class Channel:
                     break
             else:
                 receiver.on_receive(tx.packet, rssi, now)
-
-
-def start_noise(channel: Channel, noise: NoiseConfig, duration_us: int, rng: np.random.Generator) -> int:
-    """Put the full burst train for the scenario on the channel; returns the
-    burst count.
-
-    Burst k+1 starts period +- jitter after burst k (jitter drawn uniformly),
-    never before the previous burst ends.
-    """
-    period_us = ms_to_us(noise.period_ms)
-    jitter_us = ms_to_us(noise.jitter_ms)
-    airtime_us = channel.airtime_us(noise.payload_bytes)
-    packet = Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes)
-    starts = array("q")
-    # Jitters drawn per block hold the same values as one scalar draw per burst.
-    jitters: list[int] = []
-    j = 0
-    t = period_us
-    while t <= duration_us:
-        starts.append(t)
-        step = period_us
-        if jitter_us > 0:
-            if j == len(jitters):
-                jitters = rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK).tolist()
-                j = 0
-            step += jitters[j]
-            j += 1
-        t = max(t + step, t + airtime_us + 1)
-    channel.add_noise_train(NOISE_SOURCE_ID, noise.position, packet, noise.tx_power_dbm, starts)
-    return len(starts)

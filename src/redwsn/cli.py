@@ -134,6 +134,10 @@ def _build_avail_parser() -> argparse.ArgumentParser:
 def _dispatch(parser: argparse.ArgumentParser, argv: list[str] | None) -> int:
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help, and 2 after the usage for a bad flag.
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -61,10 +61,9 @@ def draw_uniform_grid(rng: np.random.Generator, lo_ms: int, hi_ms: int, step_ms:
 class EventHandle:
     """Cancellable reference to a scheduled event (tombstone flag)."""
 
-    __slots__ = ("time_us", "fn", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, time_us: int, fn: Callable[[], None]):
-        self.time_us = time_us
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
         self.cancelled = False
 
@@ -94,7 +93,7 @@ class Simulator:
     def schedule_at(self, t_us: int, fn: Callable[[], None]) -> EventHandle:
         if t_us < self.now_us:
             raise SchedulingError(f"cannot schedule at {t_us} us; clock is at {self.now_us} us")
-        handle = EventHandle(t_us, fn)
+        handle = EventHandle(fn)
         heapq.heappush(self._heap, (t_us, next(self._seq), handle))
         return handle
 

@@ -32,7 +32,11 @@ class Server:
     def __init__(self):
         self.raw: list[ServerEntry] = []
         self._first_seen: dict[tuple[str, str, int], ServerEntry] = {}
-        self.duplicate_count = 0
+
+    @property
+    def duplicate_count(self) -> int:
+        """Forwards of a (node, board, seq) the server already had."""
+        return len(self.raw) - len(self._first_seen)
 
     def on_gateway_reception(self, gateway_id: str, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         valid = (
@@ -52,11 +56,7 @@ class Server:
             valid=valid,
         )
         self.raw.append(entry)
-        key = (entry.node_id, entry.board_role, entry.seq)
-        if key in self._first_seen:
-            self.duplicate_count += 1
-        else:
-            self._first_seen[key] = entry
+        self._first_seen.setdefault((entry.node_id, entry.board_role, entry.seq), entry)
 
     def deduplicated(self) -> list[ServerEntry]:
         """Unique stream ordered by earliest reception time (stable)."""

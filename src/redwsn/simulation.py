@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .boards import Environment, PrimaryBoard, SecondaryBoard
-from .channel import Channel, start_noise
+from .channel import Channel
 from .engine import Simulator, ms_to_us
 from .gateway import Gateway, Server
 from .metrics import (
@@ -50,7 +50,7 @@ class Simulation:
         for secondary in self.secondaries.values():
             secondary.start()
         if cfg.noise.enabled:
-            start_noise(self.channel, cfg.noise, duration_us, self.sim.rng("noise-schedule"))
+            self.channel.add_noise(cfg.noise, duration_us, self.sim.rng("noise-schedule"))
         self.sim.run_until(duration_us)
         try:
             return self._metrics()

@@ -14,7 +14,6 @@ from redwsn.channel import (
     Position,
     path_loss_db,
     rssi_at,
-    start_noise,
 )
 from redwsn.engine import Simulator, ms_to_us
 from redwsn.lora import LoraParams, time_on_air_us
@@ -213,7 +212,7 @@ def test_noise_train_counts_and_respects_duration():
     probe = Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),))
     channel.add_receiver(probe)
     source = NoiseConfig(period_ms=500, payload_bytes=10, jitter_ms=0, position=Position(1, 0))
-    count = start_noise(channel, source, 10_000_000, sim.rng("noise-schedule"))
+    count = channel.add_noise(source, 10_000_000, sim.rng("noise-schedule"))
     assert count == 20  # one burst per 500 ms over 10 s
     assert list(channel._train.starts_us) == [k * 500_000 for k in range(1, 21)]
 
@@ -250,7 +249,7 @@ def test_noise_train_starts_match_one_scalar_draw_per_burst():
     duration_us = 1_600_000_000  # about 3,200 bursts: three block refills
     sim = Simulator(master_seed=3)
     channel = Channel(sim)
-    count = start_noise(channel, noise, duration_us, sim.rng("noise-schedule"))
+    count = channel.add_noise(noise, duration_us, sim.rng("noise-schedule"))
     scalar_rng = Simulator(master_seed=3).rng("noise-schedule")
     expected = scalar_burst_starts(noise, time_on_air_us(noise.payload_bytes), duration_us, scalar_rng)
     assert count == len(expected) >= 3000
@@ -263,7 +262,7 @@ def test_noise_jitter_keeps_mean_period():
     probe = Probe("gw", Position(0, 0))
     channel.add_receiver(probe)
     source = NoiseConfig(period_ms=500, payload_bytes=10, jitter_ms=50, position=Position(1, 0))
-    count = start_noise(channel, source, 600_000_000, sim.rng("noise-schedule"))
+    count = channel.add_noise(source, 600_000_000, sim.rng("noise-schedule"))
     assert count == pytest.approx(1200, rel=0.02)
 
 
@@ -285,7 +284,7 @@ def test_receivers_cannot_join_while_a_frame_is_on_the_air():
 def test_receivers_cannot_join_after_the_noise_train():
     sim = Simulator()
     channel = Channel(sim, params=quiet_params())
-    start_noise(channel, NoiseConfig(), 10_000_000, sim.rng("noise-schedule"))
+    channel.add_noise(NoiseConfig(), 10_000_000, sim.rng("noise-schedule"))
     with pytest.raises(RuntimeError, match="noise train"):
         channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
 
@@ -626,4 +625,4 @@ def noisy_deliveries(start_train, scenario):
 @settings(max_examples=300, deadline=None)
 @given(scenario=noisy_scenarios())
 def test_noise_train_matches_one_event_per_burst(scenario):
-    assert noisy_deliveries(start_noise, scenario) == noisy_deliveries(start_noise_as_events, scenario)
+    assert noisy_deliveries(Channel.add_noise, scenario) == noisy_deliveries(start_noise_as_events, scenario)

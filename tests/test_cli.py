@@ -40,6 +40,20 @@ def test_avail_refuses_non_finite_rates(capsys, flag, rate):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "main, argv",
+    [(main_avail, ["--lambda", "-inf"]), (main_sim, ["run"]), (main_sim, ["bogus"])],
+)
+def test_usage_errors_are_config_errors(capsys, main, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main_sim(["--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_sim_avail_subcommand(capsys):
     assert main_sim(["avail", "--n-max", "2"]) == EXIT_OK
     assert "4.7778e-03" in capsys.readouterr().out

@@ -154,7 +154,7 @@ def test_draw_uniform_grid_rejects_bad_ranges():
 
 
 def test_event_handle_is_lightweight():
-    handle = EventHandle(5, lambda: None)
+    handle = EventHandle(lambda: None)
     assert not handle.cancelled
     handle.cancel()
     assert handle.cancelled
