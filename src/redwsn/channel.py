@@ -8,7 +8,8 @@ the frame beats every overlapping frame, addressed to that receiver or not,
 by at least the capture threshold.
 
 A noise train is known in advance and schedules nothing: a burst joins the
-log of frames on the air only when a frame that overlaps it begins.
+log of frames on the air only when a frame that overlaps it begins, and it
+interferes as if it were an event that fires first at its instant.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class ChannelParams:
             raise ValueError("channel reference_distance_m must be positive")
         if not self.shadowing_sigma_db >= 0:
             raise ValueError("channel shadowing_sigma_db must not be negative")
+        if self.agc_ceiling_dbm < self.sensitivity_dbm:
+            # Every frame would be clamped below the sensitivity.
+            raise ValueError("channel agc_ceiling_dbm must not be below sensitivity_dbm")
 
 
 def path_loss_db(distance_m: float, params: ChannelParams) -> float:
@@ -119,10 +123,6 @@ class Transmission:
     # first.
     mean_dbm: array
     rssi: array
-    # Simulator.now_seq when the frame began, or the train's mark for a
-    # noise burst: with start_us, the order in which it would have begun had
-    # each burst been an event scheduled when the train was.
-    seq: float
 
     def overlaps(self, other: "Transmission") -> bool:
         return self.start_us < other.end_us and other.start_us < self.end_us
@@ -160,9 +160,6 @@ class _NoiseTrain:
     mean_dbm: array
     starts_us: array
     airtime_us: int
-    # Simulator.mark() at registration: at an equal start, a burst comes
-    # after the frames begun by events scheduled before it, before the rest.
-    mark: int
     # The first burst not logged yet; every burst before it was logged or
     # ended before any frame that can still begin.
     next: int = 0
@@ -174,8 +171,9 @@ _UNDRAWN = math.inf
 # same values as one scalar draw per link.
 _DRAW_BLOCK = 1024
 
-# The channel log's order: the order in which frames and bursts began.
-_begin_order = attrgetter("start_us", "seq")
+# The channel log's order.  At an equal start a noise burst comes first, as
+# insort places a frame after every entry that starts with it.
+_start = attrgetter("start_us")
 
 
 class Channel:
@@ -200,7 +198,7 @@ class Channel:
         self._mean_dbm: dict[tuple[Position, float], array] = {}
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
         # Frames and noise bursts that may still overlap a frame to resolve,
-        # in begin order.
+        # by start time.
         self._log: list[Transmission] = []
         self._source_end_us: dict[str, int] = {}
         self._airtimes_us: dict[int, int] = {}
@@ -242,8 +240,8 @@ class Channel:
         Burst k+1 starts period +- jitter after burst k (jitter drawn
         uniformly), never before the previous burst ends.  No burst is
         scheduled: a burst joins the log when a frame that overlaps it
-        begins, and it interferes as it would have had each burst been an
-        event scheduled now.
+        begins, and it interferes as if it were an event that fires first at
+        its instant.
         """
         period_us = ms_to_us(noise.period_ms)
         jitter_us = ms_to_us(noise.jitter_ms)
@@ -268,7 +266,6 @@ class Channel:
             self._link_means(noise.position, noise.tx_power_dbm),
             starts,
             airtime_us,
-            self.sim.mark(),
         )
         return len(starts)
 
@@ -301,7 +298,6 @@ class Channel:
             end_us=now + airtime,
             mean_dbm=self._link_means(position, tx_power_dbm),
             rssi=self._undrawn[:],
-            seq=self.sim.now_seq,
         )
         self._longest_airtime_us = max(self._longest_airtime_us, airtime)
         self._source_end_us[source_id] = tx.end_us
@@ -325,13 +321,9 @@ class Channel:
                         end_us=start + train.airtime_us,
                         mean_dbm=train.mean_dbm,
                         rssi=self._undrawn[:],
-                        seq=train.mark,
                     )
                 )
-        if log and log[-1].start_us >= now:
-            insort(log, tx, key=_begin_order)
-        else:
-            log.append(tx)
+        insort(log, tx, key=_start)
         # A frame nobody hears is only interference.
         if self._audience(packet):
             self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))

@@ -36,6 +36,8 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ConfigError(f"bad --seeds value: {raw!r}") from exc
     if not seeds:
         raise ConfigError("--seeds must list at least one integer")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must not be negative: {raw!r}")
     return seeds
 
 

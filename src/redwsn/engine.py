@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import math
 from typing import Callable
 
 import numpy as np
@@ -80,10 +79,6 @@ class Simulator:
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.now_us: int = 0
-        # Sequence number of the event being dispatched; outside any event it
-        # sorts after every number handed out, as code run between
-        # run_until calls comes after every event at its instant.
-        self.now_seq: float = math.inf
         self._heap: list[tuple[int, int, EventHandle]] = []
         self._seq = itertools.count()
 
@@ -100,26 +95,18 @@ class Simulator:
     def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> EventHandle:
         return self.schedule_at(self.now_us + int(delay_us), fn)
 
-    def mark(self) -> int:
-        """A sequence number between the events scheduled so far and those
-        scheduled from now on: at an equal time, the former fire before a
-        point marked now and the latter after it."""
-        return next(self._seq)
-
     def run_until(self, t_end_us: int) -> int:
         """Process every event with time <= t_end_us; leave the clock at t_end_us."""
         if t_end_us < self.now_us:
             raise SchedulingError("t_end is in the past")
         processed = 0
         while self._heap and self._heap[0][0] <= t_end_us:
-            t, seq, handle = heapq.heappop(self._heap)
+            t, _, handle = heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
             self.now_us = t
-            self.now_seq = seq
             handle.fn()
             processed += 1
-        self.now_seq = math.inf
         self.now_us = t_end_us
         return processed
 

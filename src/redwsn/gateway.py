@@ -19,10 +19,14 @@ class ServerEntry:
     board_role: str
     seq: int
     kind: str
-    time_ms: float
+    time_us: int
     gateway_id: str
     rssi_dbm: float
     valid: bool
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_us / 1000
 
 
 class Server:
@@ -50,7 +54,7 @@ class Server:
             board_role=packet.board_role.value if packet.board_role else "",
             seq=packet.seq,
             kind=packet.kind.value,
-            time_ms=now_us / 1000,
+            time_us=now_us,
             gateway_id=gateway_id,
             rssi_dbm=rssi_dbm,
             valid=valid,
@@ -60,7 +64,7 @@ class Server:
 
     def deduplicated(self) -> list[ServerEntry]:
         """Unique stream ordered by earliest reception time (stable)."""
-        return sorted(self._first_seen.values(), key=lambda e: (e.time_ms, e.node_id, e.seq))
+        return sorted(self._first_seen.values(), key=lambda e: (e.time_us, e.node_id, e.seq))
 
 
 @dataclass(frozen=True)

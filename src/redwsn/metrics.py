@@ -4,7 +4,9 @@ A *monitoring epoch* is an expected primary data slot.  An epoch counts as
 covered when a valid data packet from the node (either board) reaches the
 server within the maximum monitoring delay of the slot time (ServerEntry
 states the validity rule).  Using expected slots as the common denominator
-lets the with- and without-redundancy ratios share one base.
+lets the with- and without-redundancy ratios share one base.  Arrival times
+are compared in integer microseconds, so an arrival exactly one bound after
+a slot or after the previous arrival is exactly on the bound.
 """
 
 from __future__ import annotations
@@ -15,24 +17,26 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import US_PER_MS, ms_to_us
 from .gateway import ServerEntry
 
 
-def _arrivals(entries: list[ServerEntry], roles: tuple[str, ...]) -> dict[str, list[float]]:
-    """Per node, the sorted arrival times of valid data from boards in roles."""
-    times: dict[str, list[float]] = {}
+def _arrivals(entries: list[ServerEntry], roles: tuple[str, ...]) -> dict[str, list[int]]:
+    """Per node, the sorted arrival times (us) of valid data from boards in roles."""
+    times: dict[str, list[int]] = {}
     for e in entries:
         if e.valid and e.board_role in roles:
-            times.setdefault(e.node_id, []).append(e.time_ms)
+            times.setdefault(e.node_id, []).append(e.time_us)
     for node_times in times.values():
         node_times.sort()
     return times
 
 
-def _covered(times: list[float], slot_ms: float, bound_ms: float) -> bool:
+def _covered(times_us: list[int], slot_ms: float, bound_ms: float) -> bool:
     """True iff some arrival falls in [slot, slot + bound)."""
-    i = bisect_left(times, slot_ms)
-    return i < len(times) and times[i] < slot_ms + bound_ms
+    slot_us = ms_to_us(slot_ms)
+    i = bisect_left(times_us, slot_us)
+    return i < len(times_us) and times_us[i] < slot_us + bound_ms * US_PER_MS
 
 
 def compute_prr(
@@ -95,11 +99,12 @@ def delay_violations(
     if bound_ms <= 0:
         raise ValueError("bound must be positive")
     arrivals = _arrivals(entries, ("primary", "secondary"))
+    bound_us = bound_ms * US_PER_MS
     violations = 0
     for node in node_ids:
-        checkpoints = [0.0, *arrivals.get(node, []), duration_ms]
+        checkpoints = [0, *arrivals.get(node, []), ms_to_us(duration_ms)]
         violations += sum(
-            1 for a, b in zip(checkpoints, checkpoints[1:]) if b - a > bound_ms
+            1 for a, b in zip(checkpoints, checkpoints[1:]) if b - a > bound_us
         )
     return violations
 

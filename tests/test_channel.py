@@ -289,6 +289,23 @@ def test_receivers_cannot_join_after_the_noise_train():
         channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
 
 
+def test_burst_precedes_frames_at_an_equal_start():
+    # Frames begun by events scheduled before the train and after it alike
+    # follow the burst that starts with them, in the order they began.
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
+
+    def send(source_id):
+        channel.begin_transmission(source_id, Position(1, 0), data_packet(), 14.0)
+
+    sim.schedule_at(500_000, lambda: send("a"))
+    channel.add_noise(NoiseConfig(jitter_ms=0), 1_000_000, sim.rng("noise-schedule"))
+    sim.schedule_at(500_000, lambda: send("b"))
+    sim.run_until(500_000)
+    assert [tx.source_id for tx in channel._log] == [NOISE_SOURCE_ID, "a", "b"]
+
+
 def test_shadowing_is_drawn_from_the_channel_stream_only():
     with pytest.raises(TypeError):
         Channel(Simulator(), shadowing_rng=np.random.default_rng(0))
@@ -580,7 +597,7 @@ def noisy_scenarios(draw):
                 # a little or half a period after it.
                 st.integers(0, NOISY_RUN_US // 500_000 - 1),
                 st.sampled_from((0, 0, 20_000, 250_000)),
-                st.booleans(),  # scheduled before the train is registered
+                st.booleans(),  # scheduled before the train, unless train_first
                 st.sampled_from(sources),
                 st.integers(1, 80),
                 st.sampled_from((2.0, 14.0)),
@@ -594,7 +611,7 @@ def noisy_scenarios(draw):
     return draw(st.integers(0, 2**32 - 1)), params, lora, receivers, noise, frames
 
 
-def noisy_deliveries(start_train, scenario):
+def noisy_deliveries(start_train, scenario, train_first=False):
     seed, params, lora, receivers, noise, frames = scenario
     sim = Simulator(master_seed=seed)
     channel = Channel(sim, params=params, lora=lora)
@@ -615,8 +632,16 @@ def noisy_deliveries(start_train, scenario):
                 args = (seq, source_id, position, size, power)
                 sim.schedule_at(slot * 500_000 + offset, lambda a=args: send(*a))
 
+    def register_train():
+        log.append(("bursts", start_train(channel, noise, NOISY_RUN_US, sim.rng("noise-schedule"))))
+
+    # With train_first, every frame's event is scheduled after the train, in
+    # the same order as without it.
+    if train_first:
+        register_train()
     schedule(before_train=True)
-    log.append(("bursts", start_train(channel, noise, NOISY_RUN_US, sim.rng("noise-schedule"))))
+    if not train_first:
+        register_train()
     schedule(before_train=False)
     sim.run_until(NOISY_RUN_US + 5_000_000)
     return log
@@ -625,4 +650,14 @@ def noisy_deliveries(start_train, scenario):
 @settings(max_examples=300, deadline=None)
 @given(scenario=noisy_scenarios())
 def test_noise_train_matches_one_event_per_burst(scenario):
-    assert noisy_deliveries(Channel.add_noise, scenario) == noisy_deliveries(start_noise_as_events, scenario)
+    # Registered first, each burst of the reference is an event that fires
+    # before every frame's event at its instant: bursts first at a tie.
+    train = noisy_deliveries(Channel.add_noise, scenario, train_first=True)
+    assert train == noisy_deliveries(start_noise_as_events, scenario, train_first=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=noisy_scenarios())
+def test_noise_train_order_does_not_depend_on_registration(scenario):
+    first = noisy_deliveries(Channel.add_noise, scenario, train_first=True)
+    assert first == noisy_deliveries(Channel.add_noise, scenario, train_first=False)

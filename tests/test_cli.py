@@ -115,6 +115,17 @@ def test_sim_run_out_into_existing_directory_fails_before_simulating(capsys, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seeds", ["-1", "1,-2"])
+def test_sim_run_negative_seed_fails_before_simulating(capsys, monkeypatch, seeds):
+    def run_scenario(cfg, seeds):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("redwsn.cli.run_scenario", run_scenario)
+    assert main_sim(["run", "control-clean", f"--seeds={seeds}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "negative" in err
+
+
 def test_sim_run_default_seeds(capsys, tmp_path):
     cfg = tmp_path / "quick.cfg"
     cfg.write_text("preset = control-clean\nduration_ms = 70000\n")

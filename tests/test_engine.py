@@ -38,18 +38,6 @@ def test_equal_timestamps_fire_in_insertion_order():
     assert fired == ["a", "b", "c"]
 
 
-def test_mark_sits_between_earlier_and_later_events():
-    sim = Simulator()
-    seen = []
-    sim.schedule_at(50, lambda: seen.append(sim.now_seq))
-    mark = sim.mark()
-    sim.schedule_at(50, lambda: seen.append(sim.now_seq))
-    assert sim.now_seq > mark  # outside any event
-    sim.run_until(50)
-    assert seen[0] < mark < seen[1]
-    assert sim.now_seq > seen[1]
-
-
 def test_events_may_schedule_followups():
     sim = Simulator()
     fired = []

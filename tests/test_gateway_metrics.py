@@ -3,7 +3,7 @@ import pytest
 
 from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Channel, ChannelParams, Position
-from redwsn.engine import Simulator
+from redwsn.engine import Simulator, ms_to_us
 from redwsn.gateway import Gateway, GatewayConfig, Server, ServerEntry
 from redwsn.metrics import (
     MetricsReport,
@@ -135,7 +135,7 @@ def entry(time_ms, role="primary", valid=True, seq=None, node="n1"):
         board_role=role,
         seq=seq if seq is not None else int(time_ms),
         kind="data",
-        time_ms=time_ms,
+        time_us=ms_to_us(time_ms),
         gateway_id="gw",
         rssi_dbm=-98.0,
         valid=valid,
@@ -154,6 +154,20 @@ def test_prr_ignores_invalid_and_out_of_window():
     assert compute_prr([entry(1_000.0, valid=False)], slots) == 0.0
     assert compute_prr([entry(41_000.0)], slots) == 0.0  # after the 40 s bound
     assert compute_prr([entry(39_999.0)], slots) == 1.0
+
+
+# The last slot is off the millisecond grid the MAC uses; in float
+# milliseconds its slot + bound sorts after an arrival exactly on the bound.
+@pytest.mark.parametrize("slot_us", [0, 81_000_000, 121_138_496, 117_578_819])
+def test_prr_window_is_half_open_to_the_microsecond(slot_us):
+    # Arrivals are frame ends in whole microseconds; the window is
+    # [slot, slot + bound).
+    slots = {"n1": [slot_us / 1000]}
+    bound_us = 40_000_000
+    assert compute_prr([entry((slot_us + bound_us) / 1000)], slots) == 0.0
+    assert compute_prr([entry((slot_us + bound_us - 1) / 1000)], slots) == 1.0
+    assert compute_prr([entry((slot_us + 138_496) / 1000)], slots) == 1.0
+    assert compute_prr([entry((slot_us - 1) / 1000)], slots) == 0.0
 
 
 def test_prr_empty_schedule_errors():
@@ -190,6 +204,17 @@ def test_delay_violations_count_gaps_and_boundaries():
     assert delay_violations(entries, ["n1"], duration_ms=100_000.0) == 1
     assert delay_violations([], ["n1"], duration_ms=100_000.0) == 1  # single 0 -> end gap
     assert delay_violations(entries, ["n1"], duration_ms=100_000.0, bound_ms=float("inf")) == 0
+
+
+def test_delay_gap_of_exactly_the_bound_is_no_violation():
+    # Two frame ends 40 s apart to the microsecond (control-noise, seed 56).
+    # In float milliseconds 161138.496 - 121138.496 exceeds 40000.
+    server = Server()
+    for seq, now_us in enumerate((121_138_496, 161_138_496), start=1):
+        server.on_gateway_reception("gw", data_packet(seq=seq), -98.0, now_us)
+    entries = server.deduplicated()
+    assert delay_violations(entries, ["n1"], duration_ms=161_139.0, bound_ms=40_000) == 1  # 0 -> 121 s
+    assert delay_violations(entries, ["n1"], duration_ms=161_139.0, bound_ms=39_999.999) == 2
 
 
 def test_rssi_summary_stats():

@@ -4,8 +4,9 @@ match the files under tests/golden/ byte for byte.
 The cases are every preset at seeds 5 and 6, one 50-node noisy run, and the
 noisy control with zero noise jitter, with one node and with ten.  Without
 jitter, noise bursts start on the same microsecond as MAC slots; with ten
-nodes the reports depend on the order of those equal-time events, so that
-case pins it.
+nodes the reports depend on how the channel orders a burst and a frame with
+the same start, so control-noise-x10-jitter0 pins the rule that a burst
+precedes a frame at an equal start.
 
 Regenerate only in a change that says why behaviour moved:
     PYTHONPATH=src python tests/test_golden.py
