@@ -221,8 +221,6 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"mac": {"retx_slots_per_cycle": -1}}, "retx_slots_per_cycle"),
         ({"channel": {"shadowing_sigma_db": -3}}, "shadowing_sigma_db"),
         ({"channel": {"reference_distance_m": 0}}, "reference_distance_m"),
-        # Every frame was clamped below the sensitivity: PRR 0, no receptions.
-        ({"preset": "HF", "channel": {"agc_ceiling_dbm": -130}}, "channel: .*agc_ceiling_dbm"),
         # JSON NaN: no corrective is ever sent, or every frame is captured.
         ({"preset": "SF2", "secondary": {"anomaly_rel_threshold": math.nan}}, "secondary.anomaly_rel_threshold"),
         ({"preset": "SF2", "channel": {"capture_threshold_db": math.nan}}, "channel.capture_threshold_db"),
@@ -252,6 +250,8 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"noise": {"period_ms": 0}}, "noise: "),
         ({"channel": {"reference_distance_m": 0}}, "channel: "),
         ({"lora": {"spreading_factor": 5}}, "lora: "),
+        # Every frame was clamped below the sensitivity: PRR 0, no receptions.
+        ({"preset": "HF", "channel": {"agc_ceiling_dbm": -130}}, "channel: .*agc_ceiling_dbm"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
