@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -63,19 +63,45 @@ class FaultSpec:
 
 
 # Per-field columns of SENSOR_TABLE, in SENSOR_FIELDS order.
-_NOMINAL_VALUES, _WALK_STEP, _EMERGENCY_LO, _EMERGENCY_HI = map(np.array, zip(*SENSOR_TABLE.values()))
+_NOMINAL_VALUES = np.array([nominal for nominal, _, _, _ in SENSOR_TABLE.values()])
+_WALK_STEP = np.array([step for _, step, _, _ in SENSOR_TABLE.values()])
+_EMERGENCY_BOUNDS = [(lo, hi) for _, _, lo, hi in SENSOR_TABLE.values()]
 _WALK_BAND = 0.05  # walk stays within +-5 % of nominal
 _WALK_LO, _WALK_HI = _NOMINAL_VALUES * (1 - _WALK_BAND), _NOMINAL_VALUES * (1 + _WALK_BAND)
 _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
 _SENSING_POLL_MS = 5_000  # primary's threshold check between data slots
+# Readings drawn ahead per refill of a walk or noise stream.  Each stream has
+# one owner, so drawing ahead moves no other consumer's values.
+_BLOCK_ROWS = 32
 
 
 def check_thresholds(reading: SensorReading) -> bool:
     """True iff any present field lies outside its emergency bounds (absent
     fields do not trigger; absence is a sensor failure symptom, not an
-    emergency)."""
-    v = reading.values
-    return bool(((v < _EMERGENCY_LO) | (v > _EMERGENCY_HI)).any())
+    emergency).  A NaN compares false both ways, so it never triggers.  For
+    twelve values a Python loop costs less than numpy's comparisons."""
+    for v, (lo, hi) in zip(reading.values.tolist(), _EMERGENCY_BOUNDS):
+        if v < lo or v > hi:
+            return True
+    return False
+
+
+def _walk(rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The bounded random walk from nominal, one fresh array per step; the
+    steps are drawn _BLOCK_ROWS at a time, the same values as one draw per
+    step."""
+    values = _NOMINAL_VALUES
+    while True:
+        for step in rng.normal(0.0, _WALK_STEP, size=(_BLOCK_ROWS, len(_WALK_STEP))):
+            values = np.minimum(np.maximum(values + step, _WALK_LO), _WALK_HI)
+            yield values
+
+
+def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Per-reading sensor noise factors, one row per reading, drawn
+    _BLOCK_ROWS readings at a time: the same values as one draw per reading."""
+    while True:
+        yield from 1.0 + rng.normal(0.0, _SENSOR_NOISE_REL, size=(_BLOCK_ROWS, len(SENSOR_FIELDS)))
 
 
 class Environment:
@@ -83,14 +109,13 @@ class Environment:
     two boards of a node so their readings agree when both are healthy."""
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._values = _NOMINAL_VALUES
+        self._walk = _walk(rng)
 
     def sample(self) -> np.ndarray:
-        """The next true values, in SENSOR_FIELDS order (a fresh array)."""
-        step = self._rng.normal(0.0, _WALK_STEP)
-        self._values = np.minimum(np.maximum(self._values + step, _WALK_LO), _WALK_HI)
-        return self._values
+        """The next true values, in SENSOR_FIELDS order.  Each sample is a
+        fresh array that later samples and refills never touch, so a caller
+        may keep it."""
+        return next(self._walk)
 
 
 @dataclass(frozen=True)
@@ -127,8 +152,13 @@ class _RadioBoard:
         self.rx_extra_loss_db = 0.0
         self.env = env
         self.faults = [f for f in faults if f.target == self.entity_id]
+        # Only sensor faults name a field; any other kind may carry anything
+        # in affected_sensor.
+        self._sensor_faults = [
+            (SENSOR_FIELDS.index(f.affected_sensor), f) for f in self.faults if f.kind in _SENSOR_FAULTS
+        ]
         self.tx_power_dbm = node.tx_power_dbm
-        self._sense_rng = sim.rng(f"{self.entity_id}-sensor")
+        self._noise = _noise_factors(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
         channel.add_receiver(self)
 
@@ -143,23 +173,18 @@ class _RadioBoard:
         value NaN, an anomaly multiplies it.  Ground-truth tags ride on the
         reading.
         """
+        values = self.env.sample() * next(self._noise)
         t_ms = self.sim.now_us / 1000
-        truth = self.env.sample()
-        values = truth * (1.0 + self._sense_rng.normal(0.0, _SENSOR_NOISE_REL, len(SENSOR_FIELDS)))
         tags = set()
-        for fault in self.faults:
-            # Only sensor faults name a field; any other kind may carry
-            # anything in affected_sensor.
-            if fault.kind not in _SENSOR_FAULTS or not fault.active(t_ms):
+        for i, fault in self._sensor_faults:
+            if not fault.active(t_ms):
                 continue
-            name = fault.affected_sensor
-            i = SENSOR_FIELDS.index(name)
             if fault.kind is FaultKind.SENSOR_READ_FAILURE:
                 values[i] = np.nan
-                tags.add(f"read_failure:{name}")
+                tags.add(f"read_failure:{fault.affected_sensor}")
             else:
                 values[i] *= fault.anomaly_multiplier
-                tags.add(f"anomaly:{name}")
+                tags.add(f"anomaly:{fault.affected_sensor}")
         return SensorReading(values, frozenset(tags))
 
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:

@@ -63,6 +63,14 @@ class ScenarioConfig:
         shortest = self.mac.max_interval_ms + self.max_monitoring_delay_ms
         if self.duration_ms < shortest:
             raise ConfigError(f"duration_ms must be at least {shortest}")
+        # A frame is clamped to the AGC ceiling before a receiver's extra
+        # loss, so too much loss puts every frame below the sensitivity.
+        for i, g in enumerate(self.gateways):
+            if self.channel.agc_ceiling_dbm - g.extra_loss_db < self.channel.sensitivity_dbm:
+                raise ConfigError(
+                    f"gateways[{i}].extra_loss_db puts every frame below the sensitivity"
+                    " (channel.agc_ceiling_dbm - extra_loss_db < channel.sensitivity_dbm)"
+                )
         self._check_radio_ids()
         self._check_fault_targets()
         self._check_fault_overlap()
@@ -282,6 +290,8 @@ def resolve_scenario(name_or_path: str) -> ScenarioConfig:
 def run_scenario(cfg: ScenarioConfig, seeds: list[int]) -> MetricsReport:
     """One independent simulation per seed, aggregated into a report."""
     seeds = list(seeds)
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"seeds must not be negative: {seeds}")
     iterations: list[IterationMetrics] = [Simulation(cfg, seed).run() for seed in seeds]
     return MetricsReport(scenario=cfg.name, seeds=seeds, iterations=iterations)
 

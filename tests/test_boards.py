@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redwsn.boards import (
     Environment,
@@ -434,3 +436,74 @@ def test_array_readings_match_the_per_field_path(seed):
         assert reading.fault_tags == tags
     assert sum(w is None for w in expected) == 4
 
+
+# -- block draws against one draw per reading ---------------------------------------
+
+NOMINAL = np.array([row[0] for row in SENSOR_TABLE.values()])
+WALK_STEP = np.array([row[1] for row in SENSOR_TABLE.values()])
+
+
+class PerCallEnvironment:
+    """Environment.sample as it was before block draws: one normal draw per
+    sample, clamped to +-5 % of nominal."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._values = NOMINAL
+
+    def sample(self):
+        step = self._rng.normal(0.0, WALK_STEP)
+        self._values = np.minimum(np.maximum(self._values + step, NOMINAL * 0.95), NOMINAL * 1.05)
+        return self._values
+
+
+def per_call_sense(env, rng, faults, entity_id, t_ms):
+    """_RadioBoard.sense as it was before block draws: one noise draw per
+    reading, then the board's sensor faults in list order."""
+    values = env.sample() * (1.0 + rng.normal(0.0, 0.005, len(SENSOR_FIELDS)))
+    tags = set()
+    for fault in faults:
+        if fault.target != entity_id or fault.kind not in (READ, ANOM) or not fault.active(t_ms):
+            continue
+        i = SENSOR_FIELDS.index(fault.affected_sensor)
+        if fault.kind is READ:
+            values[i] = np.nan
+            tags.add(f"read_failure:{fault.affected_sensor}")
+        else:
+            values[i] *= fault.anomaly_multiplier
+            tags.add(f"anomaly:{fault.affected_sensor}")
+    return values, frozenset(tags)
+
+
+SECONDARY_FAULTS = [
+    replace(sensor_fault(ANOM, "co2_ppm", 90, 330, 0.7), target="n1.secondary"),
+    replace(sensor_fault(READ, "pressure_hpa", 200, 260), target="n1.secondary"),
+]
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    faults=st.sampled_from([(), tuple(MIXED_FAULTS + SECONDARY_FAULTS)]),
+    # 100 readings per board cross three refills of its 32-row noise block;
+    # the shared walk, which also steps for direct samples, crosses seven.
+    order=st.permutations(["primary"] * 100 + ["secondary"] * 100 + ["env"] * 40),
+)
+def test_block_draws_match_one_draw_per_reading(seed, faults, order):
+    sim, _, primary, secondary = build_node(faults=faults, seed=seed)
+    env = PerCallEnvironment(stream_rng(seed, "n1-environment"))
+    sense_rngs = {b.entity_id: stream_rng(seed, f"{b.entity_id}-sensor") for b in (primary, secondary)}
+    boards = {"primary": primary, "secondary": secondary}
+    got, want = [], []
+    for k, reader in enumerate(order):
+        sim.run_until(ms_to_us(2_500 * k))
+        if reader == "env":
+            # Kept, not copied: a later refill must not write into it.
+            got.append((primary.env.sample(), frozenset()))
+            want.append((env.sample(), frozenset()))
+            continue
+        board = boards[reader]
+        reading = board.sense()
+        got.append((reading.values, reading.fault_tags))
+        want.append(per_call_sense(env, sense_rngs[board.entity_id], faults, board.entity_id, 2_500 * k))
+    assert [(v.tobytes(), tags) for v, tags in got] == [(v.tobytes(), tags) for v, tags in want]

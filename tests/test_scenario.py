@@ -19,6 +19,7 @@ from redwsn.scenario import (
     resolve_scenario,
     run_scenario,
 )
+from redwsn.simulation import Simulation
 
 SHORT = dict(duration_ms=300_000)
 
@@ -252,6 +253,8 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"lora": {"spreading_factor": 5}}, "lora: "),
         # Every frame was clamped below the sensitivity: PRR 0, no receptions.
         ({"preset": "HF", "channel": {"agc_ceiling_dbm": -130}}, "channel: .*agc_ceiling_dbm"),
+        # The same through one gateway's extra loss, applied after the clamp.
+        ({"preset": "HF", "gateways": [{"id": "gw-home", "extra_loss_db": 40}]}, r"gateways\[0\]\.extra_loss_db"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -346,6 +349,20 @@ def test_run_scenario_one_report_per_seed():
     assert report.seeds == [1, 2]
     assert [it.seed for it in report.iterations] == [1, 2]
     assert report.mean("prr_redundant") == pytest.approx(1.0)
+
+
+def test_negative_seed_fails_before_any_seed_runs(monkeypatch):
+    runs = []
+
+    class CountingSimulation(Simulation):
+        def run(self):
+            runs.append(self.seed)
+            return super().run()
+
+    monkeypatch.setattr("redwsn.scenario.Simulation", CountingSimulation)
+    with pytest.raises(ConfigError, match="seeds must not be negative"):
+        run_scenario(short_cfg(), [1, -2])
+    assert runs == []
 
 
 def test_control_clean_is_perfect():
