@@ -52,6 +52,9 @@ class FaultSpec:
     anomaly_multiplier: float = 1.5
 
     def __post_init__(self):
+        # Whole milliseconds, so window_us agrees with active() everywhere.
+        if not (isinstance(self.start_ms, int) and isinstance(self.end_ms, int)):
+            raise ValueError("fault start_ms and end_ms must be integers")
         if not 0 <= self.start_ms < self.end_ms:
             raise ValueError("fault window must have 0 <= start_ms < end_ms")
         if self.kind in _SENSOR_FAULTS:
@@ -61,6 +64,13 @@ class FaultSpec:
     def active(self, t_ms: float) -> bool:
         return self.start_ms <= t_ms < self.end_ms
 
+    @property
+    def window_us(self) -> tuple[int, int]:
+        """[start, end) in microseconds.  The bounds are whole
+        milliseconds, so ``start <= now_us < end`` agrees with
+        ``active(now_us / 1000)`` at every instant."""
+        return ms_to_us(self.start_ms), ms_to_us(self.end_ms)
+
 
 # Per-field columns of SENSOR_TABLE, in SENSOR_FIELDS order.
 _NOMINAL_VALUES = np.array([nominal for nominal, _, _, _ in SENSOR_TABLE.values()])
@@ -69,7 +79,7 @@ _EMERGENCY_BOUNDS = [(lo, hi) for _, _, lo, hi in SENSOR_TABLE.values()]
 _WALK_BAND = 0.05  # walk stays within +-5 % of nominal
 _WALK_LO, _WALK_HI = _NOMINAL_VALUES * (1 - _WALK_BAND), _NOMINAL_VALUES * (1 + _WALK_BAND)
 _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
-_SENSING_POLL_MS = 5_000  # primary's threshold check between data slots
+_SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slots
 # Readings drawn ahead per refill of a walk or noise stream.  Each stream has
 # one owner, so drawing ahead moves no other consumer's values.
 _BLOCK_ROWS = 32
@@ -152,10 +162,13 @@ class _RadioBoard:
         self.rx_extra_loss_db = 0.0
         self.env = env
         self.faults = [f for f in faults if f.target == self.entity_id]
+        self._outages_us = [f.window_us for f in self.faults if f.kind is FaultKind.HARD_FAILURE]
         # Only sensor faults name a field; any other kind may carry anything
         # in affected_sensor.
         self._sensor_faults = [
-            (SENSOR_FIELDS.index(f.affected_sensor), f) for f in self.faults if f.kind in _SENSOR_FAULTS
+            (SENSOR_FIELDS.index(f.affected_sensor), *f.window_us, f)
+            for f in self.faults
+            if f.kind in _SENSOR_FAULTS
         ]
         self.tx_power_dbm = node.tx_power_dbm
         self._noise = _noise_factors(sim.rng(f"{self.entity_id}-sensor"))
@@ -163,8 +176,11 @@ class _RadioBoard:
         channel.add_receiver(self)
 
     def is_powered(self) -> bool:
-        t = self.sim.now_us / 1000
-        return not any(f.kind is FaultKind.HARD_FAILURE and f.active(t) for f in self.faults)
+        now = self.sim.now_us
+        for start, end in self._outages_us:
+            if start <= now < end:
+                return False
+        return True
 
     def sense(self) -> SensorReading:
         """Fresh reading; callers check power first.
@@ -174,10 +190,12 @@ class _RadioBoard:
         reading.
         """
         values = self.env.sample() * next(self._noise)
-        t_ms = self.sim.now_us / 1000
+        if not self._sensor_faults:
+            return SensorReading(values)
+        now = self.sim.now_us
         tags = set()
-        for i, fault in self._sensor_faults:
-            if not fault.active(t_ms):
+        for i, start, end, fault in self._sensor_faults:
+            if not start <= now < end:
                 continue
             if fault.kind is FaultKind.SENSOR_READ_FAILURE:
                 values[i] = np.nan
@@ -247,17 +265,16 @@ class PrimaryBoard(_RadioBoard):
             transmit=self.transmit,
             on_slot=self.expected_slots_us.append,
         )
-        for fault in self.faults:
-            if fault.kind is FaultKind.HARD_FAILURE:
-                # Power loss wipes the MAC queue and any pending ack timer.
-                sim.schedule_at(ms_to_us(fault.start_ms), self.mac.power_cycle)
+        for start_us, _ in self._outages_us:
+            # Power loss wipes the MAC queue and any pending ack timer.
+            sim.schedule_at(start_us, self.mac.power_cycle)
 
     def start(self) -> None:
         self.mac.start()
-        self.sim.schedule_in(ms_to_us(_SENSING_POLL_MS), self._sensing_poll)
+        self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
 
     def _sensing_poll(self) -> None:
-        self.sim.schedule_in(ms_to_us(_SENSING_POLL_MS), self._sensing_poll)
+        self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
         if not self.is_powered():
             self._in_emergency = False
             return
@@ -310,6 +327,9 @@ class SecondaryBoard(_RadioBoard):
         # resolves a frame at its own transmitter.
         self.hears = ((PacketKind.DATA, node.id),)
         self.cfg = cfg
+        self._interval_us = ms_to_us(cfg.sensing_interval_ms)
+        self._sense_duration_us = ms_to_us(cfg.sense_duration_ms)
+        self._heartbeat_us = ms_to_us(cfg.heartbeat_period_ms)
         self._watchdog = None
         self._last_responded_seq = 0
         # Substitutions run at the board's own sensing cadence: at most one
@@ -317,8 +337,8 @@ class SecondaryBoard(_RadioBoard):
         self._next_substitute_us = 0
 
     def start(self) -> None:
-        self._arm_watchdog(self.sim.now_us + ms_to_us(self.cfg.sensing_interval_ms))
-        self.sim.schedule_in(ms_to_us(self.cfg.heartbeat_period_ms), self._heartbeat)
+        self._arm_watchdog(self.sim.now_us + self._interval_us)
+        self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
 
     def _arm_watchdog(self, deadline_us: int) -> None:
         if self._watchdog is not None:
@@ -331,7 +351,7 @@ class SecondaryBoard(_RadioBoard):
         # Any overheard primary data packet proves the primary is alive, so
         # the watchdog resets even when the payload turns out to be faulty
         # (the corrective path handles the payload).
-        self._arm_watchdog(now_us + ms_to_us(self.cfg.sensing_interval_ms))
+        self._arm_watchdog(now_us + self._interval_us)
         if packet.seq <= self._last_responded_seq:
             return  # retransmission of a packet already considered
         if self._is_faulty(packet):
@@ -347,15 +367,15 @@ class SecondaryBoard(_RadioBoard):
     def _substitute_allowed(self) -> bool:
         if self.sim.now_us < self._next_substitute_us:
             return False
-        self._next_substitute_us = self.sim.now_us + ms_to_us(self.cfg.sensing_interval_ms)
+        self._next_substitute_us = self.sim.now_us + self._interval_us
         return True
 
     def _watchdog_expired(self) -> None:
-        deadline = self.sim.now_us + ms_to_us(self.cfg.sensing_interval_ms)
+        deadline = self.sim.now_us + self._interval_us
         if self.is_powered() and self._substitute_allowed():
             self._schedule_send(corrective=False)
             # The next silence countdown starts once this substitute is out.
-            deadline += ms_to_us(self.cfg.sense_duration_ms)
+            deadline += self._sense_duration_us
         self._arm_watchdog(deadline)
 
     def _schedule_send(self, corrective: bool) -> None:
@@ -367,10 +387,10 @@ class SecondaryBoard(_RadioBoard):
             if packet is not None:
                 self.transmit(packet)
 
-        self.sim.schedule_in(ms_to_us(self.cfg.sense_duration_ms), fire)
+        self.sim.schedule_in(self._sense_duration_us, fire)
 
     def _heartbeat(self) -> None:
-        self.sim.schedule_in(ms_to_us(self.cfg.heartbeat_period_ms), self._heartbeat)
+        self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
         if not self.is_powered():
             return
         packet = Packet(

@@ -247,20 +247,23 @@ class Channel:
         jitter_us = ms_to_us(noise.jitter_ms)
         airtime_us = self.airtime_us(noise.payload_bytes)
         starts = array("q")
-        # Jitters drawn per block hold the same values as one scalar draw per burst.
-        jitters: list[int] = []
-        j = 0
+        # A block's starts are the cumulative sum of its steps.  Jitters drawn
+        # per block hold the same values as one scalar draw per burst, and a
+        # block is drawn only while a start within the run needs its step.
         t = period_us
         while t <= duration_us:
-            starts.append(t)
-            step = period_us
             if jitter_us > 0:
-                if j == len(jitters):
-                    jitters = rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK).tolist()
-                    j = 0
-                step += jitters[j]
-                j += 1
-            t = max(t + step, t + airtime_us + 1)
+                steps = period_us + rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK)
+            else:
+                steps = np.full(_DRAW_BLOCK, period_us, dtype=np.int64)
+            steps = np.maximum(steps, airtime_us + 1)
+            ends = np.cumsum(steps, dtype=np.int64) + t
+            block = ends - steps
+            kept = int(np.searchsorted(block, duration_us, side="right"))
+            starts.frombytes(block[:kept].tobytes())
+            if kept < _DRAW_BLOCK:
+                break
+            t = int(ends[-1])
         self._train = _NoiseTrain(
             Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes),
             self._link_means(noise.position, noise.tx_power_dbm),

@@ -100,12 +100,14 @@ class Gateway:
         self.rx_extra_loss_db = cfg.extra_loss_db
         # Noise is interference only; acks are for boards.
         self.hears = ((PacketKind.DATA, None), (PacketKind.HEARTBEAT, None))
-        self.faults = [f for f in faults if f.target == cfg.id]
+        self._outages_us = [f.window_us for f in faults if f.target == cfg.id]
         channel.add_receiver(self)
 
     def failed(self, now_us: int) -> bool:
-        t_ms = now_us / 1000
-        return any(f.active(t_ms) for f in self.faults)
+        for start, end in self._outages_us:
+            if start <= now_us < end:
+                return True
+        return False
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if self.failed(now_us):

@@ -118,6 +118,8 @@ class SarbMac:
         self._transmit = transmit
         self._on_slot = on_slot
         self.queue = RetxQueue(cfg.queue_capacity)
+        self._retx_interval_us = ms_to_us(cfg.retx_interval_ms)
+        self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
         self._pending: Optional[tuple[Packet, object]] = None  # (packet, timeout handle)
 
     # -- lifecycle ---------------------------------------------------------
@@ -147,7 +149,7 @@ class SarbMac:
         self._on_slot(now)
         if self.cfg.enabled:
             for k in range(1, self.cfg.retx_slots_per_cycle + 1):
-                self.sim.schedule_at(now + k * ms_to_us(self.cfg.retx_interval_ms), self._retx_slot)
+                self.sim.schedule_at(now + k * self._retx_interval_us, self._retx_slot)
         self.sim.schedule_at(self._draw_offset_us(), self._data_slot)
         packet = self._build_packet(False)
         if packet is not None:
@@ -175,7 +177,7 @@ class SarbMac:
             # unconfirmed immediately rather than tracking two timers.
             self.queue.push(packet)
             return
-        deadline = end_us + ms_to_us(self.cfg.ack_timeout_ms)
+        deadline = end_us + self._ack_timeout_us
         handle = self.sim.schedule_at(deadline, lambda: self._ack_timeout(packet))
         self._pending = (packet, handle)
 

@@ -290,6 +290,9 @@ def resolve_scenario(name_or_path: str) -> ScenarioConfig:
 def run_scenario(cfg: ScenarioConfig, seeds: list[int]) -> MetricsReport:
     """One independent simulation per seed, aggregated into a report."""
     seeds = list(seeds)
+    if not seeds:
+        # A report over no seed has NaN means, which JSON cannot hold.
+        raise ConfigError("at least one seed is required")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"seeds must not be negative: {seeds}")
     iterations: list[IterationMetrics] = [Simulation(cfg, seed).run() for seed in seeds]

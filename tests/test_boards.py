@@ -72,6 +72,9 @@ def test_fault_spec_validation():
         FaultSpec(kind=FaultKind.HARD_FAILURE, target="n1.primary", start_ms=5, end_ms=5)
     with pytest.raises(ValueError):
         FaultSpec(kind=FaultKind.SENSOR_READ_FAILURE, target="n1.primary", affected_sensor="nope")
+    # A fractional millisecond would round into a window that disagrees with active().
+    with pytest.raises(ValueError, match="integers"):
+        FaultSpec(kind=FaultKind.HARD_FAILURE, target="n1.primary", start_ms=100.0004, end_ms=200)
 
 
 def test_threshold_check_ignores_missing_fields():
@@ -301,6 +304,35 @@ def test_anomaly_fault_detected_by_secondary_comparison():
     # The 1.5x offset exceeds the 25 % comparison threshold.
     correctives = [p for p, _, _ in gw.heard if p.kind is PacketKind.DATA and p.corrective]
     assert correctives
+
+
+def test_fault_windows_in_microseconds_agree_with_fault_active():
+    down = FaultSpec(FaultKind.HARD_FAILURE, "n1.primary", 100_000, 200_000)
+    down_again = FaultSpec(FaultKind.HARD_FAILURE, "n1.primary", 200_000, 300_000)
+    unread = FaultSpec(
+        FaultKind.SENSOR_READ_FAILURE, "n1.secondary", 100_000, 200_000, affected_sensor="co2_ppm"
+    )
+    skewed = FaultSpec(FaultKind.SENSOR_ANOMALY, "n1.secondary", 200_000, 300_000, affected_sensor="o2_percent")
+    faults = (down, down_again, unread, skewed)
+    sim, _, primary, secondary = build_node(faults=faults, seed=5)
+    # The same streams with no fault: its readings are the faulty ones' values.
+    clean_sim, _, _, clean = build_node(seed=5)
+    co2, o2 = SENSOR_FIELDS.index("co2_ppm"), SENSOR_FIELDS.index("o2_percent")
+    # Each window's first and last microsecond, and the one either side.
+    edges_us = {ms_to_us(edge) for f in faults for edge in (f.start_ms, f.end_ms)}
+    for now_us in sorted(t for edge in edges_us for t in (edge - 1, edge)):
+        sim.now_us = clean_sim.now_us = now_us
+        t_ms = now_us / 1000
+        assert primary.is_powered() is not (down.active(t_ms) or down_again.active(t_ms))
+        reading, truth = secondary.sense(), clean.sense().values
+        assert math.isnan(reading.values[co2]) is unread.active(t_ms)
+        o2_factor = skewed.anomaly_multiplier if skewed.active(t_ms) else 1.0
+        assert reading.values[o2] == truth[o2] * o2_factor
+        others = [i for i in range(len(SENSOR_FIELDS)) if i not in (co2, o2)]
+        assert reading.values[others].tobytes() == truth[others].tobytes()
+        expected_tags = {"read_failure:co2_ppm"} if unread.active(t_ms) else set()
+        expected_tags |= {"anomaly:o2_percent"} if skewed.active(t_ms) else set()
+        assert reading.fault_tags == expected_tags
 
 
 def test_correctives_rate_limited_to_sensing_interval():

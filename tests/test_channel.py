@@ -256,6 +256,62 @@ def test_noise_train_starts_match_one_scalar_draw_per_burst():
     assert list(channel._train.starts_us) == expected
 
 
+# Burst indices on either side of the first two block refills.
+BLOCK_EDGES = [0, 1, 1022, 1023, 1024, 1025, 2047, 2048, 2049]
+
+
+@st.composite
+def noise_horizons(draw):
+    """A noise source and a run length: below one period, exactly on a start
+    (block edges included), or one microsecond either side of a start."""
+    period_ms = draw(st.integers(1, 600))
+    # Zero jitter, or up to twice the period, where airtime + 1 binds.
+    jitter_ms = draw(
+        st.one_of(st.just(0), st.sampled_from([period_ms, 2 * period_ms]), st.integers(0, 2 * period_ms))
+    )
+    # 0 and 10 bytes stay under most periods; 200 bytes are 318 ms on air.
+    payload_bytes = draw(st.sampled_from([0, 10, 200]))
+    noise = NoiseConfig(period_ms=period_ms, payload_bytes=payload_bytes, jitter_ms=jitter_ms)
+    seed = draw(st.integers(0, 2**16))
+    mode = draw(st.sampled_from(["below", "on", "before", "after"]))
+    k = draw(st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(0, BLOCK_EDGES[-1])))
+    return noise, seed, mode, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(noise_horizons())
+def test_noise_train_matches_scalar_draws_at_its_edges(case):
+    noise, seed, mode, k = case
+    airtime_us = time_on_air_us(noise.payload_bytes)
+    period_us, jitter_us = ms_to_us(noise.period_ms), ms_to_us(noise.jitter_ms)
+    # Long enough for more than BLOCK_EDGES[-1] + 1 starts: no step exceeds
+    # period + jitter or airtime + 1.
+    horizon_us = (BLOCK_EDGES[-1] + 2) * (period_us + jitter_us + airtime_us + 1)
+    reference_rng = Simulator(master_seed=seed).rng("noise-schedule")
+    reference = scalar_burst_starts(noise, airtime_us, horizon_us, reference_rng)
+    assert len(reference) > BLOCK_EDGES[-1] + 1
+    duration_us = {
+        "below": period_us - 1,
+        "on": reference[k],
+        "before": reference[k] - 1,
+        "after": reference[k] + 1,
+    }[mode]
+    # The starts up to a horizon do not depend on how far the horizon lies.
+    expected = [t for t in reference if t <= duration_us]
+
+    sim = Simulator(master_seed=seed)
+    channel = Channel(sim)
+    rng = sim.rng("noise-schedule")
+    assert channel.add_noise(noise, duration_us, rng) == len(expected)
+    assert list(channel._train.starts_us) == expected
+    # One block of jitters per 1024 kept starts, none without jitter.
+    blocks = -(-len(expected) // 1024) if jitter_us > 0 else 0
+    block_rng = Simulator(master_seed=seed).rng("noise-schedule")
+    for _ in range(blocks):
+        block_rng.integers(-jitter_us, jitter_us + 1, size=1024)
+    assert rng.bit_generator.state == block_rng.bit_generator.state
+
+
 def test_noise_jitter_keeps_mean_period():
     sim = Simulator(master_seed=2)
     channel = Channel(sim, params=quiet_params())

@@ -92,6 +92,17 @@ def test_failed_gateway_drops_everything():
     assert not gw.failed(1_500_000)  # the other gateway's fault is not ours
 
 
+def test_gateway_fault_windows_in_microseconds_agree_with_fault_active():
+    faults = (
+        FaultSpec(kind=FaultKind.GATEWAY_FAILURE, target="gw", start_ms=1_000, end_ms=2_000),
+        FaultSpec(kind=FaultKind.GATEWAY_FAILURE, target="gw", start_ms=2_000, end_ms=2_500),
+    )
+    _, _, _, gw = make_gateway(faults=faults)
+    edges_ms = {edge for f in faults for edge in (f.start_ms, f.end_ms)}
+    for now_us in sorted(t for edge in edges_ms for t in (ms_to_us(edge) - 1, ms_to_us(edge))):
+        assert gw.failed(now_us) is any(f.active(now_us / 1000) for f in faults)
+
+
 # -- server dedup ----------------------------------------------------------------
 
 

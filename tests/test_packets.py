@@ -1,4 +1,8 @@
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redwsn.packets import SENSOR_FIELDS, SensorReading, detect_anomaly
 
@@ -52,3 +56,45 @@ def test_anomaly_near_zero_reference_uses_epsilon():
     primary = full_reading(100.0, co_ppm=1.0)
     secondary = full_reading(100.0, co_ppm=0.0)
     assert detect_anomaly(primary, secondary) is True
+
+
+def numpy_detect_anomaly(primary, secondary, rel_threshold=0.25, eps=1e-9):
+    """The anomaly rule as one numpy expression over the twelve fields."""
+    p, s = primary.values, secondary.values
+    return bool((np.abs(p - s) / np.maximum(np.abs(s), eps) > rel_threshold).any())
+
+
+FIELD_VALUES = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, 1e-12, 4.0, -4.0, 100.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+# (primary, secondary) pairs on the edges of the rule: exactly on a 0.25
+# threshold, a zero or tiny reference (the eps branch) and NaN on either side.
+EDGE_PAIRS = st.sampled_from(
+    [
+        (5.0, 4.0),
+        (3.0, 4.0),
+        (-5.0, -4.0),
+        (-3.0, -4.0),
+        (125.0, 100.0),
+        (75.0, 100.0),
+        (0.0, 0.0),
+        (2.5e-10, 0.0),
+        (-2.5e-10, -0.0),
+        (math.nan, 4.0),
+        (4.0, math.nan),
+        (math.nan, math.nan),
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.one_of(st.tuples(FIELD_VALUES, FIELD_VALUES), EDGE_PAIRS), min_size=12, max_size=12),
+    rel_threshold=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 2.0)),
+)
+def test_anomaly_loop_matches_the_numpy_rule(pairs, rel_threshold):
+    primary = SensorReading(values=np.array([p for p, _ in pairs]))
+    secondary = SensorReading(values=np.array([s for _, s in pairs]))
+    expected = numpy_detect_anomaly(primary, secondary, rel_threshold)
+    assert detect_anomaly(primary, secondary, rel_threshold) is expected

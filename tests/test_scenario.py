@@ -365,6 +365,12 @@ def test_negative_seed_fails_before_any_seed_runs(monkeypatch):
     assert runs == []
 
 
+def test_empty_seed_list_is_refused():
+    # A report over no seed would hold NaN means, which JSON cannot carry.
+    with pytest.raises(ConfigError, match="at least one seed"):
+        run_scenario(short_cfg(), [])
+
+
 def test_control_clean_is_perfect():
     report = run_scenario(short_cfg(), seeds=[3])
     it = report.iterations[0]
