@@ -26,12 +26,12 @@ previous = 0.0
 for e in sim.server.deduplicated():
     if e.kind != "data":
         continue
-    gap = (e.time_ms - previous) / 1000
-    previous = e.time_ms
-    in_fault = fault.start_ms <= e.time_ms < fault.end_ms
+    time_ms = e.time_us / 1000
+    gap = (time_ms - previous) / 1000
+    previous = time_ms
     marker = "  <- secondary substituting" if e.board_role == "secondary" else ""
-    if abs(e.time_ms - fault.start_ms) < 90_000 or abs(e.time_ms - fault.end_ms) < 90_000:
-        print(f"  {e.time_ms / 60000:6.2f} min  {e.board_role:>9}  seq {e.seq:>3}  "
+    if abs(time_ms - fault.start_ms) < 90_000 or abs(time_ms - fault.end_ms) < 90_000:
+        print(f"  {time_ms / 60000:6.2f} min  {e.board_role:>9}  seq {e.seq:>3}  "
               f"gap {gap:5.1f} s{marker}")
 
 print(f"\nPRR with redundancy:  {metrics.prr_redundant:.3f}")

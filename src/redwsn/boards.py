@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import Channel, Position
 from .engine import Simulator, ms_to_us
+from .lora import MAX_PAYLOAD_BYTES
 from .mac import SarbConfig, SarbMac
 from .packets import (
     DATA_BYTES,
@@ -52,7 +53,7 @@ class FaultSpec:
     anomaly_multiplier: float = 1.5
 
     def __post_init__(self):
-        # Whole milliseconds, so window_us agrees with active() everywhere.
+        # Whole milliseconds: window_us would round away a fractional one.
         if not (isinstance(self.start_ms, int) and isinstance(self.end_ms, int)):
             raise ValueError("fault start_ms and end_ms must be integers")
         if not 0 <= self.start_ms < self.end_ms:
@@ -61,14 +62,10 @@ class FaultSpec:
             if self.affected_sensor not in SENSOR_FIELDS:
                 raise ValueError(f"unknown sensor field: {self.affected_sensor!r}")
 
-    def active(self, t_ms: float) -> bool:
-        return self.start_ms <= t_ms < self.end_ms
-
     @property
     def window_us(self) -> tuple[int, int]:
-        """[start, end) in microseconds.  The bounds are whole
-        milliseconds, so ``start <= now_us < end`` agrees with
-        ``active(now_us / 1000)`` at every instant."""
+        """[start, end) in microseconds: the fault is active at the
+        instants with ``start <= now_us < end``."""
         return ms_to_us(self.start_ms), ms_to_us(self.end_ms)
 
 
@@ -161,13 +158,14 @@ class _RadioBoard:
         self.position = node.position if role is BoardRole.PRIMARY else node.secondary_position
         self.rx_extra_loss_db = 0.0
         self.env = env
-        self.faults = [f for f in faults if f.target == self.entity_id]
-        self._outages_us = [f.window_us for f in self.faults if f.kind is FaultKind.HARD_FAILURE]
+        own = [f for f in faults if f.target == self.entity_id]
+        self.fault_windows_us = [f.window_us for f in own]
+        self._outages_us = [f.window_us for f in own if f.kind is FaultKind.HARD_FAILURE]
         # Only sensor faults name a field; any other kind may carry anything
         # in affected_sensor.
         self._sensor_faults = [
             (SENSOR_FIELDS.index(f.affected_sensor), *f.window_us, f)
-            for f in self.faults
+            for f in own
             if f.kind in _SENSOR_FAULTS
         ]
         self.tx_power_dbm = node.tx_power_dbm
@@ -304,6 +302,8 @@ class SecondaryConfig:
             raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive")
         if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
             raise ValueError("secondary sense_duration_ms and heartbeat_bytes must not be negative")
+        if self.heartbeat_bytes > MAX_PAYLOAD_BYTES:
+            raise ValueError(f"secondary heartbeat_bytes must not exceed the LoRa maximum, {MAX_PAYLOAD_BYTES}")
         if self.sense_duration_ms >= self.sensing_interval_ms:
             raise ValueError("secondary sense_duration_ms must be less than sensing_interval_ms")
 

@@ -24,7 +24,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .engine import Simulator, ms_to_us
-from .lora import LoraParams, time_on_air_us
+from .lora import MAX_PAYLOAD_BYTES, LoraParams, time_on_air_us
 from .packets import Packet, PacketKind
 
 
@@ -149,6 +149,8 @@ class NoiseConfig:
             raise ValueError("noise period_ms must be positive")
         if self.payload_bytes < 0 or self.jitter_ms < 0:
             raise ValueError("noise payload_bytes and jitter_ms must not be negative")
+        if self.payload_bytes > MAX_PAYLOAD_BYTES:
+            raise ValueError(f"noise payload_bytes must not exceed the LoRa maximum, {MAX_PAYLOAD_BYTES}")
 
 
 @dataclass

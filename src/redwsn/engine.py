@@ -40,23 +40,6 @@ def stream_rng(master_seed: int, stream_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=words))
 
 
-def draw_uniform_grid(rng: np.random.Generator, lo_ms: int, hi_ms: int, step_ms: int) -> int:
-    """Draw uniformly from the grid {lo, lo+step, ..., hi} (milliseconds).
-
-    The range must be divisible by the step; each of the (hi-lo)/step + 1
-    grid points is equally likely.
-    """
-    if step_ms <= 0:
-        raise ValueError("step must be positive")
-    if hi_ms < lo_ms:
-        raise ValueError("empty range: hi < lo")
-    span = hi_ms - lo_ms
-    if span % step_ms != 0:
-        raise ValueError(f"range {lo_ms}..{hi_ms} not divisible by step {step_ms}")
-    k = int(rng.integers(0, span // step_ms + 1))
-    return lo_ms + k * step_ms
-
-
 class EventHandle:
     """Cancellable reference to a scheduled event (tombstone flag)."""
 

@@ -24,10 +24,6 @@ class ServerEntry:
     rssi_dbm: float
     valid: bool
 
-    @property
-    def time_ms(self) -> float:
-        return self.time_us / 1000
-
 
 class Server:
     """Loss-free backhaul endpoint: collects gateway forwards and keeps the
@@ -74,6 +70,11 @@ class GatewayConfig:
     acks_enabled: bool = True
     extra_loss_db: float = 0.0
     tx_power_dbm: float = 14.0
+
+    def __post_init__(self):
+        # A gain would lift frames above the AGC ceiling that clamps them.
+        if self.extra_loss_db < 0:
+            raise ValueError("extra_loss_db must not be negative")
 
 
 class Gateway:

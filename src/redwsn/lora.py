@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 from .engine import ms_to_us
 
+# The SX127x's largest payload: its length field is one byte.
+MAX_PAYLOAD_BYTES = 255
+
 
 @dataclass(frozen=True)
 class LoraParams:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import Simulator, draw_uniform_grid, ms_to_us
+from .engine import Simulator, ms_to_us
 from .packets import Packet
 
 
@@ -118,6 +118,11 @@ class SarbMac:
         self._transmit = transmit
         self._on_slot = on_slot
         self.queue = RetxQueue(cfg.queue_capacity)
+        # Data slots fall on the grid slot_min + k * slot_step, k in 0..steps.
+        self._slot_min_us = ms_to_us(cfg.slot_min_ms)
+        self._slot_step_us = ms_to_us(cfg.slot_step_ms)
+        self._slot_steps = (cfg.slot_max_ms - cfg.slot_min_ms) // cfg.slot_step_ms
+        self._fixed_interval_us = ms_to_us(cfg.fixed_interval_ms)
         self._retx_interval_us = ms_to_us(cfg.retx_interval_ms)
         self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
         self._pending: Optional[tuple[Packet, object]] = None  # (packet, timeout handle)
@@ -136,11 +141,9 @@ class SarbMac:
 
     def _draw_offset_us(self) -> int:
         if not self.cfg.enabled:
-            return self.sim.now_us + ms_to_us(self.cfg.fixed_interval_ms)
-        offset_ms = draw_uniform_grid(
-            self.rng, self.cfg.slot_min_ms, self.cfg.slot_max_ms, self.cfg.slot_step_ms
-        )
-        return self.sim.now_us + ms_to_us(offset_ms)
+            return self.sim.now_us + self._fixed_interval_us
+        k = int(self.rng.integers(0, self._slot_steps + 1))
+        return self.sim.now_us + self._slot_min_us + k * self._slot_step_us
 
     # -- slots --------------------------------------------------------------
 

@@ -4,9 +4,11 @@ A *monitoring epoch* is an expected primary data slot.  An epoch counts as
 covered when a valid data packet from the node (either board) reaches the
 server within the maximum monitoring delay of the slot time (ServerEntry
 states the validity rule).  Using expected slots as the common denominator
-lets the with- and without-redundancy ratios share one base.  Arrival times
-are compared in integer microseconds, so an arrival exactly one bound after
-a slot or after the previous arrival is exactly on the bound.
+lets the with- and without-redundancy ratios share one base.  Slots, arrival
+times, bounds and the run's duration are all integer microseconds, the
+simulation clock's unit, so an arrival exactly one bound after a slot or
+after the previous arrival is exactly on the bound.  A bound of ``inf``
+means no bound.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import US_PER_MS, ms_to_us
 from .gateway import ServerEntry
 
 
@@ -32,17 +33,16 @@ def _arrivals(entries: list[ServerEntry], roles: tuple[str, ...]) -> dict[str, l
     return times
 
 
-def _covered(times_us: list[int], slot_ms: float, bound_ms: float) -> bool:
+def _covered(times_us: list[int], slot_us: int, bound_us: float) -> bool:
     """True iff some arrival falls in [slot, slot + bound)."""
-    slot_us = ms_to_us(slot_ms)
     i = bisect_left(times_us, slot_us)
-    return i < len(times_us) and times_us[i] < slot_us + bound_ms * US_PER_MS
+    return i < len(times_us) and times_us[i] < slot_us + bound_us
 
 
 def compute_prr(
     entries: list[ServerEntry],
-    slots_by_node: dict[str, list[float]],
-    bound_ms: float = 40_000.0,
+    slots_by_node: dict[str, list[int]],
+    bound_us: float = 40_000_000,
     roles: tuple[str, ...] = ("primary", "secondary"),
 ) -> float:
     """Fraction of monitoring epochs covered by a valid data reception."""
@@ -51,7 +51,7 @@ def compute_prr(
         raise ValueError("expected schedule is empty")
     arrivals = _arrivals(entries, roles)
     covered = sum(
-        _covered(arrivals.get(node, []), slot, bound_ms)
+        _covered(arrivals.get(node, []), slot, bound_us)
         for node, slots in slots_by_node.items()
         for slot in slots
     )
@@ -60,8 +60,8 @@ def compute_prr(
 
 def compute_detection_rate(
     entries: list[ServerEntry],
-    fault_slots: dict[str, list[float]],
-    bound_ms: float = 40_000.0,
+    fault_slots: dict[str, list[int]],
+    bound_us: float = 40_000_000,
 ) -> Optional[float]:
     """Secondary responsiveness on faulty/missed primary epochs.
 
@@ -78,10 +78,10 @@ def compute_detection_rate(
     detected = 0
     for node, slots in fault_slots.items():
         for slot in slots:
-            if _covered(primary.get(node, []), slot, bound_ms):
+            if _covered(primary.get(node, []), slot, bound_us):
                 continue
             missed += 1
-            if _covered(secondary.get(node, []), slot, bound_ms):
+            if _covered(secondary.get(node, []), slot, bound_us):
                 detected += 1
     if missed == 0:
         return None
@@ -91,18 +91,17 @@ def compute_detection_rate(
 def delay_violations(
     entries: list[ServerEntry],
     node_ids: list[str],
-    duration_ms: float,
-    bound_ms: float = 40_000.0,
+    duration_us: int,
+    bound_us: float = 40_000_000,
 ) -> int:
     """Count of per-node gaps between consecutive valid data receptions that
     exceed the maximum monitoring delay (run boundaries included)."""
-    if bound_ms <= 0:
+    if bound_us <= 0:
         raise ValueError("bound must be positive")
     arrivals = _arrivals(entries, ("primary", "secondary"))
-    bound_us = bound_ms * US_PER_MS
     violations = 0
     for node in node_ids:
-        checkpoints = [0, *arrivals.get(node, []), ms_to_us(duration_ms)]
+        checkpoints = [0, *arrivals.get(node, []), duration_us]
         violations += sum(
             1 for a, b in zip(checkpoints, checkpoints[1:]) if b - a > bound_us
         )

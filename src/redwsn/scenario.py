@@ -194,8 +194,9 @@ def _parse_flat(text: str) -> dict:
 
 def _config_from_tree(tree: dict) -> ScenarioConfig:
     tree = dict(tree)
-    preset = tree.pop("preset", None)
-    base = build_preset(str(preset)) if preset else ScenarioConfig()
+    # A preset key, when present, must name a preset: an empty or non-string
+    # value is refused, not read as the default scenario.
+    base = build_preset(tree.pop("preset")) if "preset" in tree else ScenarioConfig()
     return _build(ScenarioConfig, tree, "", base)
 
 

@@ -53,7 +53,7 @@ class Simulation:
             self.channel.add_noise(cfg.noise, duration_us, self.sim.rng("noise-schedule"))
         self.sim.run_until(duration_us)
         try:
-            return self._metrics()
+            return self._metrics(duration_us)
         finally:
             self._release()
 
@@ -69,31 +69,26 @@ class Simulation:
 
     # -- metrics -------------------------------------------------------------
 
-    def _metrics(self) -> IterationMetrics:
-        cfg = self.cfg
+    def _metrics(self, duration_us: int) -> IterationMetrics:
         entries = self.server.deduplicated()
-        bound = cfg.max_monitoring_delay_ms
+        bound_us = ms_to_us(self.cfg.max_monitoring_delay_ms)
         # Only epochs whose whole monitoring window fits inside the run are
         # scored; a window truncated by the horizon cannot be evaluated.
         slots_by_node = {
-            node_id: [
-                t / 1000
-                for t in primary.expected_slots_us
-                if t / 1000 + bound <= cfg.duration_ms
-            ]
+            node_id: [t for t in primary.expected_slots_us if t + bound_us <= duration_us]
             for node_id, primary in self.primaries.items()
         }
-        prr = compute_prr(entries, slots_by_node, bound)
-        prr_primary = compute_prr(entries, slots_by_node, bound, roles=("primary",))
+        prr = compute_prr(entries, slots_by_node, bound_us)
+        prr_primary = compute_prr(entries, slots_by_node, bound_us, roles=("primary",))
 
         # Ground truth: the epochs during a fault on the node's primary board.
         fault_slots = {
-            node_id: [t for t in slots_by_node[node_id] if any(f.active(t) for f in primary.faults)]
+            node_id: [t for t in slots_by_node[node_id] if any(s <= t < e for s, e in primary.fault_windows_us)]
             for node_id, primary in self.primaries.items()
         }
-        detection = compute_detection_rate(entries, fault_slots, bound)
+        detection = compute_detection_rate(entries, fault_slots, bound_us)
 
-        violations = delay_violations(entries, list(slots_by_node), cfg.duration_ms, bound)
+        violations = delay_violations(entries, list(slots_by_node), duration_us, bound_us)
         rssi = {
             gw.entity_id: rssi_summary(
                 [e.rssi_dbm for e in self.server.raw if e.gateway_id == gw.entity_id]

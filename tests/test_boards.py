@@ -56,15 +56,21 @@ def build_node(faults=(), seed=0, with_secondary=True, secondary_cfg=SecondaryCo
     return sim, gw, primary, secondary
 
 
+def active(fault, t_ms):
+    """The reference window: a fault is active over [start_ms, end_ms)."""
+    return fault.start_ms <= t_ms < fault.end_ms
+
+
 # -- fault specs and thresholds ---------------------------------------------------
 
 
 def test_fault_window_semantics():
     fault = FaultSpec(kind=FaultKind.HARD_FAILURE, target="n1.primary", start_ms=100, end_ms=200)
-    assert not fault.active(99)
-    assert fault.active(100)
-    assert fault.active(199)
-    assert not fault.active(200)
+    assert fault.window_us == (100_000, 200_000)
+    sim, _, primary, _ = build_node(faults=[fault])
+    for now_us, powered in ((99_999, True), (100_000, False), (199_999, False), (200_000, True)):
+        sim.now_us = now_us
+        assert primary.is_powered() is powered
 
 
 def test_fault_spec_validation():
@@ -72,7 +78,7 @@ def test_fault_spec_validation():
         FaultSpec(kind=FaultKind.HARD_FAILURE, target="n1.primary", start_ms=5, end_ms=5)
     with pytest.raises(ValueError):
         FaultSpec(kind=FaultKind.SENSOR_READ_FAILURE, target="n1.primary", affected_sensor="nope")
-    # A fractional millisecond would round into a window that disagrees with active().
+    # window_us would round a fractional millisecond away.
     with pytest.raises(ValueError, match="integers"):
         FaultSpec(kind=FaultKind.HARD_FAILURE, target="n1.primary", start_ms=100.0004, end_ms=200)
 
@@ -243,7 +249,7 @@ def test_down_board_builds_and_sends_nothing():
     assert not any(queued or pending for _, queued, pending in probes[primary.entity_id])
     for source, fault in outages.items():
         times = [t for t, s, _ in on_air if s == source]
-        assert not [t for t in times if fault.active(t / 1000)]
+        assert not [t for t in times if active(fault, t / 1000)]
         assert min(times) < ms_to_us(fault.start_ms) and max(times) >= ms_to_us(fault.end_ms)
         # A down board uses up no seq: the on-air seqs run 1, 2, ... unbroken.
         seqs = {p.seq for _, s, p in on_air if s == source}
@@ -323,15 +329,15 @@ def test_fault_windows_in_microseconds_agree_with_fault_active():
     for now_us in sorted(t for edge in edges_us for t in (edge - 1, edge)):
         sim.now_us = clean_sim.now_us = now_us
         t_ms = now_us / 1000
-        assert primary.is_powered() is not (down.active(t_ms) or down_again.active(t_ms))
+        assert primary.is_powered() is not (active(down, t_ms) or active(down_again, t_ms))
         reading, truth = secondary.sense(), clean.sense().values
-        assert math.isnan(reading.values[co2]) is unread.active(t_ms)
-        o2_factor = skewed.anomaly_multiplier if skewed.active(t_ms) else 1.0
+        assert math.isnan(reading.values[co2]) is active(unread, t_ms)
+        o2_factor = skewed.anomaly_multiplier if active(skewed, t_ms) else 1.0
         assert reading.values[o2] == truth[o2] * o2_factor
         others = [i for i in range(len(SENSOR_FIELDS)) if i not in (co2, o2)]
         assert reading.values[others].tobytes() == truth[others].tobytes()
-        expected_tags = {"read_failure:co2_ppm"} if unread.active(t_ms) else set()
-        expected_tags |= {"anomaly:o2_percent"} if skewed.active(t_ms) else set()
+        expected_tags = {"read_failure:co2_ppm"} if active(unread, t_ms) else set()
+        expected_tags |= {"anomaly:o2_percent"} if active(skewed, t_ms) else set()
         assert reading.fault_tags == expected_tags
 
 
@@ -401,14 +407,14 @@ def reference_readings(seed, faults, times_ms):
     sense_rng = stream_rng(seed, "n1.primary-sensor")
     readings = []
     for t_ms in times_ms:
-        if any(f.kind is FaultKind.HARD_FAILURE and f.active(t_ms) for f in faults):
+        if any(f.kind is FaultKind.HARD_FAILURE and active(f, t_ms) for f in faults):
             readings.append(None)
             continue
         values, tags = [], set()
         for name, true_value in zip(SENSOR_FIELDS, next(walk)):
             v = true_value * (1.0 + float(sense_rng.normal(0.0, 0.005)))
             for fault in faults:
-                if fault.affected_sensor != name or not fault.active(t_ms):
+                if fault.affected_sensor != name or not active(fault, t_ms):
                     continue
                 if fault.kind is FaultKind.SENSOR_READ_FAILURE:
                     v = None
@@ -495,7 +501,7 @@ def per_call_sense(env, rng, faults, entity_id, t_ms):
     values = env.sample() * (1.0 + rng.normal(0.0, 0.005, len(SENSOR_FIELDS)))
     tags = set()
     for fault in faults:
-        if fault.target != entity_id or fault.kind not in (READ, ANOM) or not fault.active(t_ms):
+        if fault.target != entity_id or fault.kind not in (READ, ANOM) or not active(fault, t_ms):
             continue
         i = SENSOR_FIELDS.index(fault.affected_sensor)
         if fault.kind is READ:

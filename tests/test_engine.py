@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from redwsn.engine import (
     EventHandle,
     SchedulingError,
     Simulator,
-    draw_uniform_grid,
     ms_to_us,
     stream_rng,
 )
@@ -115,30 +112,6 @@ def test_stream_rng_consumers_do_not_perturb_each_other():
     rng_y = stream_rng(3, "y")
     rng_y.random(100)
     assert np.array_equal(rng_x.random(4), lone)
-
-
-@given(st.integers(0, 2**31 - 1))
-def test_draw_uniform_grid_stays_on_grid(seed):
-    rng = np.random.default_rng(seed)
-    value = draw_uniform_grid(rng, 20_000, 30_000, 500)
-    assert 20_000 <= value <= 30_000
-    assert (value - 20_000) % 500 == 0
-
-
-def test_draw_uniform_grid_covers_endpoints():
-    rng = np.random.default_rng(0)
-    seen = {draw_uniform_grid(rng, 0, 1_000, 500) for _ in range(200)}
-    assert seen == {0, 500, 1_000}
-
-
-def test_draw_uniform_grid_rejects_bad_ranges():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        draw_uniform_grid(rng, 0, 999, 500)
-    with pytest.raises(ValueError):
-        draw_uniform_grid(rng, 10, 5, 1)
-    with pytest.raises(ValueError):
-        draw_uniform_grid(rng, 0, 100, 0)
 
 
 def test_event_handle_is_lightweight():

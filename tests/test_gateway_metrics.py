@@ -100,7 +100,9 @@ def test_gateway_fault_windows_in_microseconds_agree_with_fault_active():
     _, _, _, gw = make_gateway(faults=faults)
     edges_ms = {edge for f in faults for edge in (f.start_ms, f.end_ms)}
     for now_us in sorted(t for edge in edges_ms for t in (ms_to_us(edge) - 1, ms_to_us(edge))):
-        assert gw.failed(now_us) is any(f.active(now_us / 1000) for f in faults)
+        # The reference: a fault is active over [start_ms, end_ms).
+        t_ms = now_us / 1000
+        assert gw.failed(now_us) is any(f.start_ms <= t_ms < f.end_ms for f in faults)
 
 
 # -- server dedup ----------------------------------------------------------------
@@ -140,13 +142,13 @@ def test_validity_rules():
 # -- metrics -----------------------------------------------------------------------
 
 
-def entry(time_ms, role="primary", valid=True, seq=None, node="n1"):
+def entry(time_us, role="primary", valid=True, seq=None, node="n1"):
     return ServerEntry(
         node_id=node,
         board_role=role,
-        seq=seq if seq is not None else int(time_ms),
+        seq=seq if seq is not None else time_us,
         kind="data",
-        time_us=ms_to_us(time_ms),
+        time_us=time_us,
         gateway_id="gw",
         rssi_dbm=-98.0,
         valid=valid,
@@ -154,31 +156,32 @@ def entry(time_ms, role="primary", valid=True, seq=None, node="n1"):
 
 
 def test_prr_counts_covered_epochs():
-    slots = {"n1": [0.0, 25_000.0, 50_000.0]}
-    entries = [entry(1_000.0), entry(26_000.0, role="secondary")]
+    slots = {"n1": [0, 25_000_000, 50_000_000]}
+    entries = [entry(1_000_000), entry(26_000_000, role="secondary")]
     assert compute_prr(entries, slots) == pytest.approx(2 / 3)
     assert compute_prr(entries, slots, roles=("primary",)) == pytest.approx(1 / 3)
 
 
 def test_prr_ignores_invalid_and_out_of_window():
-    slots = {"n1": [0.0]}
-    assert compute_prr([entry(1_000.0, valid=False)], slots) == 0.0
-    assert compute_prr([entry(41_000.0)], slots) == 0.0  # after the 40 s bound
-    assert compute_prr([entry(39_999.0)], slots) == 1.0
+    slots = {"n1": [0]}
+    assert compute_prr([entry(1_000_000, valid=False)], slots) == 0.0
+    assert compute_prr([entry(41_000_000)], slots) == 0.0  # after the 40 s bound
+    assert compute_prr([entry(39_999_000)], slots) == 1.0
 
 
 # The last slot is off the millisecond grid the MAC uses; in float
-# milliseconds its slot + bound sorts after an arrival exactly on the bound.
+# milliseconds its slot + bound would sort after an arrival exactly on the
+# bound.
 @pytest.mark.parametrize("slot_us", [0, 81_000_000, 121_138_496, 117_578_819])
 def test_prr_window_is_half_open_to_the_microsecond(slot_us):
     # Arrivals are frame ends in whole microseconds; the window is
     # [slot, slot + bound).
-    slots = {"n1": [slot_us / 1000]}
+    slots = {"n1": [slot_us]}
     bound_us = 40_000_000
-    assert compute_prr([entry((slot_us + bound_us) / 1000)], slots) == 0.0
-    assert compute_prr([entry((slot_us + bound_us - 1) / 1000)], slots) == 1.0
-    assert compute_prr([entry((slot_us + 138_496) / 1000)], slots) == 1.0
-    assert compute_prr([entry((slot_us - 1) / 1000)], slots) == 0.0
+    assert compute_prr([entry(slot_us + bound_us)], slots) == 0.0
+    assert compute_prr([entry(slot_us + bound_us - 1)], slots) == 1.0
+    assert compute_prr([entry(slot_us + 138_496)], slots) == 1.0
+    assert compute_prr([entry(slot_us - 1)], slots) == 0.0
 
 
 def test_prr_empty_schedule_errors():
@@ -187,22 +190,22 @@ def test_prr_empty_schedule_errors():
 
 
 def test_prr_redundant_at_least_primary_only():
-    slots = {"n1": [0.0, 25_000.0, 50_000.0, 75_000.0]}
-    entries = [entry(1_000.0), entry(27_000.0, role="secondary"), entry(51_000.0, valid=False)]
+    slots = {"n1": [0, 25_000_000, 50_000_000, 75_000_000]}
+    entries = [entry(1_000_000), entry(27_000_000, role="secondary"), entry(51_000_000, valid=False)]
     assert compute_prr(entries, slots) >= compute_prr(entries, slots, roles=("primary",))
 
 
 def test_detection_rate_over_missed_fault_epochs():
     # Epochs at 0, 25 s and 50 s; the fault covers the last two.  The
     # secondary answers at 25 s; 50 s is missed.
-    fault_slots = {"n1": [25_000.0, 50_000.0]}
-    entries = [entry(1_000.0), entry(30_000.0, role="secondary")]
+    fault_slots = {"n1": [25_000_000, 50_000_000]}
+    entries = [entry(1_000_000), entry(30_000_000, role="secondary")]
     assert compute_detection_rate(entries, fault_slots) == pytest.approx(1 / 2)
 
 
 def test_detection_rate_excludes_primary_served_epochs():
-    entries = [entry(5_000.0)]  # valid primary packet serves the epoch
-    assert compute_detection_rate(entries, {"n1": [0.0]}) is None
+    entries = [entry(5_000_000)]  # valid primary packet serves the epoch
+    assert compute_detection_rate(entries, {"n1": [0]}) is None
 
 
 def test_detection_rate_is_none_without_fault_epochs():
@@ -210,11 +213,11 @@ def test_detection_rate_is_none_without_fault_epochs():
 
 
 def test_delay_violations_count_gaps_and_boundaries():
-    entries = [entry(10_000.0), entry(90_000.0)]
+    entries = [entry(10_000_000), entry(90_000_000)]
     # Gaps: 0->10 s ok, 10->90 s violation, 90->100 s ok.
-    assert delay_violations(entries, ["n1"], duration_ms=100_000.0) == 1
-    assert delay_violations([], ["n1"], duration_ms=100_000.0) == 1  # single 0 -> end gap
-    assert delay_violations(entries, ["n1"], duration_ms=100_000.0, bound_ms=float("inf")) == 0
+    assert delay_violations(entries, ["n1"], duration_us=100_000_000) == 1
+    assert delay_violations([], ["n1"], duration_us=100_000_000) == 1  # single 0 -> end gap
+    assert delay_violations(entries, ["n1"], duration_us=100_000_000, bound_us=float("inf")) == 0
 
 
 def test_delay_gap_of_exactly_the_bound_is_no_violation():
@@ -224,8 +227,8 @@ def test_delay_gap_of_exactly_the_bound_is_no_violation():
     for seq, now_us in enumerate((121_138_496, 161_138_496), start=1):
         server.on_gateway_reception("gw", data_packet(seq=seq), -98.0, now_us)
     entries = server.deduplicated()
-    assert delay_violations(entries, ["n1"], duration_ms=161_139.0, bound_ms=40_000) == 1  # 0 -> 121 s
-    assert delay_violations(entries, ["n1"], duration_ms=161_139.0, bound_ms=39_999.999) == 2
+    assert delay_violations(entries, ["n1"], duration_us=161_139_000, bound_us=40_000_000) == 1  # 0 -> 121 s
+    assert delay_violations(entries, ["n1"], duration_us=161_139_000, bound_us=39_999_999) == 2
 
 
 def test_rssi_summary_stats():

@@ -1,10 +1,11 @@
+import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from redwsn.engine import Simulator
+from redwsn.engine import Simulator, ms_to_us, stream_rng
 from redwsn.mac import RetxQueue, SarbConfig, SarbMac
 from redwsn.packets import Packet, PacketKind
 
@@ -27,6 +28,8 @@ def test_config_rejects_bad_values():
         SarbConfig(slot_min_ms=30_000, slot_max_ms=20_000)
     with pytest.raises(ValueError):
         SarbConfig(slot_step_ms=300)  # 10 s range not divisible
+    with pytest.raises(ValueError):
+        SarbConfig(slot_step_ms=0)
     with pytest.raises(ValueError):
         SarbConfig(retx_interval_ms=12_000)  # 2 x 12 s >= 20 s
     with pytest.raises(ValueError):
@@ -147,6 +150,45 @@ def test_slots_fall_on_grid_in_window():
         assert 20_000_000 <= gap <= 30_000_000
         assert gap % 500_000 == 0
     assert 20_000_000 <= h.slots[0] <= 30_000_000
+
+
+def grid_draw_ms(rng, lo_ms, hi_ms, step_ms):
+    """The slot offset as it was drawn in milliseconds: one point of the grid
+    {lo, lo + step, ..., hi}, each equally likely."""
+    k = int(rng.integers(0, (hi_ms - lo_ms) // step_ms + 1))
+    return lo_ms + k * step_ms
+
+
+@st.composite
+def short_slot_grids(draw):
+    """A valid SarbConfig whose grid has at most seven points, so one run of
+    120 slots draws both of its ends."""
+    step = draw(st.integers(1, 5_000))
+    slot_min = draw(st.integers(1, 40_000))
+    retx_slots = draw(st.integers(0, 2))
+    retx_interval = draw(st.integers(1, 10_000))
+    assume(retx_slots * retx_interval < slot_min)
+    return SarbConfig(
+        slot_min_ms=slot_min,
+        slot_max_ms=slot_min + draw(st.integers(0, 6)) * step,
+        slot_step_ms=step,
+        retx_interval_ms=retx_interval,
+        retx_slots_per_cycle=retx_slots,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_slot_grids(), st.integers(0, 2**32 - 1))
+def test_slot_times_match_the_millisecond_grid_draw(cfg, seed):
+    rng = stream_rng(seed, "mac")  # the stream Harness gives its MAC
+    offsets_ms = [grid_draw_ms(rng, cfg.slot_min_ms, cfg.slot_max_ms, cfg.slot_step_ms) for _ in range(120)]
+    expected_us = list(itertools.accumulate(ms_to_us(offset) for offset in offsets_ms))
+    h = Harness(cfg=cfg, seed=seed)
+    h.mac.start()
+    h.sim.run_until(expected_us[-1])
+    assert h.slots == expected_us
+    # Both ends of the grid came up, so a draw that misses either one fails.
+    assert {cfg.slot_min_ms, cfg.slot_max_ms} <= set(offsets_ms)
 
 
 def test_acked_packet_not_retransmitted():

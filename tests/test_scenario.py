@@ -143,6 +143,7 @@ def test_json_noise_position_loads_and_runs(tmp_path, position):
 
 HF_FAULT = {"kind": "hard_failure", "target": "n1.primary"}
 SF2_FAULT = {"kind": "sensor_anomaly", "target": "n1.primary", "affected_sensor": "co2_ppm"}
+GWF_BACKUP = {"id": "gw-backup", "position": [12.0, 0.0], "acks_enabled": False, "extra_loss_db": 4.0}
 
 
 @pytest.mark.parametrize(
@@ -255,6 +256,20 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"preset": "HF", "channel": {"agc_ceiling_dbm": -130}}, "channel: .*agc_ceiling_dbm"),
         # The same through one gateway's extra loss, applied after the clamp.
         ({"preset": "HF", "gateways": [{"id": "gw-home", "extra_loss_db": 40}]}, r"gateways\[0\]\.extra_loss_db"),
+        # A gain lifted gw-home's frames above the -90 dBm AGC ceiling.
+        (
+            {"preset": "GWF", "gateways": [{"id": "gw-home", "extra_loss_db": -30}, GWF_BACKUP]},
+            r"gateways\[0\]: extra_loss_db must not be negative",
+        ),
+        # A preset key that names no preset ran the default scenario.
+        ({"preset": ""}, "unknown preset: ''"),
+        ({"preset": 0}, "unknown preset: 0"),
+        ({"preset": None}, "unknown preset: None"),
+        ({"preset": False}, "unknown preset: False"),
+        # Beyond the LoRa maximum of 255 bytes: 2.95 s bursts, PRR 0.
+        ({"preset": "HF", "noise": {"payload_bytes": 2000}}, "noise: .*payload_bytes must not exceed"),
+        ({"noise": {"payload_bytes": 256}}, "noise: .*payload_bytes must not exceed"),
+        ({"secondary": {"heartbeat_bytes": 256}}, "secondary: .*heartbeat_bytes must not exceed"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -270,6 +285,20 @@ def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
     path.write_text(f"preset = SF2\nchannel.capture_threshold_db = {value}\n")
     with pytest.raises(ConfigError, match="channel.capture_threshold_db: expected a finite float"):
         load_scenario(str(path))
+
+
+def test_flat_empty_preset_fails_at_load(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("preset =\n")
+    with pytest.raises(ConfigError, match="unknown preset: ''"):
+        load_scenario(str(path))
+
+
+def test_largest_lora_payload_loads(tmp_path):
+    path = tmp_path / "big.cfg"
+    path.write_text("noise.payload_bytes = 255\nsecondary.heartbeat_bytes = 255\n")
+    cfg = load_scenario(str(path))
+    assert (cfg.noise.payload_bytes, cfg.secondary.heartbeat_bytes) == (255, 255)
 
 
 def test_monitoring_delay_must_be_positive(tmp_path):

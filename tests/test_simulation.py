@@ -1,5 +1,6 @@
 """A finished Simulation keeps its results readable and is freed by
-reference counting alone, without waiting for the cycle collector."""
+reference counting alone, without waiting for the cycle collector.  A
+node's slot schedule depends on nothing but its own stream."""
 
 import gc
 import weakref
@@ -43,3 +44,16 @@ def test_results_stay_readable_after_run():
     sim.run()
     assert any(e.kind == "data" for e in sim.server.deduplicated())
     assert all(primary.expected_slots_us for primary in sim.primaries.values())
+
+
+def test_other_nodes_and_noise_leave_a_nodes_slots_unchanged():
+    hf = build_preset("HF")
+    # n1 keeps its place at (2, 0); four more nodes share the channel.
+    crowd = tuple(NodeConfig(id=f"n{i}", position=Position(2.0, float(i - 1))) for i in range(1, 6))
+    schedules = []
+    for nodes in (hf.nodes, crowd):
+        for noise in (True, False):
+            sim = Simulation(replace(hf, nodes=nodes, noise=replace(hf.noise, enabled=noise)), seed=3)
+            sim.run()
+            schedules.append(sim.primaries["n1"].expected_slots_us)
+    assert schedules[0] and all(s == schedules[0] for s in schedules)
