@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redwsn.engine import (
     EventHandle,
@@ -8,6 +10,7 @@ from redwsn.engine import (
     ms_to_us,
     stream_rng,
 )
+from redwsn.mac import SarbConfig, SarbMac
 
 
 def test_unit_conversions_round_trip():
@@ -112,6 +115,25 @@ def test_stream_rng_consumers_do_not_perturb_each_other():
     rng_y = stream_rng(3, "y")
     rng_y.random(100)
     assert np.array_equal(rng_x.random(4), lone)
+
+
+def grid_offsets_us(cfg, seed, n):
+    """The first n slot offsets a fresh SarbMac draws from its grid."""
+    sim = Simulator(master_seed=seed)
+    mac = SarbMac(sim, cfg, sim.rng("mac"), lambda _: None, lambda _: None, lambda _: None)
+    return [mac._draw_offset_us() for _ in range(n)]
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_draw_uniform_grid_stays_on_grid(seed):
+    (value,) = grid_offsets_us(SarbConfig(slot_min_ms=20_000, slot_max_ms=30_000, slot_step_ms=500), seed, 1)
+    assert 20_000_000 <= value <= 30_000_000
+    assert (value - 20_000_000) % 500_000 == 0
+
+
+def test_draw_uniform_grid_covers_endpoints():
+    cfg = SarbConfig(slot_min_ms=1_000, slot_max_ms=2_000, slot_step_ms=500, retx_slots_per_cycle=0)
+    assert set(grid_offsets_us(cfg, 0, 200)) == {1_000_000, 1_500_000, 2_000_000}
 
 
 def test_event_handle_is_lightweight():
