@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import Channel, Position
 from .engine import Simulator, ms_to_us
-from .lora import MAX_PAYLOAD_BYTES
+from .lora import MAX_PAYLOAD_BYTES, check_tx_power
 from .mac import SarbConfig, SarbMac
 from .packets import (
     DATA_BYTES,
@@ -131,6 +131,9 @@ class NodeConfig:
     position: Position = Position(2.0, 0.0)
     has_secondary: bool = True
     tx_power_dbm: float = 14.0
+
+    def __post_init__(self):
+        check_tx_power(self.tx_power_dbm)
 
     @property
     def secondary_position(self) -> Position:

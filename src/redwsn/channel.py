@@ -24,7 +24,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .engine import Simulator, ms_to_us
-from .lora import MAX_PAYLOAD_BYTES, LoraParams, time_on_air_us
+from .lora import MAX_PAYLOAD_BYTES, LoraParams, check_tx_power, time_on_air_us
 from .packets import Packet, PacketKind
 
 
@@ -110,7 +110,7 @@ class Receiver(Protocol):
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     source_id: str
     packet: Packet
@@ -123,9 +123,6 @@ class Transmission:
     # first.
     mean_dbm: array
     rssi: array
-
-    def overlaps(self, other: "Transmission") -> bool:
-        return self.start_us < other.end_us and other.start_us < self.end_us
 
 
 NOISE_SOURCE_ID = "noise"
@@ -151,6 +148,7 @@ class NoiseConfig:
             raise ValueError("noise payload_bytes and jitter_ms must not be negative")
         if self.payload_bytes > MAX_PAYLOAD_BYTES:
             raise ValueError(f"noise payload_bytes must not exceed the LoRa maximum, {MAX_PAYLOAD_BYTES}")
+        check_tx_power(self.tx_power_dbm)
 
 
 @dataclass
@@ -197,7 +195,8 @@ class Channel:
         self._rx_extra_loss_db = array("d")
         # A fresh frame's RSSI row: one undrawn slot per receiver.
         self._undrawn = array("d")
-        self._mean_dbm: dict[tuple[Position, float], array] = {}
+        # Keyed by (x, y, power) floats, which hash and compare in C.
+        self._mean_dbm: dict[tuple[float, float, float], array] = {}
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
         # Frames and noise bursts that may still overlap a frame to resolve,
         # by start time.
@@ -351,7 +350,7 @@ class Channel:
     def _link_means(self, position: Position, tx_power_dbm: float) -> array:
         """Transmit power minus path loss to every receiver, cached per
         transmitter position and power."""
-        key = (position, tx_power_dbm)
+        key = (position.x, position.y, tx_power_dbm)
         means = self._mean_dbm.get(key)
         if means is None:
             means = array(
@@ -392,7 +391,10 @@ class Channel:
 
     def _resolve(self, tx: Transmission) -> None:
         now = self.sim.now_us
-        overlapping = [other for other in self._log if other is not tx and other.overlaps(tx)]
+        start, end = tx.start_us, tx.end_us
+        overlapping = [
+            other for other in self._log if other is not tx and other.start_us < end and start < other.end_us
+        ]
         # Half-duplex: a receiver that transmitted during any part of the
         # frame hears nothing.  Every other receiver sees all overlapping
         # frames as interference.

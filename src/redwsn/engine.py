@@ -83,8 +83,9 @@ class Simulator:
         if t_end_us < self.now_us:
             raise SchedulingError("t_end is in the past")
         processed = 0
-        while self._heap and self._heap[0][0] <= t_end_us:
-            t, _, handle = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= t_end_us:
+            t, _, handle = pop(heap)
             if handle.cancelled:
                 continue
             self.now_us = t

@@ -9,6 +9,16 @@ from .engine import ms_to_us
 
 # The SX127x's largest payload: its length field is one byte.
 MAX_PAYLOAD_BYTES = 255
+# The SX127x's signal bandwidths, 7.8 kHz to 500 kHz.
+BANDWIDTHS_HZ = (7_800, 10_400, 15_600, 20_800, 31_250, 41_700, 62_500, 125_000, 250_000, 500_000)
+# The SX1276's transmit power range.
+MIN_TX_POWER_DBM, MAX_TX_POWER_DBM = -4.0, 20.0
+
+
+def check_tx_power(tx_power_dbm: float) -> None:
+    """Refuse a transmit power the radio cannot set (NaN included)."""
+    if not MIN_TX_POWER_DBM <= tx_power_dbm <= MAX_TX_POWER_DBM:
+        raise ValueError(f"tx_power_dbm must be in {MIN_TX_POWER_DBM:g}..{MAX_TX_POWER_DBM:g} dBm (SX1276)")
 
 
 @dataclass(frozen=True)
@@ -32,8 +42,8 @@ class LoraParams:
             raise ValueError("spreading factor must be in 6..12")
         if not 5 <= self.coding_rate_denominator <= 8:
             raise ValueError("coding rate denominator must be in 5..8 (4/5..4/8)")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if self.bandwidth_hz not in BANDWIDTHS_HZ:
+            raise ValueError(f"bandwidth_hz must be one of the SX127x bandwidths {BANDWIDTHS_HZ}")
         if self.preamble_symbols <= 0:
             raise ValueError("preamble must have at least one symbol")
 

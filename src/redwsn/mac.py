@@ -10,7 +10,7 @@ baseline: one transmission every fixed interval, no acks, no queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -51,6 +51,20 @@ class SarbConfig:
     def max_interval_ms(self) -> int:
         """The longest gap between two data slots."""
         return self.slot_max_ms if self.enabled else self.fixed_interval_ms
+
+
+# Slot offsets drawn per numpy call.  A block consumed in order holds the same
+# values as one scalar draw per data slot.
+_DRAW_BLOCK = 32
+
+
+def _grid_offsets_us(rng: np.random.Generator, min_us: int, step_us: int, steps: int) -> Iterator[int]:
+    """Data-slot offsets min + k * step, with k uniform in 0..steps, in
+    Python integers.  It holds only the stream, not the MAC, so a finished
+    MAC is freed by refcount."""
+    while True:
+        for k in rng.integers(0, steps + 1, size=_DRAW_BLOCK).tolist():
+            yield min_us + k * step_us
 
 
 class RetxQueue:
@@ -113,15 +127,18 @@ class SarbMac:
     ):
         self.sim = sim
         self.cfg = cfg
-        self.rng = rng
         self._build_packet = build_packet
         self._transmit = transmit
         self._on_slot = on_slot
         self.queue = RetxQueue(cfg.queue_capacity)
         # Data slots fall on the grid slot_min + k * slot_step, k in 0..steps.
-        self._slot_min_us = ms_to_us(cfg.slot_min_ms)
-        self._slot_step_us = ms_to_us(cfg.slot_step_ms)
-        self._slot_steps = (cfg.slot_max_ms - cfg.slot_min_ms) // cfg.slot_step_ms
+        # A disabled MAC never draws from its stream.
+        self._offsets_us = _grid_offsets_us(
+            rng,
+            ms_to_us(cfg.slot_min_ms),
+            ms_to_us(cfg.slot_step_ms),
+            (cfg.slot_max_ms - cfg.slot_min_ms) // cfg.slot_step_ms,
+        )
         self._fixed_interval_us = ms_to_us(cfg.fixed_interval_ms)
         self._retx_interval_us = ms_to_us(cfg.retx_interval_ms)
         self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
@@ -142,8 +159,7 @@ class SarbMac:
     def _draw_offset_us(self) -> int:
         if not self.cfg.enabled:
             return self.sim.now_us + self._fixed_interval_us
-        k = int(self.rng.integers(0, self._slot_steps + 1))
-        return self.sim.now_us + self._slot_min_us + k * self._slot_step_us
+        return self.sim.now_us + next(self._offsets_us)
 
     # -- slots --------------------------------------------------------------
 

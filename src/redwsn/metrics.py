@@ -113,12 +113,13 @@ def rssi_summary(samples: list[float]) -> dict[str, float]:
     if not samples:
         return {"count": 0}
     arr = np.asarray(samples, dtype=float)
+    q1, q3 = np.percentile(arr, (25, 75)).tolist()
     return {
         "count": int(arr.size),
         "min": float(arr.min()),
-        "q1": float(np.percentile(arr, 25)),
+        "q1": q1,
         "median": float(np.median(arr)),
-        "q3": float(np.percentile(arr, 75)),
+        "q3": q3,
         "max": float(arr.max()),
         "mean": float(arr.mean()),
     }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,15 +46,22 @@ class SensorReading:
     values: np.ndarray
     fault_tags: frozenset = frozenset()  # injected-fault ground truth; metrics only
 
+    # For twelve values a Python loop costs less than numpy's calls; a NaN
+    # is the one value that differs from itself.
     def missing_fields(self) -> list[str]:
-        return [SENSOR_FIELDS[i] for i in np.flatnonzero(np.isnan(self.values))]
+        return [SENSOR_FIELDS[i] for i, v in enumerate(self.values.tolist()) if v != v]
 
     def is_complete(self) -> bool:
-        return not np.isnan(self.values).any()
+        for v in self.values.tolist():
+            if v != v:
+                return False
+        return True
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
+    """One frame on the air.  A tuple: built once per frame, ack and
+    heartbeat, it costs less than a frozen dataclass and is as immutable."""
+
     kind: PacketKind
     node_id: str = ""
     board_role: Optional[BoardRole] = None
@@ -77,9 +84,12 @@ def detect_anomaly(
     the threshold; the comparison says that *some* board is wrong, not which.
     A field missing (NaN) on either side is never flagged: every step with a
     NaN gives NaN, and a NaN compares false.  For twelve values a Python loop
-    costs less than numpy's calls.
+    costs less than numpy's calls, and an inline floor less than ``max``.
     """
     for p, s in zip(primary.values.tolist(), secondary.values.tolist()):
-        if abs(p - s) / max(abs(s), eps) > rel_threshold:
+        ref = abs(s)
+        if ref < eps:  # false for a NaN, which stays NaN as under max()
+            ref = eps
+        if abs(p - s) / ref > rel_threshold:
             return True
     return False

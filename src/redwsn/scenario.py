@@ -19,8 +19,9 @@ from typing import get_args, get_origin, get_type_hints
 
 from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
+from .engine import ms_to_us
 from .gateway import GatewayConfig
-from .lora import LoraParams
+from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
 from .metrics import IterationMetrics, MetricsReport
 from .simulation import Simulation
@@ -71,6 +72,15 @@ class ScenarioConfig:
                     f"gateways[{i}].extra_loss_db puts every frame below the sensitivity"
                     " (channel.agc_ceiling_dbm - extra_loss_db < channel.sensitivity_dbm)"
                 )
+        # add_noise floors each gap between burst starts at the airtime + 1 us;
+        # where that floor can bind, it silently changes the interferer's rate.
+        noise = self.noise
+        airtime_us = time_on_air_us(noise.payload_bytes, self.lora)
+        if noise.enabled and airtime_us >= ms_to_us(noise.period_ms - noise.jitter_ms):
+            raise ConfigError(
+                f"a noise burst of noise.payload_bytes lasts {airtime_us / 1000} ms at these lora settings,"
+                " not less than noise.period_ms - noise.jitter_ms, so bursts would run back to back"
+            )
         self._check_radio_ids()
         self._check_fault_targets()
         self._check_fault_overlap()

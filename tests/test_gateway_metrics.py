@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Channel, ChannelParams, Position
@@ -237,6 +239,22 @@ def test_rssi_summary_stats():
     assert stats["min"] == -100.0 and stats["max"] == -94.0
     assert stats["median"] == pytest.approx(-97.0)
     assert rssi_summary([]) == {"count": 0}
+
+
+@given(st.lists(st.floats(-140.0, -60.0), min_size=1, max_size=50))
+def test_rssi_quartiles_equal_one_percentile_call_each(samples):
+    stats = rssi_summary(samples)
+    assert stats["q1"] == float(np.percentile(samples, 25))
+    assert stats["q3"] == float(np.percentile(samples, 75))
+
+
+def test_server_entry_is_immutable():
+    server = Server()
+    server.on_gateway_reception("gw", data_packet(), -100.0, 5)
+    (entry,) = server.raw
+    with pytest.raises(AttributeError):
+        entry.valid = False
+    assert entry.valid and entry.time_us == 5
 
 
 def test_compare_reports_in_percentage_points():

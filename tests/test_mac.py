@@ -227,6 +227,28 @@ def test_disabled_mac_is_fixed_interval_fire_and_forget():
     assert len({p.seq for _, p in h.sent}) == len(h.sent)
 
 
+@pytest.mark.parametrize("steps", [0, 1, 20])
+def test_block_drawn_offsets_match_one_draw_per_slot(steps):
+    # Four refills of the 32-offset block and the first offset of a fifth.
+    cfg = SarbConfig(slot_min_ms=20_000, slot_max_ms=20_000 + 500 * steps, slot_step_ms=500)
+    scalar = stream_rng(11, "mac")
+    expected = [20_000_000 + 500_000 * int(scalar.integers(0, steps + 1)) for _ in range(4 * 32 + 1)]
+    mac = Harness(cfg=cfg, seed=11).mac
+    assert [mac._draw_offset_us() for _ in range(4 * 32 + 1)] == expected
+
+
+@pytest.mark.parametrize("enabled", [False, True])
+def test_only_an_enabled_mac_draws_from_its_stream(enabled):
+    sim = Simulator(master_seed=0)
+    rng, slots = stream_rng(0, "mac"), []
+    mac = SarbMac(sim, SarbConfig(enabled=enabled), rng, lambda _: None, lambda _: None, slots.append)
+    mac.start()
+    sim.run_until(600_000_000)
+    assert len(slots) >= 20
+    undrawn = rng.bit_generator.state == stream_rng(0, "mac").bit_generator.state
+    assert undrawn is not enabled
+
+
 def test_emergency_transmits_immediately():
     h = Harness()
     h.mac.start()

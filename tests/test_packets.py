@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redwsn.packets import SENSOR_FIELDS, SensorReading, detect_anomaly
+from redwsn.packets import SENSOR_FIELDS, Packet, PacketKind, SensorReading, detect_anomaly
 
 
 def full_reading(value=10.0, **overrides):
@@ -30,6 +31,20 @@ def test_missing_field_detected():
     reading = full_reading(co2_ppm=None)
     assert not reading.is_complete()
     assert reading.missing_fields() == ["co2_ppm"]
+
+
+def test_packet_is_immutable():
+    packet = Packet(kind=PacketKind.DATA, node_id="n1", seq=1)
+    with pytest.raises(AttributeError):
+        packet.seq = 2
+    assert packet.seq == 1 and packet.size_bytes == 0 and packet.reading is None
+
+
+@given(st.lists(st.sampled_from([1.0, -0.0, math.inf, -math.inf, math.nan]), min_size=12, max_size=12))
+def test_missing_fields_match_numpy_isnan(values):
+    reading = SensorReading(np.array(values))
+    assert reading.is_complete() == (not np.isnan(reading.values).any())
+    assert reading.missing_fields() == [SENSOR_FIELDS[i] for i in np.flatnonzero(np.isnan(reading.values))]
 
 
 def test_anomaly_threshold_is_strict():

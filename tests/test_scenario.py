@@ -6,6 +6,7 @@ import pytest
 
 from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Position
+from redwsn.lora import BANDWIDTHS_HZ
 from redwsn.scenario import (
     PRESET_NAMES,
     ConfigError,
@@ -270,6 +271,19 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"preset": "HF", "noise": {"payload_bytes": 2000}}, "noise: .*payload_bytes must not exceed"),
         ({"noise": {"payload_bytes": 256}}, "noise: .*payload_bytes must not exceed"),
         ({"secondary": {"heartbeat_bytes": 256}}, "secondary: .*heartbeat_bytes must not exceed"),
+        # The burst outlasted the period, so the noise board jammed the
+        # channel back to back: PRR 0, no reception at gw-home.
+        ({"preset": "HF", "lora": {"spreading_factor": 11}}, "noise burst .* lasts 577.536 ms"),
+        ({"preset": "HF", "lora": {"spreading_factor": 12}}, "noise burst .* lasts 991.232 ms"),
+        # The same when the jitter reaches past a 41 ms burst.
+        ({"preset": "HF", "noise": {"jitter_ms": 480}}, "noise.period_ms - noise.jitter_ms"),
+        # No SX127x bandwidth: a data frame lasted 23.1 s, PRR 0.
+        ({"preset": "HF", "lora": {"bandwidth_hz": 1000}}, "lora: bandwidth_hz must be one of"),
+        ({"preset": "HF", "lora": {"bandwidth_hz": 1_000_000}}, "lora: bandwidth_hz must be one of"),
+        # Beyond the SX1276's power range: -200 dBm put nothing on the air.
+        ({"preset": "HF", "nodes": [{"id": "n1", "tx_power_dbm": -200}]}, r"nodes\[0\]: tx_power_dbm must be in -4..20"),
+        ({"preset": "HF", "gateways": [{"id": "gw-home", "tx_power_dbm": 21}]}, r"gateways\[0\]: tx_power_dbm"),
+        ({"preset": "HF", "noise": {"tx_power_dbm": -4.5}}, "noise: tx_power_dbm"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -292,6 +306,23 @@ def test_flat_empty_preset_fails_at_load(tmp_path):
     path.write_text("preset =\n")
     with pytest.raises(ConfigError, match="unknown preset: ''"):
         load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"preset": "HF", "lora": {"spreading_factor": 10}},  # 289 ms bursts under a 450 ms gap
+        {"preset": "HF", "noise": {"jitter_ms": 458}},  # 42 ms gap over a 41.216 ms burst
+        {"preset": "HF", "lora": {"spreading_factor": 12}, "noise": {"enabled": False}},
+        {"preset": "HF", "nodes": [{"id": "n1", "tx_power_dbm": -4}], "noise": {"tx_power_dbm": 20}},
+        {"preset": "GWF", "gateways": [{"id": "gw-home", "tx_power_dbm": 20}, {"id": "gw-backup", "tx_power_dbm": -4}]},
+        *({"preset": "control-clean", "lora": {"bandwidth_hz": bw}} for bw in BANDWIDTHS_HZ),
+    ],
+)
+def test_radio_settings_at_the_device_limits_load(tmp_path, tree):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(tree))
+    load_scenario(str(path))
 
 
 def test_largest_lora_payload_loads(tmp_path):
