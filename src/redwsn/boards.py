@@ -93,8 +93,11 @@ def check_thresholds(reading: SensorReading) -> bool:
     return False
 
 
-def _walk(rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The bounded random walk from nominal, one fresh array per step; the
+def environment(rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """A node's true values, in SENSOR_FIELDS order: a slow random walk from
+    nominal, bounded to the walk band, shared by the node's two boards so
+    their readings agree when both are healthy.  Each step is a fresh array
+    that later steps and refills never touch, so a caller may keep it.  The
     steps are drawn _BLOCK_ROWS at a time, the same values as one draw per
     step."""
     values = _NOMINAL_VALUES
@@ -109,20 +112,6 @@ def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
     _BLOCK_ROWS readings at a time: the same values as one draw per reading."""
     while True:
         yield from 1.0 + rng.normal(0.0, _SENSOR_NOISE_REL, size=(_BLOCK_ROWS, len(SENSOR_FIELDS)))
-
-
-class Environment:
-    """Slow bounded random walk around quiet nominal values, shared by the
-    two boards of a node so their readings agree when both are healthy."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._walk = _walk(rng)
-
-    def sample(self) -> np.ndarray:
-        """The next true values, in SENSOR_FIELDS order.  Each sample is a
-        fresh array that later samples and refills never touch, so a caller
-        may keep it."""
-        return next(self._walk)
 
 
 @dataclass(frozen=True)
@@ -150,7 +139,7 @@ class _RadioBoard:
         channel: Channel,
         node: NodeConfig,
         role: BoardRole,
-        env: Environment,
+        env: Iterator[np.ndarray],
         faults: tuple[FaultSpec, ...],
     ):
         self.sim = sim
@@ -190,7 +179,7 @@ class _RadioBoard:
         value NaN, an anomaly multiplies it.  Ground-truth tags ride on the
         reading.
         """
-        values = self.env.sample() * next(self._noise)
+        values = next(self.env) * next(self._noise)
         if not self._sensor_faults:
             return SensorReading(values)
         now = self.sim.now_us
@@ -236,9 +225,6 @@ class _RadioBoard:
             return None
         return self.channel.begin_transmission(self.entity_id, self.position, packet, self.tx_power_dbm)
 
-    def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:  # pragma: no cover
-        pass
-
 
 class PrimaryBoard(_RadioBoard):
     """Sensing board: periodic data slots via SARB, emergency transmissions
@@ -249,7 +235,7 @@ class PrimaryBoard(_RadioBoard):
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        env: Environment,
+        env: Iterator[np.ndarray],
         faults: tuple[FaultSpec, ...],
         mac_cfg: SarbConfig,
     ):
@@ -321,7 +307,7 @@ class SecondaryBoard(_RadioBoard):
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        env: Environment,
+        env: Iterator[np.ndarray],
         faults: tuple[FaultSpec, ...],
         cfg: SecondaryConfig,
     ):

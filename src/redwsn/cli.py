@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 `sim run <config-or-preset>` executes a scenario and prints or exports a
-report; `sim presets` lists the built-in scenarios; `avail` (also reachable
-as `sim avail`) prints the availability table of the redundant-board model.
+report; `sim presets` lists the built-in scenarios; `sim avail` prints the
+availability table of the redundant-board model, and `avail` runs it.
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -31,14 +30,9 @@ EXIT_RUNTIME = 2
 
 def _parse_seeds(raw: str) -> list[int]:
     try:
-        seeds = [int(part) for part in raw.split(",") if part.strip()]
+        return [int(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --seeds value: {raw!r}") from exc
-    if not seeds:
-        raise ConfigError("--seeds must list at least one integer")
-    if min(seeds) < 0:
-        raise ConfigError(f"--seeds must not be negative: {raw!r}")
-    return seeds
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -66,16 +60,11 @@ def _cmd_presets(_args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _avail_rows(args: argparse.Namespace) -> list[tuple[int, float]]:
-    if not (0 < args.failure_rate < math.inf and 0 < args.repair_rate < math.inf):
-        raise ConfigError("--lambda and --mu must be finite and positive")
-    if args.n_max < 1:
-        raise ConfigError("--n-max must be at least 1")
-    return failure_probability_table(args.failure_rate, args.repair_rate, args.n_max)
-
-
 def _cmd_avail(args: argparse.Namespace) -> int:
-    rows = _avail_rows(args)
+    try:
+        rows = failure_probability_table(args.failure_rate, args.repair_rate, args.n_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.format == "json":
         print(json.dumps({str(n): p for n, p in rows}, indent=2, sort_keys=True))
     elif args.format == "csv":
@@ -87,20 +76,6 @@ def _cmd_avail(args: argparse.Namespace) -> int:
         for n, p in rows:
             print(f"{n:>3}  {p:>12.4e}")
     return EXIT_OK
-
-
-def _add_avail_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lambda", dest="failure_rate", type=float, default=DEFAULT_FAILURE_RATE,
-        help="per-board failure rate (per hour)",
-    )
-    parser.add_argument(
-        "--mu", dest="repair_rate", type=float, default=DEFAULT_REPAIR_RATE,
-        help="repair rate (per hour)",
-    )
-    parser.add_argument("--n-max", type=int, default=4, help="largest board count tabulated")
-    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    parser.set_defaults(func=_cmd_avail)
 
 
 def _build_sim_parser() -> argparse.ArgumentParser:
@@ -119,23 +94,28 @@ def _build_sim_parser() -> argparse.ArgumentParser:
     presets_p = sub.add_parser("presets", help="list built-in scenario presets")
     presets_p.set_defaults(func=_cmd_presets)
 
-    avail_p = sub.add_parser("avail", help="availability table of the N-board model")
-    _add_avail_args(avail_p)
-    return parser
-
-
-def _build_avail_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="avail",
+    avail_p = sub.add_parser(
+        "avail",
+        help="availability table of the N-board model",
         description="Steady-state failure probability of an N-board redundant component.",
     )
-    _add_avail_args(parser)
+    avail_p.add_argument(
+        "--lambda", dest="failure_rate", type=float, default=DEFAULT_FAILURE_RATE,
+        help="per-board failure rate (per hour)",
+    )
+    avail_p.add_argument(
+        "--mu", dest="repair_rate", type=float, default=DEFAULT_REPAIR_RATE,
+        help="repair rate (per hour)",
+    )
+    avail_p.add_argument("--n-max", type=int, default=4, help="largest board count tabulated")
+    avail_p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    avail_p.set_defaults(func=_cmd_avail)
     return parser
 
 
-def _dispatch(parser: argparse.ArgumentParser, argv: list[str] | None) -> int:
+def main_sim(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _build_sim_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help, and 2 after the usage for a bad flag.
         return EXIT_CONFIG if exc.code else EXIT_OK
@@ -149,12 +129,9 @@ def _dispatch(parser: argparse.ArgumentParser, argv: list[str] | None) -> int:
         return EXIT_RUNTIME
 
 
-def main_sim(argv: list[str] | None = None) -> int:
-    return _dispatch(_build_sim_parser(), argv)
-
-
 def main_avail(argv: list[str] | None = None) -> int:
-    return _dispatch(_build_avail_parser(), argv)
+    """The `avail` script: `sim avail` with the same arguments."""
+    return main_sim(["avail", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover

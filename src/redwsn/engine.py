@@ -41,18 +41,17 @@ def stream_rng(master_seed: int, stream_id: str) -> np.random.Generator:
 
 
 class EventHandle:
-    """Cancellable reference to a scheduled event (tombstone flag)."""
+    """Cancellable reference to a scheduled event; a cancelled event's
+    callback is None, the tombstone the loop skips."""
 
-    __slots__ = ("fn", "cancelled")
+    __slots__ = ("fn",)
 
     def __init__(self, fn: Callable[[], None]):
         self.fn = fn
-        self.cancelled = False
 
     def cancel(self) -> None:
-        # Drop the callback too: it may hold the object that holds this
-        # handle, a cycle only the garbage collector would otherwise free.
-        self.cancelled = True
+        # The callback may hold the object that holds this handle; dropping
+        # it frees that cycle without the garbage collector.
         self.fn = None
 
 
@@ -86,10 +85,11 @@ class Simulator:
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t_end_us:
             t, _, handle = pop(heap)
-            if handle.cancelled:
+            fn = handle.fn
+            if fn is None:
                 continue
             self.now_us = t
-            handle.fn()
+            fn()
             processed += 1
         self.now_us = t_end_us
         return processed

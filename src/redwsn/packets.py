@@ -48,9 +48,6 @@ class SensorReading:
 
     # For twelve values a Python loop costs less than numpy's calls; a NaN
     # is the one value that differs from itself.
-    def missing_fields(self) -> list[str]:
-        return [SENSOR_FIELDS[i] for i, v in enumerate(self.values.tolist()) if v != v]
-
     def is_complete(self) -> bool:
         for v in self.values.tolist():
             if v != v:
@@ -72,15 +69,17 @@ class Packet(NamedTuple):
     corrective: bool = False
 
 
+_ANOMALY_EPS = 1e-9  # detect_anomaly's floor under the reference |s|
+
+
 def detect_anomaly(
     primary: SensorReading,
     secondary: SensorReading,
     rel_threshold: float = 0.25,
-    eps: float = 1e-9,
 ) -> bool:
     """True iff some field's primary/secondary discrepancy exceeds the threshold.
 
-    A field is flagged iff |p - s| / max(|s|, eps) is strictly greater than
+    A field is flagged iff |p - s| / max(|s|, 1e-9) is strictly greater than
     the threshold; the comparison says that *some* board is wrong, not which.
     A field missing (NaN) on either side is never flagged: every step with a
     NaN gives NaN, and a NaN compares false.  For twelve values a Python loop
@@ -88,8 +87,8 @@ def detect_anomaly(
     """
     for p, s in zip(primary.values.tolist(), secondary.values.tolist()):
         ref = abs(s)
-        if ref < eps:  # false for a NaN, which stays NaN as under max()
-            ref = eps
+        if ref < _ANOMALY_EPS:  # false for a NaN, which stays NaN as under max()
+            ref = _ANOMALY_EPS
         if abs(p - s) / ref > rel_threshold:
             return True
     return False

@@ -24,6 +24,7 @@ from .gateway import GatewayConfig
 from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
 from .metrics import IterationMetrics, MetricsReport
+from .packets import DATA_BYTES
 from .simulation import Simulation
 
 
@@ -80,6 +81,20 @@ class ScenarioConfig:
             raise ConfigError(
                 f"a noise burst of noise.payload_bytes lasts {airtime_us / 1000} ms at these lora settings,"
                 " not less than noise.period_ms - noise.jitter_ms, so bursts would run back to back"
+            )
+        # A data frame still on the air, or still waiting for its ack, at the
+        # MAC's next slot makes that slot useless.
+        mac = self.mac
+        airtime_us = time_on_air_us(DATA_BYTES, self.lora)
+        if mac.enabled:
+            busy_us = airtime_us + ms_to_us(mac.ack_timeout_ms)
+            gap = "retx_interval_ms" if mac.retx_slots_per_cycle > 0 else "slot_min_ms"
+        else:
+            busy_us, gap = airtime_us, "fixed_interval_ms"
+        if busy_us >= ms_to_us(getattr(mac, gap)):
+            raise ConfigError(
+                f"a data frame lasts {airtime_us / 1000} ms at these lora settings, so it"
+                f" (with its ack wait under SARB) would run into the MAC's next slot, mac.{gap} later"
             )
         self._check_radio_ids()
         self._check_fault_targets()

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redwsn.boards import (
-    Environment,
     FaultKind,
     FaultSpec,
     NodeConfig,
@@ -15,6 +14,7 @@ from redwsn.boards import (
     SecondaryBoard,
     SecondaryConfig,
     check_thresholds,
+    environment,
 )
 from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator, ms_to_us, stream_rng
@@ -47,7 +47,7 @@ def build_node(faults=(), seed=0, with_secondary=True, secondary_cfg=SecondaryCo
     channel = Channel(sim, params=ChannelParams(shadowing_sigma_db=0.0))
     gw = GatewayProbe()
     channel.add_receiver(gw)
-    env = Environment(sim.rng("n1-environment"))
+    env = environment(sim.rng("n1-environment"))
     node = NodeConfig(id="n1")
     primary = PrimaryBoard(sim, channel, node, env, tuple(faults), SarbConfig())
     secondary = None
@@ -99,10 +99,10 @@ def test_walk_band_lies_inside_emergency_bounds():
 
 def test_environment_stays_in_band_and_is_shared():
     sim = Simulator(master_seed=3)
-    env = Environment(sim.rng("env"))
+    env = environment(sim.rng("env"))
     co2, o2 = SENSOR_FIELDS.index("co2_ppm"), SENSOR_FIELDS.index("o2_percent")
     for _ in range(500):
-        sample = env.sample()
+        sample = next(env)
         assert 760.0 <= sample[co2] <= 840.0
         assert 19.855 <= sample[o2] <= 21.945
 
@@ -287,7 +287,8 @@ def test_read_failure_produces_incomplete_packets_and_correctives():
         and p.board_role is BoardRole.PRIMARY
         and 120_000_000 < t <= 480_000_000
     ]
-    assert faulty and all(p.reading.missing_fields() == ["co2_ppm"] for p in faulty)
+    co2 = SENSOR_FIELDS.index("co2_ppm")
+    assert faulty and all(np.flatnonzero(np.isnan(p.reading.values)).tolist() == [co2] for p in faulty)
     correctives = [p for p, _, _ in gw.heard if p.kind is PacketKind.DATA and p.corrective]
     assert correctives
     assert all(p.board_role is BoardRole.SECONDARY for p in correctives)
@@ -428,9 +429,9 @@ def reference_readings(seed, faults, times_ms):
 
 
 def test_environment_matches_the_per_field_walk():
-    env = Environment(stream_rng(11, "env"))
+    env = environment(stream_rng(11, "env"))
     walk = reference_walk(stream_rng(11, "env"))
-    samples = np.array([env.sample() for _ in range(3_000)])
+    samples = np.array([next(env) for _ in range(3_000)])
     np.testing.assert_array_equal(samples, [next(walk) for _ in range(3_000)])
     lo, hi = samples.min(axis=0), samples.max(axis=0)
     co2 = SENSOR_FIELDS.index("co2_ppm")
@@ -482,14 +483,14 @@ WALK_STEP = np.array([row[1] for row in SENSOR_TABLE.values()])
 
 
 class PerCallEnvironment:
-    """Environment.sample as it was before block draws: one normal draw per
-    sample, clamped to +-5 % of nominal."""
+    """The environment stream as it was before block draws: one normal draw
+    per step, clamped to +-5 % of nominal."""
 
     def __init__(self, rng):
         self._rng = rng
         self._values = NOMINAL
 
-    def sample(self):
+    def __next__(self):
         step = self._rng.normal(0.0, WALK_STEP)
         self._values = np.minimum(np.maximum(self._values + step, NOMINAL * 0.95), NOMINAL * 1.05)
         return self._values
@@ -498,7 +499,7 @@ class PerCallEnvironment:
 def per_call_sense(env, rng, faults, entity_id, t_ms):
     """_RadioBoard.sense as it was before block draws: one noise draw per
     reading, then the board's sensor faults in list order."""
-    values = env.sample() * (1.0 + rng.normal(0.0, 0.005, len(SENSOR_FIELDS)))
+    values = next(env) * (1.0 + rng.normal(0.0, 0.005, len(SENSOR_FIELDS)))
     tags = set()
     for fault in faults:
         if fault.target != entity_id or fault.kind not in (READ, ANOM) or not active(fault, t_ms):
@@ -537,8 +538,8 @@ def test_block_draws_match_one_draw_per_reading(seed, faults, order):
         sim.run_until(ms_to_us(2_500 * k))
         if reader == "env":
             # Kept, not copied: a later refill must not write into it.
-            got.append((primary.env.sample(), frozenset()))
-            want.append((env.sample(), frozenset()))
+            got.append((next(primary.env), frozenset()))
+            want.append((next(env), frozenset()))
             continue
         board = boards[reader]
         reading = board.sense()

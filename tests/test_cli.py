@@ -54,6 +54,27 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], EXIT_OK),
+        (["--format", "csv"], EXIT_OK),
+        (["--format", "json", "--n-max", "6"], EXIT_OK),
+        (["--lambda=-1"], EXIT_CONFIG),
+        (["--mu=nan"], EXIT_CONFIG),
+        (["--n-max", "0"], EXIT_CONFIG),
+        (["--bogus"], EXIT_CONFIG),
+        (["--help"], EXIT_OK),
+    ],
+)
+def test_avail_is_sim_avail(capsys, argv, code):
+    # The `avail` script prints what `sim avail` prints, byte for byte.
+    assert main_avail(argv) == code
+    out = capsys.readouterr().out
+    assert main_sim(["avail", *argv]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_sim_avail_subcommand(capsys):
     assert main_sim(["avail", "--n-max", "2"]) == EXIT_OK
     assert "4.7778e-03" in capsys.readouterr().out
@@ -117,10 +138,10 @@ def test_sim_run_out_into_existing_directory_fails_before_simulating(capsys, tmp
 
 @pytest.mark.parametrize("seeds", ["-1", "1,-2"])
 def test_sim_run_negative_seed_fails_before_simulating(capsys, monkeypatch, seeds):
-    def run_scenario(cfg, seeds):
-        raise AssertionError("the scenario ran")
+    def simulation(cfg, seed):
+        raise AssertionError("a seed ran")
 
-    monkeypatch.setattr("redwsn.cli.run_scenario", run_scenario)
+    monkeypatch.setattr("redwsn.scenario.Simulation", simulation)
     assert main_sim(["run", "control-clean", f"--seeds={seeds}"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "negative" in err

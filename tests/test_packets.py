@@ -24,13 +24,13 @@ def test_twelve_sensor_fields():
 def test_complete_reading():
     reading = full_reading()
     assert reading.is_complete()
-    assert reading.missing_fields() == []
+    assert not np.isnan(reading.values).any()
 
 
 def test_missing_field_detected():
     reading = full_reading(co2_ppm=None)
     assert not reading.is_complete()
-    assert reading.missing_fields() == ["co2_ppm"]
+    assert np.flatnonzero(np.isnan(reading.values)).tolist() == [SENSOR_FIELDS.index("co2_ppm")]
 
 
 def test_packet_is_immutable():
@@ -44,7 +44,6 @@ def test_packet_is_immutable():
 def test_missing_fields_match_numpy_isnan(values):
     reading = SensorReading(np.array(values))
     assert reading.is_complete() == (not np.isnan(reading.values).any())
-    assert reading.missing_fields() == [SENSOR_FIELDS[i] for i in np.flatnonzero(np.isnan(reading.values))]
 
 
 def test_anomaly_threshold_is_strict():

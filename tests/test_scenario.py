@@ -284,6 +284,20 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"preset": "HF", "nodes": [{"id": "n1", "tx_power_dbm": -200}]}, r"nodes\[0\]: tx_power_dbm must be in -4..20"),
         ({"preset": "HF", "gateways": [{"id": "gw-home", "tx_power_dbm": 21}]}, r"gateways\[0\]: tx_power_dbm"),
         ({"preset": "HF", "noise": {"tx_power_dbm": -4.5}}, "noise: tx_power_dbm"),
+        # A data frame that, with its ack wait, outlasts the gap to the MAC's
+        # next slot: 52.6 s, 13.1 s, 5.2 s and 10.4 s frames against 6 s - 2 s.
+        *(
+            ({"preset": "control-clean", "lora": {"bandwidth_hz": bw, "spreading_factor": sf}}, "mac.retx_interval_ms")
+            for bw, sf in ((7800, 12), (31250, 12), (41700, 11), (20800, 10))
+        ),
+        (
+            {"preset": "control-clean", "lora": {"bandwidth_hz": 7800, "spreading_factor": 12}, "mac": {"enabled": False}},
+            "mac.fixed_interval_ms",
+        ),
+        (
+            {"preset": "control-clean", "lora": {"bandwidth_hz": 7800, "spreading_factor": 12}, "mac": {"retx_slots_per_cycle": 0}},
+            "mac.slot_min_ms",
+        ),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -317,6 +331,13 @@ def test_flat_empty_preset_fails_at_load(tmp_path):
         {"preset": "HF", "nodes": [{"id": "n1", "tx_power_dbm": -4}], "noise": {"tx_power_dbm": 20}},
         {"preset": "GWF", "gateways": [{"id": "gw-home", "tx_power_dbm": 20}, {"id": "gw-backup", "tx_power_dbm": -4}]},
         *({"preset": "control-clean", "lora": {"bandwidth_hz": bw}} for bw in BANDWIDTHS_HZ),
+        # Data frames that end, ack wait included, before the next slot:
+        # 3940 + 2000 < 6000 ms at 31.25 kHz SF10.
+        *(
+            {"preset": "control-clean", "lora": {"bandwidth_hz": bw, "spreading_factor": sf}}
+            for bw, sf in ((31250, 10), (62500, 11), (125000, 12))
+        ),
+        {"preset": "control-clean", "lora": {"bandwidth_hz": 31250, "spreading_factor": 12}, "mac": {"enabled": False}},
     ],
 )
 def test_radio_settings_at_the_device_limits_load(tmp_path, tree):
