@@ -39,6 +39,7 @@ class FaultKind(Enum):
 
 
 _SENSOR_FAULTS = (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY)
+_NO_TAGS: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,7 @@ class FaultSpec:
 _NOMINAL_VALUES = np.array([nominal for nominal, _, _, _ in SENSOR_TABLE.values()])
 _WALK_STEP = np.array([step for _, step, _, _ in SENSOR_TABLE.values()])
 _EMERGENCY_BOUNDS = [(lo, hi) for _, _, lo, hi in SENSOR_TABLE.values()]
+_EMERGENCY_LO, _EMERGENCY_HI = np.array(_EMERGENCY_BOUNDS).T
 _WALK_BAND = 0.05  # walk stays within +-5 % of nominal
 _WALK_LO, _WALK_HI = _NOMINAL_VALUES * (1 - _WALK_BAND), _NOMINAL_VALUES * (1 + _WALK_BAND)
 _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
@@ -82,36 +84,80 @@ _SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slo
 _BLOCK_ROWS = 32
 
 
+def _factor_range() -> tuple[np.ndarray, np.ndarray]:
+    """Per field, noise factors whose products with the walk band's ends
+    round inside the emergency bounds; rounding is monotone, so do those of
+    any walk-band value.  Pressure binds both sides: 0.9352 and 1.0248."""
+    f_lo, f_hi = _EMERGENCY_LO / _WALK_LO, _EMERGENCY_HI / _WALK_HI
+    while (low := _WALK_LO * f_lo < _EMERGENCY_LO).any():
+        f_lo = np.where(low, np.nextafter(f_lo, np.inf), f_lo)
+    while (high := _WALK_HI * f_hi > _EMERGENCY_HI).any():
+        f_hi = np.where(high, np.nextafter(f_hi, -np.inf), f_hi)
+    return f_lo, f_hi
+
+
+_FACTOR_LO, _FACTOR_HI = _factor_range()
+
+
 def check_thresholds(reading: SensorReading) -> bool:
     """True iff any present field lies outside its emergency bounds (absent
     fields do not trigger; absence is a sensor failure symptom, not an
     emergency).  A NaN compares false both ways, so it never triggers.  For
-    twelve values a Python loop costs less than numpy's comparisons."""
+    twelve values a Python loop costs less than numpy's comparisons, and a
+    reading marked in_bounds needs no loop."""
+    if reading.in_bounds:
+        return False
     for v, (lo, hi) in zip(reading.values.tolist(), _EMERGENCY_BOUNDS):
         if v < lo or v > hi:
             return True
     return False
 
 
+def _walk_block(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The walk's next len(steps) rows after the walk-band row ``values``:
+    each row is the previous one plus its step, clamped to the band.  A
+    float64 accumulate adds in order, so it makes the same sums as one step
+    at a time; a column that leaves the band is redone one step at a time
+    from its first excursion."""
+    rows = np.add.accumulate(np.vstack((values, steps)))
+    outside = (rows < _WALK_LO) | (rows > _WALK_HI)  # never row 0, ``values``
+    for j in outside.any(axis=0).nonzero()[0].tolist():
+        k = int(outside[:, j].argmax())
+        lo, hi, v = float(_WALK_LO[j]), float(_WALK_HI[j]), float(rows[k - 1, j])
+        redone = []
+        for step in steps[k - 1 :, j].tolist():
+            v += step
+            v = lo if v < lo else hi if v > hi else v  # as max, then min
+            redone.append(v)
+        rows[k:, j] = redone
+    return rows[1:]
+
+
 def environment(rng: np.random.Generator) -> Iterator[np.ndarray]:
     """A node's true values, in SENSOR_FIELDS order: a slow random walk from
     nominal, bounded to the walk band, shared by the node's two boards so
-    their readings agree when both are healthy.  Each step is a fresh array
-    that later steps and refills never touch, so a caller may keep it.  The
-    steps are drawn _BLOCK_ROWS at a time, the same values as one draw per
-    step."""
-    values = _NOMINAL_VALUES
+    their readings agree when both are healthy.  The steps are drawn
+    _BLOCK_ROWS at a time, the same values as one draw per step, and each
+    block of rows is computed at once; a row is never written after it is
+    yielded, so a caller may keep it."""
+    block = _NOMINAL_VALUES[np.newaxis]
     while True:
-        for step in rng.normal(0.0, _WALK_STEP, size=(_BLOCK_ROWS, len(_WALK_STEP))):
-            values = np.minimum(np.maximum(values + step, _WALK_LO), _WALK_HI)
-            yield values
+        block = _walk_block(block[-1], rng.normal(0.0, _WALK_STEP, size=(_BLOCK_ROWS, len(_WALK_STEP))))
+        yield from block
 
 
-def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _in_factor_range(factors: np.ndarray) -> np.ndarray:
+    """Per row of factors, whether every factor lies in its field's range."""
+    return ((factors >= _FACTOR_LO) & (factors <= _FACTOR_HI)).all(axis=1)
+
+
+def _noise_factors(rng: np.random.Generator) -> Iterator[tuple[np.ndarray, bool]]:
     """Per-reading sensor noise factors, one row per reading, drawn
-    _BLOCK_ROWS readings at a time: the same values as one draw per reading."""
+    _BLOCK_ROWS readings at a time: the same values as one draw per reading.
+    Each row comes with whether all its factors lie in their fields' range."""
     while True:
-        yield from 1.0 + rng.normal(0.0, _SENSOR_NOISE_REL, size=(_BLOCK_ROWS, len(SENSOR_FIELDS)))
+        block = 1.0 + rng.normal(0.0, _SENSOR_NOISE_REL, size=(_BLOCK_ROWS, len(SENSOR_FIELDS)))
+        yield from zip(block, _in_factor_range(block).tolist())
 
 
 @dataclass(frozen=True)
@@ -131,7 +177,9 @@ class NodeConfig:
 
 
 class _RadioBoard:
-    """Shared radio behaviour: half-duplex serialization and fault gating."""
+    """Shared radio behaviour: half-duplex serialization and fault gating.
+    ``env`` must yield rows inside the walk band, as environment() does:
+    the in_bounds mark on a reading rests on it."""
 
     def __init__(
         self,
@@ -177,11 +225,13 @@ class _RadioBoard:
 
         Sensor faults apply per field, in list order: a read failure makes the
         value NaN, an anomaly multiplies it.  Ground-truth tags ride on the
-        reading.
+        reading, and a reading no fault touched is marked in_bounds when its
+        noise cannot carry a value past an emergency bound.
         """
-        values = next(self.env) * next(self._noise)
+        factors, in_bounds = next(self._noise)
+        values = next(self.env) * factors
         if not self._sensor_faults:
-            return SensorReading(values)
+            return SensorReading(values, _NO_TAGS, in_bounds)
         now = self.sim.now_us
         tags = set()
         for i, start, end, fault in self._sensor_faults:
@@ -193,7 +243,7 @@ class _RadioBoard:
             else:
                 values[i] *= fault.anomaly_multiplier
                 tags.add(f"anomaly:{fault.affected_sensor}")
-        return SensorReading(values, frozenset(tags))
+        return SensorReading(values, frozenset(tags), in_bounds and not tags)
 
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:
         """A data frame carrying a fresh reading under the board's next seq;
@@ -261,7 +311,7 @@ class PrimaryBoard(_RadioBoard):
         self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
 
     def _sensing_poll(self) -> None:
-        self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
+        self.sim.schedule_at(self.sim.now_us + _SENSING_POLL_US, self._sensing_poll)
         if not self.is_powered():
             self._in_emergency = False
             return

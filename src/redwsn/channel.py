@@ -60,6 +60,9 @@ class ChannelParams:
     agc_ceiling_dbm: float = -90.0
 
     def __post_init__(self):
+        if not self.path_loss_exponent >= 0:
+            # A farther receiver would hear the frame louder.
+            raise ValueError("channel path_loss_exponent must not be negative")
         if not self.reference_distance_m > 0:
             raise ValueError("channel reference_distance_m must be positive")
         if not self.shadowing_sigma_db >= 0:

@@ -43,7 +43,7 @@ class SarbConfig:
         if self.retx_slots_per_cycle * self.retx_interval_ms >= self.slot_min_ms:
             raise ValueError("retransmission slots must fit before the earliest next data slot")
         if self.queue_capacity < 0 or self.ack_timeout_ms <= 0:
-            raise ValueError("queue capacity and ack timeout must be positive")
+            raise ValueError("mac queue_capacity must not be negative and ack_timeout_ms must be positive")
         if self.fixed_interval_ms <= 0:
             raise ValueError("fixed_interval_ms must be positive")
 

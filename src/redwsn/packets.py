@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -38,13 +37,18 @@ class BoardRole(Enum):
     SECONDARY = "secondary"
 
 
-@dataclass(frozen=True, eq=False)
-class SensorReading:
+class SensorReading(NamedTuple):
     """One snapshot of all monitored fields, in SENSOR_FIELDS order; a NaN
-    value means the sensor could not be read."""
+    value means the sensor could not be read.  A tuple, like Packet, but
+    equal and hashed by identity, so comparing frames never compares arrays."""
 
     values: np.ndarray
     fault_tags: frozenset = frozenset()  # injected-fault ground truth; metrics only
+    in_bounds: bool = False  # True only if no value can be outside its emergency bounds
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     # For twelve values a Python loop costs less than numpy's calls; a NaN
     # is the one value that differs from itself.

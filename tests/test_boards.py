@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redwsn import boards
 from redwsn.boards import (
     FaultKind,
     FaultSpec,
@@ -546,3 +547,103 @@ def test_block_draws_match_one_draw_per_reading(seed, faults, order):
         got.append((reading.values, reading.fault_tags))
         want.append(per_call_sense(env, sense_rngs[board.entity_id], faults, board.entity_id, 2_500 * k))
     assert [(v.tobytes(), tags) for v, tags in got] == [(v.tobytes(), tags) for v, tags in want]
+
+
+# -- the walk one block at a time, and the in_bounds mark ---------------------------
+
+WALK_LO, WALK_HI = NOMINAL * 0.95, NOMINAL * 1.05
+EMERGENCY_LO = np.array([row[2] for row in SENSOR_TABLE.values()])
+EMERGENCY_HI = np.array([row[3] for row in SENSOR_TABLE.values()])
+
+
+def reference_block(values, steps):
+    """One step at a time, as the walk stepped before block sums."""
+    rows = []
+    for step in steps:
+        values = np.minimum(np.maximum(values + step, WALK_LO), WALK_HI)
+        rows.append(values)
+    return np.array(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    start=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+    # (row, column, size in band widths): a kick of one width or more clamps.
+    kicks=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 11), st.floats(-3.0, 3.0)), max_size=6),
+    pinned=st.sets(st.integers(0, 11), max_size=3),
+)
+def test_walk_block_matches_one_step_at_a_time(start, seed, scale, kicks, pinned):
+    width = WALK_HI - WALK_LO
+    values = WALK_LO + np.array(start) * width
+    steps = np.random.default_rng(seed).normal(0.0, scale * width, size=(32, 12))
+    for row, column, size in kicks:
+        steps[row, column] = size * width[column]
+    for column in pinned:  # every step leaves the band: every row clamps
+        steps[:, column] = np.where(np.arange(32) % 2, 2.0, -2.0) * width[column]
+    got = boards._walk_block(values, steps)
+    assert got.tobytes() == reference_block(values, steps).tobytes()
+    assert ((WALK_LO <= got) & (got <= WALK_HI)).all()
+
+
+@pytest.mark.parametrize(
+    "clamped",
+    [[(0, 0)], [(31, 0)], [(0, 1), (5, 3), (31, 11)], [(i, 2) for i in range(32)]],
+    ids=["first-row", "last-row", "several-columns", "pinned-column"],
+)
+def test_walk_block_clamps_where_one_step_at_a_time_does(clamped):
+    steps = np.random.default_rng(4).normal(0.0, WALK_STEP, size=(32, 12))
+    for row, column in clamped:
+        steps[row, column] = (-1) ** row * (WALK_HI - WALK_LO)[column]
+    want = reference_block(NOMINAL, steps)
+    assert all(want[row, column] in (WALK_LO[column], WALK_HI[column]) for row, column in clamped)
+    assert boards._walk_block(NOMINAL, steps).tobytes() == want.tobytes()
+
+
+def test_factor_range_corners_round_inside_the_emergency_bounds():
+    assert (WALK_LO * boards._FACTOR_LO >= EMERGENCY_LO).all()
+    assert (WALK_HI * boards._FACTOR_HI <= EMERGENCY_HI).all()
+    # Nearly every reading is marked: the range spans 4.9 sigma of the noise.
+    assert boards._FACTOR_LO.max() < 1 - 4.9 * 0.005 and boards._FACTOR_HI.min() > 1 + 4.9 * 0.005
+
+
+def test_a_factor_one_ulp_outside_the_range_leaves_its_row_unmarked():
+    rows = np.ones((4 * 12 + 1, 12))
+    for j in range(12):
+        rows[4 * j, j] = boards._FACTOR_LO[j]
+        rows[4 * j + 1, j] = boards._FACTOR_HI[j]
+        rows[4 * j + 2, j] = np.nextafter(boards._FACTOR_LO[j], -np.inf)
+        rows[4 * j + 3, j] = np.nextafter(boards._FACTOR_HI[j], np.inf)
+    marked = boards._in_factor_range(rows).tolist()
+    assert marked == [True, True, False, False] * 12 + [True]
+
+
+def factor_in_range(j):
+    lo, hi = float(boards._FACTOR_LO[j]), float(boards._FACTOR_HI[j])
+    ends = [lo, hi, -0.0] if lo == 0.0 else [lo, hi]
+    return st.sampled_from(ends) | st.floats(lo, hi)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    walk=st.tuples(*(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) for _ in range(12))),
+    factors=st.tuples(*(factor_in_range(j) for j in range(12))),
+)
+def test_marked_readings_cannot_cross_a_bound(walk, factors):
+    row = np.minimum(WALK_LO + np.array(walk) * (WALK_HI - WALK_LO), WALK_HI)
+    factors = np.array(factors)
+    assert boards._in_factor_range(factors[np.newaxis]).tolist() == [True]
+    # The full loop, on a reading that does not carry the mark.
+    assert not check_thresholds(SensorReading(row * factors))
+
+
+def test_only_readings_no_fault_touched_are_marked_in_bounds():
+    fault = sensor_fault(ANOM, "co2_ppm", 60, 120, 1.01)
+    sim, _, primary, secondary = build_node(faults=[fault])
+    marks = []
+    for t_s in (0, 59, 60, 119, 120, 300):
+        sim.run_until(ms_to_us(t_s * 1000))
+        marks.append((primary.sense().in_bounds, secondary.sense().in_bounds))
+    assert marks == [(True, True), (True, True), (False, True), (False, True), (True, True), (True, True)]
+    assert all(primary.sense().in_bounds for _ in range(500))

@@ -32,8 +32,12 @@ def test_config_rejects_bad_values():
         SarbConfig(slot_step_ms=0)
     with pytest.raises(ValueError):
         SarbConfig(retx_interval_ms=12_000)  # 2 x 12 s >= 20 s
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ack_timeout_ms must be positive"):
         SarbConfig(ack_timeout_ms=0)
+    with pytest.raises(ValueError, match="queue_capacity must not be negative"):
+        SarbConfig(queue_capacity=-1)
+    # An empty queue only turns retransmission off.
+    assert SarbConfig(queue_capacity=0).queue_capacity == 0
 
 
 # -- LIFO retransmission queue ---------------------------------------------------

@@ -40,6 +40,20 @@ def test_packet_is_immutable():
     assert packet.seq == 1 and packet.size_bytes == 0 and packet.reading is None
 
 
+def test_reading_is_an_immutable_tuple_equal_only_to_itself():
+    values = np.ones(len(SENSOR_FIELDS))
+    reading = SensorReading(values, frozenset({"anomaly:co2_ppm"}))
+    assert reading[:2] == (values, frozenset({"anomaly:co2_ppm"})) and reading.in_bounds is False
+    with pytest.raises(AttributeError):
+        reading.in_bounds = True
+    twin = SensorReading(values.copy(), reading.fault_tags)
+    # By identity, as a dataclass with eq=False: no array is ever compared.
+    assert reading == reading and reading != twin and not (reading != reading)
+    assert len({reading, twin, reading}) == 2
+    frame = Packet(kind=PacketKind.DATA, seq=1, reading=reading)
+    assert frame == frame._replace() and frame != frame._replace(reading=twin)
+
+
 @given(st.lists(st.sampled_from([1.0, -0.0, math.inf, -math.inf, math.nan]), min_size=12, max_size=12))
 def test_missing_fields_match_numpy_isnan(values):
     reading = SensorReading(np.array(values))

@@ -298,6 +298,8 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
             {"preset": "control-clean", "lora": {"bandwidth_hz": 7800, "spreading_factor": 12}, "mac": {"retx_slots_per_cycle": 0}},
             "mac.slot_min_ms",
         ),
+        # A negative exponent makes a farther receiver hear the frame louder.
+        ({"preset": "GWF", "channel": {"path_loss_exponent": -3}}, "path_loss_exponent must not be negative"),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -344,6 +346,13 @@ def test_radio_settings_at_the_device_limits_load(tmp_path, tree):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(tree))
     load_scenario(str(path))
+
+
+def test_flat_path_loss_loads(tmp_path):
+    # An exponent of 0 puts every receiver at the reference loss.
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"preset": "GWF", "channel": {"path_loss_exponent": 0}}))
+    assert load_scenario(str(path)).channel.path_loss_exponent == 0
 
 
 def test_largest_lora_payload_loads(tmp_path):
