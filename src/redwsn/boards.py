@@ -369,7 +369,9 @@ class SecondaryBoard(_RadioBoard):
         self._interval_us = ms_to_us(cfg.sensing_interval_ms)
         self._sense_duration_us = ms_to_us(cfg.sense_duration_ms)
         self._heartbeat_us = ms_to_us(cfg.heartbeat_period_ms)
-        self._watchdog = None
+        # Each arming outdates the watchdog timers queued before it.  A count,
+        # not the deadline: two armings at one instant can share a deadline.
+        self._watchdog_arms = 0
         self._last_responded_seq = 0
         # Substitutions run at the board's own sensing cadence: at most one
         # backup/corrective per sensing interval, however many triggers fire.
@@ -380,9 +382,9 @@ class SecondaryBoard(_RadioBoard):
         self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
 
     def _arm_watchdog(self, deadline_us: int) -> None:
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-        self._watchdog = self.sim.schedule_at(deadline_us, self._watchdog_expired)
+        self._watchdog_arms += 1
+        arm = self._watchdog_arms
+        self.sim.schedule_at(deadline_us, lambda: self._watchdog_expired(arm))
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if not self.is_powered():
@@ -409,7 +411,9 @@ class SecondaryBoard(_RadioBoard):
         self._next_substitute_us = self.sim.now_us + self._interval_us
         return True
 
-    def _watchdog_expired(self) -> None:
+    def _watchdog_expired(self, arm: int) -> None:
+        if arm != self._watchdog_arms:
+            return
         deadline = self.sim.now_us + self._interval_us
         if self.is_powered() and self._substitute_allowed():
             self._schedule_send(corrective=False)

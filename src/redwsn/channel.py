@@ -67,6 +67,10 @@ class ChannelParams:
             raise ValueError("channel reference_distance_m must be positive")
         if not self.shadowing_sigma_db >= 0:
             raise ValueError("channel shadowing_sigma_db must not be negative")
+        if not self.capture_threshold_db > 0:
+            # Two overlapping frames within -threshold dB of each other would
+            # both be decoded at one receiver.
+            raise ValueError("channel capture_threshold_db must be positive")
         if self.agc_ceiling_dbm < self.sensitivity_dbm:
             # Every frame would be clamped below the sensitivity.
             raise ValueError("channel agc_ceiling_dbm must not be below sensitivity_dbm")
@@ -256,10 +260,7 @@ class Channel:
         # block is drawn only while a start within the run needs its step.
         t = period_us
         while t <= duration_us:
-            if jitter_us > 0:
-                steps = period_us + rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK)
-            else:
-                steps = np.full(_DRAW_BLOCK, period_us, dtype=np.int64)
+            steps = period_us + rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK)
             steps = np.maximum(steps, airtime_us + 1)
             ends = np.cumsum(steps, dtype=np.int64) + t
             block = ends - steps

@@ -2,9 +2,10 @@
 
 Time is kept as integer microseconds so that sub-millisecond LoRa airtimes
 (e.g. 138.496 ms) order events exactly, with no float drift.  Events with
-equal timestamps fire in insertion order.  Randomness comes from labeled
-streams derived from a single master seed, so adding a consumer never
-perturbs the draws of another.
+equal timestamps fire in insertion order.  Events are never cancelled: an
+owner whose timer can go stale checks its own state when the timer fires.
+Randomness comes from labeled streams derived from a single master seed, so
+adding a consumer never perturbs the draws of another.
 """
 
 from __future__ import annotations
@@ -40,42 +41,25 @@ def stream_rng(master_seed: int, stream_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=words))
 
 
-class EventHandle:
-    """Cancellable reference to a scheduled event; a cancelled event's
-    callback is None, the tombstone the loop skips."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-
-    def cancel(self) -> None:
-        # The callback may hold the object that holds this handle; dropping
-        # it frees that cycle without the garbage collector.
-        self.fn = None
-
-
 class Simulator:
     """Single-threaded event loop with an integer-microsecond clock."""
 
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.now_us: int = 0
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
     def rng(self, stream_id: str) -> np.random.Generator:
         return stream_rng(self.master_seed, stream_id)
 
-    def schedule_at(self, t_us: int, fn: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, t_us: int, fn: Callable[[], None]) -> None:
         if t_us < self.now_us:
             raise SchedulingError(f"cannot schedule at {t_us} us; clock is at {self.now_us} us")
-        handle = EventHandle(fn)
-        heapq.heappush(self._heap, (t_us, next(self._seq), handle))
-        return handle
+        heapq.heappush(self._heap, (t_us, next(self._seq), fn))
 
-    def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> EventHandle:
-        return self.schedule_at(self.now_us + int(delay_us), fn)
+    def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> None:
+        self.schedule_at(self.now_us + int(delay_us), fn)
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with time <= t_end_us; leave the clock at t_end_us."""
@@ -84,10 +68,7 @@ class Simulator:
         processed = 0
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t_end_us:
-            t, _, handle = pop(heap)
-            fn = handle.fn
-            if fn is None:
-                continue
+            t, _, fn = pop(heap)
             self.now_us = t
             fn()
             processed += 1
@@ -95,7 +76,5 @@ class Simulator:
         return processed
 
     def close(self) -> None:
-        """Cancel every pending event, releasing the callbacks."""
-        for _, _, handle in self._heap:
-            handle.cancel()
+        """Drop every pending event, releasing the callbacks."""
         self._heap.clear()

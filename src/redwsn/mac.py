@@ -109,9 +109,10 @@ class SarbMac:
       * on_slot(time_us)                       expected-slot bookkeeping
 
     The MAC never asks whether the board has power.  The host calls
-    power_cycle when the board loses power, which empties the queue and the
-    ack timer; while the board is off, build_packet returns None and the host
-    sends no emergencies, so nothing refills them.  The slot clock keeps
+    power_cycle when the board loses power, which empties the queue and
+    forgets the frame awaiting its ack, whose timer then does nothing; while
+    the board is off, build_packet returns None and the host sends no
+    emergencies, so nothing refills them.  The slot clock keeps
     ticking through an outage (so the monitoring-epoch schedule is
     independent of injected faults); only the transmissions stop.
     """
@@ -142,7 +143,7 @@ class SarbMac:
         self._fixed_interval_us = ms_to_us(cfg.fixed_interval_ms)
         self._retx_interval_us = ms_to_us(cfg.retx_interval_ms)
         self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
-        self._pending: Optional[tuple[Packet, object]] = None  # (packet, timeout handle)
+        self._pending: Optional[Packet] = None  # the frame awaiting its ack
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -152,9 +153,7 @@ class SarbMac:
     def power_cycle(self) -> None:
         """Volatile state is lost when the board loses power."""
         self.queue.clear()
-        if self._pending is not None:
-            self._pending[1].cancel()
-            self._pending = None
+        self._pending = None
 
     def _draw_offset_us(self) -> int:
         if not self.cfg.enabled:
@@ -196,20 +195,17 @@ class SarbMac:
             # unconfirmed immediately rather than tracking two timers.
             self.queue.push(packet)
             return
-        deadline = end_us + self._ack_timeout_us
-        handle = self.sim.schedule_at(deadline, lambda: self._ack_timeout(packet))
-        self._pending = (packet, handle)
+        self.sim.schedule_at(end_us + self._ack_timeout_us, lambda: self._ack_timeout(packet))
+        self._pending = packet
 
     def _ack_timeout(self, packet: Packet) -> None:
-        if self._pending is None or self._pending[0] is not packet:
-            return
-        self._pending = None
-        self.queue.push(packet)
+        # A frame acked, or forgotten by power_cycle, leaves its timer queued.
+        # The MAC keeps that frame nowhere else, so it cannot be pending again
+        # before the timer fires, and the timer then does nothing.
+        if self._pending is packet:
+            self._pending = None
+            self.queue.push(packet)
 
     def on_ack(self, acked_seq: int) -> None:
-        if self._pending is None:
-            return
-        packet, handle = self._pending
-        if packet.seq == acked_seq:
-            handle.cancel()
+        if self._pending is not None and self._pending.seq == acked_seq:
             self._pending = None

@@ -288,6 +288,30 @@ def test_power_cycle_clears_queue_and_pending():
     assert h.mac._pending is None
 
 
+@pytest.mark.parametrize("drop", ["ack", "power_cycle"])
+def test_a_stale_ack_timer_leaves_the_next_frame_pending(drop):
+    # One data slot at exactly 20 s; frames last 138.496 ms, acks wait 2 s.
+    h = Harness(cfg=SarbConfig(slot_min_ms=20_000, slot_max_ms=20_000))
+    h.mac.start()
+    h.sim.run_until(20_000_000)
+    (_, first), = h.sent
+    if drop == "ack":
+        h.mac.on_ack(first.seq)
+    else:
+        h.mac.power_cycle()
+    h.sim.run_until(21_000_000)
+    second = Packet(kind=PacketKind.DATA, node_id="n1", seq=999, size_bytes=76, emergency=True)
+    h.mac.on_emergency(second)
+    # The first frame's timer fires at 22.138496 s and must not touch the
+    # second frame, which waits for its ack until 23.138496 s.
+    h.sim.run_until(23_000_000)
+    assert h.mac._pending is second
+    assert len(h.mac.queue) == 0
+    h.sim.run_until(23_138_496)
+    assert h.mac._pending is None
+    assert h.mac.queue.pop() is second
+
+
 def test_queue_never_exceeds_capacity_without_acks():
     h = Harness()
     h.mac.start()

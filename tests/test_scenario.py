@@ -300,6 +300,12 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ),
         # A negative exponent makes a farther receiver hear the frame louder.
         ({"preset": "GWF", "channel": {"path_loss_exponent": -3}}, "path_loss_exponent must not be negative"),
+        # At or below 0 dB two overlapping frames can both be decoded at one
+        # receiver: -10 dB cleared every delay violation of control-noise.
+        *(
+            ({"preset": "control-noise", "channel": {"capture_threshold_db": c}}, "channel: .*capture_threshold_db must be positive")
+            for c in (-10, 0)
+        ),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -353,6 +359,12 @@ def test_flat_path_loss_loads(tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"preset": "GWF", "channel": {"path_loss_exponent": 0}}))
     assert load_scenario(str(path)).channel.path_loss_exponent == 0
+
+
+def test_small_positive_capture_threshold_loads(tmp_path):
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps({"preset": "control-noise", "channel": {"capture_threshold_db": 0.5}}))
+    assert load_scenario(str(path)).channel.capture_threshold_db == 0.5
 
 
 def test_largest_lora_payload_loads(tmp_path):
