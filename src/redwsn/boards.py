@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class FaultKind(Enum):
 
 
 _SENSOR_FAULTS = (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY)
-_NO_TAGS: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,7 @@ def check_thresholds(reading: SensorReading) -> bool:
     """True iff any present field lies outside its emergency bounds (absent
     fields do not trigger; absence is a sensor failure symptom, not an
     emergency).  A NaN compares false both ways, so it never triggers.  For
-    twelve values a Python loop costs less than numpy's comparisons, and a
-    reading marked in_bounds needs no loop."""
-    if reading.in_bounds:
-        return False
+    twelve values a Python loop costs less than numpy's comparisons."""
     for v, (lo, hi) in zip(reading.values.tolist(), _EMERGENCY_BOUNDS):
         if v < lo or v > hi:
             return True
@@ -133,17 +129,33 @@ def _walk_block(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return rows[1:]
 
 
-def environment(rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """A node's true values, in SENSOR_FIELDS order: a slow random walk from
-    nominal, bounded to the walk band, shared by the node's two boards so
-    their readings agree when both are healthy.  The steps are drawn
-    _BLOCK_ROWS at a time, the same values as one draw per step, and each
-    block of rows is computed at once; a row is never written after it is
-    yielded, so a caller may keep it."""
-    block = _NOMINAL_VALUES[np.newaxis]
-    while True:
-        block = _walk_block(block[-1], rng.normal(0.0, _WALK_STEP, size=(_BLOCK_ROWS, len(_WALK_STEP))))
-        yield from block
+class _Rows:
+    """A stream's rows, drawn _BLOCK_ROWS at a time by _refill.  next() hands
+    out a row and skip() passes one without building anything; a refill never
+    writes into the old block, so a row a caller kept stays valid."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._i = rng, _BLOCK_ROWS  # the first row draws a block
+
+    def __next__(self) -> np.ndarray:
+        self.skip()
+        return self._block[self._i - 1]
+
+    def skip(self) -> None:
+        if self._i == _BLOCK_ROWS:
+            self._refill()
+        self._i += 1
+
+
+class Environment(_Rows):
+    """A node's true values, in SENSOR_FIELDS order: a slow bounded random walk
+    from nominal, shared by both boards so their healthy readings agree."""
+
+    _block = _NOMINAL_VALUES[np.newaxis]  # the walk's start, never written
+
+    def _refill(self) -> None:
+        steps = self._rng.standard_normal((_BLOCK_ROWS, len(_WALK_STEP))) * _WALK_STEP
+        self._block, self._i = _walk_block(self._block[-1], steps), 0
 
 
 def _in_factor_range(factors: np.ndarray) -> np.ndarray:
@@ -151,13 +163,18 @@ def _in_factor_range(factors: np.ndarray) -> np.ndarray:
     return ((factors >= _FACTOR_LO) & (factors <= _FACTOR_HI)).all(axis=1)
 
 
-def _noise_factors(rng: np.random.Generator) -> Iterator[tuple[np.ndarray, bool]]:
-    """Per-reading sensor noise factors, one row per reading, drawn
-    _BLOCK_ROWS readings at a time: the same values as one draw per reading.
-    Each row comes with whether all its factors lie in their fields' range."""
-    while True:
-        block = 1.0 + rng.normal(0.0, _SENSOR_NOISE_REL, size=(_BLOCK_ROWS, len(SENSOR_FIELDS)))
-        yield from zip(block, _in_factor_range(block).tolist())
+class _NoiseFactors(_Rows):
+    """Per-reading sensor noise factors.  in_range() says whether all the
+    next row's factors lie in their fields' range."""
+
+    def _refill(self) -> None:
+        self._block = 1.0 + self._rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS))) * _SENSOR_NOISE_REL
+        self._in_range, self._i = _in_factor_range(self._block).tolist(), 0
+
+    def in_range(self) -> bool:
+        if self._i == _BLOCK_ROWS:
+            self._refill()
+        return self._in_range[self._i]
 
 
 @dataclass(frozen=True)
@@ -178,8 +195,8 @@ class NodeConfig:
 
 class _RadioBoard:
     """Shared radio behaviour: half-duplex serialization and fault gating.
-    ``env`` must yield rows inside the walk band, as environment() does:
-    the in_bounds mark on a reading rests on it."""
+    ``env`` must hand out rows inside the walk band, as Environment does:
+    the in_bounds mark and the sensing poll's fast path rest on it."""
 
     def __init__(
         self,
@@ -187,7 +204,7 @@ class _RadioBoard:
         channel: Channel,
         node: NodeConfig,
         role: BoardRole,
-        env: Iterator[np.ndarray],
+        env: Environment,
         faults: tuple[FaultSpec, ...],
     ):
         self.sim = sim
@@ -209,7 +226,7 @@ class _RadioBoard:
             if f.kind in _SENSOR_FAULTS
         ]
         self.tx_power_dbm = node.tx_power_dbm
-        self._noise = _noise_factors(sim.rng(f"{self.entity_id}-sensor"))
+        self._noise = _NoiseFactors(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
         channel.add_receiver(self)
 
@@ -228,10 +245,10 @@ class _RadioBoard:
         reading, and a reading no fault touched is marked in_bounds when its
         noise cannot carry a value past an emergency bound.
         """
-        factors, in_bounds = next(self._noise)
-        values = next(self.env) * factors
+        in_bounds = self._noise.in_range()
+        values = next(self.env) * next(self._noise)
         if not self._sensor_faults:
-            return SensorReading(values, _NO_TAGS, in_bounds)
+            return SensorReading(values, in_bounds=in_bounds)
         now = self.sim.now_us
         tags = set()
         for i, start, end, fault in self._sensor_faults:
@@ -285,7 +302,7 @@ class PrimaryBoard(_RadioBoard):
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        env: Iterator[np.ndarray],
+        env: Environment,
         faults: tuple[FaultSpec, ...],
         mac_cfg: SarbConfig,
     ):
@@ -312,13 +329,17 @@ class PrimaryBoard(_RadioBoard):
 
     def _sensing_poll(self) -> None:
         self.sim.schedule_at(self.sim.now_us + _SENSING_POLL_US, self._sensing_poll)
-        if not self.is_powered():
-            self._in_emergency = False
-            return
-        reading = self.sense()
-        crossed = check_thresholds(reading)
-        if crossed and not self._in_emergency:
-            self.mac.on_emergency(self.data_packet(emergency=True))
+        crossed = False
+        if self.is_powered():
+            now, faults = self.sim.now_us, self._sensor_faults
+            if self._noise.in_range() and not (faults and any(s <= now < e for _, s, e, _ in faults)):
+                # sense() would mark the reading in_bounds: it cannot cross.
+                self._noise.skip()
+                self.env.skip()
+            else:
+                crossed = check_thresholds(self.sense())
+                if crossed and not self._in_emergency:
+                    self.mac.on_emergency(self.data_packet(emergency=True))
         self._in_emergency = crossed
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
@@ -357,7 +378,7 @@ class SecondaryBoard(_RadioBoard):
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        env: Iterator[np.ndarray],
+        env: Environment,
         faults: tuple[FaultSpec, ...],
         cfg: SecondaryConfig,
     ):

@@ -96,6 +96,10 @@ class ScenarioConfig:
                 f"a data frame lasts {airtime_us / 1000} ms at these lora settings, so it"
                 f" (with its ack wait under SARB) would run into the MAC's next slot, mac.{gap} later"
             )
+        airtime_us = time_on_air_us(self.secondary.heartbeat_bytes, self.lora)
+        if any(n.has_secondary for n in self.nodes) and airtime_us >= ms_to_us(self.secondary.heartbeat_period_ms):
+            # A heartbeat still on the air defers the next one, so deferred beats would pile up.
+            raise ConfigError(f"secondary.heartbeat_period_ms must exceed a heartbeat's {airtime_us / 1000} ms airtime")
         self._check_radio_ids()
         self._check_fault_targets()
         self._check_fault_overlap()

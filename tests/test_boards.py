@@ -15,7 +15,7 @@ from redwsn.boards import (
     SecondaryBoard,
     SecondaryConfig,
     check_thresholds,
-    environment,
+    Environment,
 )
 from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator, ms_to_us, stream_rng
@@ -48,7 +48,7 @@ def build_node(faults=(), seed=0, with_secondary=True, secondary_cfg=SecondaryCo
     channel = Channel(sim, params=ChannelParams(shadowing_sigma_db=0.0))
     gw = GatewayProbe()
     channel.add_receiver(gw)
-    env = environment(sim.rng("n1-environment"))
+    env = Environment(sim.rng("n1-environment"))
     node = NodeConfig(id="n1")
     primary = PrimaryBoard(sim, channel, node, env, tuple(faults), SarbConfig())
     secondary = None
@@ -100,7 +100,7 @@ def test_walk_band_lies_inside_emergency_bounds():
 
 def test_environment_stays_in_band_and_is_shared():
     sim = Simulator(master_seed=3)
-    env = environment(sim.rng("env"))
+    env = Environment(sim.rng("env"))
     co2, o2 = SENSOR_FIELDS.index("co2_ppm"), SENSOR_FIELDS.index("o2_percent")
     for _ in range(500):
         sample = next(env)
@@ -430,7 +430,7 @@ def reference_readings(seed, faults, times_ms):
 
 
 def test_environment_matches_the_per_field_walk():
-    env = environment(stream_rng(11, "env"))
+    env = Environment(stream_rng(11, "env"))
     walk = reference_walk(stream_rng(11, "env"))
     samples = np.array([next(env) for _ in range(3_000)])
     np.testing.assert_array_equal(samples, [next(walk) for _ in range(3_000)])
@@ -647,3 +647,110 @@ def test_only_readings_no_fault_touched_are_marked_in_bounds():
         marks.append((primary.sense().in_bounds, secondary.sense().in_bounds))
     assert marks == [(True, True), (True, True), (False, True), (False, True), (True, True), (True, True)]
     assert all(primary.sense().in_bounds for _ in range(500))
+
+
+# -- streams as cursors, and the sensing poll's fast path ----------------------------
+
+
+@pytest.mark.parametrize("stream", [boards.Environment, boards._NoiseFactors], ids=["walk", "noise"])
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), skips=st.lists(st.booleans(), min_size=100, max_size=100))
+def test_skip_equals_a_discarded_next(stream, seed, skips):
+    # 100 rows cross three refills of a 32-row block.
+    got, want = stream(np.random.default_rng(seed)), stream(np.random.default_rng(seed))
+    kept = []
+    for skip in skips:
+        if stream is boards._NoiseFactors:
+            assert got.in_range() is want.in_range()
+        wanted = next(want)
+        if skip:
+            got.skip()
+        else:
+            kept.append((next(got), wanted.copy()))
+    # A kept row is a view that no later refill has written into.
+    assert all(row.tobytes() == wanted.tobytes() for row, wanted in kept)
+    assert next(got).tobytes() == next(want).tobytes()
+
+
+def test_standard_normal_times_scale_is_the_normal_draw_bit_for_bit():
+    for scale in (WALK_STEP, 0.005):
+        fast, slow = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(3_000):
+            got = fast.standard_normal((32, 12)) * scale
+            want = slow.normal(0.0, scale, (32, 12))
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+class EmergencyRecorder:
+    """Stands in for the primary's MAC: keeps each emergency frame."""
+
+    def __init__(self):
+        self.frames = []
+
+    def on_emergency(self, packet):
+        self.frames.append(packet)
+
+
+def reference_poll(board):
+    """PrimaryBoard._sensing_poll, less its rescheduling, as it was before its
+    fast path: every powered poll builds a reading and checks its bounds."""
+    if not board.is_powered():
+        board._in_emergency = False
+        return
+    crossed = check_thresholds(board.sense())
+    if crossed and not board._in_emergency:
+        board.mac.on_emergency(board.data_packet(emergency=True))
+    board._in_emergency = crossed
+
+
+def frame_key(packet):
+    if packet is None:
+        return None
+    return packet.seq, packet.emergency, packet.reading.values.tobytes(), packet.reading.fault_tags
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**16),
+    # After each 5 s poll: data packets, secondary readings and walk steps.
+    between=st.lists(st.lists(st.sampled_from(["data", "secondary", "env"]), max_size=3), min_size=125, max_size=125),
+)
+def test_fast_path_polls_match_polls_that_build_every_reading(seed, between):
+    # MIXED_FAULTS: an O2 x 1.3 anomaly over 120-400 s crosses the 23 %
+    # bound; a hard failure over 520-540 s; sensor faults on other fields.
+    faults = tuple(MIXED_FAULTS + SECONDARY_FAULTS)
+    runs = []
+    for poll in (PrimaryBoard._sensing_poll, reference_poll):
+        sim, _, primary, secondary = build_node(faults=faults, seed=seed)
+        primary.mac = EmergencyRecorder()
+        built = []
+
+        def counted_sense(sense=primary.sense):
+            built.append(sim.now_us)
+            return sense()
+
+        primary.sense = counted_sense
+        trail = []
+        for k, ops in enumerate(between):
+            # Set the clock instead of running the loop, so only these calls run.
+            sim.now_us = ms_to_us(5_000 * k)
+            poll(primary)
+            trail.append(primary._in_emergency)
+            for op in ops:
+                sim.now_us += ms_to_us(1_000)
+                if op == "data":
+                    trail.append(frame_key(primary.data_packet()))
+                elif op == "secondary":
+                    trail.append(secondary.sense().values.tobytes())
+                else:
+                    trail.append(next(primary.env).tobytes())
+        sim.now_us = ms_to_us(700_000)
+        trail += [(primary.sense().values.tobytes(), secondary.sense().values.tobytes()) for _ in range(40)]
+        runs.append((trail, [frame_key(p) for p in primary.mac.frames], len(built)))
+    (trail, emergencies, built), (want_trail, want_emergencies, want_built) = runs
+    assert trail == want_trail and emergencies == want_emergencies
+    assert len(emergencies) == 1 and emergencies[0][3] >= {"anomaly:o2_percent"}
+    assert trail.count(True) == 56  # every poll over 120-395 s
+    # The 33 powered polls that no sensor fault touches take the fast path,
+    # but for the rare one whose noise could carry a value past a bound.
+    assert 30 <= want_built - built <= 33

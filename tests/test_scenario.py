@@ -306,6 +306,11 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
             ({"preset": "control-noise", "channel": {"capture_threshold_db": c}}, "channel: .*capture_threshold_db must be positive")
             for c in (-10, 0)
         ),
+        # Each 41.216 ms heartbeat deferred the next 20 ms one: a run that never ended.
+        (
+            {"preset": "SF1", "secondary": {"heartbeat_period_ms": 20}},
+            "secondary.heartbeat_period_ms must exceed a heartbeat's 41.216 ms airtime",
+        ),
     ],
 )
 def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
@@ -365,6 +370,22 @@ def test_small_positive_capture_threshold_loads(tmp_path):
     path = tmp_path / "capture.json"
     path.write_text(json.dumps({"preset": "control-noise", "channel": {"capture_threshold_db": 0.5}}))
     assert load_scenario(str(path)).channel.capture_threshold_db == 0.5
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        # Just above the 41.216 ms heartbeat.
+        {"preset": "SF1", "secondary": {"heartbeat_period_ms": 42}},
+        # No node has a secondary, so no heartbeat is ever sent.
+        {"preset": "SF1-noRedundancy", "secondary": {"heartbeat_period_ms": 20}},
+    ],
+    ids=["above-airtime", "no-secondary"],
+)
+def test_heartbeat_periods_that_can_run_load(tmp_path, tree):
+    path = tmp_path / "heartbeat.json"
+    path.write_text(json.dumps(tree))
+    assert load_scenario(str(path)).secondary.heartbeat_period_ms == tree["secondary"]["heartbeat_period_ms"]
 
 
 def test_largest_lora_payload_loads(tmp_path):
