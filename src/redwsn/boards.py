@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -70,32 +70,15 @@ class FaultSpec:
 
 
 # Per-field columns of SENSOR_TABLE, in SENSOR_FIELDS order.
-_NOMINAL_VALUES = np.array([nominal for nominal, _, _, _ in SENSOR_TABLE.values()])
-_WALK_STEP = np.array([step for _, step, _, _ in SENSOR_TABLE.values()])
-_EMERGENCY_BOUNDS = [(lo, hi) for _, _, lo, hi in SENSOR_TABLE.values()]
-_EMERGENCY_LO, _EMERGENCY_HI = np.array(_EMERGENCY_BOUNDS).T
-_WALK_BAND = 0.05  # walk stays within +-5 % of nominal
-_WALK_LO, _WALK_HI = _NOMINAL_VALUES * (1 - _WALK_BAND), _NOMINAL_VALUES * (1 + _WALK_BAND)
+_NOMINAL_VALUES = np.array([nominal for nominal, _, _ in SENSOR_TABLE.values()])
+_EMERGENCY_BOUNDS = [(lo, hi) for _, lo, hi in SENSOR_TABLE.values()]
 _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
+_NOISE_CLIP = 0.03  # the noise is clipped at +-6 sigma
+_NOISE_EXTREMES = (1.0 - _NOISE_CLIP, 1.0 + _NOISE_CLIP)
 _SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slots
-# Readings drawn ahead per refill of a walk or noise stream.  Each stream has
-# one owner, so drawing ahead moves no other consumer's values.
+# Readings drawn ahead per refill of a noise stream.  Each stream has one
+# owner, so drawing ahead moves no other consumer's values.
 _BLOCK_ROWS = 32
-
-
-def _factor_range() -> tuple[np.ndarray, np.ndarray]:
-    """Per field, noise factors whose products with the walk band's ends
-    round inside the emergency bounds; rounding is monotone, so do those of
-    any walk-band value.  Pressure binds both sides: 0.9352 and 1.0248."""
-    f_lo, f_hi = _EMERGENCY_LO / _WALK_LO, _EMERGENCY_HI / _WALK_HI
-    while (low := _WALK_LO * f_lo < _EMERGENCY_LO).any():
-        f_lo = np.where(low, np.nextafter(f_lo, np.inf), f_lo)
-    while (high := _WALK_HI * f_hi > _EMERGENCY_HI).any():
-        f_hi = np.where(high, np.nextafter(f_hi, -np.inf), f_hi)
-    return f_lo, f_hi
-
-
-_FACTOR_LO, _FACTOR_HI = _factor_range()
 
 
 def check_thresholds(reading: SensorReading) -> bool:
@@ -109,72 +92,12 @@ def check_thresholds(reading: SensorReading) -> bool:
     return False
 
 
-def _walk_block(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The walk's next len(steps) rows after the walk-band row ``values``:
-    each row is the previous one plus its step, clamped to the band.  A
-    float64 accumulate adds in order, so it makes the same sums as one step
-    at a time; a column that leaves the band is redone one step at a time
-    from its first excursion."""
-    rows = np.add.accumulate(np.vstack((values, steps)))
-    outside = (rows < _WALK_LO) | (rows > _WALK_HI)  # never row 0, ``values``
-    for j in outside.any(axis=0).nonzero()[0].tolist():
-        k = int(outside[:, j].argmax())
-        lo, hi, v = float(_WALK_LO[j]), float(_WALK_HI[j]), float(rows[k - 1, j])
-        redone = []
-        for step in steps[k - 1 :, j].tolist():
-            v += step
-            v = lo if v < lo else hi if v > hi else v  # as max, then min
-            redone.append(v)
-        rows[k:, j] = redone
-    return rows[1:]
-
-
-class _Rows:
-    """A stream's rows, drawn _BLOCK_ROWS at a time by _refill.  next() hands
-    out a row and skip() passes one without building anything; a refill never
-    writes into the old block, so a row a caller kept stays valid."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng, self._i = rng, _BLOCK_ROWS  # the first row draws a block
-
-    def __next__(self) -> np.ndarray:
-        self.skip()
-        return self._block[self._i - 1]
-
-    def skip(self) -> None:
-        if self._i == _BLOCK_ROWS:
-            self._refill()
-        self._i += 1
-
-
-class Environment(_Rows):
-    """A node's true values, in SENSOR_FIELDS order: a slow bounded random walk
-    from nominal, shared by both boards so their healthy readings agree."""
-
-    _block = _NOMINAL_VALUES[np.newaxis]  # the walk's start, never written
-
-    def _refill(self) -> None:
-        steps = self._rng.standard_normal((_BLOCK_ROWS, len(_WALK_STEP))) * _WALK_STEP
-        self._block, self._i = _walk_block(self._block[-1], steps), 0
-
-
-def _in_factor_range(factors: np.ndarray) -> np.ndarray:
-    """Per row of factors, whether every factor lies in its field's range."""
-    return ((factors >= _FACTOR_LO) & (factors <= _FACTOR_HI)).all(axis=1)
-
-
-class _NoiseFactors(_Rows):
-    """Per-reading sensor noise factors.  in_range() says whether all the
-    next row's factors lie in their fields' range."""
-
-    def _refill(self) -> None:
-        self._block = 1.0 + self._rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS))) * _SENSOR_NOISE_REL
-        self._in_range, self._i = _in_factor_range(self._block).tolist(), 0
-
-    def in_range(self) -> bool:
-        if self._i == _BLOCK_ROWS:
-            self._refill()
-        return self._in_range[self._i]
+def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Per-reading sensor noise factors, 1 + the clipped noise, drawn
+    _BLOCK_ROWS readings at a time: the same values as one draw per reading."""
+    while True:
+        noise = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS))) * _SENSOR_NOISE_REL
+        yield from 1.0 + noise.clip(-_NOISE_CLIP, _NOISE_CLIP)
 
 
 @dataclass(frozen=True)
@@ -194,9 +117,7 @@ class NodeConfig:
 
 
 class _RadioBoard:
-    """Shared radio behaviour: half-duplex serialization and fault gating.
-    ``env`` must hand out rows inside the walk band, as Environment does:
-    the in_bounds mark and the sensing poll's fast path rest on it."""
+    """Shared radio behaviour: half-duplex serialization and fault gating."""
 
     def __init__(
         self,
@@ -204,7 +125,6 @@ class _RadioBoard:
         channel: Channel,
         node: NodeConfig,
         role: BoardRole,
-        env: Environment,
         faults: tuple[FaultSpec, ...],
     ):
         self.sim = sim
@@ -214,7 +134,6 @@ class _RadioBoard:
         self.entity_id = f"{node.id}.{role.value}"
         self.position = node.position if role is BoardRole.PRIMARY else node.secondary_position
         self.rx_extra_loss_db = 0.0
-        self.env = env
         own = [f for f in faults if f.target == self.entity_id]
         self.fault_windows_us = [f.window_us for f in own]
         self._outages_us = [f.window_us for f in own if f.kind is FaultKind.HARD_FAILURE]
@@ -226,7 +145,7 @@ class _RadioBoard:
             if f.kind in _SENSOR_FAULTS
         ]
         self.tx_power_dbm = node.tx_power_dbm
-        self._noise = _NoiseFactors(sim.rng(f"{self.entity_id}-sensor"))
+        self._noise = _noise_factors(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
         channel.add_receiver(self)
 
@@ -238,21 +157,20 @@ class _RadioBoard:
         return True
 
     def sense(self) -> SensorReading:
-        """Fresh reading; callers check power first.
+        """Fresh reading; callers check power first."""
+        return self._reading(next(self._noise), self.sim.now_us)
 
-        Sensor faults apply per field, in list order: a read failure makes the
-        value NaN, an anomaly multiplies it.  Ground-truth tags ride on the
-        reading, and a reading no fault touched is marked in_bounds when its
-        noise cannot carry a value past an emergency bound.
-        """
-        in_bounds = self._noise.in_range()
-        values = next(self.env) * next(self._noise)
+    def _reading(self, noise: np.ndarray | float, now_us: int) -> SensorReading:
+        """The reading at now_us under the noise factors ``noise``: nominal
+        times noise, then the sensor faults active at now_us, per field in
+        list order.  A read failure makes the value NaN, an anomaly
+        multiplies it; ground-truth tags ride on the reading."""
+        values = _NOMINAL_VALUES * noise
         if not self._sensor_faults:
-            return SensorReading(values, in_bounds=in_bounds)
-        now = self.sim.now_us
+            return SensorReading(values)
         tags = set()
         for i, start, end, fault in self._sensor_faults:
-            if not start <= now < end:
+            if not start <= now_us < end:
                 continue
             if fault.kind is FaultKind.SENSOR_READ_FAILURE:
                 values[i] = np.nan
@@ -260,7 +178,7 @@ class _RadioBoard:
             else:
                 values[i] *= fault.anomaly_multiplier
                 tags.add(f"anomaly:{fault.affected_sensor}")
-        return SensorReading(values, frozenset(tags), in_bounds and not tags)
+        return SensorReading(values, frozenset(tags))
 
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:
         """A data frame carrying a fresh reading under the board's next seq;
@@ -302,15 +220,15 @@ class PrimaryBoard(_RadioBoard):
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        env: Environment,
         faults: tuple[FaultSpec, ...],
         mac_cfg: SarbConfig,
     ):
-        super().__init__(sim, channel, node, BoardRole.PRIMARY, env, faults)
+        super().__init__(sim, channel, node, BoardRole.PRIMARY, faults)
         # Its own acks: an ack carries the node id of the frame it answers.
         self.hears = ((PacketKind.ACK, node.id),)
         self.expected_slots_us: list[int] = []
         self._in_emergency = False
+        self._poll_windows_us = self._crossing_windows_us()
         self.mac = SarbMac(
             sim,
             mac_cfg,
@@ -323,23 +241,42 @@ class PrimaryBoard(_RadioBoard):
             # Power loss wipes the MAC queue and any pending ack timer.
             sim.schedule_at(start_us, self.mac.power_cycle)
 
+    def _crossing_windows_us(self) -> list[tuple[int, int]]:
+        """The [start, end) spans where a reading can cross an emergency
+        bound.  Between the edges of the sensor-fault windows the active
+        faults do not change, and a reading lies between the ones that the
+        lowest and the highest clipped noise make: each of its steps is
+        monotone in the noise."""
+        edges = sorted({t for _, start, end, _ in self._sensor_faults for t in (start, end)})
+        return [
+            (start, end)
+            for start, end in zip(edges, edges[1:])
+            if any(check_thresholds(self._reading(f, start)) for f in _NOISE_EXTREMES)
+        ]
+
     def start(self) -> None:
+        """Start the MAC and, if a reading can ever cross a bound, the 5 s
+        sensing poll.  The poll runs from the start, as one chain, until the
+        last such window ends, and only a poll inside a window reads.  Each
+        poll is inserted by the one before it, so it breaks ties with other
+        events on its microsecond as a poll every 5 s for the whole run
+        would; a chain started at a window would not, against a timer set
+        exactly 5 s before its first poll."""
         self.mac.start()
-        self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
+        if self._poll_windows_us:
+            self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
 
     def _sensing_poll(self) -> None:
-        self.sim.schedule_at(self.sim.now_us + _SENSING_POLL_US, self._sensing_poll)
-        crossed = False
-        if self.is_powered():
-            now, faults = self.sim.now_us, self._sensor_faults
-            if self._noise.in_range() and not (faults and any(s <= now < e for _, s, e, _ in faults)):
-                # sense() would mark the reading in_bounds: it cannot cross.
-                self._noise.skip()
-                self.env.skip()
-            else:
-                crossed = check_thresholds(self.sense())
-                if crossed and not self._in_emergency:
-                    self.mac.on_emergency(self.data_packet(emergency=True))
+        now = self.sim.now_us
+        if now + _SENSING_POLL_US < self._poll_windows_us[-1][1]:
+            self.sim.schedule_at(now + _SENSING_POLL_US, self._sensing_poll)
+        crossed = (
+            self.is_powered()
+            and any(start <= now < end for start, end in self._poll_windows_us)
+            and check_thresholds(self.sense())
+        )
+        if crossed and not self._in_emergency:
+            self.mac.on_emergency(self.data_packet(emergency=True))
         self._in_emergency = crossed
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
@@ -378,11 +315,10 @@ class SecondaryBoard(_RadioBoard):
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        env: Environment,
         faults: tuple[FaultSpec, ...],
         cfg: SecondaryConfig,
     ):
-        super().__init__(sim, channel, node, BoardRole.SECONDARY, env, faults)
+        super().__init__(sim, channel, node, BoardRole.SECONDARY, faults)
         # Its node's data frames, which are the primary's: the channel never
         # resolves a frame at its own transmitter.
         self.hears = ((PacketKind.DATA, node.id),)

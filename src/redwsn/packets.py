@@ -9,15 +9,15 @@ import numpy as np
 
 # The twelve monitored fields, in reading order: four scalar gas/pressure
 # sensors plus four temperature/humidity probe pairs.  Per field: the quiet
-# habitat's nominal value, the per-sample random-walk step, and the
+# habitat's value, which every reading is sensor noise around, and the
 # (lower, upper) emergency bounds.
-SENSOR_TABLE: dict[str, tuple[float, float, float, float]] = {
-    "co2_ppm": (800.0, 2.0, 450.0, 3_000.0),
-    "pressure_hpa": (1_013.0, 0.1, 900.0, 1_090.0),
-    "o2_percent": (20.9, 0.01, 18.0, 23.0),
-    "co_ppm": (5.0, 0.02, 0.0, 100.0),
-    **{f"temp_c_{i}": (22.0, 0.03, 5.0, 40.0) for i in range(4)},
-    **{f"humidity_pct_{i}": (45.0, 0.05, 10.0, 90.0) for i in range(4)},
+SENSOR_TABLE: dict[str, tuple[float, float, float]] = {
+    "co2_ppm": (800.0, 450.0, 3_000.0),
+    "pressure_hpa": (1_013.0, 900.0, 1_090.0),
+    "o2_percent": (20.9, 18.0, 23.0),
+    "co_ppm": (5.0, 0.0, 100.0),
+    **{f"temp_c_{i}": (22.0, 5.0, 40.0) for i in range(4)},
+    **{f"humidity_pct_{i}": (45.0, 10.0, 90.0) for i in range(4)},
 }
 SENSOR_FIELDS: tuple[str, ...] = tuple(SENSOR_TABLE)
 
@@ -44,7 +44,6 @@ class SensorReading(NamedTuple):
 
     values: np.ndarray
     fault_tags: frozenset = frozenset()  # injected-fault ground truth; metrics only
-    in_bounds: bool = False  # True only if no value can be outside its emergency bounds
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .boards import Environment, PrimaryBoard, SecondaryBoard
+from .boards import PrimaryBoard, SecondaryBoard
 from .channel import Channel
 from .engine import Simulator, ms_to_us
 from .gateway import Gateway, Server
@@ -35,12 +35,9 @@ class Simulation:
         self.primaries: dict[str, PrimaryBoard] = {}
         self.secondaries: dict[str, SecondaryBoard] = {}
         for node in cfg.nodes:
-            env = Environment(self.sim.rng(f"{node.id}-environment"))
-            self.primaries[node.id] = PrimaryBoard(self.sim, self.channel, node, env, cfg.faults, cfg.mac)
+            self.primaries[node.id] = PrimaryBoard(self.sim, self.channel, node, cfg.faults, cfg.mac)
             if node.has_secondary:
-                self.secondaries[node.id] = SecondaryBoard(
-                    self.sim, self.channel, node, env, cfg.faults, cfg.secondary
-                )
+                self.secondaries[node.id] = SecondaryBoard(self.sim, self.channel, node, cfg.faults, cfg.secondary)
 
     def run(self) -> IterationMetrics:
         cfg = self.cfg
