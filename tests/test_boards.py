@@ -568,6 +568,59 @@ def test_poll_decision_matches_check_thresholds_at_the_clip_extremes(field):
     assert poll_windows_us([sensor_fault(ANOM, field, 100, 200, 10.0), sensor_fault(READ, field, 100, 200)]) == []
 
 
+EMERGENCY_LO = np.array([lo for _, lo, _ in SENSOR_TABLE.values()])
+EMERGENCY_HI = np.array([hi for _, _, hi in SENSOR_TABLE.values()])
+
+
+def test_walk_band_lies_inside_emergency_bounds():
+    # The bounds leave at least the +-5 % band the old habitat walk moved in
+    # around each nominal value.  That band holds the +-3 % noise clip, so a
+    # healthy board's readings stay inside it and only an injected anomaly
+    # can cross an emergency bound.
+    for name, (nominal, lo, hi) in SENSOR_TABLE.items():
+        assert lo < nominal * (1 - 0.05) and nominal * (1 + 0.05) < hi, name
+    assert CLIP < 0.05
+
+
+def test_factor_range_corners_round_inside_the_emergency_bounds():
+    # The noise factors range over the clip, [1 - 6 sigma, 1 + 6 sigma].
+    lo, hi = boards._NOISE_EXTREMES
+    assert (lo, hi) == (1 - CLIP, 1 + CLIP)
+    assert (NOMINAL * lo >= EMERGENCY_LO).all()
+    assert (NOMINAL * hi <= EMERGENCY_HI).all()
+    # So a board with no sensor fault never polls.
+    assert poll_windows_us([]) == []
+
+
+def factor_in_clip():
+    return st.sampled_from([1 - CLIP, 1 + CLIP]) | st.floats(1 - CLIP, 1 + CLIP)
+
+
+def field_and_multiplier(field):
+    onto_a_bound = [m for ms in multipliers_onto_a_bound(field) for m in ms]
+    multiplier = st.none() | st.sampled_from([0.0, -1.0, *onto_a_bound]) | st.floats(-2.0, 5.0)
+    return st.tuples(st.just(field), multiplier)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    factors=st.tuples(*(factor_in_clip() for _ in range(12))),
+    field_multiplier=st.sampled_from(SENSOR_FIELDS).flatmap(field_and_multiplier),
+)
+def test_marked_readings_cannot_cross_a_bound(factors, field_multiplier):
+    field, multiplier = field_multiplier
+    # A span the poll decision leaves out cannot cross, whatever noise
+    # within the clip the reading draws.
+    faults = [] if multiplier is None else [sensor_fault(ANOM, field, 100, 200, multiplier)]
+    _, _, primary, _ = build_node(faults=faults, with_secondary=False)
+    # The full loop, on the reading the board builds at the fault's start.
+    reading = primary._reading(np.array(factors), 100_000_000)
+    if not primary._poll_windows_us:
+        assert not check_thresholds(reading)
+    elif check_thresholds(reading):
+        assert primary._poll_windows_us == [(100_000_000, 200_000_000)]
+
+
 # -- the windowed sensing poll against a poll every 5 s -----------------------------
 
 POLL_US = ms_to_us(5_000)
@@ -676,3 +729,79 @@ def test_windowed_polls_match_a_poll_every_5_s(case, seed):
         # The first poll shares its microsecond with a slot, and the frames
         # above show which went first: the slot, as under a 5 s chain.
         assert emergencies[0][1] == ms_to_us(first_ms)
+
+
+class EmergencyRecorder:
+    """Stands in for the primary's MAC: keeps each emergency frame."""
+
+    def __init__(self):
+        self.frames = []
+
+    def on_emergency(self, packet):
+        self.frames.append(packet)
+
+
+def reference_poll(board):
+    """PrimaryBoard._sensing_poll, less its rescheduling and its windows:
+    every powered poll builds a reading and checks its bounds."""
+    if not board.is_powered():
+        board._in_emergency = False
+        return
+    crossed = check_thresholds(board.sense())
+    if crossed and not board._in_emergency:
+        board.mac.on_emergency(board.data_packet(emergency=True))
+    board._in_emergency = crossed
+
+
+def frame_key(packet):
+    """A frame less its reading's values: the poll that builds every reading
+    draws noise rows the windowed poll does not."""
+    if packet is None:
+        return None
+    return packet.seq, packet.emergency, packet.reading.fault_tags
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**16),
+    # After each 5 s poll: data packets and secondary readings.
+    between=st.lists(st.lists(st.sampled_from(["data", "secondary"]), max_size=3), min_size=125, max_size=125),
+)
+def test_fast_path_polls_match_polls_that_build_every_reading(seed, between):
+    # MIXED_FAULTS: an O2 x 1.3 anomaly over 120-400 s crosses the 23 %
+    # bound; a hard failure over 520-540 s; sensor faults on other fields.
+    faults = tuple(MIXED_FAULTS + SECONDARY_FAULTS)
+    runs = []
+    for poll in (PrimaryBoard._sensing_poll, reference_poll):
+        sim, _, primary, secondary = build_node(faults=faults, seed=seed)
+        primary.mac = EmergencyRecorder()
+        built = []
+
+        def counted_sense(sense=primary.sense):
+            built.append(sim.now_us)
+            return sense()
+
+        primary.sense = counted_sense
+        trail = []
+        for k, ops in enumerate(between):
+            # Set the clock instead of running the loop, so only these calls run.
+            sim.now_us = ms_to_us(5_000 * k)
+            poll(primary)
+            trail.append(primary._in_emergency)
+            for op in ops:
+                sim.now_us += ms_to_us(1_000)
+                if op == "data":
+                    trail.append(frame_key(primary.data_packet()))
+                else:
+                    # The secondary draws from its own stream, untouched by
+                    # how many readings the primary's polls build.
+                    trail.append(secondary.sense().values.tobytes())
+        runs.append((trail, [frame_key(p) for p in primary.mac.frames], built))
+    (trail, emergencies, built), (want_trail, want_emergencies, want_built) = runs
+    assert trail == want_trail and emergencies == want_emergencies
+    assert len(emergencies) == 1 and emergencies[0][2] >= {"anomaly:o2_percent"}
+    assert trail.count(True) == 56  # every poll over 120-395 s
+    # The windowed poll builds a reading only inside the O2 window; the
+    # reference builds one at each of the other 65 powered polls as well.
+    assert set(built) <= set(want_built)
+    assert len(want_built) - len(built) == 65
