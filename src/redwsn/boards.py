@@ -76,6 +76,10 @@ _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
 _NOISE_CLIP = 0.03  # the noise is clipped at +-6 sigma
 _NOISE_EXTREMES = (1.0 - _NOISE_CLIP, 1.0 + _NOISE_CLIP)
 _SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slots
+# Relative margin under a threshold at which two noise-only readings are
+# still taken to be able to differ by more than it; it covers rounding and
+# errs toward comparing.
+_FLAG_MARGIN = 1e-9
 # Readings drawn ahead per refill of a noise stream.  Each stream has one
 # owner, so drawing ahead moves no other consumer's values.
 _BLOCK_ROWS = 32
@@ -90,6 +94,16 @@ def check_thresholds(reading: SensorReading) -> bool:
         if v < lo or v > hi:
             return True
     return False
+
+
+def noise_can_flag(rel_threshold: float) -> bool:
+    """True iff detect_anomaly at ``rel_threshold`` can flag two readings
+    that are both nominal times clipped noise.  A field's discrepancy grows
+    as the two noise factors move apart, so it is largest at the clip
+    extremes, one reading at each; the margin errs toward True."""
+    low, high = (SensorReading(_NOMINAL_VALUES * f) for f in _NOISE_EXTREMES)
+    threshold = rel_threshold * (1.0 - _FLAG_MARGIN)
+    return detect_anomaly(high, low, threshold) or detect_anomaly(low, high, threshold)
 
 
 def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -323,6 +337,7 @@ class SecondaryBoard(_RadioBoard):
         # resolves a frame at its own transmitter.
         self.hears = ((PacketKind.DATA, node.id),)
         self.cfg = cfg
+        self._noise_can_flag = noise_can_flag(cfg.anomaly_rel_threshold)
         self._interval_us = ms_to_us(cfg.sensing_interval_ms)
         self._sense_duration_us = ms_to_us(cfg.sense_duration_ms)
         self._heartbeat_us = ms_to_us(cfg.heartbeat_period_ms)
@@ -358,9 +373,23 @@ class SecondaryBoard(_RadioBoard):
                 self._schedule_send(corrective=True)
 
     def _is_faulty(self, packet: Packet) -> bool:
-        if not packet.reading.is_complete():
+        reading = packet.reading
+        if not (self._noise_can_flag or reading.fault_tags or self._sensor_fault_active()):
+            # Both readings are nominal times clipped noise: a reading is
+            # tagged with every sensor fault active when it was built.  So the
+            # comparison cannot flag; spend the noise row a reading would.
+            next(self._noise)
+            return False
+        if not reading.is_complete():
             return True
-        return detect_anomaly(packet.reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
+        return detect_anomaly(reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
+
+    def _sensor_fault_active(self) -> bool:
+        now = self.sim.now_us
+        for _, start, end, _ in self._sensor_faults:
+            if start <= now < end:
+                return True
+        return False
 
     def _substitute_allowed(self) -> bool:
         if self.sim.now_us < self._next_substitute_us:

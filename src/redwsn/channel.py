@@ -123,11 +123,14 @@ class Transmission:
     packet: Packet
     start_us: int
     end_us: int
-    # Per receiver, in the channel's receiver order: transmit power minus
-    # path loss (shared by every frame from the same position and power),
-    # and the RSSI, drawn once per (frame, receiver) link and cached so
-    # collision comparisons are consistent no matter which frame resolves
-    # first.
+    position: Position
+    tx_power_dbm: float
+    # Per receiver, in the channel's receiver order: the link budget,
+    # transmit power minus path loss, computed on the link's first draw and
+    # shared by every frame from the same position and power; and the RSSI,
+    # drawn once per (frame, receiver) link and cached so collision
+    # comparisons are consistent no matter which frame resolves first.
+    # Both hold _UNDRAWN until the link is drawn.
     mean_dbm: array
     rssi: array
 
@@ -163,6 +166,8 @@ class _NoiseTrain:
     """The noise bursts, known in advance by start time."""
 
     packet: Packet
+    position: Position
+    tx_power_dbm: float
     # Receivers are fixed once the train is on the channel.
     mean_dbm: array
     starts_us: array
@@ -172,7 +177,7 @@ class _NoiseTrain:
     next: int = 0
 
 
-# RSSI slot of a link not drawn yet; a drawn value is finite.
+# Link-budget or RSSI slot of a link not drawn yet; a drawn value is finite.
 _UNDRAWN = math.inf
 # Shadowing values drawn per numpy call.  A block consumed in order holds the
 # same values as one scalar draw per link.
@@ -205,6 +210,10 @@ class Channel:
         # Keyed by (x, y, power) floats, which hash and compare in C.
         self._mean_dbm: dict[tuple[float, float, float], array] = {}
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
+        # Each ``hears`` entry -> the receivers listing it, with their
+        # indices.  Built when the first audience is needed, as boards set
+        # ``hears`` after they register.
+        self._hearers: Optional[dict[tuple[PacketKind, Optional[str]], list[tuple[int, Receiver]]]] = None
         # Frames and noise bursts that may still overlap a frame to resolve,
         # by start time.
         self._log: list[Transmission] = []
@@ -227,12 +236,14 @@ class Channel:
         self._undrawn.append(_UNDRAWN)
         self._mean_dbm.clear()
         self._audiences.clear()
+        self._hearers = None
 
     def close(self) -> None:
         """Forget the receivers, which hold this channel in turn, so a
         finished run is freed without waiting for the cycle collector."""
         self._receivers = []
         self._audiences.clear()
+        self._hearers = None
 
     def airtime_us(self, size_bytes: int) -> int:
         """Time on air of a frame of ``size_bytes``, cached per size."""
@@ -271,6 +282,8 @@ class Channel:
             t = int(ends[-1])
         self._train = _NoiseTrain(
             Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes),
+            noise.position,
+            noise.tx_power_dbm,
             self._link_means(noise.position, noise.tx_power_dbm),
             starts,
             airtime_us,
@@ -304,6 +317,8 @@ class Channel:
             packet=packet,
             start_us=now,
             end_us=now + airtime,
+            position=position,
+            tx_power_dbm=tx_power_dbm,
             mean_dbm=self._link_means(position, tx_power_dbm),
             rssi=self._undrawn[:],
         )
@@ -327,6 +342,8 @@ class Channel:
                         packet=train.packet,
                         start_us=start,
                         end_us=start + train.airtime_us,
+                        position=train.position,
+                        tx_power_dbm=train.tx_power_dbm,
                         mean_dbm=train.mean_dbm,
                         rssi=self._undrawn[:],
                     )
@@ -339,32 +356,30 @@ class Channel:
 
     def _audience(self, packet: Packet) -> list[tuple[int, Receiver]]:
         """The receivers that hear ``packet``, with their indices, in
-        registration order; cached per (kind, node id)."""
+        registration order and each once; cached per (kind, node id)."""
         key = (packet.kind, packet.node_id)
         audience = self._audiences.get(key)
         if audience is None:
-            audience = [
-                (i, r)
-                for i, r in enumerate(self._receivers)
-                if any(kind is packet.kind and node in (None, packet.node_id) for kind, node in r.hears)
-            ]
-            self._audiences[key] = audience
+            hearers = self._hearers
+            if hearers is None:
+                hearers = self._hearers = {}
+                for i, r in enumerate(self._receivers):
+                    for entry in r.hears:
+                        hearers.setdefault(entry, []).append((i, r))
+            # Keyed by index, so a receiver that lists an entry twice, or
+            # hears both the node and every node, appears once.
+            merged = dict(hearers.get(key, ()))
+            merged.update(hearers.get((packet.kind, None), ()))
+            audience = self._audiences[key] = sorted(merged.items())
         return audience
 
     def _link_means(self, position: Position, tx_power_dbm: float) -> array:
-        """Transmit power minus path loss to every receiver, cached per
-        transmitter position and power."""
+        """The link-budget row of a transmitter position and power, cached
+        per both; its links are computed as they are first drawn."""
         key = (position.x, position.y, tx_power_dbm)
         means = self._mean_dbm.get(key)
         if means is None:
-            means = array(
-                "d",
-                [
-                    tx_power_dbm - path_loss_db(position.distance_to(r.position), self.params)
-                    for r in self._receivers
-                ],
-            )
-            self._mean_dbm[key] = means
+            means = self._mean_dbm[key] = self._undrawn[:]
         return means
 
     def _prune(self, now_us: int) -> None:
@@ -378,7 +393,11 @@ class Channel:
         """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
         plus one shadowing draw, clamped to the AGC ceiling, minus the
         receiver's extra loss (the arithmetic of rssi_at, in its order)."""
-        rssi = tx.mean_dbm[i]
+        means = tx.mean_dbm
+        rssi = means[i]
+        if rssi == _UNDRAWN:
+            distance = tx.position.distance_to(self._receivers[i].position)
+            rssi = means[i] = tx.tx_power_dbm - path_loss_db(distance, self.params)
         sigma = self.params.shadowing_sigma_db
         if sigma > 0:
             k = self._next_draw

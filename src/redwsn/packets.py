@@ -43,7 +43,9 @@ class SensorReading(NamedTuple):
     equal and hashed by identity, so comparing frames never compares arrays."""
 
     values: np.ndarray
-    fault_tags: frozenset = frozenset()  # injected-fault ground truth; metrics only
+    # Injected-fault ground truth: the server scores validity from it, and a
+    # secondary skips a comparison that an untagged reading cannot fail.
+    fault_tags: frozenset = frozenset()
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__

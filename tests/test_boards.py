@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redwsn import boards
+from redwsn import boards, simulation
 from redwsn.boards import (
     FaultKind,
     FaultSpec,
@@ -19,8 +19,17 @@ from redwsn.boards import (
 from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator, ms_to_us, stream_rng
 from redwsn.mac import SarbConfig
-from redwsn.packets import SENSOR_FIELDS, SENSOR_TABLE, BoardRole, Packet, PacketKind, SensorReading
-from redwsn.scenario import build_preset
+from redwsn.metrics import MetricsReport
+from redwsn.packets import (
+    SENSOR_FIELDS,
+    SENSOR_TABLE,
+    BoardRole,
+    Packet,
+    PacketKind,
+    SensorReading,
+    detect_anomaly,
+)
+from redwsn.scenario import build_preset, report_to_json
 from redwsn.simulation import Simulation
 
 
@@ -805,3 +814,136 @@ def test_fast_path_polls_match_polls_that_build_every_reading(seed, between):
     # reference builds one at each of the other 65 powered polls as well.
     assert set(built) <= set(want_built)
     assert len(want_built) - len(built) == 65
+
+
+# -- the secondary's comparison and its short path -----------------------------------
+
+CORNERS = [SensorReading(NOMINAL * (1.0 + c)) for c in np.array([-CLIP, CLIP])]
+
+
+def corners_flag(threshold):
+    """Brute force: whether the comparison flags the two clip-extreme
+    readings, one against the other, either way round."""
+    low, high = CORNERS
+    return boards.detect_anomaly(high, low, threshold) or boards.detect_anomaly(low, high, threshold)
+
+
+def ulps_around(x, n=3):
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(n):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+SPREADS = (1.03 / 0.97 - 1, 1 - 0.97 / 1.03)
+
+
+def test_noise_flag_decision_matches_the_clip_corners():
+    thresholds = [0.003, 0.01, 0.02, 0.05, 0.25, 1.0]
+    for spread in SPREADS:
+        thresholds += ulps_around(spread) + [spread * (1 + boards._FLAG_MARGIN / 2), spread * (1 + 1e-6)]
+    decided = set()
+    for t in thresholds:
+        can_flag = boards.noise_can_flag(t)
+        # Inside the margin above the corners' discrepancy, the board compares.
+        assert can_flag == (corners_flag(t) or corners_flag(t * (1 - boards._FLAG_MARGIN))), t
+        decided.add(can_flag)
+    assert decided == {True, False}
+    # The margin is thin: just above the larger spread no noise can flag.
+    assert not boards.noise_can_flag(max(SPREADS) * (1 + 1e-6))
+    assert boards.noise_can_flag(max(SPREADS) * (1 + boards._FLAG_MARGIN / 2))
+
+
+factor_rows = st.lists(
+    st.one_of(st.sampled_from([1.0 - CLIP, 1.0 + CLIP]), st.floats(1.0 - CLIP, 1.0 + CLIP)),
+    min_size=len(SENSOR_FIELDS),
+    max_size=len(SENSOR_FIELDS),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(primary=factor_rows, secondary=factor_rows)
+def test_readings_inside_the_clip_never_flag_where_the_corners_cannot(primary, secondary):
+    # The smallest threshold at which the board skips its comparison.
+    threshold = max(SPREADS) * (1 + 2 * boards._FLAG_MARGIN)
+    assert not boards.noise_can_flag(threshold)
+    p, s = (SensorReading(NOMINAL * np.array(f)) for f in (primary, secondary))
+    assert not boards.detect_anomaly(p, s, threshold)
+
+
+class ComparingSecondary(SecondaryBoard):
+    """SecondaryBoard._is_faulty as it was before its short path: every
+    complete overheard reading is compared with a fresh reading of its own."""
+
+    def _is_faulty(self, packet):
+        if not packet.reading.is_complete():
+            return True
+        return boards.detect_anomaly(packet.reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
+
+
+def with_threshold(preset, threshold):
+    cfg = build_preset(preset)
+    return replace(cfg, secondary=replace(cfg.secondary, anomaly_rel_threshold=threshold))
+
+
+def with_faults(preset, *faults):
+    cfg = build_preset(preset)
+    return replace(cfg, faults=cfg.faults + faults)
+
+
+def secondary_co2(multiplier, start_s=300, end_s=1500, kind=ANOM):
+    return sensor_fault(kind, "co2_ppm", start_s, end_s, multiplier, target="n1.secondary")
+
+
+SHORT_PATH_CASES = {
+    **{f"SF2-threshold-{t}": with_threshold("SF2", t) for t in (0.003, 0.01, 0.02, 0.05, 0.25)},
+    **{f"secondary-co2-x{m}": with_faults("control-noise", secondary_co2(m)) for m in (0, -1, 0.78, 0.8, 0.81, 1.33)},
+    "secondary-read-failure": with_faults("control-noise", secondary_co2(1.0, kind=READ)),
+    "SF2-and-secondary-co2-x0.8": with_faults("SF2", secondary_co2(0.8, 600, 900)),
+}
+
+
+def run_recording_frames(cfg, seed, monkeypatch, secondary_cls):
+    """One run's data frames (seq, role, corrective, fault tags, start time),
+    its report, and the number of comparisons its secondaries made."""
+    monkeypatch.setattr(simulation, "SecondaryBoard", secondary_cls)
+    comparisons = 0
+
+    def counted(primary, secondary, rel_threshold):
+        nonlocal comparisons
+        comparisons += 1
+        return detect_anomaly(primary, secondary, rel_threshold)
+
+    monkeypatch.setattr(boards, "detect_anomaly", counted)
+    run = Simulation(cfg, seed)
+    frames = []
+    begin = run.channel.begin_transmission
+
+    def recorded(source_id, position, packet, tx_power_dbm):
+        if packet.kind is PacketKind.DATA:
+            frames.append((packet.seq, packet.board_role, packet.corrective, packet.reading.fault_tags, run.sim.now_us))
+        return begin(source_id, position, packet, tx_power_dbm)
+
+    run.channel.begin_transmission = recorded
+    report = report_to_json(MetricsReport(cfg.name, [seed], [run.run()]))
+    monkeypatch.undo()
+    return frames, report, comparisons
+
+
+@pytest.mark.parametrize("case", SHORT_PATH_CASES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_secondary_short_path_matches_a_secondary_that_always_compares(case, seed, monkeypatch):
+    cfg = SHORT_PATH_CASES[case]
+    frames, report, compared = run_recording_frames(cfg, seed, monkeypatch, SecondaryBoard)
+    want_frames, want_report, want_compared = run_recording_frames(cfg, seed, monkeypatch, ComparingSecondary)
+    assert frames == want_frames
+    assert report == want_report
+    assert any(corrective for _, _, corrective, _, _ in want_frames) or case == "secondary-read-failure"
+    # Comparisons are skipped only where noise alone cannot flag.
+    if boards.noise_can_flag(cfg.secondary.anomaly_rel_threshold):
+        assert compared == want_compared
+    else:
+        assert compared < want_compared

@@ -424,6 +424,53 @@ def hears_frame(receiver, packet):
     return any(kind is packet.kind and node in (None, packet.node_id) for kind, node in receiver.hears)
 
 
+def scanned_audience(receivers, packet):
+    """The audience as one scan over every receiver: the oracle for the
+    channel's index."""
+    return [(i, r) for i, r in enumerate(receivers) if hears_frame(r, packet)]
+
+
+AUDIENCE_KINDS = (PacketKind.DATA, PacketKind.ACK, PacketKind.HEARTBEAT)
+AUDIENCE_NODES = ("n1", "n2", "n3")
+# Wildcards and repeats are common; an empty tuple hears nothing.
+hears_entries = st.lists(
+    st.tuples(st.sampled_from(AUDIENCE_KINDS), st.sampled_from((None,) + AUDIENCE_NODES)), max_size=5
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hears=st.lists(hears_entries, max_size=8),
+    # A receiver that hears nothing, and one that hears n1's data both by
+    # name (twice) and as every node's, go in at drawn places.
+    deaf_at=st.integers(0, 8),
+    both_at=st.integers(0, 9),
+    # Receivers registered after the first audiences are built.
+    late=st.integers(0, 10),
+    keys=st.permutations([(kind, node) for kind in AUDIENCE_KINDS for node in AUDIENCE_NODES]),
+)
+def test_indexed_audience_equals_a_scan_of_every_receiver(hears, deaf_at, both_at, late, keys):
+    hears.insert(min(deaf_at, len(hears)), ())
+    both = ((PacketKind.DATA, "n1"), (PacketKind.DATA, None), (PacketKind.DATA, "n1"))
+    hears.insert(min(both_at, len(hears)), both)
+    receivers = [Probe(f"r{i}", Position(i, 0), hears=h) for i, h in enumerate(hears)]
+    channel = Channel(Simulator(), params=quiet_params())
+    split = min(late, len(receivers))
+    for r in receivers[:split]:
+        channel.add_receiver(r)
+    packets = [Packet(kind=kind, node_id=node) for kind, node in keys]
+    for packet in packets[: len(packets) // 2]:
+        assert channel._audience(packet) == scanned_audience(receivers[:split], packet)
+    for r in receivers[split:]:
+        channel.add_receiver(r)
+    for packet in packets:
+        assert channel._audience(packet) == scanned_audience(receivers, packet)
+    n1_data = Packet(kind=PacketKind.DATA, node_id="n1")
+    assert [r.hears for _, r in channel._audience(n1_data)].count(both) == 1
+    channel.close()
+    assert channel._audience(n1_data) == []
+
+
 @dataclass
 class ReferenceFrame:
     tx_id: int

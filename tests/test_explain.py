@@ -1,0 +1,49 @@
+"""The headline numbers explained: claims about why the model gives the
+numbers it gives, pinned on the frozen seed set 5..14.
+
+Sensor faults.  The server scores a reading as lost whenever it carries an
+injected-fault tag, so primary-only PRR is the same for a NaN CO2 (`SF1`) and
+any CO2 anomaly (`SF2`).  The secondary sees an anomaly only when its
+comparison flags it: CO2 × m against its own reading is off by about m − 1,
+against the 0.25 default threshold.  So there is a cliff near × 1.25:
+above it `SF2` equals `SF1` seed for seed; below it the secondary sends no
+corrective frame, and redundancy recovers nothing of the fault epochs.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from redwsn.scenario import build_preset, run_scenario
+
+SEEDS = list(range(5, 15))
+
+
+def sf2_with_multiplier(multiplier):
+    cfg = build_preset("SF2")
+    return replace(cfg, faults=tuple(replace(f, anomaly_multiplier=multiplier) for f in cfg.faults))
+
+
+@pytest.fixture(scope="module")
+def sf1():
+    return run_scenario(build_preset("SF1"), SEEDS)
+
+
+@pytest.mark.parametrize("multiplier", [1.5, 1.3])
+def test_a_flagged_anomaly_scores_as_a_read_failure_at_every_seed(sf1, multiplier):
+    report = run_scenario(sf2_with_multiplier(multiplier), SEEDS)
+    assert report.mean("prr_redundant") == pytest.approx(0.7446, abs=5e-5)
+    assert report.mean("prr_primary_only") == pytest.approx(0.3252, abs=5e-5)
+    assert report.mean("detection_rate") == pytest.approx(0.6232, abs=5e-5)
+    # Field for field, not only in the mean.
+    for got, read_failure in zip(report.iterations, sf1.iterations):
+        assert got == read_failure
+
+
+@pytest.mark.parametrize("multiplier", [1.2, 1.1])
+def test_an_anomaly_below_the_threshold_is_never_recovered(multiplier):
+    report = run_scenario(sf2_with_multiplier(multiplier), SEEDS)
+    for it in report.iterations:
+        assert it.prr_redundant == it.prr_primary_only
+        assert it.detection_rate == 0.0
+    assert report.mean("prr_primary_only") == pytest.approx(0.3252, abs=5e-5)
