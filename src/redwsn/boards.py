@@ -199,15 +199,17 @@ class _RadioBoard:
         None while the board is hard-failed (it uses up no seq)."""
         if not self.is_powered():
             return None
+        # Positional, in Packet's field order; the seq is taken before the
+        # reading is sensed, as the fields are evaluated in order.
         return Packet(
-            kind=PacketKind.DATA,
-            node_id=self.node_id,
-            board_role=self.role,
-            seq=next(self._seq),
-            size_bytes=DATA_BYTES,
-            reading=self.sense(),
-            emergency=emergency,
-            corrective=corrective,
+            PacketKind.DATA,
+            self.node_id,
+            self.role,
+            next(self._seq),
+            DATA_BYTES,
+            self.sense(),
+            emergency,
+            corrective,
         )
 
     def transmit(self, packet: Packet) -> Optional[int]:
@@ -422,11 +424,8 @@ class SecondaryBoard(_RadioBoard):
         self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
         if not self.is_powered():
             return
+        # Positional: kind, node_id, board_role, seq, size_bytes.
         packet = Packet(
-            kind=PacketKind.HEARTBEAT,
-            node_id=self.node_id,
-            board_role=BoardRole.SECONDARY,
-            seq=next(self._seq),
-            size_bytes=self.cfg.heartbeat_bytes,
+            PacketKind.HEARTBEAT, self.node_id, BoardRole.SECONDARY, next(self._seq), self.cfg.heartbeat_bytes
         )
         self.transmit(packet)

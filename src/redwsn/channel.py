@@ -19,7 +19,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -133,6 +133,9 @@ class Transmission:
     # Both hold _UNDRAWN until the link is drawn.
     mean_dbm: array
     rssi: array
+    # The receivers that hear the frame, with their indices: looked up once
+    # when the frame begins and resolved at when it ends.  Noise has none.
+    audience: Sequence[tuple[int, Receiver]] = ()
 
 
 NOISE_SOURCE_ID = "noise"
@@ -200,6 +203,8 @@ class Channel:
         self.sim = sim
         self.params = params
         self.lora = lora
+        self._sigma_db = params.shadowing_sigma_db
+        self._agc_ceiling_dbm = params.agc_ceiling_dbm
         self._shadow_rng = sim.rng("channel-shadowing")
         self._draws = array("d")
         self._next_draw = 0
@@ -224,8 +229,8 @@ class Channel:
 
     def add_receiver(self, receiver: Receiver) -> None:
         """Register a receiver; only while no frame is on the air and before
-        a noise train, because the frames' per-receiver caches are sized when
-        they start."""
+        a noise train, because the frames' per-receiver caches and audiences
+        are fixed when they start."""
         now = self.sim.now_us
         if self._train is not None:
             raise RuntimeError("receivers must be added before the noise train")
@@ -239,9 +244,11 @@ class Channel:
         self._hearers = None
 
     def close(self) -> None:
-        """Forget the receivers, which hold this channel in turn, so a
-        finished run is freed without waiting for the cycle collector."""
+        """Forget the receivers, which hold this channel in turn, and the
+        logged frames, whose audiences hold receivers, so a finished run is
+        freed without waiting for the cycle collector."""
         self._receivers = []
+        self._log = []
         self._audiences.clear()
         self._hearers = None
 
@@ -309,21 +316,29 @@ class Channel:
         frames via busy_until().
         """
         now = self.sim.now_us
-        if self.busy_until(source_id) > now:
+        # busy_until() and airtime_us() inline: this runs once per frame.
+        busy = self._source_end_us.get(source_id)
+        if busy is not None and busy > now:
             raise RuntimeError(f"source {source_id} is already transmitting")
-        airtime = self.airtime_us(packet.size_bytes)
+        airtime = self._airtimes_us.get(packet.size_bytes)
+        if airtime is None:
+            airtime = self.airtime_us(packet.size_bytes)
+        end = now + airtime
+        audience = self._audience(packet)
         tx = Transmission(
-            source_id=source_id,
-            packet=packet,
-            start_us=now,
-            end_us=now + airtime,
-            position=position,
-            tx_power_dbm=tx_power_dbm,
-            mean_dbm=self._link_means(position, tx_power_dbm),
-            rssi=self._undrawn[:],
+            source_id,
+            packet,
+            now,
+            end,
+            position,
+            tx_power_dbm,
+            self._link_means(position, tx_power_dbm),
+            self._undrawn[:],
+            audience,
         )
-        self._longest_airtime_us = max(self._longest_airtime_us, airtime)
-        self._source_end_us[source_id] = tx.end_us
+        if airtime > self._longest_airtime_us:
+            self._longest_airtime_us = airtime
+        self._source_end_us[source_id] = end
         self._prune(now)
         log = self._log
         train = self._train
@@ -333,26 +348,26 @@ class Channel:
             # would have logged it, and bursts are logged in start order.
             starts = train.starts_us
             lo = bisect_right(starts, now - train.airtime_us, train.next)
-            train.next = bisect_left(starts, tx.end_us, lo)
+            train.next = bisect_left(starts, end, lo)
             for k in range(lo, train.next):
                 start = starts[k]
                 log.append(
                     Transmission(
-                        source_id=NOISE_SOURCE_ID,
-                        packet=train.packet,
-                        start_us=start,
-                        end_us=start + train.airtime_us,
-                        position=train.position,
-                        tx_power_dbm=train.tx_power_dbm,
-                        mean_dbm=train.mean_dbm,
-                        rssi=self._undrawn[:],
+                        NOISE_SOURCE_ID,
+                        train.packet,
+                        start,
+                        start + train.airtime_us,
+                        train.position,
+                        train.tx_power_dbm,
+                        train.mean_dbm,
+                        self._undrawn[:],
                     )
                 )
         insort(log, tx, key=_start)
         # A frame nobody hears is only interference.
-        if self._audience(packet):
-            self.sim.schedule_at(tx.end_us, lambda: self._resolve(tx))
-        return tx.end_us
+        if audience:
+            self.sim.schedule_at(end, lambda: self._resolve(tx))
+        return end
 
     def _audience(self, packet: Packet) -> list[tuple[int, Receiver]]:
         """The receivers that hear ``packet``, with their indices, in
@@ -398,7 +413,7 @@ class Channel:
         if rssi == _UNDRAWN:
             distance = tx.position.distance_to(self._receivers[i].position)
             rssi = means[i] = tx.tx_power_dbm - path_loss_db(distance, self.params)
-        sigma = self.params.shadowing_sigma_db
+        sigma = self._sigma_db
         if sigma > 0:
             k = self._next_draw
             if k == len(self._draws):
@@ -406,7 +421,7 @@ class Channel:
                 k = 0
             self._next_draw = k + 1
             rssi += self._draws[k]
-        agc = self.params.agc_ceiling_dbm
+        agc = self._agc_ceiling_dbm
         # min(rssi, agc) without the builtin call: this runs once per link.
         rssi = (agc if agc < rssi else rssi) - self._rx_extra_loss_db[i]
         tx.rssi[i] = rssi
@@ -425,7 +440,7 @@ class Channel:
         deaf.add(tx.source_id)
         sensitivity = self.params.sensitivity_dbm
         capture = self.params.capture_threshold_db
-        for i, receiver in self._audience(tx.packet):
+        for i, receiver in tx.audience:
             if receiver.entity_id in deaf:
                 continue
             rssi = tx.rssi[i]

@@ -11,6 +11,11 @@ from .engine import Simulator
 from .lora import check_tx_power
 from .packets import BoardRole, Packet, PacketKind
 
+# The server record's strings, looked up rather than read through Enum's
+# ``value`` property once per reception; a frame without a role records "".
+_ROLE_NAMES = {None: "", **{role: role.value for role in BoardRole}}
+_KIND_NAMES = {kind: kind.value for kind in PacketKind}
+
 
 class ServerEntry(NamedTuple):
     """One reception as the server sees it.  ``valid`` holds for a data
@@ -47,15 +52,17 @@ class Server:
             and packet.reading.is_complete()
             and not packet.reading.fault_tags
         )
+        # Positional, in field order: node_id, board_role, seq, kind,
+        # time_us, gateway_id, rssi_dbm, valid.
         entry = ServerEntry(
-            node_id=packet.node_id,
-            board_role=packet.board_role.value if packet.board_role else "",
-            seq=packet.seq,
-            kind=packet.kind.value,
-            time_us=now_us,
-            gateway_id=gateway_id,
-            rssi_dbm=rssi_dbm,
-            valid=valid,
+            packet.node_id,
+            _ROLE_NAMES[packet.board_role],
+            packet.seq,
+            _KIND_NAMES[packet.kind],
+            now_us,
+            gateway_id,
+            rssi_dbm,
+            valid,
         )
         self.raw.append(entry)
         self._first_seen.setdefault((entry.node_id, entry.board_role, entry.seq), entry)
@@ -130,5 +137,6 @@ class Gateway:
         if self.channel.busy_until(self.entity_id) > self.sim.now_us:
             return
         # An ack carries the node id and seq of the frame it acknowledges.
-        ack = Packet(kind=PacketKind.ACK, node_id=packet.node_id, seq=packet.seq, size_bytes=self.ACK_BYTES)
+        # Positional: kind, node_id, board_role, seq, size_bytes.
+        ack = Packet(PacketKind.ACK, packet.node_id, None, packet.seq, self.ACK_BYTES)
         self.channel.begin_transmission(self.entity_id, self.position, ack, self.cfg.tx_power_dbm)

@@ -25,16 +25,26 @@ SENSOR_FIELDS: tuple[str, ...] = tuple(SENSOR_TABLE)
 DATA_BYTES = 76
 
 
+# Both enums hash by identity, in C, in place of Enum's Python-level hash of
+# the member name: every frame's audience is looked up by (kind, node id).
+# Members are singletons that compare by identity, so equal members still
+# hash equal; only the hash values differ, and no report depends on them.
+
+
 class PacketKind(Enum):
     DATA = "data"
     HEARTBEAT = "heartbeat"
     ACK = "ack"
     NOISE = "noise"
 
+    __hash__ = object.__hash__
+
 
 class BoardRole(Enum):
     PRIMARY = "primary"
     SECONDARY = "secondary"
+
+    __hash__ = object.__hash__
 
 
 class SensorReading(NamedTuple):

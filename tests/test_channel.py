@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redwsn import channel as channel_module
 from redwsn.channel import (
     NOISE_SOURCE_ID,
     Channel,
     ChannelParams,
     NoiseConfig,
     Position,
+    Transmission,
     path_loss_db,
     rssi_at,
 )
 from redwsn.engine import Simulator, ms_to_us
 from redwsn.lora import LoraParams, time_on_air_us
 from redwsn.packets import Packet, PacketKind
+from redwsn.scenario import build_preset
+from redwsn.simulation import Simulation
 
 
 # Every kind from every node, noise included.
@@ -469,6 +473,41 @@ def test_indexed_audience_equals_a_scan_of_every_receiver(hears, deaf_at, both_a
     assert [r.hears for _, r in channel._audience(n1_data)].count(both) == 1
     channel.close()
     assert channel._audience(n1_data) == []
+
+
+@pytest.mark.parametrize("preset", ["HF", "GWF"])
+def test_a_frame_takes_its_audience_once_when_it_begins(monkeypatch, preset):
+    sim = Simulation(build_preset(preset), seed=3)
+    channel = sim.channel
+    receivers = list(channel._receivers)
+    audience = Channel._audience
+    lookups = []
+
+    def counted_audience(self, packet):
+        lookups.append(packet)
+        return audience(self, packet)
+
+    frames, bursts = [], []
+
+    def recorded_transmission(*args):
+        tx = Transmission(*args)
+        if tx.source_id == NOISE_SOURCE_ID:
+            bursts.append(tx)
+        else:
+            frames.append((tx, audience(channel, tx.packet)))
+        return tx
+
+    monkeypatch.setattr(Channel, "_audience", counted_audience)
+    monkeypatch.setattr(channel_module, "Transmission", recorded_transmission)
+    sim.run()
+    assert frames and bursts
+    for tx, expected in frames:
+        assert tx.audience == expected == scanned_audience(receivers, tx.packet)
+    assert all(tx.audience == () for tx in bursts)
+    # One lookup per frame begun, and none when it is resolved.
+    assert lookups == [tx.packet for tx, _ in frames]
+    # Logged frames hold their receivers, so a finished run drops the log.
+    assert channel._log == []
 
 
 @dataclass

@@ -8,12 +8,23 @@ comparison flags it: CO2 × m against its own reading is off by about m − 1,
 against the 0.25 default threshold.  So there is a cliff near × 1.25:
 above it `SF2` equals `SF1` seed for seed; below it the secondary sends no
 corrective frame, and redundancy recovers nothing of the fault epochs.
+
+Noise.  On `HF` the primary is down for minutes 5..25 of the 30, and the
+secondary's substitute for an epoch survives unless a noise burst
+overlaps it.  A burst of airtime T_n every P overlaps a data frame of
+airtime T_d with probability about (T_d + T_n) / P, so the redundancy gain
+(`prr_redundant` minus `prr_primary_only`) is about
+(2/3) · (1 − (T_d + T_n) / P), and detection about the survival factor
+1 − (T_d + T_n) / P.  The form ignores the noise jitter and the acks.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
 
+from redwsn.lora import time_on_air_us
+from redwsn.packets import DATA_BYTES
 from redwsn.scenario import build_preset, run_scenario
 
 SEEDS = list(range(5, 15))
@@ -47,3 +58,26 @@ def test_an_anomaly_below_the_threshold_is_never_recovered(multiplier):
         assert it.prr_redundant == it.prr_primary_only
         assert it.detection_rate == 0.0
     assert report.mean("prr_primary_only") == pytest.approx(0.3252, abs=5e-5)
+
+
+@pytest.mark.parametrize("period_ms", [300, 400, 500, 750, 1000, 2000, None])
+def test_redundancy_gain_follows_the_noise_survival_factor(period_ms):
+    hf = build_preset("HF")
+    (fault,) = hf.faults
+    fault_share = (fault.end_ms - fault.start_ms) / hf.duration_ms  # 2/3
+    if period_ms is None:
+        cfg = replace(hf, noise=replace(hf.noise, enabled=False))
+        survival = 1.0
+    else:
+        cfg = replace(hf, noise=replace(hf.noise, period_ms=period_ms))
+        data_us = time_on_air_us(DATA_BYTES, hf.lora)  # 138.5 ms
+        burst_us = time_on_air_us(hf.noise.payload_bytes, hf.lora)  # 41.2 ms
+        survival = 1 - (data_us + burst_us) / (period_ms * 1000)
+    report = run_scenario(cfg, SEEDS)
+    gain = report.mean("prr_redundant") - report.mean("prr_primary_only")
+    # Two binomial standard errors of the simulated gain over the pooled
+    # epochs: derived from the epoch count, not fitted to the points.
+    epochs = sum(it.epochs_total for it in report.iterations)
+    band = 2 * math.sqrt(gain * (1 - gain) / epochs)
+    assert abs(gain - fault_share * survival) <= band
+    assert report.mean("detection_rate") == pytest.approx(survival, abs=0.04)

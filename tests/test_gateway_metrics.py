@@ -141,6 +141,49 @@ def test_validity_rules():
     assert valid == {1: True, 2: False, 3: False}
 
 
+def reference_server_entry(gateway_id, packet, rssi_dbm, now_us):
+    """The server record built by keyword, reading the enums' ``value``: the
+    oracle for the positional record."""
+    valid = (
+        packet.kind is PacketKind.DATA
+        and packet.reading is not None
+        and packet.reading.is_complete()
+        and not packet.reading.fault_tags
+    )
+    return ServerEntry(
+        node_id=packet.node_id,
+        board_role=packet.board_role.value if packet.board_role else "",
+        seq=packet.seq,
+        kind=packet.kind.value,
+        time_us=now_us,
+        gateway_id=gateway_id,
+        rssi_dbm=rssi_dbm,
+        valid=valid,
+    )
+
+
+@given(
+    kind=st.sampled_from((PacketKind.DATA, PacketKind.HEARTBEAT, PacketKind.ACK)),
+    role=st.sampled_from((BoardRole.PRIMARY, BoardRole.SECONDARY, None)),
+    # None: a frame without a reading; otherwise the reading's NaN fields.
+    nan_fields=st.none() | st.sets(st.sampled_from(SENSOR_FIELDS), max_size=3),
+    tags=st.frozensets(st.sampled_from(("anomaly:co2_ppm", "read_failure:co2_ppm")), max_size=2),
+    seq=st.integers(0, 2**31),
+)
+def test_server_record_matches_the_keyword_built_record(kind, role, nan_fields, tags, seq):
+    reading = None
+    if nan_fields is not None:
+        values = full_reading().values
+        for name in nan_fields:
+            values[SENSOR_FIELDS.index(name)] = np.nan
+        reading = SensorReading(values, tags)
+    packet = Packet(kind=kind, node_id="n1", board_role=role, seq=seq, size_bytes=76, reading=reading)
+    server = Server()
+    server.on_gateway_reception("gw", packet, -101.5, 7_000)
+    assert server.raw == [reference_server_entry("gw", packet, -101.5, 7_000)]
+    assert server.deduplicated() == server.raw
+
+
 # -- metrics -----------------------------------------------------------------------
 
 
