@@ -3,7 +3,9 @@
 Runs the HF scenario (noise off, so the radio log is easy to read) and
 prints every data packet the server saw around the fault window: the
 primary falls silent at minute 5, the secondary's watchdog starts shipping
-backups within 40 s, and the primary resumes at minute 25.
+backups within 40 s, and the primary resumes at minute 25.  It closes
+with the fault window's epochs from the run's epoch ledger (`sim.epochs`):
+how many each board served and how many were lost.
 Run: python3 demos/03_failover_timeline.py
 """
 
@@ -38,3 +40,13 @@ print(f"\nPRR with redundancy:  {metrics.prr_redundant:.3f}")
 print(f"PRR primary only:     {metrics.prr_primary_only:.3f}")
 print(f"detection rate:       {metrics.detection_rate:.3f}")
 print(f"gaps over 40 s:       {metrics.delay_violations}")
+
+# The fault window's epochs, from the run's epoch ledger: served by the
+# primary, served by the secondary alone, or lost.
+fault_epochs = [row for row in sim.epochs if row.fault_active]
+by_primary = sum(1 for row in fault_epochs if row.primary_us is not None)
+by_secondary = sum(1 for row in fault_epochs if row.primary_us is None and row.secondary_us is not None)
+print(f"\nfault-window epochs:  {len(fault_epochs)}")
+print(f"  served by primary:   {by_primary}")
+print(f"  served by secondary: {by_secondary}")
+print(f"  lost:                {len(fault_epochs) - by_primary - by_secondary}")

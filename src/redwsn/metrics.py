@@ -1,91 +1,101 @@
-"""Scenario metrics: PRR, detection rate, delay violations, RSSI stats.
+"""Scenario metrics: the epoch ledger, PRR, detection rate, delay
+violations, RSSI stats.
 
 A *monitoring epoch* is an expected primary data slot.  An epoch counts as
 covered when a valid data packet from the node (either board) reaches the
 server within the maximum monitoring delay of the slot time (ServerEntry
-states the validity rule).  Using expected slots as the common denominator
-lets the with- and without-redundancy ratios share one base.  Slots, arrival
-times, bounds and the run's duration are all integer microseconds, the
-simulation clock's unit, so an arrival exactly one bound after a slot or
-after the previous arrival is exactly on the bound.  A bound of ``inf``
-means no bound.
+states the validity rule).  ``epoch_ledger`` decides this once per run;
+PRR and detection reduce its rows, so the with- and without-redundancy
+ratios share one base.  Slots, arrival times, bounds and the run's duration
+are integer microseconds, the simulation clock's unit, so an arrival exactly
+one bound after a slot or after the previous arrival is exactly on the
+bound.  A bound of ``inf`` means no bound.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .gateway import ServerEntry
 
 
-def _arrivals(entries: list[ServerEntry], roles: tuple[str, ...]) -> dict[str, list[int]]:
-    """Per node, the sorted arrival times (us) of valid data from boards in roles."""
-    times: dict[str, list[int]] = {}
+class Epoch(NamedTuple):
+    """One scored epoch: whether a fault on the node's primary covers its
+    slot, and each board's first valid arrival in [slot, slot + bound)."""
+
+    node_id: str
+    slot_us: int
+    fault_active: bool
+    primary_us: Optional[int]
+    secondary_us: Optional[int]
+
+
+def _arrivals(entries: list[ServerEntry]) -> dict[tuple[str, str], list[int]]:
+    """Per (node, board role), the sorted arrival times (us) of valid data."""
+    times: dict[tuple[str, str], list[int]] = {}
     for e in entries:
-        if e.valid and e.board_role in roles:
-            times.setdefault(e.node_id, []).append(e.time_us)
+        if e.valid:
+            times.setdefault((e.node_id, e.board_role), []).append(e.time_us)
     for node_times in times.values():
         node_times.sort()
     return times
 
 
-def _covered(times_us: list[int], slot_us: int, bound_us: float) -> bool:
-    """True iff some arrival falls in [slot, slot + bound)."""
+def _first(times_us: list[int], slot_us: int, end_us: float) -> Optional[int]:
+    """The earliest arrival in [slot, end), or None."""
     i = bisect_left(times_us, slot_us)
-    return i < len(times_us) and times_us[i] < slot_us + bound_us
+    return times_us[i] if i < len(times_us) and times_us[i] < end_us else None
 
 
-def compute_prr(
+def epoch_ledger(
     entries: list[ServerEntry],
     slots_by_node: dict[str, list[int]],
+    fault_windows_by_node: dict[str, list[tuple[int, int]]],
+    duration_us: int,
     bound_us: float = 40_000_000,
-    roles: tuple[str, ...] = ("primary", "secondary"),
-) -> float:
-    """Fraction of monitoring epochs covered by a valid data reception."""
-    total = sum(len(slots) for slots in slots_by_node.values())
-    if total == 0:
+) -> list[Epoch]:
+    """One row per scored epoch: a slot whose whole window fits inside the
+    run (the horizon would truncate any other).  It is fault-active when it
+    lies in one of the node's primary fault windows [start, end)."""
+    arrivals = _arrivals(entries)
+    ledger: list[Epoch] = []
+    for node, slots in slots_by_node.items():
+        primary = arrivals.get((node, "primary"), [])
+        secondary = arrivals.get((node, "secondary"), [])
+        windows = fault_windows_by_node.get(node)
+        for slot in slots:
+            end = slot + bound_us
+            if end <= duration_us:
+                fault = bool(windows) and any(start <= slot < stop for start, stop in windows)
+                ledger.append(Epoch(node, slot, fault, _first(primary, slot, end), _first(secondary, slot, end)))
+    return ledger
+
+
+def compute_prr(ledger: list[Epoch], roles: tuple[str, ...] = ("primary", "secondary")) -> float:
+    """Fraction of the ledger's epochs served by a board in roles."""
+    if not ledger:
         raise ValueError("expected schedule is empty")
-    arrivals = _arrivals(entries, roles)
-    covered = sum(
-        _covered(arrivals.get(node, []), slot, bound_us)
-        for node, slots in slots_by_node.items()
-        for slot in slots
-    )
-    return covered / total
+    primary, secondary = "primary" in roles, "secondary" in roles
+    return sum(
+        1 for row in ledger if (primary and row.primary_us is not None) or (secondary and row.secondary_us is not None)
+    ) / len(ledger)
 
 
-def compute_detection_rate(
-    entries: list[ServerEntry],
-    fault_slots: dict[str, list[int]],
-    bound_us: float = 40_000_000,
-) -> Optional[float]:
+def compute_detection_rate(ledger: list[Epoch]) -> Optional[float]:
     """Secondary responsiveness on faulty/missed primary epochs.
 
-    ``fault_slots`` holds each node's epochs inside a fault window on its
-    primary board.  Denominator: those no valid primary packet served within
-    the bound (the primary either stayed silent or shipped faulty data).
-    Numerator: those for which a secondary backup/corrective packet was
-    received within the bound.  None when no such epoch exists: with no
-    fault, or when a brief fault only touched epochs the primary still served.
-    """
-    primary = _arrivals(entries, ("primary",))
-    secondary = _arrivals(entries, ("secondary",))
-    missed = 0
-    detected = 0
-    for node, slots in fault_slots.items():
-        for slot in slots:
-            if _covered(primary.get(node, []), slot, bound_us):
-                continue
-            missed += 1
-            if _covered(secondary.get(node, []), slot, bound_us):
-                detected += 1
-    if missed == 0:
+    Denominator: the fault-active epochs no valid primary packet served (the
+    primary stayed silent or shipped faulty data).  Numerator: those a
+    secondary backup/corrective packet served.  None when there are none:
+    with no fault, or when a brief fault only touched served epochs."""
+    missed = [row for row in ledger if row.fault_active and row.primary_us is None]
+    if not missed:
         return None
-    return detected / missed
+    return sum(1 for row in missed if row.secondary_us is not None) / len(missed)
 
 
 def delay_violations(
@@ -98,10 +108,11 @@ def delay_violations(
     exceed the maximum monitoring delay (run boundaries included)."""
     if bound_us <= 0:
         raise ValueError("bound must be positive")
-    arrivals = _arrivals(entries, ("primary", "secondary"))
+    arrivals = _arrivals(entries)
     violations = 0
     for node in node_ids:
-        checkpoints = [0, *arrivals.get(node, []), duration_us]
+        times = sorted(arrivals.get((node, "primary"), []) + arrivals.get((node, "secondary"), []))
+        checkpoints = [0, *times, duration_us]
         violations += sum(
             1 for a, b in zip(checkpoints, checkpoints[1:]) if b - a > bound_us
         )

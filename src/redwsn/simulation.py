@@ -10,10 +10,12 @@ from .channel import Channel
 from .engine import Simulator, ms_to_us
 from .gateway import Gateway, Server
 from .metrics import (
+    Epoch,
     IterationMetrics,
     compute_detection_rate,
     compute_prr,
     delay_violations,
+    epoch_ledger,
     rssi_summary,
 )
 
@@ -30,6 +32,7 @@ class Simulation:
         self.sim = Simulator(master_seed=seed)
         self.channel = Channel(self.sim, params=cfg.channel, lora=cfg.lora)
         self.server = Server()
+        self.epochs: list[Epoch] = []
 
         self.gateways = [Gateway(self.sim, self.channel, self.server, gw, cfg.faults) for gw in cfg.gateways]
         self.primaries: dict[str, PrimaryBoard] = {}
@@ -58,7 +61,8 @@ class Simulation:
         """Break the run's reference cycles (pending events, channel and
         receivers, board and MAC), so a finished run is freed as soon as the
         caller drops it rather than at the next full garbage collection.
-        The server and each primary's expected slots stay readable."""
+        The server, the epoch ledger and each primary's expected slots stay
+        readable."""
         self.sim.close()
         self.channel.close()
         for primary in self.primaries.values():
@@ -69,23 +73,13 @@ class Simulation:
     def _metrics(self, duration_us: int) -> IterationMetrics:
         entries = self.server.deduplicated()
         bound_us = ms_to_us(self.cfg.max_monitoring_delay_ms)
-        # Only epochs whose whole monitoring window fits inside the run are
-        # scored; a window truncated by the horizon cannot be evaluated.
-        slots_by_node = {
-            node_id: [t for t in primary.expected_slots_us if t + bound_us <= duration_us]
-            for node_id, primary in self.primaries.items()
-        }
-        prr = compute_prr(entries, slots_by_node, bound_us)
-        prr_primary = compute_prr(entries, slots_by_node, bound_us, roles=("primary",))
-
-        # Ground truth: the epochs during a fault on the node's primary board.
-        fault_slots = {
-            node_id: [t for t in slots_by_node[node_id] if any(s <= t < e for s, e in primary.fault_windows_us)]
-            for node_id, primary in self.primaries.items()
-        }
-        detection = compute_detection_rate(entries, fault_slots, bound_us)
-
-        violations = delay_violations(entries, list(slots_by_node), duration_us, bound_us)
+        slots = {node_id: primary.expected_slots_us for node_id, primary in self.primaries.items()}
+        windows = {node_id: primary.fault_windows_us for node_id, primary in self.primaries.items()}
+        self.epochs = epoch_ledger(entries, slots, windows, duration_us, bound_us)
+        prr = compute_prr(self.epochs)
+        prr_primary = compute_prr(self.epochs, roles=("primary",))
+        detection = compute_detection_rate(self.epochs)
+        violations = delay_violations(entries, list(self.primaries), duration_us, bound_us)
         rssi = {
             gw.entity_id: rssi_summary(
                 [e.rssi_dbm for e in self.server.raw if e.gateway_id == gw.entity_id]
@@ -99,7 +93,7 @@ class Simulation:
             detection_rate=detection,
             delay_violations=violations,
             duplicate_count=self.server.duplicate_count,
-            epochs_total=sum(len(s) for s in slots_by_node.values()),
-            epochs_fault_active=sum(len(s) for s in fault_slots.values()),
+            epochs_total=len(self.epochs),
+            epochs_fault_active=sum(row.fault_active for row in self.epochs),
             rssi=rssi,
         )

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from redwsn.metrics import (
     compute_detection_rate,
     compute_prr,
     delay_violations,
+    epoch_ledger,
     rssi_summary,
 )
 from redwsn.packets import SENSOR_FIELDS, BoardRole, Packet, PacketKind, SensorReading
@@ -200,18 +203,26 @@ def entry(time_us, role="primary", valid=True, seq=None, node="n1"):
     )
 
 
+# Far past every slot the metric tests use, so each of them is scored.
+HORIZON_US = 10**12
+
+
+def ledger(entries, slots, fault_windows=None):
+    return epoch_ledger(entries, slots, fault_windows or {}, HORIZON_US, bound_us=40_000_000)
+
+
 def test_prr_counts_covered_epochs():
     slots = {"n1": [0, 25_000_000, 50_000_000]}
     entries = [entry(1_000_000), entry(26_000_000, role="secondary")]
-    assert compute_prr(entries, slots) == pytest.approx(2 / 3)
-    assert compute_prr(entries, slots, roles=("primary",)) == pytest.approx(1 / 3)
+    assert compute_prr(ledger(entries, slots)) == pytest.approx(2 / 3)
+    assert compute_prr(ledger(entries, slots), roles=("primary",)) == pytest.approx(1 / 3)
 
 
 def test_prr_ignores_invalid_and_out_of_window():
     slots = {"n1": [0]}
-    assert compute_prr([entry(1_000_000, valid=False)], slots) == 0.0
-    assert compute_prr([entry(41_000_000)], slots) == 0.0  # after the 40 s bound
-    assert compute_prr([entry(39_999_000)], slots) == 1.0
+    assert compute_prr(ledger([entry(1_000_000, valid=False)], slots)) == 0.0
+    assert compute_prr(ledger([entry(41_000_000)], slots)) == 0.0  # after the 40 s bound
+    assert compute_prr(ledger([entry(39_999_000)], slots)) == 1.0
 
 
 # The last slot is off the millisecond grid the MAC uses; in float
@@ -223,38 +234,146 @@ def test_prr_window_is_half_open_to_the_microsecond(slot_us):
     # [slot, slot + bound).
     slots = {"n1": [slot_us]}
     bound_us = 40_000_000
-    assert compute_prr([entry(slot_us + bound_us)], slots) == 0.0
-    assert compute_prr([entry(slot_us + bound_us - 1)], slots) == 1.0
-    assert compute_prr([entry(slot_us + 138_496)], slots) == 1.0
-    assert compute_prr([entry(slot_us - 1)], slots) == 0.0
+    assert compute_prr(ledger([entry(slot_us + bound_us)], slots)) == 0.0
+    assert compute_prr(ledger([entry(slot_us + bound_us - 1)], slots)) == 1.0
+    assert compute_prr(ledger([entry(slot_us + 138_496)], slots)) == 1.0
+    assert compute_prr(ledger([entry(slot_us - 1)], slots)) == 0.0
 
 
 def test_prr_empty_schedule_errors():
     with pytest.raises(ValueError):
-        compute_prr([], {"n1": []})
+        compute_prr(ledger([], {"n1": []}))
 
 
 def test_prr_redundant_at_least_primary_only():
     slots = {"n1": [0, 25_000_000, 50_000_000, 75_000_000]}
     entries = [entry(1_000_000), entry(27_000_000, role="secondary"), entry(51_000_000, valid=False)]
-    assert compute_prr(entries, slots) >= compute_prr(entries, slots, roles=("primary",))
+    epochs = ledger(entries, slots)
+    assert compute_prr(epochs) >= compute_prr(epochs, roles=("primary",))
 
 
 def test_detection_rate_over_missed_fault_epochs():
     # Epochs at 0, 25 s and 50 s; the fault covers the last two.  The
     # secondary answers at 25 s; 50 s is missed.
-    fault_slots = {"n1": [25_000_000, 50_000_000]}
+    slots = {"n1": [0, 25_000_000, 50_000_000]}
+    fault_windows = {"n1": [(25_000_000, 75_000_000)]}
     entries = [entry(1_000_000), entry(30_000_000, role="secondary")]
-    assert compute_detection_rate(entries, fault_slots) == pytest.approx(1 / 2)
+    assert compute_detection_rate(ledger(entries, slots, fault_windows)) == pytest.approx(1 / 2)
 
 
 def test_detection_rate_excludes_primary_served_epochs():
     entries = [entry(5_000_000)]  # valid primary packet serves the epoch
-    assert compute_detection_rate(entries, {"n1": [0]}) is None
+    assert compute_detection_rate(ledger(entries, {"n1": [0]}, {"n1": [(0, 40_000_000)]})) is None
 
 
 def test_detection_rate_is_none_without_fault_epochs():
-    assert compute_detection_rate([], {"n1": []}) is None
+    assert compute_detection_rate(ledger([], {"n1": []})) is None
+
+
+# -- the ledger against the per-metric scans it replaced --------------------------
+#
+# Test-local copies of the metrics as they were before the ledger: each
+# derived its own arrivals and scanned its own coverage, and the simulation
+# decided which epochs were scored and which were fault epochs.
+
+
+def reference_arrivals(entries, roles):
+    times = {}
+    for e in entries:
+        if e.valid and e.board_role in roles:
+            times.setdefault(e.node_id, []).append(e.time_us)
+    for node_times in times.values():
+        node_times.sort()
+    return times
+
+
+def reference_covered(times_us, slot_us, bound_us):
+    i = bisect_left(times_us, slot_us)
+    return i < len(times_us) and times_us[i] < slot_us + bound_us
+
+
+def reference_prr(entries, slots_by_node, bound_us, roles=("primary", "secondary")):
+    total = sum(len(slots) for slots in slots_by_node.values())
+    if total == 0:
+        raise ValueError("expected schedule is empty")
+    arrivals = reference_arrivals(entries, roles)
+    covered = sum(
+        reference_covered(arrivals.get(node, []), slot, bound_us)
+        for node, slots in slots_by_node.items()
+        for slot in slots
+    )
+    return covered / total
+
+
+def reference_detection_rate(entries, fault_slots, bound_us):
+    primary = reference_arrivals(entries, ("primary",))
+    secondary = reference_arrivals(entries, ("secondary",))
+    missed = 0
+    detected = 0
+    for node, slots in fault_slots.items():
+        for slot in slots:
+            if reference_covered(primary.get(node, []), slot, bound_us):
+                continue
+            missed += 1
+            if reference_covered(secondary.get(node, []), slot, bound_us):
+                detected += 1
+    if missed == 0:
+        return None
+    return detected / missed
+
+
+def prr_or_error(compute, *args, **kw):
+    try:
+        return compute(*args, **kw)
+    except ValueError:
+        return "empty"
+
+
+@st.composite
+def epoch_cases(draw):
+    """Small integer clocks, so arrivals land on the window edges: one
+    before the slot, on it, one before slot + bound and on slot + bound."""
+    bound_us = draw(st.integers(1, 30))
+    nodes = draw(st.lists(st.sampled_from(["n1", "n2", "n3"]), min_size=1, max_size=3, unique=True))
+    slots = {node: sorted(draw(st.sets(st.integers(0, 200), max_size=6))) for node in nodes}
+    all_slots = sorted({s for node_slots in slots.values() for s in node_slots}) or [0]
+    edge = st.sampled_from(all_slots).flatmap(
+        lambda s: st.sampled_from([s - 1, s, s + bound_us - 1, s + bound_us])
+    )
+    # A node may send nothing at all, or only invalid or other-board data.
+    arrival = st.builds(
+        entry,
+        st.one_of(edge, st.integers(0, 250)),
+        role=st.sampled_from(["primary", "secondary"]),
+        valid=st.booleans(),
+        node=st.sampled_from(nodes),
+    )
+    entries = draw(st.lists(arrival, max_size=16))
+    # Window edges on slots (or one past), so a slot on an end is tested.
+    window_edge = st.sampled_from(all_slots + [s + 1 for s in all_slots])
+    window = st.tuples(window_edge, window_edge).map(sorted).map(tuple)
+    fault_windows = {node: draw(st.lists(window, max_size=2)) for node in draw(st.sets(st.sampled_from(nodes)))}
+    duration_us = draw(st.integers(0, 260))
+    return entries, slots, fault_windows, duration_us, bound_us
+
+
+@given(epoch_cases())
+def test_ledger_reductions_equal_the_per_metric_scans(case):
+    entries, slots, fault_windows, duration_us, bound_us = case
+    # The rules the simulation applied before the ledger decided them.
+    scored = {node: [t for t in node_slots if t + bound_us <= duration_us] for node, node_slots in slots.items()}
+    fault_slots = {
+        node: [t for t in scored[node] if any(s <= t < e for s, e in fault_windows.get(node, []))] for node in scored
+    }
+    epochs = epoch_ledger(entries, slots, fault_windows, duration_us, bound_us)
+
+    assert len(epochs) == sum(len(s) for s in scored.values())
+    assert sum(row.fault_active for row in epochs) == sum(len(s) for s in fault_slots.values())
+    for roles in (("primary", "secondary"), ("primary",)):
+        assert prr_or_error(compute_prr, epochs, roles=roles) == prr_or_error(
+            reference_prr, entries, scored, bound_us, roles=roles
+        )
+    assert compute_detection_rate(epochs) == reference_detection_rate(entries, fault_slots, bound_us)
 
 
 def test_delay_violations_count_gaps_and_boundaries():

@@ -1,13 +1,19 @@
 """A finished Simulation keeps its results readable and is freed by
 reference counting alone, without waiting for the cycle collector.  A
-node's slot schedule depends on nothing but its own stream."""
+node's slot schedule depends on nothing but its own stream.  Every epoch
+count and ratio of a run is a reduction of its epoch ledger."""
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
+import pytest
+
+from redwsn import simulation
 from redwsn.channel import Position
-from redwsn.scenario import NodeConfig, build_preset
+from redwsn.engine import ms_to_us
+from redwsn.scenario import PRESET_NAMES, NodeConfig, build_preset
 from redwsn.simulation import Simulation
 
 
@@ -57,3 +63,53 @@ def test_other_nodes_and_noise_leave_a_nodes_slots_unchanged():
             sim.run()
             schedules.append(sim.primaries["n1"].expected_slots_us)
     assert schedules[0] and all(s == schedules[0] for s in schedules)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_run_metrics_are_reductions_of_the_epoch_ledger(preset, seed):
+    sim = Simulation(build_preset(preset), seed=seed)
+    metrics = sim.run()
+    epochs = sim.epochs
+    assert len(epochs) == metrics.epochs_total
+    assert sum(1 for row in epochs if row.fault_active) == metrics.epochs_fault_active
+
+    served = sum(1 for row in epochs if row.primary_us is not None or row.secondary_us is not None)
+    assert served / len(epochs) == metrics.prr_redundant
+    assert sum(1 for row in epochs if row.primary_us is not None) / len(epochs) == metrics.prr_primary_only
+    missed = [row for row in epochs if row.fault_active and row.primary_us is None]
+    detected = sum(1 for row in missed if row.secondary_us is not None)
+    assert (detected / len(missed) if missed else None) == metrics.detection_rate
+
+    # Each arrival a row names is the earliest valid deduplicated data entry
+    # of that node and board inside the epoch's window; None means none is.
+    bound_us = ms_to_us(sim.cfg.max_monitoring_delay_ms)
+    arrivals = {}
+    for e in sim.server.deduplicated():
+        if e.valid:
+            arrivals.setdefault((e.node_id, e.board_role), []).append(e.time_us)
+    for row in epochs:
+        for role, time_us in (("primary", row.primary_us), ("secondary", row.secondary_us)):
+            in_window = [t for t in arrivals.get((row.node_id, role), []) if row.slot_us <= t < row.slot_us + bound_us]
+            assert time_us == min(in_window, default=None)
+
+def test_run_calls_each_metric_through_the_simulation_module(monkeypatch):
+    # perfbench's tracer times the metrics by wrapping these names in
+    # redwsn.simulation; a call that bypassed them would go untimed.
+    calls = Counter()
+    for name in ("compute_prr", "compute_detection_rate", "delay_violations", "rssi_summary"):
+        original = getattr(simulation, name)
+
+        def counted(*args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(simulation, name, counted)
+    cfg = build_preset("GWF")
+    Simulation(cfg, seed=1).run()
+    assert calls == {
+        "compute_prr": 2,
+        "compute_detection_rate": 1,
+        "delay_violations": 1,
+        "rssi_summary": len(cfg.gateways),
+    }
