@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .channel import Channel, Position
-from .engine import Simulator, ms_to_us
+from .engine import Simulator, drawn_ahead, in_windows, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, check_tx_power
 from .mac import SarbConfig, SarbMac
 from .packets import (
@@ -80,8 +80,7 @@ _SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slo
 # still taken to be able to differ by more than it; it covers rounding and
 # errs toward comparing.
 _FLAG_MARGIN = 1e-9
-# Readings drawn ahead per refill of a noise stream.  Each stream has one
-# owner, so drawing ahead moves no other consumer's values.
+# Readings drawn ahead per refill of a noise stream (see drawn_ahead).
 _BLOCK_ROWS = 32
 
 
@@ -108,10 +107,13 @@ def noise_can_flag(rel_threshold: float) -> bool:
 
 def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Per-reading sensor noise factors, 1 + the clipped noise, drawn
-    _BLOCK_ROWS readings at a time: the same values as one draw per reading."""
-    while True:
+    _BLOCK_ROWS readings at a time."""
+
+    def draw() -> np.ndarray:
         noise = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS))) * _SENSOR_NOISE_REL
-        yield from 1.0 + noise.clip(-_NOISE_CLIP, _NOISE_CLIP)
+        return 1.0 + noise.clip(-_NOISE_CLIP, _NOISE_CLIP)
+
+    return drawn_ahead(draw)
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,7 @@ class _RadioBoard:
         node: NodeConfig,
         role: BoardRole,
         faults: tuple[FaultSpec, ...],
+        hears: tuple[tuple[PacketKind, Optional[str]], ...],
     ):
         self.sim = sim
         self.channel = channel
@@ -161,14 +164,11 @@ class _RadioBoard:
         self.tx_power_dbm = node.tx_power_dbm
         self._noise = _noise_factors(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
+        self.hears = hears
         channel.add_receiver(self)
 
     def is_powered(self) -> bool:
-        now = self.sim.now_us
-        for start, end in self._outages_us:
-            if start <= now < end:
-                return False
-        return True
+        return not in_windows(self._outages_us, self.sim.now_us)
 
     def sense(self) -> SensorReading:
         """Fresh reading; callers check power first."""
@@ -239,9 +239,9 @@ class PrimaryBoard(_RadioBoard):
         faults: tuple[FaultSpec, ...],
         mac_cfg: SarbConfig,
     ):
-        super().__init__(sim, channel, node, BoardRole.PRIMARY, faults)
-        # Its own acks: an ack carries the node id of the frame it answers.
-        self.hears = ((PacketKind.ACK, node.id),)
+        # It hears its own acks: an ack carries the node id of the frame it
+        # answers.
+        super().__init__(sim, channel, node, BoardRole.PRIMARY, faults, ((PacketKind.ACK, node.id),))
         self.expected_slots_us: list[int] = []
         self._in_emergency = False
         self._poll_windows_us = self._crossing_windows_us()
@@ -286,11 +286,7 @@ class PrimaryBoard(_RadioBoard):
         now = self.sim.now_us
         if now + _SENSING_POLL_US < self._poll_windows_us[-1][1]:
             self.sim.schedule_at(now + _SENSING_POLL_US, self._sensing_poll)
-        crossed = (
-            self.is_powered()
-            and any(start <= now < end for start, end in self._poll_windows_us)
-            and check_thresholds(self.sense())
-        )
+        crossed = self.is_powered() and in_windows(self._poll_windows_us, now) and check_thresholds(self.sense())
         if crossed and not self._in_emergency:
             self.mac.on_emergency(self.data_packet(emergency=True))
         self._in_emergency = crossed
@@ -334,11 +330,11 @@ class SecondaryBoard(_RadioBoard):
         faults: tuple[FaultSpec, ...],
         cfg: SecondaryConfig,
     ):
-        super().__init__(sim, channel, node, BoardRole.SECONDARY, faults)
-        # Its node's data frames, which are the primary's: the channel never
-        # resolves a frame at its own transmitter.
-        self.hears = ((PacketKind.DATA, node.id),)
+        # It hears its node's data frames, which are the primary's: the
+        # channel never resolves a frame at its own transmitter.
+        super().__init__(sim, channel, node, BoardRole.SECONDARY, faults, ((PacketKind.DATA, node.id),))
         self.cfg = cfg
+        self._sensor_windows_us = [(start, end) for _, start, end, _ in self._sensor_faults]
         self._noise_can_flag = noise_can_flag(cfg.anomaly_rel_threshold)
         self._interval_us = ms_to_us(cfg.sensing_interval_ms)
         self._sense_duration_us = ms_to_us(cfg.sense_duration_ms)
@@ -376,7 +372,7 @@ class SecondaryBoard(_RadioBoard):
 
     def _is_faulty(self, packet: Packet) -> bool:
         reading = packet.reading
-        if not (self._noise_can_flag or reading.fault_tags or self._sensor_fault_active()):
+        if not (self._noise_can_flag or reading.fault_tags or in_windows(self._sensor_windows_us, self.sim.now_us)):
             # Both readings are nominal times clipped noise: a reading is
             # tagged with every sensor fault active when it was built.  So the
             # comparison cannot flag; spend the noise row a reading would.
@@ -385,13 +381,6 @@ class SecondaryBoard(_RadioBoard):
         if not reading.is_complete():
             return True
         return detect_anomaly(reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
-
-    def _sensor_fault_active(self) -> bool:
-        now = self.sim.now_us
-        for _, start, end, _ in self._sensor_faults:
-            if start <= now < end:
-                return True
-        return False
 
     def _substitute_allowed(self) -> bool:
         if self.sim.now_us < self._next_substitute_us:

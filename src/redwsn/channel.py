@@ -23,7 +23,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .engine import Simulator, ms_to_us
+from .engine import Simulator, drawn_ahead, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, LoraParams, check_tx_power, time_on_air_us
 from .packets import Packet, PacketKind
 
@@ -111,7 +111,8 @@ class Receiver(Protocol):
     rx_extra_loss_db: float
     # The frames the receiver's address filter passes, as (kind, node id)
     # pairs; a None node id passes every node.  A frame is resolved only at
-    # the receivers that hear it; to the rest it is interference.
+    # the receivers that hear it; to the rest it is interference.  The
+    # channel reads it once, when the receiver registers.
     hears: tuple[tuple[PacketKind, Optional[str]], ...]
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None: ...
@@ -125,14 +126,13 @@ class Transmission:
     end_us: int
     position: Position
     tx_power_dbm: float
-    # Per receiver, in the channel's receiver order: the link budget,
-    # transmit power minus path loss, computed on the link's first draw and
-    # shared by every frame from the same position and power; and the RSSI,
-    # drawn once per (frame, receiver) link and cached so collision
-    # comparisons are consistent no matter which frame resolves first.
-    # Both hold _UNDRAWN until the link is drawn.
-    mean_dbm: array
-    rssi: array
+    # Keyed by receiver index: the link budget, transmit power minus path
+    # loss, computed on the link's first draw and shared by every frame from
+    # the same position and power; and the RSSI, drawn once per (frame,
+    # receiver) link and cached so collision comparisons are consistent no
+    # matter which frame resolves first.  A missing key is a link not drawn.
+    mean_dbm: dict[int, float]
+    rssi: dict[int, float]
     # The receivers that hear the frame, with their indices: looked up once
     # when the frame begins and resolved at when it ends.  Noise has none.
     audience: Sequence[tuple[int, Receiver]] = ()
@@ -172,7 +172,7 @@ class _NoiseTrain:
     position: Position
     tx_power_dbm: float
     # Receivers are fixed once the train is on the channel.
-    mean_dbm: array
+    mean_dbm: dict[int, float]
     starts_us: array
     airtime_us: int
     # The first burst not logged yet; every burst before it was logged or
@@ -180,10 +180,7 @@ class _NoiseTrain:
     next: int = 0
 
 
-# Link-budget or RSSI slot of a link not drawn yet; a drawn value is finite.
-_UNDRAWN = math.inf
-# Shadowing values drawn per numpy call.  A block consumed in order holds the
-# same values as one scalar draw per link.
+# Shadowing values and noise jitters drawn per numpy call (see drawn_ahead).
 _DRAW_BLOCK = 1024
 
 # The channel log's order.  At an equal start a noise burst comes first, as
@@ -205,20 +202,14 @@ class Channel:
         self.lora = lora
         self._sigma_db = params.shadowing_sigma_db
         self._agc_ceiling_dbm = params.agc_ceiling_dbm
-        self._shadow_rng = sim.rng("channel-shadowing")
-        self._draws = array("d")
-        self._next_draw = 0
+        rng, sigma = sim.rng("channel-shadowing"), self._sigma_db
+        self._shadowing = drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist())
         self._receivers: list[Receiver] = []
-        self._rx_extra_loss_db = array("d")
-        # A fresh frame's RSSI row: one undrawn slot per receiver.
-        self._undrawn = array("d")
         # Keyed by (x, y, power) floats, which hash and compare in C.
-        self._mean_dbm: dict[tuple[float, float, float], array] = {}
+        self._mean_dbm: dict[tuple[float, float, float], dict[int, float]] = {}
         self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
-        # Each ``hears`` entry -> the receivers listing it, with their
-        # indices.  Built when the first audience is needed, as boards set
-        # ``hears`` after they register.
-        self._hearers: Optional[dict[tuple[PacketKind, Optional[str]], list[tuple[int, Receiver]]]] = None
+        # Each ``hears`` entry -> the receivers listing it, with their indices.
+        self._hearers: dict[tuple[PacketKind, Optional[str]], list[tuple[int, Receiver]]] = {}
         # Frames and noise bursts that may still overlap a frame to resolve,
         # by start time.
         self._log: list[Transmission] = []
@@ -228,29 +219,29 @@ class Channel:
         self._train: Optional[_NoiseTrain] = None
 
     def add_receiver(self, receiver: Receiver) -> None:
-        """Register a receiver; only while no frame is on the air and before
-        a noise train, because the frames' per-receiver caches and audiences
-        are fixed when they start."""
+        """Register a receiver and index what it hears; only while no frame
+        is on the air and before a noise train, because the frames'
+        per-receiver caches and audiences are fixed when they start."""
         now = self.sim.now_us
         if self._train is not None:
             raise RuntimeError("receivers must be added before the noise train")
         if any(tx.end_us >= now for tx in self._log):
             raise RuntimeError("receivers must be added while no frame is on the air")
+        for entry in receiver.hears:
+            self._hearers.setdefault(entry, []).append((len(self._receivers), receiver))
         self._receivers.append(receiver)
-        self._rx_extra_loss_db.append(receiver.rx_extra_loss_db)
-        self._undrawn.append(_UNDRAWN)
-        self._mean_dbm.clear()
         self._audiences.clear()
-        self._hearers = None
 
     def close(self) -> None:
         """Forget the receivers, which hold this channel in turn, and the
         logged frames, whose audiences hold receivers, so a finished run is
-        freed without waiting for the cycle collector."""
+        freed without waiting for the cycle collector; and the link-budget
+        rows, which are keyed by the receivers' indices."""
         self._receivers = []
         self._log = []
         self._audiences.clear()
-        self._hearers = None
+        self._hearers.clear()
+        self._mean_dbm.clear()
 
     def airtime_us(self, size_bytes: int) -> int:
         """Time on air of a frame of ``size_bytes``, cached per size."""
@@ -333,7 +324,7 @@ class Channel:
             position,
             tx_power_dbm,
             self._link_means(position, tx_power_dbm),
-            self._undrawn[:],
+            {},
             audience,
         )
         if airtime > self._longest_airtime_us:
@@ -360,7 +351,7 @@ class Channel:
                         train.position,
                         train.tx_power_dbm,
                         train.mean_dbm,
-                        self._undrawn[:],
+                        {},
                     )
                 )
         insort(log, tx, key=_start)
@@ -375,27 +366,18 @@ class Channel:
         key = (packet.kind, packet.node_id)
         audience = self._audiences.get(key)
         if audience is None:
-            hearers = self._hearers
-            if hearers is None:
-                hearers = self._hearers = {}
-                for i, r in enumerate(self._receivers):
-                    for entry in r.hears:
-                        hearers.setdefault(entry, []).append((i, r))
             # Keyed by index, so a receiver that lists an entry twice, or
             # hears both the node and every node, appears once.
-            merged = dict(hearers.get(key, ()))
-            merged.update(hearers.get((packet.kind, None), ()))
+            merged = dict(self._hearers.get(key, ()))
+            merged.update(self._hearers.get((packet.kind, None), ()))
             audience = self._audiences[key] = sorted(merged.items())
         return audience
 
-    def _link_means(self, position: Position, tx_power_dbm: float) -> array:
+    def _link_means(self, position: Position, tx_power_dbm: float) -> dict[int, float]:
         """The link-budget row of a transmitter position and power, cached
-        per both; its links are computed as they are first drawn."""
-        key = (position.x, position.y, tx_power_dbm)
-        means = self._mean_dbm.get(key)
-        if means is None:
-            means = self._mean_dbm[key] = self._undrawn[:]
-        return means
+        per both; its links are computed as they are first drawn, so a
+        receiver registered later gets its link on its first draw."""
+        return self._mean_dbm.setdefault((position.x, position.y, tx_power_dbm), {})
 
     def _prune(self, now_us: int) -> None:
         # A frame still on the air started at most the longest airtime ago,
@@ -408,23 +390,16 @@ class Channel:
         """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
         plus one shadowing draw, clamped to the AGC ceiling, minus the
         receiver's extra loss (the arithmetic of rssi_at, in its order)."""
-        means = tx.mean_dbm
-        rssi = means[i]
-        if rssi == _UNDRAWN:
-            distance = tx.position.distance_to(self._receivers[i].position)
-            rssi = means[i] = tx.tx_power_dbm - path_loss_db(distance, self.params)
-        sigma = self._sigma_db
-        if sigma > 0:
-            k = self._next_draw
-            if k == len(self._draws):
-                self._draws = array("d", self._shadow_rng.normal(0.0, sigma, _DRAW_BLOCK).tobytes())
-                k = 0
-            self._next_draw = k + 1
-            rssi += self._draws[k]
+        receiver = self._receivers[i]
+        rssi = tx.mean_dbm.get(i)
+        if rssi is None:
+            distance = tx.position.distance_to(receiver.position)
+            rssi = tx.mean_dbm[i] = tx.tx_power_dbm - path_loss_db(distance, self.params)
+        if self._sigma_db > 0:
+            rssi += next(self._shadowing)
         agc = self._agc_ceiling_dbm
         # min(rssi, agc) without the builtin call: this runs once per link.
-        rssi = (agc if agc < rssi else rssi) - self._rx_extra_loss_db[i]
-        tx.rssi[i] = rssi
+        rssi = tx.rssi[i] = (agc if agc < rssi else rssi) - receiver.rx_extra_loss_db
         return rssi
 
     def _resolve(self, tx: Transmission) -> None:
@@ -443,16 +418,16 @@ class Channel:
         for i, receiver in tx.audience:
             if receiver.entity_id in deaf:
                 continue
-            rssi = tx.rssi[i]
-            if rssi == _UNDRAWN:
+            rssi = tx.rssi.get(i)
+            if rssi is None:
                 rssi = self._draw_rssi(tx, i)
             if rssi < sensitivity:
                 continue
             # Interferers are drawn lazily, stopping at the first one that
             # defeats capture.
             for other in overlapping:
-                interference = other.rssi[i]
-                if interference == _UNDRAWN:
+                interference = other.rssi.get(i)
+                if interference is None:
                     interference = self._draw_rssi(other, i)
                 if rssi < interference + capture:
                     break

@@ -6,6 +6,10 @@ equal timestamps fire in insertion order.  Events are never cancelled: an
 owner whose timer can go stale checks its own state when the timer fires.
 Randomness comes from labeled streams derived from a single master seed, so
 adding a consumer never perturbs the draws of another.
+
+Two rules that every layer shares live here too: a fault window is active
+over [start, end) (``in_windows``), and a stream drawn a block ahead yields
+the values of one draw per item (``drawn_ahead``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +27,28 @@ US_PER_MS = 1000
 def ms_to_us(ms: float) -> int:
     """Convert milliseconds to the internal integer-microsecond unit."""
     return int(round(ms * US_PER_MS))
+
+
+def in_windows(windows_us: Iterable[tuple[int, int]], t_us: int) -> bool:
+    """True iff ``t_us`` lies in one of the half-open windows [start, end).
+    A linear scan: every caller holds a handful of windows."""
+    for start, end in windows_us:
+        if start <= t_us < end:
+            return True
+    return False
+
+
+def drawn_ahead(draw: Callable[[], Iterable]) -> Iterator:
+    """The items of repeated ``draw()`` calls, one at a time, calling
+    ``draw`` only when the previous block runs out.
+
+    numpy's normal, standard-normal and bounded-integer draws give a block of
+    k the same values, in order, as k single draws, so a stream with one
+    owner can be drawn ahead without moving any value.  ``draw`` should
+    close over its stream only, not its owner, so that an owner holding the
+    iterator is freed by refcount.
+    """
+    return itertools.chain.from_iterable(itertools.starmap(draw, itertools.repeat(())))
 
 
 class SchedulingError(ValueError):

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from .boards import FaultSpec
 from .channel import Channel, Position
-from .engine import Simulator
+from .engine import Simulator, in_windows
 from .lora import check_tx_power
 from .packets import BoardRole, Packet, PacketKind
 
@@ -115,10 +115,7 @@ class Gateway:
         channel.add_receiver(self)
 
     def failed(self, now_us: int) -> bool:
-        for start, end in self._outages_us:
-            if start <= now_us < end:
-                return True
-        return False
+        return in_windows(self._outages_us, now_us)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if self.failed(now_us):

@@ -10,11 +10,11 @@ baseline: one transmission every fixed interval, no acks, no queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import Simulator, ms_to_us
+from .engine import Simulator, drawn_ahead, ms_to_us
 from .packets import Packet
 
 
@@ -53,18 +53,8 @@ class SarbConfig:
         return self.slot_max_ms if self.enabled else self.fixed_interval_ms
 
 
-# Slot offsets drawn per numpy call.  A block consumed in order holds the same
-# values as one scalar draw per data slot.
+# Slot offsets drawn per numpy call (see drawn_ahead).
 _DRAW_BLOCK = 32
-
-
-def _grid_offsets_us(rng: np.random.Generator, min_us: int, step_us: int, steps: int) -> Iterator[int]:
-    """Data-slot offsets min + k * step, with k uniform in 0..steps, in
-    Python integers.  It holds only the stream, not the MAC, so a finished
-    MAC is freed by refcount."""
-    while True:
-        for k in rng.integers(0, steps + 1, size=_DRAW_BLOCK).tolist():
-            yield min_us + k * step_us
 
 
 class RetxQueue:
@@ -132,14 +122,16 @@ class SarbMac:
         self._transmit = transmit
         self._on_slot = on_slot
         self.queue = RetxQueue(cfg.queue_capacity)
-        # Data slots fall on the grid slot_min + k * slot_step, k in 0..steps.
-        # A disabled MAC never draws from its stream.
-        self._offsets_us = _grid_offsets_us(
-            rng,
-            ms_to_us(cfg.slot_min_ms),
-            ms_to_us(cfg.slot_step_ms),
-            (cfg.slot_max_ms - cfg.slot_min_ms) // cfg.slot_step_ms,
-        )
+        # Data slots fall on the grid slot_min + k * slot_step, k uniform in
+        # 0..steps.  A disabled MAC never draws from its stream.
+        min_us, step_us = ms_to_us(cfg.slot_min_ms), ms_to_us(cfg.slot_step_ms)
+        steps = (cfg.slot_max_ms - cfg.slot_min_ms) // cfg.slot_step_ms
+
+        def draw() -> list[int]:
+            # In Python integers: int64 arithmetic would wrap past 2**63 us.
+            return [min_us + k * step_us for k in rng.integers(0, steps + 1, _DRAW_BLOCK).tolist()]
+
+        self._offsets_us = drawn_ahead(draw)
         self._fixed_interval_us = ms_to_us(cfg.fixed_interval_ms)
         self._retx_interval_us = ms_to_us(cfg.retx_interval_ms)
         self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
@@ -187,12 +179,10 @@ class SarbMac:
         end_us = self._transmit(packet)
         if not self.cfg.enabled:
             return  # baseline: fire and forget
-        if end_us is None:  # deferred: it goes out with no ack timer
-            self.queue.push(packet)
-            return
-        if self._pending is not None:
-            # A frame is already awaiting its ack; treat the new one as
-            # unconfirmed immediately rather than tracking two timers.
+        if end_us is None or self._pending is not None:
+            # A deferred frame goes out with no ack timer; and while a frame
+            # awaits its ack, a new one is unconfirmed at once rather than
+            # tracked with a second timer.
             self.queue.push(packet)
             return
         self.sim.schedule_at(end_us + self._ack_timeout_us, lambda: self._ack_timeout(packet))

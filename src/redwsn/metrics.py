@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .engine import in_windows
 from .gateway import ServerEntry
 
 
@@ -66,11 +67,11 @@ def epoch_ledger(
     for node, slots in slots_by_node.items():
         primary = arrivals.get((node, "primary"), [])
         secondary = arrivals.get((node, "secondary"), [])
-        windows = fault_windows_by_node.get(node)
+        windows = fault_windows_by_node.get(node, ())
         for slot in slots:
             end = slot + bound_us
             if end <= duration_us:
-                fault = bool(windows) and any(start <= slot < stop for start, stop in windows)
+                fault = in_windows(windows, slot)
                 ledger.append(Epoch(node, slot, fault, _first(primary, slot, end), _first(secondary, slot, end)))
     return ledger
 

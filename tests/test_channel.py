@@ -210,6 +210,41 @@ def test_rssi_cached_per_frame_and_receiver():
     assert len(a.heard) == 1 and len(b.heard) == 1
 
 
+def test_a_late_receiver_gets_its_own_link_from_a_cached_position():
+    # Link budgets are cached per transmitter position and power, keyed by
+    # receiver index; a receiver registered after frames from that position
+    # have ended must get its own link, and the earlier ones keep theirs.
+    sim = Simulator()
+    params = quiet_params()
+    channel = Channel(sim, params=params)
+    early = [Probe("gw-a", Position(0, 0)), Probe("gw-b", Position(-7, 3))]
+    for probe in early:
+        channel.add_receiver(probe)
+    source = Position(2, 1)
+
+    def send():
+        channel.begin_transmission("n1.primary", source, data_packet(), 14.0)
+        sim.run_until(sim.now_us + 1_000_000)
+
+    send()
+    send()
+    late = Probe("gw-late", Position(15, -4))
+    late.rx_extra_loss_db = 4.5
+    channel.add_receiver(late)
+    send()
+    assert [rssi for _, rssi, _ in late.heard] == [rssi_at(source, late.position, 14.0, None, params) - 4.5]
+    for probe in early:
+        rssis = [rssi for _, rssi, _ in probe.heard]
+        assert rssis == [rssi_at(source, probe.position, 14.0, None, params)] * 3
+    # close() forgets the receivers, and with them the rows keyed by their
+    # indices: a receiver registered afterwards takes index 0 anew.
+    channel.close()
+    again = Probe("gw-again", Position(-3, -3))
+    channel.add_receiver(again)
+    send()
+    assert [rssi for _, rssi, _ in again.heard] == [rssi_at(source, again.position, 14.0, None, params)]
+
+
 def test_noise_train_counts_and_respects_duration():
     sim = Simulator(master_seed=1)
     channel = Channel(sim, params=quiet_params())

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -5,13 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import (
     SchedulingError,
     Simulator,
+    drawn_ahead,
+    in_windows,
     ms_to_us,
     stream_rng,
 )
 from redwsn.mac import SarbConfig, SarbMac
+from redwsn.packets import Packet, PacketKind
 
 
 def test_unit_conversions_round_trip():
@@ -127,3 +133,127 @@ def test_draw_uniform_grid_stays_on_grid(seed):
 def test_draw_uniform_grid_covers_endpoints():
     cfg = SarbConfig(slot_min_ms=1_000, slot_max_ms=2_000, slot_step_ms=500, retx_slots_per_cycle=0)
     assert set(grid_offsets_us(cfg, 0, 200)) == {1_000_000, 1_500_000, 2_000_000}
+
+
+# -- the half-open window rule ---------------------------------------------------
+
+
+@st.composite
+def window_lists(draw):
+    """Windows [start, end) in a chosen shape: none, two touching, two
+    overlapping, one nested in another, or any, plus random extras, in any
+    order."""
+    shape = draw(st.sampled_from(["empty", "touching", "overlapping", "nested", "any"]))
+    if shape == "empty":
+        return []
+    start, length = draw(st.integers(-20, 40)), draw(st.integers(2, 15))
+    first = (start, start + length)
+    if shape == "touching":
+        second = (first[1], first[1] + draw(st.integers(1, 15)))
+    elif shape == "overlapping":
+        second = (start + draw(st.integers(1, length - 1)), first[1] + draw(st.integers(1, 15)))
+    elif shape == "nested":
+        inner = draw(st.integers(1, length - 1))
+        lo = start + draw(st.integers(0, length - inner))
+        second = (lo, lo + inner)
+    else:
+        lo = draw(st.integers(-20, 40))
+        second = (lo, lo + draw(st.integers(1, 15)))
+    extras = draw(st.lists(st.tuples(st.integers(-20, 40), st.integers(1, 15)), max_size=3))
+    windows = [first, second] + [(s, s + n) for s, n in extras]
+    return draw(st.permutations(windows))
+
+
+@given(windows=window_lists())
+def test_in_windows_equals_brute_force_at_every_edge(windows):
+    covered = {t for start, end in windows for t in range(start, end)}
+    probes = {t for start, end in windows for t in (start - 1, start, end - 1, end)} | {0}
+    for t in sorted(probes):
+        assert in_windows(windows, t) is (t in covered)
+
+
+# -- streams drawn ahead ---------------------------------------------------------
+
+BLOCK = 16
+DRAWS = {
+    # (a block of BLOCK items, one item): the values must be equal bit for bit.
+    "scalar normals": (
+        lambda rng: rng.normal(0.0, 3.0, BLOCK).tolist(),
+        lambda rng: float(rng.normal(0.0, 3.0)),
+    ),
+    "bounded integers": (
+        lambda rng: (20_000_000 + 500_000 * rng.integers(0, 21, BLOCK)).tolist(),
+        lambda rng: 20_000_000 + 500_000 * int(rng.integers(0, 21)),
+    ),
+    "2-D rows": (
+        lambda rng: rng.standard_normal((BLOCK, 12)),
+        lambda rng: rng.standard_normal(12),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DRAWS)
+def test_drawn_ahead_equals_one_draw_per_item(kind):
+    draw_block, draw_one = DRAWS[kind]
+    ahead, one = np.random.default_rng(5), np.random.default_rng(5)
+    blocks = []
+
+    def draw():
+        blocks.append(None)
+        return draw_block(ahead)
+
+    n = 3 * BLOCK + 1  # three refills after the first block
+    got = list(itertools.islice(drawn_ahead(draw), n))
+    want = [draw_one(one) for _ in range(n)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # A block is drawn only when an item of it is taken.
+    assert len(blocks) == 4
+
+
+class Holder:
+    """An owner whose only reference to its stream is the iterator."""
+
+    def __init__(self, rng):
+        self.items = drawn_ahead(lambda: rng.normal(0.0, 1.0, 8).tolist())
+
+
+def sensing_channel(sim):
+    """A channel that has drawn shadowing for one frame at one receiver."""
+
+    class Probe:
+        entity_id, position, rx_extra_loss_db = "gw", Position(0, 0), 0.0
+        hears = ((PacketKind.DATA, None),)
+
+        def on_receive(self, packet, rssi_dbm, now_us):
+            pass
+
+    channel = Channel(sim, params=ChannelParams(shadowing_sigma_db=2.0))
+    channel.add_receiver(Probe())
+    channel.begin_transmission("n1", Position(2, 0), Packet(kind=PacketKind.DATA, node_id="n1"), 14.0)
+    sim.run_until(1_000_000)
+    return channel
+
+
+def drawing_mac(sim):
+    mac = SarbMac(sim, SarbConfig(), sim.rng("mac"), lambda _: None, lambda _: None, lambda _: None)
+    mac._draw_offset_us()
+    return mac
+
+
+@pytest.mark.parametrize(
+    "make_owner",
+    [lambda sim: Holder(sim.rng("x")), sensing_channel, drawing_mac],
+    ids=["holder", "channel", "mac"],
+)
+def test_an_owner_of_a_drawn_ahead_stream_dies_on_del(make_owner):
+    sim = Simulator(master_seed=1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        owner = make_owner(sim)
+        released = weakref.ref(owner)
+        del owner
+        assert released() is None
+    finally:
+        if enabled:
+            gc.enable()

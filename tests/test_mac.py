@@ -241,6 +241,18 @@ def test_block_drawn_offsets_match_one_draw_per_slot(steps):
     assert [mac._draw_offset_us() for _ in range(4 * 32 + 1)] == expected
 
 
+def test_offsets_past_the_int64_range_stay_exact():
+    # A grid step of 5e18 us: the largest offsets lie past 2**63 us, where
+    # int64 arithmetic would wrap to a time in the past.
+    step_ms = 5 * 10**15
+    cfg = SarbConfig(slot_min_ms=20_000, slot_max_ms=20_000 + 2 * step_ms, slot_step_ms=step_ms)
+    scalar = stream_rng(11, "mac")
+    expected = [20_000_000 + step_ms * 1000 * int(scalar.integers(0, 3)) for _ in range(40)]
+    mac = Harness(cfg=cfg, seed=11).mac
+    assert [mac._draw_offset_us() for _ in range(40)] == expected
+    assert max(expected) > 2**63
+
+
 @pytest.mark.parametrize("enabled", [False, True])
 def test_only_an_enabled_mac_draws_from_its_stream(enabled):
     sim = Simulator(master_seed=0)
