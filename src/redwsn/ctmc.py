@@ -1,8 +1,9 @@
 """Birth-death CTMC availability model of an N-board redundant component.
 
-State i is the number of working boards.  With failure policy l_i = i*l and
-a single repairer (m_i = m), the steady-state probability of complete
-failure reduces to  pi_0 = 1 / (1 + sum_k m^k / (k! l^k)).
+State i is the number of working boards.  Boards fail independently, at
+i*l in state i, and a single repairer brings one back at m, so the
+steady-state probability of complete failure is
+pi_0 = 1 / (1 + sum_k m^k / (k! l^k)).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ DEFAULT_REPAIR_RATE = 20.83e-3  # per hour (one repair roughly every 48 h)
 
 @dataclass(frozen=True)
 class BirthDeathModel:
-    """State-dependent rates: boards fail independently (l_i = i*l) and one
-    repair person works regardless of backlog (m_i = m).  Subclasses
-    override `lam` and `mu` for other policies."""
+    """Boards fail independently, i*l in state i, and one repairer works at
+    m whatever the backlog."""
 
     n_boards: int
     failure_rate: float = DEFAULT_FAILURE_RATE
@@ -32,22 +32,14 @@ class BirthDeathModel:
         if not (0 < self.failure_rate < math.inf and 0 < self.repair_rate < math.inf):
             raise ValueError("rates must be finite and positive")
 
-    def lam(self, i: int) -> float:
-        return i * self.failure_rate
-
-    def mu(self, i: int) -> float:
-        return self.repair_rate
-
 
 def build_generator(model: BirthDeathModel) -> np.ndarray:
     """Tridiagonal generator Q over states {0..N}; every row sums to zero."""
-    n = model.n_boards
+    n, l, m = model.n_boards, model.failure_rate, model.repair_rate
     q = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
-        lam = model.lam(i) if i > 0 else 0.0  # no boards left to fail
-        mu = model.mu(i) if i < n else 0.0  # all boards up, nothing to repair
-        if lam < 0 or mu < 0:
-            raise ValueError("rate policies must be non-negative")
+        lam = i * l  # i boards up, each failing at l
+        mu = m if i < n else 0.0  # all boards up, nothing to repair
         if i > 0:
             q[i, i - 1] = lam
         if i < n:
@@ -57,20 +49,16 @@ def build_generator(model: BirthDeathModel) -> np.ndarray:
 
 
 def steady_state_closed_form(model: BirthDeathModel) -> np.ndarray:
-    """Birth-death solution: pi_k = pi_0 * prod_{i=1..k} mu_{i-1} / lam_i.
+    """Birth-death solution: pi_k = pi_0 * m^k / (k! l^k).
 
     Product terms are accumulated in log space so large N or extreme rate
     ratios cannot overflow.
     """
-    n = model.n_boards
+    l, m = model.failure_rate, model.repair_rate
     log_terms = [0.0]  # k = 0
     acc = 0.0
-    for k in range(1, n + 1):
-        lam_k = model.lam(k)
-        mu_prev = model.mu(k - 1)
-        if lam_k <= 0 or mu_prev <= 0:
-            raise ValueError("chain must be irreducible (positive birth/death rates)")
-        acc += math.log(mu_prev) - math.log(lam_k)
+    for k in range(1, model.n_boards + 1):
+        acc += math.log(m) - math.log(k * l)
         log_terms.append(acc)
     shift = max(log_terms)
     weights = np.exp(np.asarray(log_terms) - shift)
@@ -99,28 +87,23 @@ def steady_state_linear_solve(q: np.ndarray) -> np.ndarray:
     return pi
 
 
-def failure_probability(model: BirthDeathModel) -> float:
-    """pi_0: steady-state probability that every board is down."""
-    return float(steady_state_closed_form(model)[0])
-
-
 def failure_probability_table(
     failure_rate: float = DEFAULT_FAILURE_RATE,
     repair_rate: float = DEFAULT_REPAIR_RATE,
     n_max: int = 4,
 ) -> list[tuple[int, float]]:
-    """(N, pi_0) rows for N = 1..n_max under the default policies."""
+    """(N, pi_0) rows for N = 1..n_max; pi_0 is the steady-state probability
+    that every board is down."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return [
-        (n, failure_probability(BirthDeathModel(n, failure_rate, repair_rate)))
+        (n, float(steady_state_closed_form(BirthDeathModel(n, failure_rate, repair_rate))[0]))
         for n in range(1, n_max + 1)
     ]
 
 
 def mttf_non_repairable(n_boards: int, failure_rate: float = DEFAULT_FAILURE_RATE) -> float:
     """Mean time to total failure of the pure-death chain (no repairs):
-    sum over k of 1/(k*l)."""
-    if n_boards < 1 or failure_rate <= 0:
-        raise ValueError("need n >= 1 and a positive failure rate")
+    sum over k of 1/(k*l).  Inputs are checked as the model checks them."""
+    BirthDeathModel(n_boards, failure_rate)
     return sum(1.0 / (k * failure_rate) for k in range(1, n_boards + 1))

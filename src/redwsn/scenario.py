@@ -53,7 +53,8 @@ class ScenarioConfig:
             raise ConfigError("at least one node is required")
         if not self.gateways:
             raise ConfigError("at least one gateway is required")
-        if self.secondary.sensing_interval_ms <= self.mac.max_interval_ms:
+        has_secondary = any(n.has_secondary for n in self.nodes)
+        if has_secondary and self.secondary.sensing_interval_ms <= self.mac.max_interval_ms:
             raise ConfigError(
                 f"secondary.sensing_interval_ms must exceed the MAC's longest data interval"
                 f" ({self.mac.max_interval_ms} ms), or the watchdog fires before every data slot"
@@ -97,7 +98,7 @@ class ScenarioConfig:
                 f" (with its ack wait under SARB) would run into the MAC's next slot, mac.{gap} later"
             )
         airtime_us = time_on_air_us(self.secondary.heartbeat_bytes, self.lora)
-        if any(n.has_secondary for n in self.nodes) and airtime_us >= ms_to_us(self.secondary.heartbeat_period_ms):
+        if has_secondary and airtime_us >= ms_to_us(self.secondary.heartbeat_period_ms):
             # A heartbeat still on the air defers the next one, so deferred beats would pile up.
             raise ConfigError(f"secondary.heartbeat_period_ms must exceed a heartbeat's {airtime_us / 1000} ms airtime")
         self._check_radio_ids()

@@ -7,7 +7,6 @@ from scipy.linalg import null_space
 from redwsn.ctmc import (
     BirthDeathModel,
     build_generator,
-    failure_probability,
     failure_probability_table,
     mttf_non_repairable,
     steady_state_closed_form,
@@ -37,24 +36,21 @@ def test_model_refuses_non_finite_rates(rate):
         BirthDeathModel(2, repair_rate=rate)
 
 
-def test_default_policies():
-    m = BirthDeathModel(3, failure_rate=2.0, repair_rate=5.0)
-    assert m.lam(2) == 4.0  # boards fail independently
-    assert m.mu(0) == m.mu(2) == 5.0  # single repairer
-
-
 def test_generator_structure():
-    q = build_generator(BirthDeathModel(3))
+    lam, mu = 2.0, 5.0
+    q = build_generator(BirthDeathModel(3, failure_rate=lam, repair_rate=mu))
     assert q.shape == (4, 4)
     assert np.allclose(q.sum(axis=1), 0.0)
     # Strictly tridiagonal.
     assert q[0, 2] == q[0, 3] == q[3, 0] == q[3, 1] == 0.0
-    assert q[0, 1] > 0 and q[1, 0] > 0
+    for i in range(1, 4):
+        assert q[i, i - 1] == i * lam  # boards fail independently
+    for i in range(3):
+        assert q[i, i + 1] == mu  # one repairer, whatever the backlog
 
 
 def test_closed_form_matches_independent_formula():
-    for n in range(1, 6):
-        pi0 = failure_probability(BirthDeathModel(n, 1e-4, 20.83e-3))
+    for n, pi0 in failure_probability_table(1e-4, 20.83e-3, n_max=5):
         assert pi0 == pytest.approx(closed_form_oracle(n, 1e-4, 20.83e-3), rel=1e-12)
 
 
@@ -101,18 +97,6 @@ def test_closed_form_survives_extreme_ratios():
     assert pi[0] > 0
 
 
-def test_custom_policies():
-    # Unlimited repair crew: mu_i = (n - i) * mu.
-    class UnlimitedCrew(BirthDeathModel):
-        def mu(self, i):
-            return (self.n_boards - i) * self.repair_rate
-
-    m = UnlimitedCrew(2, failure_rate=1.0, repair_rate=1.0)
-    pi = steady_state_closed_form(m)
-    # Two independent M/M/1 components each with availability 1/2.
-    assert pi == pytest.approx([0.25, 0.5, 0.25])
-
-
 def test_linear_solve_input_validation():
     with pytest.raises(ValueError):
         steady_state_linear_solve(np.ones((2, 3)))
@@ -129,3 +113,7 @@ def test_mttf_non_repairable():
     assert mttf_non_repairable(3, lam) == pytest.approx((1 + 1 / 2 + 1 / 3) / lam)
     with pytest.raises(ValueError):
         mttf_non_repairable(0)
+    # The model refuses these rates, and so does the MTTF.
+    for rate in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mttf_non_repairable(2, rate)

@@ -6,18 +6,22 @@ noisy control with zero noise jitter, with one node and with ten.  Without
 jitter, noise bursts start on the same microsecond as MAC slots; with ten
 nodes the reports depend on how the channel orders a burst and a frame with
 the same start, so control-noise-x10-jitter0 pins the rule that a burst
-precedes a frame at an equal start.
+precedes a frame at an equal start.  avail-n6.json is the stdout of
+`sim avail --format json --n-max 6`, the CTMC's failure probabilities.
 
 Regenerate only in a change that says why behaviour moved:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from redwsn.channel import Position
+from redwsn.cli import EXIT_OK, main_sim
 from redwsn.scenario import (
     PRESET_NAMES,
     NodeConfig,
@@ -29,6 +33,8 @@ from redwsn.scenario import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEEDS = [5, 6]
+AVAIL_ARGS = ["avail", "--format", "json", "--n-max", "6"]
+AVAIL_GOLDEN = GOLDEN_DIR / "avail-n6.json"
 
 
 def _fleet(n_nodes: int):
@@ -60,6 +66,13 @@ def _reports(case: str) -> dict[str, str]:
     return {"json": report_to_json(report), "csv": report_to_csv(report)}
 
 
+def _avail_stdout() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main_sim(AVAIL_ARGS) == EXIT_OK
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reports_match_golden(case):
     for fmt, text in _reports(case).items():
@@ -67,8 +80,13 @@ def test_reports_match_golden(case):
         assert text.encode("utf-8") == golden, f"{case}.{fmt} differs from the golden report"
 
 
+def test_avail_matches_golden():
+    assert _avail_stdout().encode("utf-8") == AVAIL_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case in sorted(CASES):
         for fmt, text in _reports(case).items():
             (GOLDEN_DIR / f"{case}.{fmt}").write_bytes(text.encode("utf-8"))
+    AVAIL_GOLDEN.write_bytes(_avail_stdout().encode("utf-8"))

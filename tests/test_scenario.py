@@ -359,6 +359,30 @@ def test_radio_settings_at_the_device_limits_load(tmp_path, tree):
     load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"preset": "HF-noRedundancy", "mac": {"slot_min_ms": 30_000, "slot_max_ms": 40_000}},
+        # The refused control-noise-noSARB case above, without its secondary.
+        {
+            "preset": "control-noise-noSARB",
+            "duration_ms": 600_000,
+            "nodes": [{"id": "n1", "has_secondary": False}],
+            "mac": {"fixed_interval_ms": 40_000},
+        },
+    ],
+    ids=["HF-noRedundancy", "control-noise-noSARB"],
+)
+def test_slots_past_the_watchdog_load_without_a_secondary(tmp_path, tree):
+    # No node has a secondary, so no watchdog runs, and the run reads as it
+    # does with a sensing interval past the longest data interval.
+    path = tmp_path / "slots.json"
+    path.write_text(json.dumps(tree))
+    cfg = load_scenario(str(path))
+    passing = replace(cfg, secondary=replace(cfg.secondary, sensing_interval_ms=45_000))
+    assert run_scenario(cfg, [1]).iterations == run_scenario(passing, [1]).iterations
+
+
 def test_flat_path_loss_loads(tmp_path):
     # An exponent of 0 puts every receiver at the reference loss.
     path = tmp_path / "flat.json"
