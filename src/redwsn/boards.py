@@ -9,6 +9,7 @@ its data is incomplete/anomalous.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -27,6 +28,7 @@ from .packets import (
     Packet,
     PacketKind,
     SensorReading,
+    check_thresholds,
     detect_anomaly,
 )
 
@@ -61,6 +63,8 @@ class FaultSpec:
         if self.kind in _SENSOR_FAULTS:
             if self.affected_sensor not in SENSOR_FIELDS:
                 raise ValueError(f"unknown sensor field: {self.affected_sensor!r}")
+        if not math.isfinite(self.anomaly_multiplier):  # NaN is kept for an unread sensor
+            raise ValueError("fault anomaly_multiplier must be finite")
 
     @property
     def window_us(self) -> tuple[int, int]:
@@ -69,12 +73,12 @@ class FaultSpec:
         return ms_to_us(self.start_ms), ms_to_us(self.end_ms)
 
 
-# Per-field columns of SENSOR_TABLE, in SENSOR_FIELDS order.
+# SENSOR_TABLE's nominal column, in SENSOR_FIELDS order.
 _NOMINAL_VALUES = np.array([nominal for nominal, _, _ in SENSOR_TABLE.values()])
-_EMERGENCY_BOUNDS = [(lo, hi) for _, lo, hi in SENSOR_TABLE.values()]
 _SENSOR_NOISE_REL = 0.005  # per-reading relative sensor noise (1 sigma)
 _NOISE_CLIP = 0.03  # the noise is clipped at +-6 sigma
-_NOISE_EXTREMES = (1.0 - _NOISE_CLIP, 1.0 + _NOISE_CLIP)
+# The fault-free values that the lowest and the highest clipped noise make.
+_EXTREME_VALUES = tuple(tuple((_NOMINAL_VALUES * (1.0 + c)).tolist()) for c in (-_NOISE_CLIP, _NOISE_CLIP))
 _SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slots
 # Relative margin under a threshold at which two noise-only readings are
 # still taken to be able to differ by more than it; it covers rounding and
@@ -84,34 +88,23 @@ _FLAG_MARGIN = 1e-9
 _BLOCK_ROWS = 32
 
 
-def check_thresholds(reading: SensorReading) -> bool:
-    """True iff any present field lies outside its emergency bounds (absent
-    fields do not trigger; absence is a sensor failure symptom, not an
-    emergency).  A NaN compares false both ways, so it never triggers.  For
-    twelve values a Python loop costs less than numpy's comparisons."""
-    for v, (lo, hi) in zip(reading.values.tolist(), _EMERGENCY_BOUNDS):
-        if v < lo or v > hi:
-            return True
-    return False
-
-
 def noise_can_flag(rel_threshold: float) -> bool:
     """True iff detect_anomaly at ``rel_threshold`` can flag two readings
     that are both nominal times clipped noise.  A field's discrepancy grows
     as the two noise factors move apart, so it is largest at the clip
     extremes, one reading at each; the margin errs toward True."""
-    low, high = (SensorReading(_NOMINAL_VALUES * f) for f in _NOISE_EXTREMES)
+    low, high = (SensorReading(values) for values in _EXTREME_VALUES)
     threshold = rel_threshold * (1.0 - _FLAG_MARGIN)
     return detect_anomaly(high, low, threshold) or detect_anomaly(low, high, threshold)
 
 
 def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Per-reading sensor noise factors, 1 + the clipped noise, drawn
-    _BLOCK_ROWS readings at a time."""
+    """Per-reading fault-free values, nominal times 1 + the clipped noise,
+    drawn _BLOCK_ROWS readings at a time as one array."""
 
     def draw() -> np.ndarray:
         noise = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS))) * _SENSOR_NOISE_REL
-        return 1.0 + noise.clip(-_NOISE_CLIP, _NOISE_CLIP)
+        return _NOMINAL_VALUES * (1.0 + noise.clip(-_NOISE_CLIP, _NOISE_CLIP))
 
     return drawn_ahead(draw)
 
@@ -172,27 +165,27 @@ class _RadioBoard:
 
     def sense(self) -> SensorReading:
         """Fresh reading; callers check power first."""
-        return self._reading(next(self._noise), self.sim.now_us)
+        return self._reading(next(self._noise).tolist(), self.sim.now_us)
 
-    def _reading(self, noise: np.ndarray | float, now_us: int) -> SensorReading:
-        """The reading at now_us under the noise factors ``noise``: nominal
-        times noise, then the sensor faults active at now_us, per field in
-        list order.  A read failure makes the value NaN, an anomaly
-        multiplies it; ground-truth tags ride on the reading."""
-        values = _NOMINAL_VALUES * noise
+    def _reading(self, values: list[float], now_us: int) -> SensorReading:
+        """The reading at now_us from the fault-free ``values``, which it
+        takes over: the sensor faults active at now_us apply per field in
+        list order, then the list is frozen into a tuple.  A read failure
+        makes the value NaN, an anomaly multiplies it; ground-truth tags
+        ride on the reading."""
         if not self._sensor_faults:
-            return SensorReading(values)
+            return SensorReading(tuple(values))
         tags = set()
         for i, start, end, fault in self._sensor_faults:
             if not start <= now_us < end:
                 continue
             if fault.kind is FaultKind.SENSOR_READ_FAILURE:
-                values[i] = np.nan
+                values[i] = math.nan
                 tags.add(f"read_failure:{fault.affected_sensor}")
             else:
                 values[i] *= fault.anomaly_multiplier
                 tags.add(f"anomaly:{fault.affected_sensor}")
-        return SensorReading(values, frozenset(tags))
+        return SensorReading(tuple(values), frozenset(tags))
 
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:
         """A data frame carrying a fresh reading under the board's next seq;
@@ -267,7 +260,7 @@ class PrimaryBoard(_RadioBoard):
         return [
             (start, end)
             for start, end in zip(edges, edges[1:])
-            if any(check_thresholds(self._reading(f, start)) for f in _NOISE_EXTREMES)
+            if any(check_thresholds(self._reading(list(values), start)) for values in _EXTREME_VALUES)
         ]
 
     def start(self) -> None:
@@ -307,8 +300,8 @@ class SecondaryConfig:
     anomaly_rel_threshold: float = 0.25
 
     def __post_init__(self):
-        if self.heartbeat_period_ms <= 0 or self.anomaly_rel_threshold <= 0:
-            raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive")
+        if self.heartbeat_period_ms <= 0 or not 0 < self.anomaly_rel_threshold < math.inf:
+            raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive and finite")
         if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
             raise ValueError("secondary sense_duration_ms and heartbeat_bytes must not be negative")
         if self.heartbeat_bytes > MAX_PAYLOAD_BYTES:

@@ -60,6 +60,8 @@ class ChannelParams:
     agc_ceiling_dbm: float = -90.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.reference_loss_db, self.sensitivity_dbm, self.agc_ceiling_dbm))):
+            raise ValueError("channel reference_loss_db, sensitivity_dbm and agc_ceiling_dbm must be finite")
         if not self.path_loss_exponent >= 0:
             # A farther receiver would hear the frame louder.
             raise ValueError("channel path_loss_exponent must not be negative")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,8 +83,8 @@ class GatewayConfig:
 
     def __post_init__(self):
         # A gain would lift frames above the AGC ceiling that clamps them.
-        if self.extra_loss_db < 0:
-            raise ValueError("extra_loss_db must not be negative")
+        if not 0 <= self.extra_loss_db < math.inf:
+            raise ValueError("extra_loss_db must not be negative, and must be finite")
         check_tx_power(self.tx_power_dbm)
 
 

@@ -1,11 +1,9 @@
-"""Frame and sensor-reading types shared by boards, channel and gateways."""
+"""Frame and sensor-reading types, and the rules that read a reading's values."""
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 # The twelve monitored fields, in reading order: four scalar gas/pressure
 # sensors plus four temperature/humidity probe pairs.  Per field: the quiet
@@ -20,6 +18,7 @@ SENSOR_TABLE: dict[str, tuple[float, float, float]] = {
     **{f"humidity_pct_{i}": (45.0, 10.0, 90.0) for i in range(4)},
 }
 SENSOR_FIELDS: tuple[str, ...] = tuple(SENSOR_TABLE)
+_EMERGENCY_BOUNDS = [(lo, hi) for _, lo, hi in SENSOR_TABLE.values()]
 
 # Size of a data frame carrying one full reading, from either board.
 DATA_BYTES = 76
@@ -48,24 +47,18 @@ class BoardRole(Enum):
 
 
 class SensorReading(NamedTuple):
-    """One snapshot of all monitored fields, in SENSOR_FIELDS order; a NaN
-    value means the sensor could not be read.  A tuple, like Packet, but
-    equal and hashed by identity, so comparing frames never compares arrays."""
+    """One snapshot of all monitored fields: a tuple of Python floats in
+    SENSOR_FIELDS order.  NaN is reserved for a sensor that could not be
+    read; the config types refuse the non-finite inputs that could make one."""
 
-    values: np.ndarray
+    values: tuple[float, ...]
     # Injected-fault ground truth: the server scores validity from it, and a
     # secondary skips a comparison that an untagged reading cannot fail.
     fault_tags: frozenset = frozenset()
 
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-    # For twelve values a Python loop costs less than numpy's calls; a NaN
-    # is the one value that differs from itself.
     def is_complete(self) -> bool:
-        for v in self.values.tolist():
-            if v != v:
+        for v in self.values:
+            if v != v:  # a NaN is the one value that differs from itself
                 return False
         return True
 
@@ -97,13 +90,23 @@ def detect_anomaly(
     A field is flagged iff |p - s| / max(|s|, 1e-9) is strictly greater than
     the threshold; the comparison says that *some* board is wrong, not which.
     A field missing (NaN) on either side is never flagged: every step with a
-    NaN gives NaN, and a NaN compares false.  For twelve values a Python loop
-    costs less than numpy's calls, and an inline floor less than ``max``.
+    NaN gives NaN, and a NaN compares false.  An inline floor costs less
+    than ``max``.
     """
-    for p, s in zip(primary.values.tolist(), secondary.values.tolist()):
+    for p, s in zip(primary.values, secondary.values):
         ref = abs(s)
         if ref < _ANOMALY_EPS:  # false for a NaN, which stays NaN as under max()
             ref = _ANOMALY_EPS
         if abs(p - s) / ref > rel_threshold:
+            return True
+    return False
+
+
+def check_thresholds(reading: SensorReading) -> bool:
+    """True iff any present field lies outside its emergency bounds (absent
+    fields do not trigger; absence is a sensor failure symptom, not an
+    emergency).  A NaN compares false both ways, so it never triggers."""
+    for v, (lo, hi) in zip(reading.values, _EMERGENCY_BOUNDS):
+        if v < lo or v > hi:
             return True
     return False

@@ -331,7 +331,7 @@ def run_scenario(cfg: ScenarioConfig, seeds: list[int]) -> MetricsReport:
 
 
 def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_rows(report: MetricsReport) -> list[tuple[str, str, str, str]]:

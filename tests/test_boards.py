@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from redwsn.boards import (
     PrimaryBoard,
     SecondaryBoard,
     SecondaryConfig,
-    check_thresholds,
 )
 from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator, ms_to_us, stream_rng
@@ -27,6 +27,7 @@ from redwsn.packets import (
     Packet,
     PacketKind,
     SensorReading,
+    check_thresholds,
     detect_anomaly,
 )
 from redwsn.scenario import build_preset, report_to_json
@@ -69,6 +70,12 @@ def active(fault, t_ms):
     return fault.start_ms <= t_ms < fault.end_ms
 
 
+def bits(values):
+    """The IEEE doubles of a reading's values (or an array of them), byte for
+    byte: a NaN equals a NaN with the same bits, and 0.0 differs from -0.0."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
 # -- fault specs and thresholds ---------------------------------------------------
 
 
@@ -92,10 +99,10 @@ def test_fault_spec_validation():
 
 
 def test_threshold_check_ignores_missing_fields():
-    values = np.full(len(SENSOR_FIELDS), np.nan)
-    assert not check_thresholds(SensorReading(values=values))
+    values = [math.nan] * len(SENSOR_FIELDS)
+    assert not check_thresholds(SensorReading(values=tuple(values)))
     values[SENSOR_FIELDS.index("co2_ppm")] = 5_000.0
-    assert check_thresholds(SensorReading(values=values))
+    assert check_thresholds(SensorReading(values=tuple(values)))
 
 
 # -- healthy operation ------------------------------------------------------------
@@ -327,7 +334,7 @@ def test_fault_windows_in_microseconds_agree_with_fault_active():
         o2_factor = skewed.anomaly_multiplier if active(skewed, t_ms) else 1.0
         assert reading.values[o2] == truth[o2] * o2_factor
         others = [i for i in range(len(SENSOR_FIELDS)) if i not in (co2, o2)]
-        assert reading.values[others].tobytes() == truth[others].tobytes()
+        assert [reading.values[i].hex() for i in others] == [truth[i].hex() for i in others]
         expected_tags = {"read_failure:co2_ppm"} if active(unread, t_ms) else set()
         expected_tags |= {"anomaly:o2_percent"} if active(skewed, t_ms) else set()
         assert reading.fault_tags == expected_tags
@@ -455,6 +462,30 @@ def test_array_readings_match_the_per_field_path(seed):
     assert sum(w is None for w in expected) == 4
 
 
+def test_every_reading_is_a_tuple_of_python_floats():
+    # Read failures and anomalies on both boards; at this threshold the
+    # secondary builds a reading for every data frame it overhears.
+    faults = [*MIXED_FAULTS, *SECONDARY_FAULTS]
+    sim, _, primary, secondary = build_node(faults, seed=2, secondary_cfg=SecondaryConfig(anomaly_rel_threshold=0.01))
+    built = []
+    for board in (primary, secondary):
+
+        def recorded(values, now_us, build=board._reading, role=board.role):
+            reading = build(values, now_us)
+            built.append((role, reading))
+            return reading
+
+        board._reading = recorded
+    primary.start()
+    secondary.start()
+    sim.run_until(ms_to_us(600_000))
+    assert all(type(r.values) is tuple and len(r.values) == len(SENSOR_FIELDS) for _, r in built)
+    assert all(type(v) is float for _, r in built for v in r.values)
+    kinds = {(role, tag.split(":")[0]) for role, r in built for tag in r.fault_tags}
+    assert kinds == {(role, kind) for role in BoardRole for kind in ("read_failure", "anomaly")}
+    assert any(not r.is_complete() for _, r in built)
+
+
 # -- block draws against one draw per reading ---------------------------------------
 
 
@@ -504,7 +535,7 @@ def test_block_draws_match_one_draw_per_reading(seed, faults, order):
         reading = board.sense()
         got.append((reading.values, reading.fault_tags))
         want.append(per_call_sense(sense_rngs[board.entity_id], faults, board.entity_id, 2_500 * k))
-    assert [(v.tobytes(), tags) for v, tags in got] == [(v.tobytes(), tags) for v, tags in want]
+    assert [(bits(v), tags) for v, tags in got] == [(bits(v), tags) for v, tags in want]
 
 
 def test_standard_normal_times_scale_is_the_normal_draw_bit_for_bit():
@@ -528,7 +559,8 @@ class OutlierDraws:
 def test_noise_is_clipped_at_6_sigma():
     factors = boards._noise_factors(OutlierDraws())
     rows = [next(factors) for _ in range(40)]  # 40 rows cross a refill
-    assert all(row.tolist() == [1 - 0.03, 1 + 0.03] * 6 for row in rows)
+    clipped = NOMINAL * np.array([1 - 0.03, 1 + 0.03] * 6)
+    assert [bits(row) for row in rows] == [bits(clipped)] * 40
 
 
 def poll_windows_us(faults):
@@ -540,7 +572,7 @@ def crosses_at_a_clip_extreme(faults, t_ms):
     """Brute force: whether check_thresholds fires on the reading the lowest
     or the highest clipped noise makes at t_ms, faults applied."""
     return any(
-        check_thresholds(SensorReading(apply_faults(NOMINAL * f, faults, "n1.primary", t_ms)[0]))
+        check_thresholds(SensorReading(tuple(apply_faults(NOMINAL * f, faults, "n1.primary", t_ms)[0].tolist())))
         for f in (1 - CLIP, 1 + CLIP)
     )
 
@@ -593,10 +625,10 @@ def test_walk_band_lies_inside_emergency_bounds():
 
 def test_factor_range_corners_round_inside_the_emergency_bounds():
     # The noise factors range over the clip, [1 - 6 sigma, 1 + 6 sigma].
-    lo, hi = boards._NOISE_EXTREMES
-    assert (lo, hi) == (1 - CLIP, 1 + CLIP)
-    assert (NOMINAL * lo >= EMERGENCY_LO).all()
-    assert (NOMINAL * hi <= EMERGENCY_HI).all()
+    lo, hi = boards._EXTREME_VALUES
+    assert (bits(lo), bits(hi)) == (bits(NOMINAL * (1 - CLIP)), bits(NOMINAL * (1 + CLIP)))
+    assert (np.array(lo) >= EMERGENCY_LO).all()
+    assert (np.array(hi) <= EMERGENCY_HI).all()
     # So a board with no sensor fault never polls.
     assert poll_windows_us([]) == []
 
@@ -623,7 +655,7 @@ def test_marked_readings_cannot_cross_a_bound(factors, field_multiplier):
     faults = [] if multiplier is None else [sensor_fault(ANOM, field, 100, 200, multiplier)]
     _, _, primary, _ = build_node(faults=faults, with_secondary=False)
     # The full loop, on the reading the board builds at the fault's start.
-    reading = primary._reading(np.array(factors), 100_000_000)
+    reading = primary._reading((NOMINAL * np.array(factors)).tolist(), 100_000_000)
     if not primary._poll_windows_us:
         assert not check_thresholds(reading)
     elif check_thresholds(reading):
@@ -804,7 +836,7 @@ def test_fast_path_polls_match_polls_that_build_every_reading(seed, between):
                 else:
                     # The secondary draws from its own stream, untouched by
                     # how many readings the primary's polls build.
-                    trail.append(secondary.sense().values.tobytes())
+                    trail.append(bits(secondary.sense().values))
         runs.append((trail, [frame_key(p) for p in primary.mac.frames], built))
     (trail, emergencies, built), (want_trail, want_emergencies, want_built) = runs
     assert trail == want_trail and emergencies == want_emergencies
@@ -818,7 +850,7 @@ def test_fast_path_polls_match_polls_that_build_every_reading(seed, between):
 
 # -- the secondary's comparison and its short path -----------------------------------
 
-CORNERS = [SensorReading(NOMINAL * (1.0 + c)) for c in np.array([-CLIP, CLIP])]
+CORNERS = [SensorReading(tuple((NOMINAL * (1.0 + c)).tolist())) for c in np.array([-CLIP, CLIP])]
 
 
 def corners_flag(threshold):
@@ -870,7 +902,7 @@ def test_readings_inside_the_clip_never_flag_where_the_corners_cannot(primary, s
     # The smallest threshold at which the board skips its comparison.
     threshold = max(SPREADS) * (1 + 2 * boards._FLAG_MARGIN)
     assert not boards.noise_can_flag(threshold)
-    p, s = (SensorReading(NOMINAL * np.array(f)) for f in (primary, secondary))
+    p, s = (SensorReading(tuple((NOMINAL * np.array(f)).tolist())) for f in (primary, secondary))
     assert not boards.detect_anomaly(p, s, threshold)
 
 

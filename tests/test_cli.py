@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from redwsn.cli import EXIT_CONFIG, EXIT_OK, main_avail, main_sim
+from redwsn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main_avail, main_sim
+from redwsn.metrics import IterationMetrics, MetricsReport
 
 
 def test_avail_table_output(capsys):
@@ -200,3 +202,18 @@ def test_sim_run_mistyped_json_is_config_error(capsys, tmp_path, tree):
     cfg.write_text(json.dumps({"preset": "control-clean", **tree}))
     assert main_sim(["run", str(cfg), "--seeds", "1"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sim_run_refuses_to_print_a_report_that_is_not_json(capsys, tmp_path, monkeypatch, value, to_file):
+    def run_scenario(cfg, seeds):
+        return MetricsReport(cfg.name, seeds, [IterationMetrics(seeds[0], value, 1.0, None, 0, 0, 1, 0)])
+
+    monkeypatch.setattr("redwsn.cli.run_scenario", run_scenario)
+    out = tmp_path / "r.json"
+    argv = ["run", "control-clean", "--seeds", "1"] + (["--out", str(out)] if to_file else [])
+    assert main_sim(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and "runtime error" in captured.err and "JSON" in captured.err
+    assert not out.exists()

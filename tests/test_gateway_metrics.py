@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -22,7 +23,7 @@ from redwsn.packets import SENSOR_FIELDS, BoardRole, Packet, PacketKind, SensorR
 
 
 def full_reading():
-    return SensorReading(values=np.full(len(SENSOR_FIELDS), 10.0))
+    return SensorReading(values=(10.0,) * len(SENSOR_FIELDS))
 
 
 def data_packet(seq=1, role=BoardRole.PRIMARY, reading=None, fault_tags=frozenset(), **kw):
@@ -134,9 +135,9 @@ def test_dedup_distinct_seqs_and_roles_retained():
 
 def test_validity_rules():
     server = Server()
-    values = np.full(len(SENSOR_FIELDS), 1.0)
-    values[SENSOR_FIELDS.index("co2_ppm")] = np.nan
-    incomplete = SensorReading(values=values)
+    values = [1.0] * len(SENSOR_FIELDS)
+    values[SENSOR_FIELDS.index("co2_ppm")] = math.nan
+    incomplete = SensorReading(values=tuple(values))
     server.on_gateway_reception("gw", data_packet(seq=1), -98.0, 0)
     server.on_gateway_reception("gw", data_packet(seq=2, reading=incomplete), -98.0, 1)
     server.on_gateway_reception("gw", data_packet(seq=3, fault_tags=frozenset({"anomaly:co2_ppm"})), -98.0, 2)
@@ -176,10 +177,10 @@ def reference_server_entry(gateway_id, packet, rssi_dbm, now_us):
 def test_server_record_matches_the_keyword_built_record(kind, role, nan_fields, tags, seq):
     reading = None
     if nan_fields is not None:
-        values = full_reading().values
+        values = list(full_reading().values)
         for name in nan_fields:
-            values[SENSOR_FIELDS.index(name)] = np.nan
-        reading = SensorReading(values, tags)
+            values[SENSOR_FIELDS.index(name)] = math.nan
+        reading = SensorReading(tuple(values), tags)
     packet = Packet(kind=kind, node_id="n1", board_role=role, seq=seq, size_bytes=76, reading=reading)
     server = Server()
     server.on_gateway_reception("gw", packet, -101.5, 7_000)

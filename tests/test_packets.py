@@ -10,10 +10,10 @@ from redwsn.packets import SENSOR_FIELDS, Packet, PacketKind, SensorReading, det
 
 def full_reading(value=10.0, **overrides):
     """A reading with every field at value; an override of None is missing."""
-    values = np.full(len(SENSOR_FIELDS), value)
+    values = [value] * len(SENSOR_FIELDS)
     for name, v in overrides.items():
-        values[SENSOR_FIELDS.index(name)] = np.nan if v is None else v
-    return SensorReading(values=values)
+        values[SENSOR_FIELDS.index(name)] = math.nan if v is None else v
+    return SensorReading(values=tuple(values))
 
 
 def test_twelve_sensor_fields():
@@ -40,23 +40,29 @@ def test_packet_is_immutable():
     assert packet.seq == 1 and packet.size_bytes == 0 and packet.reading is None
 
 
-def test_reading_is_an_immutable_tuple_equal_only_to_itself():
-    values = np.ones(len(SENSOR_FIELDS))
+def test_reading_is_an_immutable_tuple_equal_by_value():
+    values = (1.0,) * len(SENSOR_FIELDS)
     reading = SensorReading(values, frozenset({"anomaly:co2_ppm"}))
     assert tuple(reading) == (values, frozenset({"anomaly:co2_ppm"}))
     with pytest.raises(AttributeError):
         reading.fault_tags = frozenset()
-    twin = SensorReading(values.copy(), reading.fault_tags)
-    # By identity, as a dataclass with eq=False: no array is ever compared.
-    assert reading == reading and reading != twin and not (reading != reading)
-    assert len({reading, twin, reading}) == 2
+    with pytest.raises(TypeError):
+        reading.values[0] = 2.0
+    # Plain tuple equality and hashing: equal values and tags make equal
+    # readings, and so equal frames.
+    twin = SensorReading(tuple(list(values)), frozenset(reading.fault_tags))
+    assert twin is not reading and twin == reading and hash(twin) == hash(reading)
+    assert len({reading, twin}) == 1
+    assert reading != reading._replace(fault_tags=frozenset())
+    assert reading != reading._replace(values=(*values[:-1], 2.0))
     frame = Packet(kind=PacketKind.DATA, seq=1, reading=reading)
-    assert frame == frame._replace() and frame != frame._replace(reading=twin)
+    assert frame == frame._replace(reading=twin)
+    assert frame != frame._replace(reading=reading._replace(values=(2.0,) * len(SENSOR_FIELDS)))
 
 
 @given(st.lists(st.sampled_from([1.0, -0.0, math.inf, -math.inf, math.nan]), min_size=12, max_size=12))
 def test_missing_fields_match_numpy_isnan(values):
-    reading = SensorReading(np.array(values))
+    reading = SensorReading(tuple(values))
     assert reading.is_complete() == (not np.isnan(reading.values).any())
 
 
@@ -88,7 +94,7 @@ def test_anomaly_near_zero_reference_uses_epsilon():
 
 def numpy_detect_anomaly(primary, secondary, rel_threshold=0.25, eps=1e-9):
     """The anomaly rule as one numpy expression over the twelve fields."""
-    p, s = primary.values, secondary.values
+    p, s = np.array(primary.values), np.array(secondary.values)
     return bool((np.abs(p - s) / np.maximum(np.abs(s), eps) > rel_threshold).any())
 
 
@@ -122,7 +128,7 @@ EDGE_PAIRS = st.sampled_from(
     rel_threshold=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 2.0)),
 )
 def test_anomaly_loop_matches_the_numpy_rule(pairs, rel_threshold):
-    primary = SensorReading(values=np.array([p for p, _ in pairs]))
-    secondary = SensorReading(values=np.array([s for _, s in pairs]))
+    primary = SensorReading(values=tuple(p for p, _ in pairs))
+    secondary = SensorReading(values=tuple(s for _, s in pairs))
     expected = numpy_detect_anomaly(primary, secondary, rel_threshold)
     assert detect_anomaly(primary, secondary, rel_threshold) is expected

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 
@@ -326,6 +326,30 @@ def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
     path.write_text(f"preset = SF2\nchannel.capture_threshold_db = {value}\n")
     with pytest.raises(ConfigError, match="channel.capture_threshold_db: expected a finite float"):
         load_scenario(str(path))
+
+
+GWF = build_preset("GWF")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        (GWF.channel, "reference_loss_db"),
+        (GWF.channel, "sensitivity_dbm"),
+        (GWF.channel, "agc_ceiling_dbm"),
+        (GWF.gateways[1], "extra_loss_db"),
+        (GWF.secondary, "anomaly_rel_threshold"),
+        (FaultSpec(FaultKind.SENSOR_ANOMALY, "n1.primary", affected_sensor="co2_ppm"), "anomaly_multiplier"),
+    ],
+    ids=lambda v: type(v).__name__ if is_dataclass(v) else v,
+)
+def test_sections_built_in_python_refuse_non_finite_floats(section, field, value):
+    # build_preset + replace bypasses the loader's finite-float check; the
+    # section refuses the value itself.  NaN stays reserved for an unread
+    # sensor, and no NaN reaches a report.
+    with pytest.raises(ValueError, match=field):
+        replace(section, **{field: value})
 
 
 def test_flat_empty_preset_fails_at_load(tmp_path):
