@@ -161,7 +161,8 @@ class _RadioBoard:
         channel.add_receiver(self)
 
     def is_powered(self) -> bool:
-        return not in_windows(self._outages_us, self.sim.now_us)
+        outages = self._outages_us
+        return not (outages and in_windows(outages, self.sim.now_us))
 
     def sense(self) -> SensorReading:
         """Fresh reading; callers check power first."""

@@ -15,7 +15,6 @@ interferes as if it were an event that fires first at its instant.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
@@ -62,17 +61,19 @@ class ChannelParams:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.reference_loss_db, self.sensitivity_dbm, self.agc_ceiling_dbm))):
             raise ValueError("channel reference_loss_db, sensitivity_dbm and agc_ceiling_dbm must be finite")
-        if not self.path_loss_exponent >= 0:
-            # A farther receiver would hear the frame louder.
-            raise ValueError("channel path_loss_exponent must not be negative")
-        if not self.reference_distance_m > 0:
-            raise ValueError("channel reference_distance_m must be positive")
-        if not self.shadowing_sigma_db >= 0:
-            raise ValueError("channel shadowing_sigma_db must not be negative")
-        if not self.capture_threshold_db > 0:
-            # Two overlapping frames within -threshold dB of each other would
-            # both be decoded at one receiver.
-            raise ValueError("channel capture_threshold_db must be positive")
+        # Each bound below also refuses NaN; an infinite value gives
+        # NaN RSSI stats or a frame no receiver (or every receiver) decodes.
+        if not 0 <= self.path_loss_exponent < math.inf:
+            # A negative one: a farther receiver would hear the frame louder.
+            raise ValueError("channel path_loss_exponent must not be negative, and must be finite")
+        if not 0 < self.reference_distance_m < math.inf:
+            raise ValueError("channel reference_distance_m must be positive, and must be finite")
+        if not 0 <= self.shadowing_sigma_db < math.inf:
+            raise ValueError("channel shadowing_sigma_db must not be negative, and must be finite")
+        if not 0 < self.capture_threshold_db < math.inf:
+            # At or below 0 dB two overlapping frames within -threshold dB
+            # of each other would both be decoded at one receiver.
+            raise ValueError("channel capture_threshold_db must be positive, and must be finite")
         if self.agc_ceiling_dbm < self.sensitivity_dbm:
             # Every frame would be clamped below the sensitivity.
             raise ValueError("channel agc_ceiling_dbm must not be below sensitivity_dbm")
@@ -168,14 +169,18 @@ class NoiseConfig:
 
 @dataclass
 class _NoiseTrain:
-    """The noise bursts, known in advance by start time."""
+    """The noise bursts, known in advance by start time.  The starts are a
+    list of Python ints: each frame bisects them twice, and a bisection over
+    an ``array('q')`` boxes an int at every probe, at about twice the cost.
+    The list holds ~36 bytes per burst: ~0.1 MB over 30 minutes, ~10 MB
+    over 2 hours at SF7's shortest accepted period."""
 
     packet: Packet
     position: Position
     tx_power_dbm: float
     # Receivers are fixed once the train is on the channel.
     mean_dbm: dict[int, float]
-    starts_us: array
+    starts_us: list[int]
     airtime_us: int
     # The first burst not logged yet; every burst before it was logged or
     # ended before any frame that can still begin.
@@ -204,6 +209,8 @@ class Channel:
         self.lora = lora
         self._sigma_db = params.shadowing_sigma_db
         self._agc_ceiling_dbm = params.agc_ceiling_dbm
+        self._sensitivity_dbm = params.sensitivity_dbm
+        self._capture_db = params.capture_threshold_db
         rng, sigma = sim.rng("channel-shadowing"), self._sigma_db
         self._shadowing = drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist())
         self._receivers: list[Receiver] = []
@@ -265,7 +272,7 @@ class Channel:
         period_us = ms_to_us(noise.period_ms)
         jitter_us = ms_to_us(noise.jitter_ms)
         airtime_us = self.airtime_us(noise.payload_bytes)
-        starts = array("q")
+        starts: list[int] = []
         # A block's starts are the cumulative sum of its steps.  Jitters drawn
         # per block hold the same values as one scalar draw per burst, and a
         # block is drawn only while a start within the run needs its step.
@@ -276,7 +283,7 @@ class Channel:
             ends = np.cumsum(steps, dtype=np.int64) + t
             block = ends - steps
             kept = int(np.searchsorted(block, duration_us, side="right"))
-            starts.frombytes(block[:kept].tobytes())
+            starts.extend(block[:kept].tolist())
             if kept < _DRAW_BLOCK:
                 break
             t = int(ends[-1])
@@ -318,22 +325,21 @@ class Channel:
             airtime = self.airtime_us(packet.size_bytes)
         end = now + airtime
         audience = self._audience(packet)
-        tx = Transmission(
-            source_id,
-            packet,
-            now,
-            end,
-            position,
-            tx_power_dbm,
-            self._link_means(position, tx_power_dbm),
-            {},
-            audience,
-        )
+        # _link_means() inline: its setdefault would build an empty row per frame.
+        means = self._mean_dbm.get((position.x, position.y, tx_power_dbm))
+        if means is None:
+            means = self._link_means(position, tx_power_dbm)
+        tx = Transmission(source_id, packet, now, end, position, tx_power_dbm, means, {}, audience)
         if airtime > self._longest_airtime_us:
             self._longest_airtime_us = airtime
         self._source_end_us[source_id] = end
-        self._prune(now)
+        # Prune: a frame still on the air started at most the longest
+        # airtime ago, so a frame that ended before that can no longer
+        # overlap one.
         log = self._log
+        horizon = now - self._longest_airtime_us
+        if log and log[0].end_us < horizon:
+            log = self._log = [t for t in log if t.end_us >= horizon]
         train = self._train
         if train is not None:
             # A burst that overlaps this frame and is not logged yet begins
@@ -381,13 +387,6 @@ class Channel:
         receiver registered later gets its link on its first draw."""
         return self._mean_dbm.setdefault((position.x, position.y, tx_power_dbm), {})
 
-    def _prune(self, now_us: int) -> None:
-        # A frame still on the air started at most the longest airtime ago,
-        # so a frame that ended before that can no longer overlap one.
-        horizon = now_us - self._longest_airtime_us
-        if self._log and self._log[0].end_us < horizon:
-            self._log = [t for t in self._log if t.end_us >= horizon]
-
     def _draw_rssi(self, tx: Transmission, i: int) -> float:
         """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
         plus one shadowing draw, clamped to the AGC ceiling, minus the
@@ -412,11 +411,14 @@ class Channel:
         ]
         # Half-duplex: a receiver that transmitted during any part of the
         # frame hears nothing.  Every other receiver sees all overlapping
-        # frames as interference.
-        deaf = {other.source_id for other in overlapping}
-        deaf.add(tx.source_id)
-        sensitivity = self.params.sensitivity_dbm
-        capture = self.params.capture_threshold_db
+        # frames as interference.  Most frames overlap nothing.
+        if overlapping:
+            deaf = {other.source_id for other in overlapping}
+            deaf.add(tx.source_id)
+        else:
+            deaf = (tx.source_id,)
+        sensitivity = self._sensitivity_dbm
+        capture = self._capture_db
         for i, receiver in tx.audience:
             if receiver.entity_id in deaf:
                 continue

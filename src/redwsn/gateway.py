@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .boards import FaultSpec
@@ -70,7 +71,8 @@ class Server:
 
     def deduplicated(self) -> list[ServerEntry]:
         """Unique stream ordered by earliest reception time (stable)."""
-        return sorted(self._first_seen.values(), key=lambda e: (e.time_us, e.node_id, e.seq))
+        # By time_us, node_id, seq: the record's fields 4, 0, 2.
+        return sorted(self._first_seen.values(), key=itemgetter(4, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,8 @@ class Gateway:
         channel.add_receiver(self)
 
     def failed(self, now_us: int) -> bool:
-        return in_windows(self._outages_us, now_us)
+        outages = self._outages_us
+        return in_windows(outages, now_us) if outages else False
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if self.failed(now_us):

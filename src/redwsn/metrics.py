@@ -10,10 +10,14 @@ ratios share one base.  Slots, arrival times, bounds and the run's duration
 are integer microseconds, the simulation clock's unit, so an arrival exactly
 one bound after a slot or after the previous arrival is exactly on the
 bound.  A bound of ``inf`` means no bound.
+
+The RSSI stats are numpy's, bit for bit, from one sort in plain Python:
+per-gateway logs are short, so numpy's per-call overhead would dominate.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
@@ -46,12 +50,6 @@ def _arrivals(entries: list[ServerEntry]) -> dict[tuple[str, str], list[int]]:
     return times
 
 
-def _first(times_us: list[int], slot_us: int, end_us: float) -> Optional[int]:
-    """The earliest arrival in [slot, end), or None."""
-    i = bisect_left(times_us, slot_us)
-    return times_us[i] if i < len(times_us) and times_us[i] < end_us else None
-
-
 def epoch_ledger(
     entries: list[ServerEntry],
     slots_by_node: dict[str, list[int]],
@@ -61,18 +59,32 @@ def epoch_ledger(
 ) -> list[Epoch]:
     """One row per scored epoch: a slot whose whole window fits inside the
     run (the horizon would truncate any other).  It is fault-active when it
-    lies in one of the node's primary fault windows [start, end)."""
+    lies in one of the node's primary fault windows [start, end).
+
+    A node's slots ascend, as the MAC records them, so one walk finds each
+    board's first arrival at or after every slot from the previous one."""
     arrivals = _arrivals(entries)
     ledger: list[Epoch] = []
     for node, slots in slots_by_node.items():
         primary = arrivals.get((node, "primary"), [])
         secondary = arrivals.get((node, "secondary"), [])
-        windows = fault_windows_by_node.get(node, ())
+        windows = fault_windows_by_node.get(node)
+        p = s = 0
         for slot in slots:
             end = slot + bound_us
-            if end <= duration_us:
-                fault = in_windows(windows, slot)
-                ledger.append(Epoch(node, slot, fault, _first(primary, slot, end), _first(secondary, slot, end)))
+            if end > duration_us:
+                break
+            p = bisect_left(primary, slot, p)
+            s = bisect_left(secondary, slot, s)
+            ledger.append(
+                Epoch(
+                    node,
+                    slot,
+                    in_windows(windows, slot) if windows else False,
+                    primary[p] if p < len(primary) and primary[p] < end else None,
+                    secondary[s] if s < len(secondary) and secondary[s] < end else None,
+                )
+            )
     return ledger
 
 
@@ -120,20 +132,43 @@ def delay_violations(
     return violations
 
 
+def _quantile(ordered: list[float], q: float) -> float:
+    """numpy's linear-rule quantile of an ascending list, in numpy's order
+    of float operations: the index (n - 1) * q splits into a floor and a
+    fraction g, and the value is taken from the nearer neighbour's side."""
+    last = len(ordered) - 1
+    index = last * q
+    i = int(index)
+    # One sample is its own neighbour.
+    a, b = ordered[i], ordered[min(i + 1, last)]
+    g = index - i
+    diff = b - a
+    return a + diff * g if g < 0.5 else b - diff * (1 - g)
+
+
 def rssi_summary(samples: list[float]) -> dict[str, float]:
-    """Distribution stats of one gateway's RSSI log; empty log, empty stats."""
-    if not samples:
+    """Distribution stats of one gateway's RSSI log; empty log, empty stats.
+
+    Each stat equals numpy's bit for bit (np.percentile's linear rule for
+    the quartiles, np.median, min, max, mean), from one sort.  The mean
+    stays numpy's pairwise sum: Python's sum or fsum would move its last
+    bit.  A NaN sample makes every stat NaN, as it does in numpy."""
+    n = len(samples)
+    if not n:
         return {"count": 0}
-    arr = np.asarray(samples, dtype=float)
-    q1, q3 = np.percentile(arr, (25, 75)).tolist()
+    total = float(np.asarray(samples, dtype=float).sum())
+    if math.isnan(total) and any(map(math.isnan, samples)):
+        return {"count": n, **dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), math.nan)}
+    ordered = sorted(samples)
+    mid = n // 2
     return {
-        "count": int(arr.size),
-        "min": float(arr.min()),
-        "q1": q1,
-        "median": float(np.median(arr)),
-        "q3": q3,
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
+        "count": n,
+        "min": ordered[0],
+        "q1": _quantile(ordered, 0.25),
+        "median": ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2,
+        "q3": _quantile(ordered, 0.75),
+        "max": ordered[-1],
+        "mean": total / n,
     }
 
 

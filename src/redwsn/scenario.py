@@ -353,7 +353,12 @@ def _csv_rows(report: MetricsReport) -> list[tuple[str, str, str, str]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        # As report_to_json refuses them: no report holds NaN or infinity.
+        raise ValueError(f"Out of range float values are not CSV compliant: {value!r}")
+    return repr(value)
 
 
 def report_to_csv(report: MetricsReport) -> str:

@@ -80,12 +80,10 @@ class Simulation:
         prr_primary = compute_prr(self.epochs, roles=("primary",))
         detection = compute_detection_rate(self.epochs)
         violations = delay_violations(entries, list(self.primaries), duration_us, bound_us)
-        rssi = {
-            gw.entity_id: rssi_summary(
-                [e.rssi_dbm for e in self.server.raw if e.gateway_id == gw.entity_id]
-            )
-            for gw in self.gateways
-        }
+        rssi_by_gateway: dict[str, list[float]] = {gw.entity_id: [] for gw in self.gateways}
+        for e in self.server.raw:
+            rssi_by_gateway[e.gateway_id].append(e.rssi_dbm)
+        rssi = {gw_id: rssi_summary(samples) for gw_id, samples in rssi_by_gateway.items()}
         return IterationMetrics(
             seed=self.seed,
             prr_redundant=prr,

@@ -217,3 +217,20 @@ def test_sim_run_refuses_to_print_a_report_that_is_not_json(capsys, tmp_path, mo
     captured = capsys.readouterr()
     assert captured.out == "" and "runtime error" in captured.err and "JSON" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["prr", "rssi"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sim_run_refuses_to_print_a_csv_report_that_is_not_finite(capsys, tmp_path, monkeypatch, value, where, to_file):
+    def run_scenario(cfg, seeds):
+        prr, rssi = (value, {}) if where == "prr" else (1.0, {"gw": {"count": 1, "min": value}})
+        return MetricsReport(cfg.name, seeds, [IterationMetrics(seeds[0], prr, 1.0, None, 0, 0, 1, 0, rssi)])
+
+    monkeypatch.setattr("redwsn.cli.run_scenario", run_scenario)
+    out = tmp_path / "r.csv"
+    argv = ["run", "control-clean", "--seeds", "1", "--format", "csv"] + (["--out", str(out)] if to_file else [])
+    assert main_sim(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and "runtime error" in captured.err and "CSV" in captured.err
+    assert not out.exists()

@@ -3,7 +3,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redwsn.boards import FaultKind, FaultSpec
@@ -409,6 +409,68 @@ def test_rssi_quartiles_equal_one_percentile_call_each(samples):
     stats = rssi_summary(samples)
     assert stats["q1"] == float(np.percentile(samples, 25))
     assert stats["q3"] == float(np.percentile(samples, 75))
+
+
+@st.composite
+def rssi_logs(draw):
+    """1-400 samples: picks from a small pool, as a log of a link's quantised
+    RSSI repeats values, and uniform dBm values, whose sums round
+    differently pairwise than in order; and up to two infinities or NaNs.
+    The pool holds any float but a signed zero: the order of 0.0 and -0.0
+    in a sort is unspecified (numpy's min of [0.0, -0.0] is -0.0, and of
+    [-0.0, 0.0] is 0.0), and RSSI in dBm is never zero."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool), min_size=1, max_size=8))
+    n = draw(st.integers(1, 398))
+    # Drawn from one seeded generator rather than one by one, which is slow
+    # for hundreds of values.
+    rng = draw(st.randoms(use_true_random=True))
+    samples = [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-150.0, -50.0) for _ in range(n)]
+    for special in draw(st.lists(st.sampled_from((math.inf, -math.inf, math.nan)), max_size=2)):
+        samples.insert(draw(st.integers(0, len(samples))), special)
+    return samples
+
+
+def float_bits(value):
+    """A float's exact bits; every NaN is the same."""
+    return "nan" if math.isnan(value) else float.hex(value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rssi_logs())
+def test_rssi_summary_equals_numpy_bit_for_bit(samples):
+    # numpy warns on inf - inf and on overflow; values are compared, not warnings.
+    with np.errstate(all="ignore"):
+        arr = np.asarray(samples)
+        q1, q3 = np.percentile(arr, (25, 75)).tolist()
+        reference = {
+            "min": float(arr.min()),
+            "q1": q1,
+            "median": float(np.median(arr)),
+            "q3": q3,
+            "max": float(arr.max()),
+            "mean": float(arr.mean()),
+        }
+        stats = rssi_summary(samples)
+    assert stats.pop("count") == len(samples)
+    assert {k: float_bits(v) for k, v in stats.items()} == {k: float_bits(v) for k, v in reference.items()}
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(("n1", "n2", "n10")), st.integers(0, 3), st.sampled_from(BoardRole), st.integers(0, 2)),
+        max_size=30,
+    )
+)
+def test_dedup_order_equals_the_time_node_seq_key(forwards):
+    # Few distinct times, so many entries tie on time_us across nodes and seqs.
+    server = Server()
+    for node, seq, role, t in forwards:
+        packet = Packet(PacketKind.DATA, node, role, seq, 76, full_reading())
+        server.on_gateway_reception("gw", packet, -98.0, t)
+    first = {}
+    for e in server.raw:
+        first.setdefault((e.node_id, e.board_role, e.seq), e)
+    assert server.deduplicated() == sorted(first.values(), key=lambda e: (e.time_us, e.node_id, e.seq))
 
 
 def test_server_entry_is_immutable():

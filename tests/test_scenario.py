@@ -338,6 +338,10 @@ GWF = build_preset("GWF")
         (GWF.channel, "reference_loss_db"),
         (GWF.channel, "sensitivity_dbm"),
         (GWF.channel, "agc_ceiling_dbm"),
+        (GWF.channel, "path_loss_exponent"),
+        (GWF.channel, "capture_threshold_db"),
+        (GWF.channel, "shadowing_sigma_db"),
+        (GWF.channel, "reference_distance_m"),
         (GWF.gateways[1], "extra_loss_db"),
         (GWF.secondary, "anomaly_rel_threshold"),
         (FaultSpec(FaultKind.SENSOR_ANOMALY, "n1.primary", affected_sensor="co2_ppm"), "anomaly_multiplier"),
