@@ -15,7 +15,7 @@ interferes as if it were an event that fires first at its instant.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Protocol, Sequence
@@ -170,8 +170,9 @@ class NoiseConfig:
 @dataclass
 class _NoiseTrain:
     """The noise bursts, known in advance by start time.  The starts are a
-    list of Python ints: each frame bisects them twice, and a bisection over
-    an ``array('q')`` boxes an int at every probe, at about twice the cost.
+    list of Python ints: each frame bisects them once and reads each burst
+    it logs, and a bisection over an ``array('q')`` boxes an int at every
+    probe, at about twice the cost.
     The list holds ~36 bytes per burst: ~0.1 MB over 30 minutes, ~10 MB
     over 2 hours at SF7's shortest accepted period."""
 
@@ -333,23 +334,25 @@ class Channel:
         if airtime > self._longest_airtime_us:
             self._longest_airtime_us = airtime
         self._source_end_us[source_id] = end
-        # Prune: a frame still on the air started at most the longest
-        # airtime ago, so a frame that ended before that can no longer
-        # overlap one.
+        # Prune the head: a frame still on the air started at most the
+        # longest airtime ago, so a frame that ended before that can no
+        # longer overlap one.  An ended frame behind a live head stays until
+        # the head goes; no overlap test passes it.
         log = self._log
         horizon = now - self._longest_airtime_us
-        if log and log[0].end_us < horizon:
-            log = self._log = [t for t in log if t.end_us >= horizon]
+        while log and log[0].end_us < horizon:
+            del log[0]
         train = self._train
         if train is not None:
             # A burst that overlaps this frame and is not logged yet begins
             # after everything logged so far: a frame logged after it began
             # would have logged it, and bursts are logged in start order.
             starts = train.starts_us
-            lo = bisect_right(starts, now - train.airtime_us, train.next)
-            train.next = bisect_left(starts, end, lo)
-            for k in range(lo, train.next):
+            k = bisect_right(starts, now - train.airtime_us, train.next)
+            count = len(starts)
+            while k < count and starts[k] < end:
                 start = starts[k]
+                k += 1
                 log.append(
                     Transmission(
                         NOISE_SOURCE_ID,
@@ -362,7 +365,13 @@ class Channel:
                         {},
                     )
                 )
-        insort(log, tx, key=_start)
+            train.next = k
+        # Only a burst logged ahead of the frame can start after it; at an
+        # equal start the frame goes after the burst, as insort places it.
+        if log and log[-1].start_us > now:
+            insort(log, tx, key=_start)
+        else:
+            log.append(tx)
         # A frame nobody hears is only interference.
         if audience:
             self.sim.schedule_at(end, lambda: self._resolve(tx))

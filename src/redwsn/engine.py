@@ -1,9 +1,11 @@
 """Deterministic discrete-event core.
 
 Time is kept as integer microseconds so that sub-millisecond LoRa airtimes
-(e.g. 138.496 ms) order events exactly, with no float drift.  Events with
-equal timestamps fire in insertion order.  Events are never cancelled: an
-owner whose timer can go stale checks its own state when the timer fires.
+(e.g. 138.496 ms) order events exactly, with no float drift.  Events fire
+by time, then in the order they were scheduled.  The queue is keyed by
+instant (see ``Simulator``), so an event that ties with another costs a
+list append, not a heap push.  Events are never cancelled: an owner whose
+timer can go stale checks its own state when the timer fires.
 Randomness comes from labeled streams derived from a single master seed, so
 adding a consumer never perturbs the draws of another.
 
@@ -15,8 +17,8 @@ the values of one draw per item (``drawn_ahead``).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -68,39 +70,85 @@ def stream_rng(master_seed: int, stream_id: str) -> np.random.Generator:
 
 
 class Simulator:
-    """Single-threaded event loop with an integer-microsecond clock."""
+    """Single-threaded event loop with an integer-microsecond clock.
+
+    ``_times`` is a heap of the distinct pending instants; ``_due`` maps
+    each to its callback, or to a list of them in scheduling order once the
+    instant is tied.  A callback scheduled at the instant that is running
+    starts a new entry there, so it runs after the rest of the instant: the
+    tie rule is time, then scheduling order.
+    """
 
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.now_us: int = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
+        self._times: list[int] = []
+        self._due: dict[int, Callable[[], None] | list[Callable[[], None]]] = {}
 
     def rng(self, stream_id: str) -> np.random.Generator:
         return stream_rng(self.master_seed, stream_id)
 
     def schedule_at(self, t_us: int, fn: Callable[[], None]) -> None:
-        if t_us < self.now_us:
+        # Written so that NaN, which compares false, is refused too.
+        if not t_us >= self.now_us:
             raise SchedulingError(f"cannot schedule at {t_us} us; clock is at {self.now_us} us")
-        heapq.heappush(self._heap, (t_us, next(self._seq), fn))
+        due = self._due
+        pending = due.get(t_us)
+        if pending is None:
+            due[t_us] = fn
+            heappush(self._times, t_us)
+        elif pending.__class__ is list:
+            pending.append(fn)
+        else:
+            due[t_us] = [pending, fn]
 
     def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now_us + int(delay_us), fn)
 
     def run_until(self, t_end_us: int) -> int:
-        """Process every event with time <= t_end_us; leave the clock at t_end_us."""
-        if t_end_us < self.now_us:
+        """Process every event with time <= t_end_us; leave the clock at
+        t_end_us.  Returns the number of callbacks run.
+
+        If a callback raises, the clock stays at its instant, and the
+        callbacks of that instant it did not reach stay pending, ahead of any
+        scheduled there since.
+        """
+        if not t_end_us >= self.now_us:
             raise SchedulingError("t_end is in the past")
         processed = 0
-        heap, pop = self._heap, heapq.heappop
-        while heap and heap[0][0] <= t_end_us:
-            t, _, fn = pop(heap)
+        times, due, pop = self._times, self._due, heappop
+        while times and times[0] <= t_end_us:
+            t = pop(times)
             self.now_us = t
-            fn()
-            processed += 1
+            pending = due.pop(t)
+            if pending.__class__ is list:
+                rest = iter(pending)
+                try:
+                    for fn in rest:
+                        fn()
+                except BaseException:
+                    self._requeue(t, list(rest))
+                    raise
+                processed += len(pending)
+            else:
+                pending()
+                processed += 1
         self.now_us = t_end_us
         return processed
 
+    def _requeue(self, t_us: int, callbacks: list[Callable[[], None]]) -> None:
+        """Put back the callbacks an exception left unrun at ``t_us``, ahead
+        of any scheduled there since."""
+        if not callbacks:
+            return
+        since = self._due.get(t_us)
+        if since is None:
+            heappush(self._times, t_us)
+        else:
+            callbacks += since if since.__class__ is list else [since]
+        self._due[t_us] = callbacks
+
     def close(self) -> None:
         """Drop every pending event, releasing the callbacks."""
-        self._heap.clear()
+        self._times.clear()
+        self._due.clear()

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from redwsn.channel import (
 from redwsn.engine import Simulator, ms_to_us
 from redwsn.lora import LoraParams, time_on_air_us
 from redwsn.packets import Packet, PacketKind
-from redwsn.scenario import build_preset
+from redwsn.scenario import NodeConfig, build_preset
 from redwsn.simulation import Simulation
 
 
@@ -543,6 +543,53 @@ def test_a_frame_takes_its_audience_once_when_it_begins(monkeypatch, preset):
     assert lookups == [tx.packet for tx, _ in frames]
     # Logged frames hold their receivers, so a finished run drops the log.
     assert channel._log == []
+
+
+def fleet_of_50():
+    nodes = tuple(
+        NodeConfig(id=f"n{i + 1}", position=Position(1.5 * (1 + i // 10), 0.3 * (i % 10))) for i in range(50)
+    )
+    return replace(build_preset("control-noise"), nodes=nodes, duration_ms=300_000)
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [lambda: build_preset("HF"), lambda: build_preset("GWF"), fleet_of_50],
+    ids=["HF", "GWF", "control-noise-x50"],
+)
+def test_the_log_stays_ordered_and_keeps_every_live_entry(monkeypatch, make_config):
+    sim = Simulation(make_config(), seed=3)
+    channel = sim.channel
+    begin = Channel.begin_transmission
+    # The log as the old upkeep kept it: rebuilt without every entry that
+    # ended before the horizon, whenever the head had.
+    old_log = []
+    calls = []
+
+    def checked_begin(self, *args):
+        before = {id(t) for t in self._log}
+        end = begin(self, *args)
+        log, now = self._log, self.sim.now_us
+        horizon = now - self._longest_airtime_us
+        if old_log and old_log[0].end_us < horizon:
+            old_log[:] = [t for t in old_log if t.end_us >= horizon]
+        old_log.extend(t for t in log if id(t) not in before)
+        # Ordered by start, with a burst before a frame at an equal start.
+        for a, b in zip(log, log[1:]):
+            assert a.start_us < b.start_us or (
+                a.start_us == b.start_us and (a.source_id == NOISE_SOURCE_ID or b.source_id != NOISE_SOURCE_ID)
+            )
+        held = {id(t) for t in log}
+        assert all(id(t) in held for t in old_log if t.end_us >= horizon)
+        # Every other entry has ended before the horizon.
+        kept = {id(t) for t in old_log}
+        assert all(t.end_us < horizon for t in log if id(t) not in kept)
+        calls.append(len(log))
+        return end
+
+    monkeypatch.setattr(Channel, "begin_transmission", checked_begin)
+    sim.run()
+    assert calls and max(calls) > 1
 
 
 @dataclass

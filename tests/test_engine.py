@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -84,6 +85,89 @@ def test_scheduling_in_the_past_raises():
         sim.schedule_at(50, lambda: None)
     with pytest.raises(SchedulingError):
         sim.run_until(50)
+
+
+def test_nan_times_are_refused_and_change_nothing():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(100, lambda: fired.append(100))
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.schedule_at(math.nan, lambda: fired.append("nan"))
+    with pytest.raises(SchedulingError):
+        sim.run_until(math.nan)
+    assert sim.now_us == 10
+    with pytest.raises(SchedulingError):
+        sim.schedule_at(-5, lambda: fired.append(-5))
+    assert sim.run_until(1_000) == 1
+    assert fired == [100]
+
+
+def test_an_exception_leaves_the_rest_of_its_instant_pending():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        sim.schedule_at(10, lambda: fired.append("late"))
+        raise RuntimeError("boom")
+
+    sim.schedule_at(10, lambda: fired.append("a"))
+    sim.schedule_at(10, boom)
+    sim.schedule_at(10, lambda: fired.append("c"))
+    sim.schedule_at(20, lambda: fired.append("d"))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run_until(100)
+    assert fired == ["a"]
+    assert sim.now_us == 10
+    assert sim.run_until(100) == 3
+    assert fired == ["a", "c", "late", "d"]
+
+
+FOLLOW_UP_DELAYS = (0, 1, 2, 5)
+
+
+def follow_ups(depth):
+    """The follow-ups an event schedules when it fires, as (delay, their
+    own follow-ups) pairs."""
+    if depth == 0:
+        return st.just(())
+    return st.lists(st.tuples(st.sampled_from(FOLLOW_UP_DELAYS), follow_ups(depth - 1)), max_size=2)
+
+
+@given(
+    events=st.lists(st.tuples(st.integers(0, 6), follow_ups(3)), max_size=25),
+    t_end=st.integers(0, 12),
+)
+def test_events_fire_by_time_then_scheduling_order(events, t_end):
+    sim = Simulator()
+    fired = []
+
+    def event(label, children):
+        def fire():
+            fired.append((sim.now_us, label))
+            for k, (delay, grandchildren) in enumerate(children):
+                sim.schedule_in(delay, event(label + (k,), grandchildren))
+
+        return fire
+
+    for i, (t, children) in enumerate(events):
+        sim.schedule_at(t, event((i,), children))
+    count = sim.run_until(t_end)
+
+    # The reference: always fire the pending event with the least (time,
+    # scheduling order).
+    order = itertools.count()
+    pending = [(t, next(order), (i,), children) for i, (t, children) in enumerate(events)]
+    expected = []
+    while pending and min(pending)[0] <= t_end:
+        first = min(pending)
+        pending.remove(first)
+        t, _, label, children = first
+        expected.append((t, label))
+        pending += [(t + delay, next(order), label + (k,), gc) for k, (delay, gc) in enumerate(children)]
+    assert fired == expected
+    assert count == len(expected)
+    assert sim.now_us == t_end
 
 
 def test_run_until_boundary_event_is_processed():
