@@ -22,6 +22,7 @@ from .lora import MAX_PAYLOAD_BYTES, check_tx_power
 from .mac import SarbConfig, SarbMac
 from .packets import (
     DATA_BYTES,
+    NO_FAULT_TAGS,
     SENSOR_FIELDS,
     SENSOR_TABLE,
     BoardRole,
@@ -30,6 +31,8 @@ from .packets import (
     SensorReading,
     check_thresholds,
     detect_anomaly,
+    packet_from_fields,
+    reading_from_fields,
 )
 
 
@@ -41,6 +44,12 @@ class FaultKind(Enum):
 
 
 _SENSOR_FAULTS = (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY)
+# Enum members read per event, as module names: on 3.11 a load through the
+# class goes through EnumType's __getattr__ path (183 against 46 ns).
+_DATA = PacketKind.DATA
+_HEARTBEAT = PacketKind.HEARTBEAT
+_SECONDARY = BoardRole.SECONDARY
+_READ_FAILURE = FaultKind.SENSOR_READ_FAILURE
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,15 @@ def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
     drawn _BLOCK_ROWS readings at a time as one array."""
 
     def draw() -> np.ndarray:
-        noise = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS))) * _SENSOR_NOISE_REL
-        return _NOMINAL_VALUES * (1.0 + noise.clip(-_NOISE_CLIP, _NOISE_CLIP))
+        # In place on the one block: min then max is clip for finite values,
+        # and the sum and product commute, so the values are clip's.
+        block = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
+        block *= _SENSOR_NOISE_REL
+        np.minimum(block, _NOISE_CLIP, out=block)
+        np.maximum(block, -_NOISE_CLIP, out=block)
+        block += 1.0
+        block *= _NOMINAL_VALUES
+        return block
 
     return drawn_ahead(draw)
 
@@ -175,12 +191,12 @@ class _RadioBoard:
         makes the value NaN, an anomaly multiplies it; ground-truth tags
         ride on the reading."""
         if not self._sensor_faults:
-            return SensorReading(tuple(values))
+            return reading_from_fields((tuple(values), NO_FAULT_TAGS))
         tags = set()
         for i, start, end, fault in self._sensor_faults:
             if not start <= now_us < end:
                 continue
-            if fault.kind is FaultKind.SENSOR_READ_FAILURE:
+            if fault.kind is _READ_FAILURE:
                 values[i] = math.nan
                 tags.add(f"read_failure:{fault.affected_sensor}")
             else:
@@ -191,19 +207,14 @@ class _RadioBoard:
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:
         """A data frame carrying a fresh reading under the board's next seq;
         None while the board is hard-failed (it uses up no seq)."""
-        if not self.is_powered():
+        # A board with no outage is always powered, so it skips the call;
+        # transmit and on_receive do the same.
+        if self._outages_us and not self.is_powered():
             return None
-        # Positional, in Packet's field order; the seq is taken before the
-        # reading is sensed, as the fields are evaluated in order.
-        return Packet(
-            PacketKind.DATA,
-            self.node_id,
-            self.role,
-            next(self._seq),
-            DATA_BYTES,
-            self.sense(),
-            emergency,
-            corrective,
+        # The seq is taken before the reading is sensed, as the fields are
+        # evaluated in order.
+        return packet_from_fields(
+            (_DATA, self.node_id, self.role, next(self._seq), DATA_BYTES, self.sense(), emergency, corrective)
         )
 
     def transmit(self, packet: Packet) -> Optional[int]:
@@ -212,7 +223,7 @@ class _RadioBoard:
         Returns the end-of-frame time, or None when the board is silenced or
         the send was deferred (the board sends it once its own frame ends).
         """
-        if not self.is_powered():
+        if self._outages_us and not self.is_powered():
             return None
         busy = self.channel.busy_until(self.entity_id)
         if busy > self.sim.now_us:
@@ -286,7 +297,7 @@ class PrimaryBoard(_RadioBoard):
         self._in_emergency = crossed
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if self.is_powered():
+        if not self._outages_us or self.is_powered():
             self.mac.on_ack(packet.seq)
 
 
@@ -351,7 +362,7 @@ class SecondaryBoard(_RadioBoard):
         self.sim.schedule_at(deadline_us, lambda: self._watchdog_expired(arm))
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if not self.is_powered():
+        if self._outages_us and not self.is_powered():
             return
         # Any overheard primary data packet proves the primary is alive, so
         # the watchdog resets even when the payload turns out to be faulty
@@ -366,7 +377,8 @@ class SecondaryBoard(_RadioBoard):
 
     def _is_faulty(self, packet: Packet) -> bool:
         reading = packet.reading
-        if not (self._noise_can_flag or reading.fault_tags or in_windows(self._sensor_windows_us, self.sim.now_us)):
+        windows = self._sensor_windows_us
+        if not (self._noise_can_flag or reading.fault_tags or (windows and in_windows(windows, self.sim.now_us))):
             # Both readings are nominal times clipped noise: a reading is
             # tagged with every sensor fault active when it was built.  So the
             # comparison cannot flag; spend the noise row a reading would.
@@ -407,8 +419,7 @@ class SecondaryBoard(_RadioBoard):
         self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
         if not self.is_powered():
             return
-        # Positional: kind, node_id, board_role, seq, size_bytes.
-        packet = Packet(
-            PacketKind.HEARTBEAT, self.node_id, BoardRole.SECONDARY, next(self._seq), self.cfg.heartbeat_bytes
+        packet = packet_from_fields(
+            (_HEARTBEAT, self.node_id, _SECONDARY, next(self._seq), self.cfg.heartbeat_bytes, None, False, False)
         )
         self.transmit(packet)

@@ -5,18 +5,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MethodType
 from typing import NamedTuple
 
 from .boards import FaultSpec
 from .channel import Channel, Position
 from .engine import Simulator, in_windows
 from .lora import check_tx_power
-from .packets import BoardRole, Packet, PacketKind
+from .packets import BoardRole, Packet, PacketKind, packet_from_fields
 
 # The server record's strings, looked up rather than read through Enum's
 # ``value`` property once per reception; a frame without a role records "".
 _ROLE_NAMES = {None: "", **{role: role.value for role in BoardRole}}
 _KIND_NAMES = {kind: kind.value for kind in PacketKind}
+# Enum members read per reception, as module names: on 3.11 a load through
+# the class goes through EnumType's __getattr__ path (183 against 46 ns).
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+_PRIMARY = BoardRole.PRIMARY
 
 
 class ServerEntry(NamedTuple):
@@ -34,6 +40,11 @@ class ServerEntry(NamedTuple):
     valid: bool
 
 
+# ServerEntry from all eight fields, in field order: tuple.__new__ bound to
+# the type, a call in C, where the generated __new__ is a Python frame.
+entry_from_fields = MethodType(tuple.__new__, ServerEntry)
+
+
 class Server:
     """Loss-free backhaul endpoint: collects gateway forwards and keeps the
     earliest copy per (node, board, seq)."""
@@ -48,26 +59,13 @@ class Server:
         return len(self.raw) - len(self._first_seen)
 
     def on_gateway_reception(self, gateway_id: str, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        valid = (
-            packet.kind is PacketKind.DATA
-            and packet.reading is not None
-            and packet.reading.is_complete()
-            and not packet.reading.fault_tags
-        )
-        # Positional, in field order: node_id, board_role, seq, kind,
-        # time_us, gateway_id, rssi_dbm, valid.
-        entry = ServerEntry(
-            packet.node_id,
-            _ROLE_NAMES[packet.board_role],
-            packet.seq,
-            _KIND_NAMES[packet.kind],
-            now_us,
-            gateway_id,
-            rssi_dbm,
-            valid,
-        )
+        reading = packet.reading
+        # The tag test first: it is cheaper than the scan for a NaN.
+        valid = packet.kind is _DATA and reading is not None and not reading.fault_tags and reading.is_complete()
+        node_id, role, seq = packet.node_id, _ROLE_NAMES[packet.board_role], packet.seq
+        entry = entry_from_fields((node_id, role, seq, _KIND_NAMES[packet.kind], now_us, gateway_id, rssi_dbm, valid))
         self.raw.append(entry)
-        self._first_seen.setdefault((entry.node_id, entry.board_role, entry.seq), entry)
+        self._first_seen.setdefault((node_id, role, seq), entry)
 
     def deduplicated(self) -> list[ServerEntry]:
         """Unique stream ordered by earliest reception time (stable)."""
@@ -122,14 +120,10 @@ class Gateway:
         return in_windows(outages, now_us) if outages else False
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        if self.failed(now_us):
+        if self._outages_us and self.failed(now_us):
             return
         self.server.on_gateway_reception(self.entity_id, packet, rssi_dbm, now_us)
-        if (
-            packet.kind is PacketKind.DATA
-            and packet.board_role is BoardRole.PRIMARY
-            and self.cfg.acks_enabled
-        ):
+        if packet.kind is _DATA and packet.board_role is _PRIMARY and self.cfg.acks_enabled:
             self._send_ack(packet)
 
     def _send_ack(self, packet: Packet) -> None:
@@ -138,6 +132,5 @@ class Gateway:
         if self.channel.busy_until(self.entity_id) > self.sim.now_us:
             return
         # An ack carries the node id and seq of the frame it acknowledges.
-        # Positional: kind, node_id, board_role, seq, size_bytes.
-        ack = Packet(PacketKind.ACK, packet.node_id, None, packet.seq, self.ACK_BYTES)
+        ack = packet_from_fields((_ACK, packet.node_id, None, packet.seq, self.ACK_BYTES, None, False, False))
         self.channel.begin_transmission(self.entity_id, self.position, ack, self.cfg.tx_power_dbm)

@@ -133,8 +133,13 @@ class SarbMac:
 
         self._offsets_us = drawn_ahead(draw)
         self._fixed_interval_us = ms_to_us(cfg.fixed_interval_ms)
-        self._retx_interval_us = ms_to_us(cfg.retx_interval_ms)
         self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
+        # Fixed per run, so read per slot without a call: whether SARB runs
+        # and the retransmission slots' offsets from their data slot.
+        self.enabled = cfg.enabled
+        retx_us = ms_to_us(cfg.retx_interval_ms)
+        n_retx = cfg.retx_slots_per_cycle if cfg.enabled else 0
+        self._retx_offsets_us = tuple(k * retx_us for k in range(1, n_retx + 1))
         self._pending: Optional[Packet] = None  # the frame awaiting its ack
 
     # -- lifecycle ---------------------------------------------------------
@@ -148,7 +153,7 @@ class SarbMac:
         self._pending = None
 
     def _draw_offset_us(self) -> int:
-        if not self.cfg.enabled:
+        if not self.enabled:
             return self.sim.now_us + self._fixed_interval_us
         return self.sim.now_us + next(self._offsets_us)
 
@@ -157,16 +162,20 @@ class SarbMac:
     def _data_slot(self) -> None:
         now = self.sim.now_us
         self._on_slot(now)
-        if self.cfg.enabled:
-            for k in range(1, self.cfg.retx_slots_per_cycle + 1):
-                self.sim.schedule_at(now + k * self._retx_interval_us, self._retx_slot)
+        # One bound method for the cycle's slots.  Kept on the instance, it
+        # would make a reference cycle that holds the MAC past its last use.
+        retx_slot = self._retx_slot
+        for offset_us in self._retx_offsets_us:
+            self.sim.schedule_at(now + offset_us, retx_slot)
         self.sim.schedule_at(self._draw_offset_us(), self._data_slot)
         packet = self._build_packet(False)
         if packet is not None:
             self._send(packet)
 
     def _retx_slot(self) -> None:
-        if self._pending is None and len(self.queue):
+        # The queue's list, read directly: len() would be a Python-level
+        # __len__ call per slot.
+        if self._pending is None and self.queue._items:
             self._send(self.queue.pop())
 
     def on_emergency(self, emergency_packet: Packet) -> None:
@@ -177,7 +186,7 @@ class SarbMac:
 
     def _send(self, packet: Packet) -> None:
         end_us = self._transmit(packet)
-        if not self.cfg.enabled:
+        if not self.enabled:
             return  # baseline: fire and forget
         if end_us is None or self._pending is not None:
             # A deferred frame goes out with no ack timer; and while a frame

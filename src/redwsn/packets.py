@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from types import MethodType
 from typing import NamedTuple, Optional
 
 # The twelve monitored fields, in reading order: four scalar gas/pressure
@@ -46,6 +47,10 @@ class BoardRole(Enum):
     __hash__ = object.__hash__
 
 
+# The tags of a reading with no fault applied, one object for all of them.
+NO_FAULT_TAGS: frozenset = frozenset()
+
+
 class SensorReading(NamedTuple):
     """One snapshot of all monitored fields: a tuple of Python floats in
     SENSOR_FIELDS order.  NaN is reserved for a sensor that could not be
@@ -54,13 +59,23 @@ class SensorReading(NamedTuple):
     values: tuple[float, ...]
     # Injected-fault ground truth: the server scores validity from it, and a
     # secondary skips a comparison that an untagged reading cannot fail.
-    fault_tags: frozenset = frozenset()
+    fault_tags: frozenset = NO_FAULT_TAGS
 
     def is_complete(self) -> bool:
         for v in self.values:
             if v != v:  # a NaN is the one value that differs from itself
                 return False
         return True
+
+
+# The record helpers below build a NamedTuple from the full tuple of its
+# fields, in field order: tuple.__new__ bound to the type, a call in C, where
+# the generated __new__ is a Python frame (on 3.11, 219 against 417 ns).  No
+# default applies, so every field must be given.
+
+# SensorReading from (values, fault_tags); a fault-free reading passes
+# NO_FAULT_TAGS.
+reading_from_fields = MethodType(tuple.__new__, SensorReading)
 
 
 class Packet(NamedTuple):
@@ -75,6 +90,12 @@ class Packet(NamedTuple):
     reading: Optional[SensorReading] = None
     emergency: bool = False
     corrective: bool = False
+
+
+# Packet from all eight fields (kind, node_id, board_role, seq, size_bytes,
+# reading, emergency, corrective): the per-frame data, ack and heartbeat
+# frames are built with it.
+packet_from_fields = MethodType(tuple.__new__, Packet)
 
 
 _ANOMALY_EPS = 1e-9  # detect_anomaly's floor under the reference |s|

@@ -21,6 +21,8 @@ from redwsn.engine import Simulator, ms_to_us, stream_rng
 from redwsn.mac import SarbConfig
 from redwsn.metrics import MetricsReport
 from redwsn.packets import (
+    DATA_BYTES,
+    NO_FAULT_TAGS,
     SENSOR_FIELDS,
     SENSOR_TABLE,
     BoardRole,
@@ -130,6 +132,32 @@ def test_secondary_heartbeats_on_schedule():
     assert len(beats) >= 6
     for t in beats:
         assert (t - beats[0]) % 60_000_000 == 0
+
+
+def test_boards_build_the_frames_the_keyword_constructor_does():
+    sim, gw, primary, secondary = build_node(seed=1)
+    flags = [(False, False), (True, False), (False, True)]
+    frames = [primary.data_packet(emergency=e, corrective=c) for e, c in flags]
+    for seq, ((emergency, corrective), frame) in enumerate(zip(flags, frames), start=1):
+        assert type(frame) is Packet and type(frame.reading) is SensorReading
+        assert frame.reading.fault_tags is NO_FAULT_TAGS
+        expected = Packet(
+            kind=PacketKind.DATA,
+            node_id="n1",
+            board_role=BoardRole.PRIMARY,
+            seq=seq,
+            size_bytes=DATA_BYTES,
+            reading=SensorReading(values=frame.reading.values),
+            emergency=emergency,
+            corrective=corrective,
+        )
+        assert frame._asdict() == expected._asdict()
+    secondary.start()
+    sim.run_until(ms_to_us(61_000))  # the first beat goes out at 60 s
+    [beat] = [p for p, _, _ in gw.heard if p.kind is PacketKind.HEARTBEAT]
+    # Its seq follows the watchdog's substitute at 35 s.
+    expected = Packet(kind=PacketKind.HEARTBEAT, node_id="n1", board_role=BoardRole.SECONDARY, seq=2, size_bytes=12)
+    assert type(beat) is Packet and beat._asdict() == expected._asdict()
 
 
 def test_deferred_send_is_tracked_by_the_mac():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import Simulator, ms_to_us
-from redwsn.gateway import Gateway, GatewayConfig, Server, ServerEntry
+from redwsn.gateway import Gateway, GatewayConfig, Server, ServerEntry, entry_from_fields
 from redwsn.metrics import (
     MetricsReport,
     compare_reports,
@@ -57,6 +57,28 @@ def test_primary_data_is_acked():
     gw.on_receive(data_packet(seq=7), -98.0, sim.now_us)
     assert channel.busy_until("gw") > sim.now_us  # ack frame on the air
     assert len(server.raw) == 1
+
+
+def test_the_ack_is_the_keyword_built_frame():
+    sim, channel, server, gw = make_gateway()
+
+    class Board:
+        entity_id, position, rx_extra_loss_db = "n1.primary", Position(1.0, 0.0), 0.0
+        hears = ((PacketKind.ACK, "n1"),)
+
+        def __init__(self):
+            self.heard = []
+
+        def on_receive(self, packet, rssi_dbm, now_us):
+            self.heard.append(packet)
+
+    board = Board()
+    channel.add_receiver(board)
+    gw.on_receive(data_packet(seq=7), -98.0, sim.now_us)
+    sim.run_until(1_000_000)
+    [ack] = board.heard
+    expected = Packet(kind=PacketKind.ACK, node_id="n1", seq=7, size_bytes=Gateway.ACK_BYTES)
+    assert type(ack) is Packet and ack._asdict() == expected._asdict()
 
 
 def test_heartbeat_logged_but_not_acked():
@@ -184,8 +206,17 @@ def test_server_record_matches_the_keyword_built_record(kind, role, nan_fields, 
     packet = Packet(kind=kind, node_id="n1", board_role=role, seq=seq, size_bytes=76, reading=reading)
     server = Server()
     server.on_gateway_reception("gw", packet, -101.5, 7_000)
-    assert server.raw == [reference_server_entry("gw", packet, -101.5, 7_000)]
+    [entry] = server.raw
+    assert type(entry) is ServerEntry
+    assert entry._asdict() == reference_server_entry("gw", packet, -101.5, 7_000)._asdict()
     assert server.deduplicated() == server.raw
+
+
+def test_entry_helper_builds_the_record_the_constructor_does():
+    fields = ("n1", "primary", 5, "data", 7_000, "gw", -101.5, True)
+    built = entry_from_fields(fields)
+    expected = ServerEntry(**dict(zip(ServerEntry._fields, fields)))
+    assert type(built) is ServerEntry and built._asdict() == expected._asdict()
 
 
 # -- metrics -----------------------------------------------------------------------

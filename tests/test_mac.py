@@ -231,6 +231,44 @@ def test_disabled_mac_is_fixed_interval_fire_and_forget():
     assert len({p.seq for _, p in h.sent}) == len(h.sent)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("retx_slots", [0, 1, 2, 3])
+def test_a_data_slot_schedules_its_retransmission_slots_then_the_next_slot(retx_slots, enabled):
+    # Events at one microsecond run in scheduling order, so the order is
+    # pinned as well as the times.
+    cfg = SarbConfig(retx_slots_per_cycle=retx_slots, enabled=enabled)
+    h = Harness(cfg=cfg)
+    scheduled = []
+    schedule_at = h.sim.schedule_at
+
+    def record(t_us, fn):
+        scheduled.append((t_us, fn))
+        schedule_at(t_us, fn)
+
+    h.sim.schedule_at = record
+    h.mac.start()
+    [(slot_us, first)] = scheduled
+    assert first == h.mac._data_slot
+    scheduled.clear()
+    h.sim.run_until(slot_us)
+
+    n = retx_slots if enabled else 0
+    retx_us = ms_to_us(cfg.retx_interval_ms)
+    assert scheduled[:n] == [(slot_us + k * retx_us, h.mac._retx_slot) for k in range(1, n + 1)]
+    next_us, following = scheduled[n]
+    assert following == h.mac._data_slot
+    if enabled:
+        assert (next_us - slot_us) % ms_to_us(cfg.slot_step_ms) == 0
+        assert ms_to_us(cfg.slot_min_ms) <= next_us - slot_us <= ms_to_us(cfg.slot_max_ms)
+        # Then the ack timer of the frame the slot sent; nothing else.
+        [(timer_us, _)] = scheduled[n + 1 :]
+        assert timer_us == slot_us + h.airtime_us + ms_to_us(cfg.ack_timeout_ms)
+    else:
+        assert next_us == slot_us + ms_to_us(cfg.fixed_interval_ms)
+        assert len(scheduled) == n + 1
+    assert [t for t, _ in h.sent] == [slot_us]
+
+
 @pytest.mark.parametrize("steps", [0, 1, 20])
 def test_block_drawn_offsets_match_one_draw_per_slot(steps):
     # Four refills of the 32-offset block and the first offset of a fifth.

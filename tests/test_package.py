@@ -1,7 +1,79 @@
+import ast
 import importlib
+from pathlib import Path
+
+import redwsn
 
 
 def test_package_imports_and_exports_resolve():
     redwsn = importlib.import_module("redwsn")
     missing = [name for name in redwsn.__all__ if not hasattr(redwsn, name)]
     assert missing == []
+
+
+_ENUMS = {"PacketKind", "BoardRole", "FaultKind"}
+# Functions that run once per board, gateway or run, not per event.
+_SET_UP = {"__init__", "__post_init__"}
+_SET_UP_QUALNAMES = {"Channel.add_noise"}
+
+
+def enum_member_loads(source: str) -> list[tuple[str, int]]:
+    """(qualified name, line) of each ``PacketKind.X``, ``BoardRole.X`` or
+    ``FaultKind.X`` load whose innermost enclosing function, or lambda, is
+    not set-up code."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name], not isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Lambda):
+                visit(child, [*scope, "<lambda>"], True)
+                continue
+            if (
+                in_function
+                and isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Load)
+                and isinstance(child.value, ast.Name)
+                and child.value.id in _ENUMS
+            ):
+                qualname = ".".join(scope)
+                if scope[-1] not in _SET_UP and qualname not in _SET_UP_QUALNAMES:
+                    found.append((qualname, child.lineno))
+            visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_the_enum_guard_sees_loads_in_per_event_code_only():
+    source = (
+        "_DATA = PacketKind.DATA\n"
+        "class Board:\n"
+        "    ROLE = BoardRole.PRIMARY\n"
+        "    def __init__(self):\n"
+        "        self.kind = PacketKind.ACK\n"
+        "        self.later = lambda: FaultKind.HARD_FAILURE\n"
+        "    def on_receive(self, packet):\n"
+        "        return packet.kind is PacketKind.DATA\n"
+        "def helper():\n"
+        "    def inner():\n"
+        "        return BoardRole.SECONDARY\n"
+    )
+    assert enum_member_loads(source) == [("Board.__init__.<lambda>", 6), ("Board.on_receive", 8), ("helper.inner", 11)]
+
+
+def test_per_event_code_reads_no_enum_member_through_its_class():
+    """On CPython 3.11, loading an Enum member through its class costs about
+    183 ns against 46 ns for a plain class attribute: EnumType defines
+    ``__getattr__``, which turns off the fast attribute path.  The frame path
+    reads members through module names such as ``_DATA`` instead.  From 3.12
+    the load is cheap, but the package supports 3.10 and 3.11 too."""
+    package = Path(redwsn.__file__).parent
+    found = {
+        name: loads
+        for name in ("boards.py", "gateway.py", "mac.py", "channel.py")
+        if (loads := enum_member_loads((package / name).read_text()))
+    }
+    assert found == {}

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redwsn.packets import SENSOR_FIELDS, Packet, PacketKind, SensorReading, detect_anomaly
+from redwsn.packets import (
+    DATA_BYTES,
+    NO_FAULT_TAGS,
+    SENSOR_FIELDS,
+    BoardRole,
+    Packet,
+    PacketKind,
+    SensorReading,
+    detect_anomaly,
+    packet_from_fields,
+    reading_from_fields,
+)
 
 
 def full_reading(value=10.0, **overrides):
@@ -38,6 +49,52 @@ def test_packet_is_immutable():
     with pytest.raises(AttributeError):
         packet.seq = 2
     assert packet.seq == 1 and packet.size_bytes == 0 and packet.reading is None
+
+
+def assert_same_record(built, expected):
+    """Same NamedTuple type and the same value in every field, defaults
+    included: a tuple one field short, or of another type, fails."""
+    assert type(built) is type(expected)
+    assert built._asdict() == expected._asdict()
+    assert len(built) == len(expected._fields)
+
+
+@pytest.mark.parametrize(
+    "emergency, corrective", [(False, False), (True, False), (False, True)], ids=["plain", "emergency", "corrective"]
+)
+def test_packet_helper_builds_the_data_frame_the_constructor_does(emergency, corrective):
+    reading = full_reading()
+    # The fields in the order the boards pass them.
+    built = packet_from_fields(
+        (PacketKind.DATA, "n1", BoardRole.PRIMARY, 7, DATA_BYTES, reading, emergency, corrective)
+    )
+    expected = Packet(
+        kind=PacketKind.DATA,
+        node_id="n1",
+        board_role=BoardRole.PRIMARY,
+        seq=7,
+        size_bytes=DATA_BYTES,
+        reading=reading,
+        emergency=emergency,
+        corrective=corrective,
+    )
+    assert_same_record(built, expected)
+
+
+def test_packet_helper_builds_the_ack_and_heartbeat_the_constructor_does():
+    ack = packet_from_fields((PacketKind.ACK, "n1", None, 7, 8, None, False, False))
+    assert_same_record(ack, Packet(kind=PacketKind.ACK, node_id="n1", seq=7, size_bytes=8))
+    beat = packet_from_fields((PacketKind.HEARTBEAT, "n1", BoardRole.SECONDARY, 3, 12, None, False, False))
+    expected = Packet(kind=PacketKind.HEARTBEAT, node_id="n1", board_role=BoardRole.SECONDARY, seq=3, size_bytes=12)
+    assert_same_record(beat, expected)
+
+
+def test_reading_helper_builds_the_fault_free_reading_the_constructor_does():
+    values = full_reading().values
+    built = reading_from_fields((values, NO_FAULT_TAGS))
+    assert_same_record(built, SensorReading(values=values))
+    # Every fault-free reading shares the default's empty set.
+    assert built.fault_tags is SensorReading._field_defaults["fault_tags"] is NO_FAULT_TAGS
 
 
 def test_reading_is_an_immutable_tuple_equal_by_value():
