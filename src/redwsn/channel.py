@@ -188,7 +188,7 @@ class _NoiseTrain:
     next: int = 0
 
 
-# Shadowing values and noise jitters drawn per numpy call (see drawn_ahead).
+# Shadowing values drawn per numpy call (see drawn_ahead).
 _DRAW_BLOCK = 1024
 
 # The channel log's order.  At an equal start a noise burst comes first, as
@@ -253,13 +253,6 @@ class Channel:
         self._hearers.clear()
         self._mean_dbm.clear()
 
-    def airtime_us(self, size_bytes: int) -> int:
-        """Time on air of a frame of ``size_bytes``, cached per size."""
-        airtime = self._airtimes_us.get(size_bytes)
-        if airtime is None:
-            airtime = self._airtimes_us[size_bytes] = time_on_air_us(size_bytes, self.lora)
-        return airtime
-
     def add_noise(self, noise: NoiseConfig, duration_us: int, rng: np.random.Generator) -> int:
         """Put the full burst train for the run on the air; returns the
         burst count.
@@ -272,27 +265,20 @@ class Channel:
         """
         period_us = ms_to_us(noise.period_ms)
         jitter_us = ms_to_us(noise.jitter_ms)
-        airtime_us = self.airtime_us(noise.payload_bytes)
-        starts: list[int] = []
-        # A block's starts are the cumulative sum of its steps.  Jitters drawn
-        # per block hold the same values as one scalar draw per burst, and a
-        # block is drawn only while a start within the run needs its step.
-        t = period_us
-        while t <= duration_us:
-            steps = period_us + rng.integers(-jitter_us, jitter_us + 1, size=_DRAW_BLOCK)
-            steps = np.maximum(steps, airtime_us + 1)
-            ends = np.cumsum(steps, dtype=np.int64) + t
-            block = ends - steps
-            kept = int(np.searchsorted(block, duration_us, side="right"))
-            starts.extend(block[:kept].tolist())
-            if kept < _DRAW_BLOCK:
-                break
-            t = int(ends[-1])
+        airtime_us = time_on_air_us(noise.payload_bytes, self.lora)
+        # No step is shorter than ``shortest``, so this many steps reach past
+        # the run.  One draw holds the same jitters as one scalar draw per
+        # burst; the starts are the cumulative sum of the steps.
+        shortest = max(period_us - jitter_us, airtime_us + 1)
+        steps = period_us + rng.integers(-jitter_us, jitter_us + 1, size=duration_us // shortest + 1)
+        steps = np.maximum(steps, airtime_us + 1)
+        starts_us = np.cumsum(steps, dtype=np.int64) - steps + period_us
+        starts = starts_us[: np.searchsorted(starts_us, duration_us, side="right")].tolist()
         self._train = _NoiseTrain(
             Packet(kind=PacketKind.NOISE, node_id=NOISE_SOURCE_ID, size_bytes=noise.payload_bytes),
             noise.position,
             noise.tx_power_dbm,
-            self._link_means(noise.position, noise.tx_power_dbm),
+            self._mean_dbm.setdefault((noise.position.x, noise.position.y, noise.tx_power_dbm), {}),
             starts,
             airtime_us,
         )
@@ -317,19 +303,21 @@ class Channel:
         frames via busy_until().
         """
         now = self.sim.now_us
-        # busy_until() and airtime_us() inline: this runs once per frame.
+        # busy_until() inline: this runs once per frame.
         busy = self._source_end_us.get(source_id)
         if busy is not None and busy > now:
             raise RuntimeError(f"source {source_id} is already transmitting")
         airtime = self._airtimes_us.get(packet.size_bytes)
         if airtime is None:
-            airtime = self.airtime_us(packet.size_bytes)
+            airtime = self._airtimes_us[packet.size_bytes] = time_on_air_us(packet.size_bytes, self.lora)
         end = now + airtime
         audience = self._audience(packet)
-        # _link_means() inline: its setdefault would build an empty row per frame.
-        means = self._mean_dbm.get((position.x, position.y, tx_power_dbm))
+        # The link-budget row, cached per transmitter position and power; a
+        # setdefault would build an empty row per frame.
+        key = (position.x, position.y, tx_power_dbm)
+        means = self._mean_dbm.get(key)
         if means is None:
-            means = self._link_means(position, tx_power_dbm)
+            means = self._mean_dbm[key] = {}
         tx = Transmission(source_id, packet, now, end, position, tx_power_dbm, means, {}, audience)
         if airtime > self._longest_airtime_us:
             self._longest_airtime_us = airtime
@@ -389,12 +377,6 @@ class Channel:
             merged.update(self._hearers.get((packet.kind, None), ()))
             audience = self._audiences[key] = sorted(merged.items())
         return audience
-
-    def _link_means(self, position: Position, tx_power_dbm: float) -> dict[int, float]:
-        """The link-budget row of a transmitter position and power, cached
-        per both; its links are computed as they are first drawn, so a
-        receiver registered later gets its link on its first draw."""
-        return self._mean_dbm.setdefault((position.x, position.y, tx_power_dbm), {})
 
     def _draw_rssi(self, tx: Transmission, i: int) -> float:
         """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss

@@ -26,8 +26,9 @@ class LoraParams:
     """Radio settings of the single shared channel.
 
     Defaults: SF7, 125 kHz, coding rate 4/5, 8-symbol preamble, explicit
-    header, CRC on.  Low-data-rate optimization follows from SF and
-    bandwidth (see ``time_on_air_ms``).  The simulation is single-channel.
+    header, CRC on; SF6 needs an implicit header.  Low-data-rate
+    optimization follows from SF and bandwidth (see ``time_on_air_ms``).
+    The simulation is single-channel.
     """
 
     spreading_factor: int = 7
@@ -40,6 +41,9 @@ class LoraParams:
     def __post_init__(self):
         if not 6 <= self.spreading_factor <= 12:
             raise ValueError("spreading factor must be in 6..12")
+        if self.spreading_factor == 6 and self.explicit_header:
+            # The SX127x datasheet allows SF6 in implicit-header mode only.
+            raise ValueError("spreading factor 6 needs an implicit header (explicit_header false)")
         if not 5 <= self.coding_rate_denominator <= 8:
             raise ValueError("coding rate denominator must be in 5..8 (4/5..4/8)")
         if self.bandwidth_hz not in BANDWIDTHS_HZ:

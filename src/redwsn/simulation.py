@@ -33,6 +33,7 @@ class Simulation:
         self.channel = Channel(self.sim, params=cfg.channel, lora=cfg.lora)
         self.server = Server()
         self.epochs: list[Epoch] = []
+        self._ran = False
 
         self.gateways = [Gateway(self.sim, self.channel, self.server, gw, cfg.faults) for gw in cfg.gateways]
         self.primaries: dict[str, PrimaryBoard] = {}
@@ -43,6 +44,11 @@ class Simulation:
                 self.secondaries[node.id] = SecondaryBoard(self.sim, self.channel, node, cfg.faults, cfg.secondary)
 
     def run(self) -> IterationMetrics:
+        """Run the scenario and score it.  A Simulation runs once: the run
+        releases the boards' MACs and the channel's receivers."""
+        if self._ran:
+            raise RuntimeError("a Simulation runs once; build a new one to run again")
+        self._ran = True
         cfg = self.cfg
         duration_us = ms_to_us(cfg.duration_ms)
         for primary in self.primaries.values():

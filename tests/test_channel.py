@@ -343,12 +343,13 @@ def test_noise_train_matches_scalar_draws_at_its_edges(case):
     rng = sim.rng("noise-schedule")
     assert channel.add_noise(noise, duration_us, rng) == len(expected)
     assert list(channel._train.starts_us) == expected
-    # One block of jitters per 1024 kept starts, none without jitter.
-    blocks = -(-len(expected) // 1024) if jitter_us > 0 else 0
-    block_rng = Simulator(master_seed=seed).rng("noise-schedule")
-    for _ in range(blocks):
-        block_rng.integers(-jitter_us, jitter_us + 1, size=1024)
-    assert rng.bit_generator.state == block_rng.bit_generator.state
+    # Exactly one draw of enough jitters for steps no shorter than
+    # ``shortest`` to pass the horizon, and no draw without jitter.
+    shortest = max(period_us - jitter_us, airtime_us + 1)
+    draw_rng = Simulator(master_seed=seed).rng("noise-schedule")
+    if jitter_us > 0:
+        draw_rng.integers(-jitter_us, jitter_us + 1, size=duration_us // shortest + 1)
+    assert rng.bit_generator.state == draw_rng.bit_generator.state
 
 
 def test_noise_jitter_keeps_mean_period():

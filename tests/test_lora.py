@@ -91,9 +91,17 @@ def test_us_variant_consistent():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         LoraParams(spreading_factor=5)
+    with pytest.raises(ValueError, match="spreading factor 6 needs an implicit header"):
+        LoraParams(spreading_factor=6)
     with pytest.raises(ValueError):
         LoraParams(coding_rate_denominator=9)
     with pytest.raises(ValueError):
         LoraParams(bandwidth_hz=0)
     with pytest.raises(ValueError):
         time_on_air_ms(-1)
+
+
+def test_sf6_takes_an_implicit_header():
+    params = LoraParams(spreading_factor=6, explicit_header=False)
+    expected = reference_toa_ms(76, 6, 125_000, 5, 8, False, True, False)
+    assert time_on_air_ms(76, params) == pytest.approx(expected, rel=1e-12)

@@ -253,6 +253,8 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"noise": {"period_ms": 0}}, "noise: "),
         ({"channel": {"reference_distance_m": 0}}, "channel: "),
         ({"lora": {"spreading_factor": 5}}, "lora: "),
+        # The SX127x runs SF6 with an implicit header only.
+        ({"preset": "control-clean", "lora": {"spreading_factor": 6}}, "lora: spreading factor 6 needs an implicit header"),
         # Every frame was clamped below the sensitivity: PRR 0, no receptions.
         ({"preset": "HF", "channel": {"agc_ceiling_dbm": -130}}, "channel: .*agc_ceiling_dbm"),
         # The same through one gateway's extra loss, applied after the clamp.
@@ -601,3 +603,11 @@ def test_presets_run_fast_enough():
     start = time.monotonic()
     run_scenario(build_preset("HF"), seeds=[1])
     assert time.monotonic() - start < 10.0
+
+
+def test_sf6_with_an_implicit_header_runs(tmp_path):
+    path = tmp_path / "sf6.json"
+    path.write_text(json.dumps({"preset": "control-clean", "lora": {"spreading_factor": 6, "explicit_header": False}}))
+    cfg = load_scenario(str(path))
+    assert (cfg.lora.spreading_factor, cfg.lora.explicit_header) == (6, False)
+    assert run_scenario(cfg, seeds=[1]).iterations[0].prr_redundant > 0

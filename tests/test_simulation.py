@@ -113,3 +113,19 @@ def test_run_calls_each_metric_through_the_simulation_module(monkeypatch):
         "delay_violations": 1,
         "rssi_summary": len(cfg.gateways),
     }
+
+
+def test_a_second_run_is_refused_and_leaves_the_first_runs_results():
+    sim = Simulation(build_preset("HF"), 1)
+    metrics = sim.run()
+    epochs, raw, now_us = list(sim.epochs), list(sim.server.raw), sim.sim.now_us
+    with pytest.raises(RuntimeError, match="runs once"):
+        sim.run()
+    # Refused before anything moved: the clock, the server and the ledger
+    # still hold the first run, and score as it did.
+    assert sim.sim.now_us == now_us
+    assert sim.epochs == epochs and len(epochs) == metrics.epochs_total
+    assert sim.server.raw == raw and raw
+    assert sim.server.duplicate_count == metrics.duplicate_count
+    assert simulation.compute_prr(sim.epochs) == metrics.prr_redundant
+    assert all(primary.expected_slots_us for primary in sim.primaries.values())
