@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -359,7 +360,7 @@ class SecondaryBoard(_RadioBoard):
     def _arm_watchdog(self, deadline_us: int) -> None:
         self._watchdog_arms += 1
         arm = self._watchdog_arms
-        self.sim.schedule_at(deadline_us, lambda: self._watchdog_expired(arm))
+        self.sim.schedule_at(deadline_us, partial(self._watchdog_expired, arm))
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if self._outages_us and not self.is_powered():

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -208,12 +209,14 @@ class Channel:
         self.sim = sim
         self.params = params
         self.lora = lora
-        self._sigma_db = params.shadowing_sigma_db
         self._agc_ceiling_dbm = params.agc_ceiling_dbm
         self._sensitivity_dbm = params.sensitivity_dbm
         self._capture_db = params.capture_threshold_db
-        rng, sigma = sim.rng("channel-shadowing"), self._sigma_db
-        self._shadowing = drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist())
+        rng, sigma = sim.rng("channel-shadowing"), params.shadowing_sigma_db
+        # None without shadowing: a link then takes no draw.
+        self._shadowing: Optional[Iterator[float]] = (
+            drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist()) if sigma > 0 else None
+        )
         self._receivers: list[Receiver] = []
         # Keyed by (x, y, power) floats, which hash and compare in C.
         self._mean_dbm: dict[tuple[float, float, float], dict[int, float]] = {}
@@ -227,6 +230,10 @@ class Channel:
         self._airtimes_us: dict[int, int] = {}
         self._longest_airtime_us = 0
         self._train: Optional[_NoiseTrain] = None
+        # The last resolve's window that held more than its own frame:
+        # (start, end, the log's entries on the air in it, their sources).
+        # Frames that begin on one instant and end on one share it.
+        self._window: Optional[tuple[int, int, list[Transmission], set[str]]] = None
 
     def add_receiver(self, receiver: Receiver) -> None:
         """Register a receiver and index what it hears; only while no frame
@@ -244,11 +251,12 @@ class Channel:
 
     def close(self) -> None:
         """Forget the receivers, which hold this channel in turn, and the
-        logged frames, whose audiences hold receivers, so a finished run is
-        freed without waiting for the cycle collector; and the link-budget
-        rows, which are keyed by the receivers' indices."""
+        logged frames and the kept window, whose audiences hold receivers,
+        so a finished run is freed without waiting for the cycle collector;
+        and the link-budget rows, which are keyed by the receivers' indices."""
         self._receivers = []
         self._log = []
+        self._window = None
         self._audiences.clear()
         self._hearers.clear()
         self._mean_dbm.clear()
@@ -310,6 +318,8 @@ class Channel:
         airtime = self._airtimes_us.get(packet.size_bytes)
         if airtime is None:
             airtime = self._airtimes_us[packet.size_bytes] = time_on_air_us(packet.size_bytes, self.lora)
+            if airtime > self._longest_airtime_us:
+                self._longest_airtime_us = airtime
         end = now + airtime
         audience = self._audience(packet)
         # The link-budget row, cached per transmitter position and power; a
@@ -319,8 +329,6 @@ class Channel:
         if means is None:
             means = self._mean_dbm[key] = {}
         tx = Transmission(source_id, packet, now, end, position, tx_power_dbm, means, {}, audience)
-        if airtime > self._longest_airtime_us:
-            self._longest_airtime_us = airtime
         self._source_end_us[source_id] = end
         # Prune the head: a frame still on the air started at most the
         # longest airtime ago, so a frame that ended before that can no
@@ -362,7 +370,7 @@ class Channel:
             log.append(tx)
         # A frame nobody hears is only interference.
         if audience:
-            self.sim.schedule_at(end, lambda: self._resolve(tx))
+            self.sim.schedule_at(end, partial(self._resolve, tx))
         return end
 
     def _audience(self, packet: Packet) -> list[tuple[int, Receiver]]:
@@ -378,52 +386,69 @@ class Channel:
             audience = self._audiences[key] = sorted(merged.items())
         return audience
 
-    def _draw_rssi(self, tx: Transmission, i: int) -> float:
-        """Draw and cache the RSSI of ``tx`` at receiver ``i``: path loss
-        plus one shadowing draw, clamped to the AGC ceiling, minus the
-        receiver's extra loss (the arithmetic of rssi_at, in its order)."""
-        receiver = self._receivers[i]
-        rssi = tx.mean_dbm.get(i)
-        if rssi is None:
-            distance = tx.position.distance_to(receiver.position)
-            rssi = tx.mean_dbm[i] = tx.tx_power_dbm - path_loss_db(distance, self.params)
-        if self._sigma_db > 0:
-            rssi += next(self._shadowing)
-        agc = self._agc_ceiling_dbm
-        # min(rssi, agc) without the builtin call: this runs once per link.
-        rssi = tx.rssi[i] = (agc if agc < rssi else rssi) - receiver.rx_extra_loss_db
-        return rssi
-
     def _resolve(self, tx: Transmission) -> None:
         now = self.sim.now_us
         start, end = tx.start_us, tx.end_us
-        overlapping = [
-            other for other in self._log if other is not tx and other.start_us < end and start < other.end_us
-        ]
+        # The log's entries on the air during the frame, in log order and the
+        # frame itself included.  Frames that began together and end together
+        # share them: every entry that overlaps the window was logged before
+        # its first frame ends (a burst when the window began), nothing logged
+        # since starts before its end, and the prune horizon lies before its
+        # start.  Most frames overlap nothing, and keep no window.
+        window = self._window
+        if window is not None and window[1] == end and window[0] == start:
+            on_air, deaf = window[2], window[3]
+        else:
+            on_air = [other for other in self._log if other.start_us < end and start < other.end_us]
+            if len(on_air) > 1:
+                deaf = {other.source_id for other in on_air}
+                self._window = (start, end, on_air, deaf)
+            else:
+                on_air, deaf = (), (tx.source_id,)
         # Half-duplex: a receiver that transmitted during any part of the
         # frame hears nothing.  Every other receiver sees all overlapping
-        # frames as interference.  Most frames overlap nothing.
-        if overlapping:
-            deaf = {other.source_id for other in overlapping}
-            deaf.add(tx.source_id)
-        else:
-            deaf = (tx.source_id,)
+        # frames as interference.
         sensitivity = self._sensitivity_dbm
         capture = self._capture_db
+        agc = self._agc_ceiling_dbm
+        shadowing = self._shadowing
+        params = self.params
+        tx_rssi = tx.rssi
         for i, receiver in tx.audience:
             if receiver.entity_id in deaf:
                 continue
-            rssi = tx.rssi.get(i)
+            extra_loss = receiver.rx_extra_loss_db
+            # A link's RSSI is drawn once, on its first use, with rssi_at's
+            # arithmetic in its order: the path loss on the first use of the
+            # link budget, one shadowing draw, the AGC clamp (min() without
+            # the builtin call), then the receiver's extra loss.  The draw is
+            # written out here and for the interferers below: one loop over
+            # the frame and its interferers measured slower.
+            rssi = tx_rssi.get(i)
             if rssi is None:
-                rssi = self._draw_rssi(tx, i)
+                rssi = tx.mean_dbm.get(i)
+                if rssi is None:
+                    distance = tx.position.distance_to(receiver.position)
+                    rssi = tx.mean_dbm[i] = tx.tx_power_dbm - path_loss_db(distance, params)
+                if shadowing is not None:
+                    rssi += next(shadowing)
+                rssi = tx_rssi[i] = (agc if agc < rssi else rssi) - extra_loss
             if rssi < sensitivity:
                 continue
             # Interferers are drawn lazily, stopping at the first one that
             # defeats capture.
-            for other in overlapping:
+            for other in on_air:
+                if other is tx:
+                    continue
                 interference = other.rssi.get(i)
                 if interference is None:
-                    interference = self._draw_rssi(other, i)
+                    interference = other.mean_dbm.get(i)
+                    if interference is None:
+                        distance = other.position.distance_to(receiver.position)
+                        interference = other.mean_dbm[i] = other.tx_power_dbm - path_loss_db(distance, params)
+                    if shadowing is not None:
+                        interference += next(shadowing)
+                    interference = other.rssi[i] = (agc if agc < interference else interference) - extra_loss
                 if rssi < interference + capture:
                     break
             else:

@@ -10,6 +10,7 @@ baseline: one transmission every fixed interval, no acks, no queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -194,7 +195,7 @@ class SarbMac:
             # tracked with a second timer.
             self.queue.push(packet)
             return
-        self.sim.schedule_at(end_us + self._ack_timeout_us, lambda: self._ack_timeout(packet))
+        self.sim.schedule_at(end_us + self._ack_timeout_us, partial(self._ack_timeout, packet))
         self._pending = packet
 
     def _ack_timeout(self, packet: Packet) -> None:

@@ -1,9 +1,10 @@
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from redwsn import channel as channel_module
@@ -476,6 +477,9 @@ AUDIENCE_NODES = ("n1", "n2", "n3")
 hears_entries = st.lists(
     st.tuples(st.sampled_from(AUDIENCE_KINDS), st.sampled_from((None,) + AUDIENCE_NODES)), max_size=5
 ).map(tuple)
+AUDIENCE_KEYS = [(kind, node) for kind in AUDIENCE_KINDS for node in AUDIENCE_NODES]
+# Hears n1's data both by name (twice) and as every node's.
+BOTH_N1_DATA = ((PacketKind.DATA, "n1"), (PacketKind.DATA, None), (PacketKind.DATA, "n1"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,12 +491,15 @@ hears_entries = st.lists(
     both_at=st.integers(0, 9),
     # Receivers registered after the first audiences are built.
     late=st.integers(0, 10),
-    keys=st.permutations([(kind, node) for kind in AUDIENCE_KINDS for node in AUDIENCE_NODES]),
+    keys=st.permutations(AUDIENCE_KEYS),
 )
+# A drawn receiver may hear exactly what the inserted one hears.
+@example(hears=[BOTH_N1_DATA], deaf_at=0, both_at=0, late=0, keys=AUDIENCE_KEYS)
 def test_indexed_audience_equals_a_scan_of_every_receiver(hears, deaf_at, both_at, late, keys):
+    hears = list(hears)
     hears.insert(min(deaf_at, len(hears)), ())
-    both = ((PacketKind.DATA, "n1"), (PacketKind.DATA, None), (PacketKind.DATA, "n1"))
-    hears.insert(min(both_at, len(hears)), both)
+    both_index = min(both_at, len(hears))
+    hears.insert(both_index, BOTH_N1_DATA)
     receivers = [Probe(f"r{i}", Position(i, 0), hears=h) for i, h in enumerate(hears)]
     channel = Channel(Simulator(), params=quiet_params())
     split = min(late, len(receivers))
@@ -504,9 +511,11 @@ def test_indexed_audience_equals_a_scan_of_every_receiver(hears, deaf_at, both_a
     for r in receivers[split:]:
         channel.add_receiver(r)
     for packet in packets:
-        assert channel._audience(packet) == scanned_audience(receivers, packet)
+        audience = channel._audience(packet)
+        assert audience == scanned_audience(receivers, packet)
+        assert len({id(r) for _, r in audience}) == len(audience)
     n1_data = Packet(kind=PacketKind.DATA, node_id="n1")
-    assert [r.hears for _, r in channel._audience(n1_data)].count(both) == 1
+    assert sum(r is receivers[both_index] for _, r in channel._audience(n1_data)) == 1
     channel.close()
     assert channel._audience(n1_data) == []
 
@@ -708,45 +717,82 @@ class Recorder:
 
 coordinates = st.floats(-30.0, 30.0, allow_nan=False)
 
+# Payload sizes drawn often, so frames that begin together often end together
+# and share their window; 8 bytes is the size of an ack.
+CLUSTER_SIZES = (8, 20, 76)
+CLUSTER_RUN_US = 6_000_000
+
 
 @st.composite
-def channel_scenarios(draw):
+def channel_scenarios(draw, noisy=False):
     n = draw(st.integers(2, 8))
     positions = [(f"r{i}", Position(draw(coordinates), draw(coordinates))) for i in range(n)]
     # Sources are some of the receivers plus two transmit-only ones.
     sources = positions + [(f"x{i}", Position(draw(coordinates), draw(coordinates))) for i in range(2)]
-    # What a receiver hears: nothing, all data, all acks, every kind, or
-    # the data of one source.
+    # What a receiver hears: nothing, all data, all acks, every kind (but
+    # noise, with a train: no receiver hears it), or the data of one source.
+    every = tuple(entry for entry in EVERY_FRAME if not noisy or entry[0] is not PacketKind.NOISE)
     hears = st.one_of(
-        st.sampled_from(((), ((PacketKind.DATA, None),), ((PacketKind.ACK, None),), EVERY_FRAME)),
+        st.sampled_from(((), ((PacketKind.DATA, None),), ((PacketKind.ACK, None),), every)),
         st.sampled_from([sid for sid, _ in sources]).map(lambda sid: ((PacketKind.DATA, sid),)),
     )
     receivers = [(rid, position, draw(st.floats(0.0, 12.0)), draw(hears)) for rid, position in positions]
-    frames = draw(
+    # Groups of frames from distinct sources that begin together, mostly with
+    # the group's payload size, so that they end together; a frame of its own
+    # size ends before or after them.
+    groups = draw(
         st.lists(
             st.tuples(
-                st.integers(0, 60),  # start in 100 ms steps: equal starts are common
-                st.sampled_from(sources),
-                st.integers(1, 80),  # payload bytes
-                st.sampled_from((2.0, 14.0)),  # transmit power, dBm
+                st.integers(0, CLUSTER_RUN_US // 100_000),  # start in 100 ms steps: equal starts are common
+                st.one_of(st.sampled_from(CLUSTER_SIZES), st.integers(1, 80)),  # payload bytes
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(sources),
+                        st.sampled_from((None, None, None) + CLUSTER_SIZES),  # None: the group's size
+                        st.sampled_from((2.0, 14.0)),  # transmit power, dBm
+                    ),
+                    min_size=1,
+                    max_size=3,
+                    unique_by=lambda entry: entry[0][0],
+                ),
             ),
             min_size=1,
-            max_size=25,
+            max_size=10,
         )
     )
+    frames = [
+        (step, source, size if own is None else own, power)
+        for step, size, group in groups
+        for source, own, power in group
+    ]
     sf = draw(st.integers(7, 12))
     lora = LoraParams(spreading_factor=sf)
     params = ChannelParams(shadowing_sigma_db=draw(st.floats(0.5, 8.0)))
-    return draw(st.integers(0, 2**32 - 1)), params, lora, receivers, frames
+    noise = None
+    if noisy:
+        # Without jitter, bursts start on the frames' 100 ms grid.
+        noise = NoiseConfig(
+            period_ms=draw(st.sampled_from((100, 300, 500))),
+            payload_bytes=draw(st.sampled_from((1,) + CLUSTER_SIZES)),
+            jitter_ms=draw(st.sampled_from((0, 0, 50))),
+            position=Position(draw(coordinates), draw(coordinates)),
+            tx_power_dbm=draw(st.sampled_from((2.0, 14.0))),
+        )
+    return draw(st.integers(0, 2**32 - 1)), params, lora, receivers, frames, noise
 
 
 def deliveries(make_channel, scenario):
-    seed, params, lora, receivers, frames = scenario
+    seed, params, lora, receivers, frames, noise = scenario
     sim = Simulator(master_seed=seed)
     channel = make_channel(sim, params, lora)
     log = []
     for i, (rid, position, extra_loss, hears) in enumerate(receivers):
         channel.add_receiver(Recorder(rid, position, extra_loss, hears, channel, log, acks=i == 0))
+    if noise is not None:
+        # Before every frame's event: the reference's burst events fire
+        # first at their instants, as the train's bursts interfere.
+        start_train = channel.add_noise if isinstance(channel, Channel) else partial(start_noise_as_events, channel)
+        log.append(("bursts", start_train(noise, CLUSTER_RUN_US, sim.rng("noise-schedule"))))
 
     def send(seq, source_id, position, size, power):
         if channel.busy_until(source_id) > sim.now_us:
@@ -757,17 +803,61 @@ def deliveries(make_channel, scenario):
 
     for seq, (step, (source_id, position), size, power) in enumerate(frames):
         sim.schedule_at(step * 100_000, lambda a=(seq, source_id, position, size, power): send(*a))
-    sim.run_until(20_000_000)
+    sim.run_until(CLUSTER_RUN_US + 20_000_000)
     return log
 
 
-@settings(max_examples=150, deadline=None)
-@given(scenario=channel_scenarios())
-def test_resolution_matches_the_per_receiver_reference(scenario):
-    got = deliveries(lambda sim, params, lora: Channel(sim, params=params, lora=lora), scenario)
-    assert got == deliveries(ReferenceChannel, scenario)
-    received = [entry[:4] for entry in got if entry[0] != "busy"]
-    assert len(received) == len(set(received))  # each (frame, receiver) at most once
+class WindowCountingChannel(Channel):
+    """The channel, counting the resolves that reuse the kept window of
+    frames on the air, and checking that a window is kept only for a frame
+    that shares the air."""
+
+    def __init__(self, sim, params, lora):
+        super().__init__(sim, params=params, lora=lora)
+        self.reused = 0
+
+    def _resolve(self, tx):
+        kept = self._window
+        super()._resolve(tx)
+        if kept is not None and kept[:2] == (tx.start_us, tx.end_us):
+            self.reused += 1
+        elif self._window is not kept:
+            assert any(other is not tx for other in self._window[2])
+
+
+def check_against_the_reference(noisy):
+    """The same deliveries as ReferenceChannel at bit-equal RSSI over drawn
+    scenarios, of which many reuse a kept window."""
+    reused = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=channel_scenarios(noisy))
+    def check(scenario):
+        channels = []
+
+        def counting_channel(sim, params, lora):
+            channels.append(WindowCountingChannel(sim, params, lora))
+            return channels[-1]
+
+        got = deliveries(counting_channel, scenario)
+        assert got == deliveries(ReferenceChannel, scenario)
+        received = [entry[:4] for entry in got if entry[0] not in ("busy", "bursts")]
+        assert len(received) == len(set(received))  # each (frame, receiver) at most once
+        event("reuses a window" if channels[0].reused else "reuses no window")
+        reused.append(channels[0].reused)
+
+    check()
+    # More than half the examples resolve some frame from a kept window; under
+    # a quarter would mean the strategy lost its clusters.
+    assert sum(count > 0 for count in reused) >= len(reused) // 4
+
+
+def test_resolution_matches_the_per_receiver_reference():
+    check_against_the_reference(noisy=False)
+
+
+def test_resolution_under_a_noise_train_matches_the_per_receiver_reference():
+    check_against_the_reference(noisy=True)
 
 
 def start_noise_as_events(channel, noise, duration_us, rng):

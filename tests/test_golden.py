@@ -1,12 +1,14 @@
 """Golden reports: the JSON and CSV reports of a frozen set of runs must
 match the files under tests/golden/ byte for byte.
 
-The cases are every preset at seeds 5 and 6, one 50-node noisy run, and the
-noisy control with zero noise jitter, with one node and with ten.  Without
-jitter, noise bursts start on the same microsecond as MAC slots; with ten
-nodes the reports depend on how the channel orders a burst and a frame with
-the same start, so control-noise-x10-jitter0 pins the rule that a burst
-precedes a frame at an equal start.  avail-n6.json is the stdout of
+The cases are every preset at seeds 5 and 6, a 50-node and a 200-node noisy
+run, and the noisy control with zero noise jitter, with one node and with
+ten.  Without jitter, noise bursts start on the same microsecond as MAC
+slots; with ten nodes the reports depend on how the channel orders a burst
+and a frame with the same start, so control-noise-x10-jitter0 pins the rule
+that a burst precedes a frame at an equal start.  In the 200-node run most
+frames begin and end with others, so nearly every resolve reuses the window
+of frames on the air that the channel keeps per (start, end).  avail-n6.json is the stdout of
 `sim avail --format json --n-max 6`, the CTMC's failure probabilities.
 
 Regenerate only in a change that says why behaviour moved:
@@ -55,6 +57,7 @@ def _no_jitter(cfg):
 CASES = {
     **{name: (lambda name=name: build_preset(name), SEEDS) for name in PRESET_NAMES},
     "control-noise-x50": (lambda: _fleet(50), [5]),
+    "control-noise-x200": (lambda: _fleet(200), [5]),
     "control-noise-jitter0": (lambda: _no_jitter(build_preset("control-noise")), SEEDS),
     "control-noise-x10-jitter0": (lambda: _no_jitter(_fleet(10)), SEEDS),
 }
