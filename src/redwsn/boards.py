@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .channel import Channel, Position
-from .engine import Simulator, drawn_ahead, in_windows, ms_to_us
+from .engine import Simulator, in_windows, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, check_tx_power
 from .mac import SarbConfig, SarbMac
 from .packets import (
@@ -94,7 +94,7 @@ _SENSING_POLL_US = ms_to_us(5_000)  # primary's threshold check between data slo
 # still taken to be able to differ by more than it; it covers rounding and
 # errs toward comparing.
 _FLAG_MARGIN = 1e-9
-# Readings drawn ahead per refill of a noise stream (see drawn_ahead).
+# Readings drawn per refill of a board's sensor noise.
 _BLOCK_ROWS = 32
 
 
@@ -108,22 +108,54 @@ def noise_can_flag(rel_threshold: float) -> bool:
     return detect_anomaly(high, low, threshold) or detect_anomaly(low, high, threshold)
 
 
-def _noise_factors(rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Per-reading fault-free values, nominal times 1 + the clipped noise,
-    drawn _BLOCK_ROWS readings at a time as one array."""
+class _SensorNoise:
+    """A board's fault-free sensor values, one row per reading: nominal
+    times 1 + the clipped noise, drawn _BLOCK_ROWS readings at a time as one
+    array.
 
-    def draw() -> np.ndarray:
+    A reading that is never built still spends its row (``skip``); the
+    skip only moves the row index.  The next row taken drops the skipped
+    rows: the rest of the current block, then whole skipped blocks as one
+    raw draw of their size, which consumes the same normals, then a fresh
+    block.  So every row taken is the one a draw per reading would give, and
+    a stream whose rows are all skipped draws nothing.
+    """
+
+    __slots__ = ("_rng", "_block", "_at")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block: Optional[np.ndarray] = None
+        # The index in the block of the next row; at or past its end, the
+        # rows up to that index are spent and a refill drops them.
+        self._at = _BLOCK_ROWS
+
+    def skip(self) -> None:
+        self._at += 1
+
+    def take(self) -> list[float]:
+        at = self._at
+        if at >= _BLOCK_ROWS:
+            at = self._refill(at - _BLOCK_ROWS)
+        self._at = at + 1
+        return self._block[at].tolist()
+
+    def _refill(self, spent: int) -> int:
+        """Drop the ``spent`` rows that follow the current block and draw a
+        fresh block; returns the index in it of the next row."""
+        whole, at = divmod(spent, _BLOCK_ROWS)
+        if whole:
+            self._rng.standard_normal((whole * _BLOCK_ROWS, len(SENSOR_FIELDS)))
         # In place on the one block: min then max is clip for finite values,
         # and the sum and product commute, so the values are clip's.
-        block = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
+        block = self._rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
         block *= _SENSOR_NOISE_REL
         np.minimum(block, _NOISE_CLIP, out=block)
         np.maximum(block, -_NOISE_CLIP, out=block)
         block += 1.0
         block *= _NOMINAL_VALUES
-        return block
-
-    return drawn_ahead(draw)
+        self._block = block
+        return at
 
 
 @dataclass(frozen=True)
@@ -172,7 +204,7 @@ class _RadioBoard:
             if f.kind in _SENSOR_FAULTS
         ]
         self.tx_power_dbm = node.tx_power_dbm
-        self._noise = _noise_factors(sim.rng(f"{self.entity_id}-sensor"))
+        self._noise = _SensorNoise(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
         self.hears = hears
         channel.add_receiver(self)
@@ -183,7 +215,7 @@ class _RadioBoard:
 
     def sense(self) -> SensorReading:
         """Fresh reading; callers check power first."""
-        return self._reading(next(self._noise).tolist(), self.sim.now_us)
+        return self._reading(self._noise.take(), self.sim.now_us)
 
     def _reading(self, values: list[float], now_us: int) -> SensorReading:
         """The reading at now_us from the fault-free ``values``, which it
@@ -383,7 +415,7 @@ class SecondaryBoard(_RadioBoard):
             # Both readings are nominal times clipped noise: a reading is
             # tagged with every sensor fault active when it was built.  So the
             # comparison cannot flag; spend the noise row a reading would.
-            next(self._noise)
+            self._noise.skip()
             return False
         if not reading.is_complete():
             return True

@@ -80,11 +80,15 @@ class ChannelParams:
             raise ValueError("channel agc_ceiling_dbm must not be below sensitivity_dbm")
 
 
-def path_loss_db(distance_m: float, params: ChannelParams) -> float:
-    d = max(distance_m, params.reference_distance_m)
-    return params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(
-        d / params.reference_distance_m
-    )
+def link_budget_dbm(tx: Position, rx: Position, tx_power_dbm: float, params: ChannelParams) -> float:
+    """Transmit power minus the log-distance path loss on the tx->rx link,
+    in dBm: the received power before shadowing and the AGC clamp.
+    Distances below the reference distance are floored to it."""
+    ref = params.reference_distance_m
+    d = math.hypot(tx.x - rx.x, tx.y - rx.y)
+    if d < ref:
+        d = ref
+    return tx_power_dbm - (params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(d / ref))
 
 
 def rssi_at(
@@ -96,11 +100,10 @@ def rssi_at(
 ) -> float:
     """Received power in dBm for one frame on the tx->rx link.
 
-    Log-distance path loss with a zero-mean Gaussian shadowing draw per call,
-    clamped to the AGC ceiling.  Distances below the reference distance are
-    floored to it.
+    The link budget with a zero-mean Gaussian shadowing draw per call,
+    clamped to the AGC ceiling.
     """
-    rssi = tx_power_dbm - path_loss_db(tx.distance_to(rx), params)
+    rssi = link_budget_dbm(tx, rx, tx_power_dbm, params)
     if rng is not None and params.shadowing_sigma_db > 0:
         rssi += float(rng.normal(0.0, params.shadowing_sigma_db))
     return min(rssi, params.agc_ceiling_dbm)
@@ -271,6 +274,10 @@ class Channel:
         begins, and it interferes as if it were an event that fires first at
         its instant.
         """
+        if self._train is not None:
+            # A second train would replace the first, whose logged bursts
+            # stay in the log.
+            raise RuntimeError("the channel already has a noise train")
         period_us = ms_to_us(noise.period_ms)
         jitter_us = ms_to_us(noise.jitter_ms)
         airtime_us = time_on_air_us(noise.payload_bytes, self.lora)
@@ -340,28 +347,34 @@ class Channel:
             del log[0]
         train = self._train
         if train is not None:
-            # A burst that overlaps this frame and is not logged yet begins
-            # after everything logged so far: a frame logged after it began
-            # would have logged it, and bursts are logged in start order.
             starts = train.starts_us
-            k = bisect_right(starts, now - train.airtime_us, train.next)
+            k = train.next
             count = len(starts)
-            while k < count and starts[k] < end:
-                start = starts[k]
-                k += 1
-                log.append(
-                    Transmission(
-                        NOISE_SOURCE_ID,
-                        train.packet,
-                        start,
-                        start + train.airtime_us,
-                        train.position,
-                        train.tx_power_dbm,
-                        train.mean_dbm,
-                        {},
+            # When the first burst not logged yet starts at or after the
+            # frame's end, the frame overlaps no burst to log and the cursor
+            # stays, so most frames skip the search.
+            if k < count and starts[k] < end:
+                # A burst that overlaps this frame and is not logged yet
+                # begins after everything logged so far: a frame logged after
+                # it began would have logged it, and bursts are logged in
+                # start order.
+                k = bisect_right(starts, now - train.airtime_us, k)
+                while k < count and starts[k] < end:
+                    start = starts[k]
+                    k += 1
+                    log.append(
+                        Transmission(
+                            NOISE_SOURCE_ID,
+                            train.packet,
+                            start,
+                            start + train.airtime_us,
+                            train.position,
+                            train.tx_power_dbm,
+                            train.mean_dbm,
+                            {},
+                        )
                     )
-                )
-            train.next = k
+                train.next = k
         # Only a burst logged ahead of the frame can start after it; at an
         # equal start the frame goes after the burst, as insort places it.
         if log and log[-1].start_us > now:
@@ -428,8 +441,7 @@ class Channel:
             if rssi is None:
                 rssi = tx.mean_dbm.get(i)
                 if rssi is None:
-                    distance = tx.position.distance_to(receiver.position)
-                    rssi = tx.mean_dbm[i] = tx.tx_power_dbm - path_loss_db(distance, params)
+                    rssi = tx.mean_dbm[i] = link_budget_dbm(tx.position, receiver.position, tx.tx_power_dbm, params)
                 if shadowing is not None:
                     rssi += next(shadowing)
                 rssi = tx_rssi[i] = (agc if agc < rssi else rssi) - extra_loss
@@ -444,8 +456,9 @@ class Channel:
                 if interference is None:
                     interference = other.mean_dbm.get(i)
                     if interference is None:
-                        distance = other.position.distance_to(receiver.position)
-                        interference = other.mean_dbm[i] = other.tx_power_dbm - path_loss_db(distance, params)
+                        interference = other.mean_dbm[i] = link_budget_dbm(
+                            other.position, receiver.position, other.tx_power_dbm, params
+                        )
                     if shadowing is not None:
                         interference += next(shadowing)
                     interference = other.rssi[i] = (agc if agc < interference else interference) - extra_loss

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redwsn import boards, simulation
@@ -566,6 +566,59 @@ def test_block_draws_match_one_draw_per_reading(seed, faults, order):
     assert [(bits(v), tags) for v, tags in got] == [(bits(v), tags) for v, tags in want]
 
 
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    faults=st.sampled_from([(), tuple(MIXED_FAULTS + SECONDARY_FAULTS)]),
+    # Each step is a reading on one board, or a run of rows it skips; a run
+    # can be longer than one 32-row noise block, or two.
+    steps=st.lists(
+        st.tuples(st.sampled_from(["primary", "secondary"]), st.one_of(st.just("sense"), st.integers(1, 80))),
+        max_size=40,
+    ),
+)
+@example(seed=3, faults=(), steps=[("secondary", 70), ("secondary", "sense"), ("primary", 33), ("primary", "sense")])
+@example(seed=4, faults=(), steps=[("secondary", 32), ("secondary", 32), ("secondary", "sense")])
+@example(seed=5, faults=(), steps=[("primary", "sense"), ("primary", 31), ("primary", "sense"), ("secondary", 100)])
+def test_skipped_rows_leave_every_row_taken_as_one_draw_per_reading(seed, faults, steps):
+    sim, _, primary, secondary = build_node(faults=faults, seed=seed)
+    boards_by_role = {"primary": primary, "secondary": secondary}
+    sense_rngs = {role: stream_rng(seed, f"n1.{role}-sensor") for role in boards_by_role}
+    sensed = set()
+    got, want = [], []
+    for k, (role, step) in enumerate(steps):
+        sim.run_until(ms_to_us(2_500 * k))
+        board, rng = boards_by_role[role], sense_rngs[role]
+        if step == "sense":
+            sensed.add(role)
+            reading = board.sense()
+            got.append((reading.values, reading.fault_tags))
+            want.append(per_call_sense(rng, faults, board.entity_id, 2_500 * k))
+            continue
+        for _ in range(step):
+            board._noise.skip()
+            per_call_sense(rng, faults, board.entity_id, 2_500 * k)
+    assert [(bits(v), tags) for v, tags in got] == [(bits(v), tags) for v, tags in want]
+    # A board that never senses has drawn nothing, however many rows it
+    # skipped.
+    for role in boards_by_role.keys() - sensed:
+        fresh = stream_rng(seed, f"n1.{role}-sensor")
+        assert boards_by_role[role]._noise._rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_a_secondary_that_only_overhears_draws_no_noise():
+    # At the default threshold clipped noise cannot flag a reading, so the
+    # secondary skips a row per data frame it overhears and never senses.
+    sim, gw, primary, secondary = build_node(seed=11)
+    primary.start()
+    secondary.start()
+    sim.run_until(ms_to_us(1_200_000))
+    assert not gw.data(BoardRole.SECONDARY)
+    assert secondary._noise._at > 2 * boards._BLOCK_ROWS
+    fresh = stream_rng(11, "n1.secondary-sensor")
+    assert secondary._noise._rng.bit_generator.state == fresh.bit_generator.state
+
+
 def test_standard_normal_times_scale_is_the_normal_draw_bit_for_bit():
     fast, slow = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(3_000):
@@ -585,8 +638,8 @@ class OutlierDraws:
 
 
 def test_noise_is_clipped_at_6_sigma():
-    factors = boards._noise_factors(OutlierDraws())
-    rows = [next(factors) for _ in range(40)]  # 40 rows cross a refill
+    noise = boards._SensorNoise(OutlierDraws())
+    rows = [noise.take() for _ in range(40)]  # 40 rows cross a refill
     clipped = NOMINAL * np.array([1 - 0.03, 1 + 0.03] * 6)
     assert [bits(row) for row in rows] == [bits(clipped)] * 40
 

@@ -15,7 +15,7 @@ from redwsn.channel import (
     NoiseConfig,
     Position,
     Transmission,
-    path_loss_db,
+    link_budget_dbm,
     rssi_at,
 )
 from redwsn.engine import Simulator, ms_to_us
@@ -57,6 +57,12 @@ def test_position_distance():
         Position(math.nan, 0)
 
 
+def path_loss_db(distance_m, params):
+    """The path loss at ``distance_m``, through the link budget: at 0 dBm
+    the budget is minus the loss, exactly."""
+    return -link_budget_dbm(Position(0, 0), Position(distance_m, 0), 0.0, params)
+
+
 def test_path_loss_log_distance():
     params = quiet_params()
     at_ref = path_loss_db(1.0, params)
@@ -65,6 +71,43 @@ def test_path_loss_log_distance():
     assert path_loss_db(2.0, params) - at_ref == pytest.approx(20 * math.log10(2))
     # Below the reference distance the loss floors at the reference loss.
     assert path_loss_db(0.1, params) == pytest.approx(at_ref)
+
+
+def two_call_budget(tx, rx, tx_power_dbm, params):
+    """The link budget as three calls made it: the distance, the path loss
+    with its floor, and the difference."""
+    d = max(tx.distance_to(rx), params.reference_distance_m)
+    loss = params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(d / params.reference_distance_m)
+    return tx_power_dbm - loss
+
+
+coordinates = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(
+    tx=st.builds(Position, coordinates, coordinates),
+    # A receiver below, at or above the reference distance, or on the
+    # transmitter itself.
+    offset=st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.5]),
+        st.floats(0.0, 80.0, allow_nan=False),
+    ),
+    angle=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    tx_power_dbm=st.sampled_from([-4.0, 0.0, 14.0, 20.0]),
+    exponent=st.sampled_from([0.0, 2.0, 2.7, 3.5]),
+    reference_m=st.sampled_from([0.5, 1.0, 2.5]),
+)
+@example(tx=Position(0, 0), offset=1.0, angle=0.0, tx_power_dbm=14.0, exponent=2.0, reference_m=1.0)
+@example(tx=Position(0, 0), offset=math.nextafter(1.0, 0.0), angle=0.0, tx_power_dbm=14.0, exponent=2.0, reference_m=1.0)
+@example(tx=Position(0, 0), offset=math.nextafter(1.0, 2.0), angle=0.0, tx_power_dbm=14.0, exponent=2.0, reference_m=1.0)
+@example(tx=Position(3, -2), offset=0.0, angle=0.0, tx_power_dbm=14.0, exponent=2.7, reference_m=2.5)
+def test_link_budget_is_the_three_call_budget_bit_for_bit(tx, offset, angle, tx_power_dbm, exponent, reference_m):
+    params = quiet_params(path_loss_exponent=exponent, reference_distance_m=reference_m)
+    rx = Position(tx.x + offset * math.cos(angle), tx.y + offset * math.sin(angle))
+    got = link_budget_dbm(tx, rx, tx_power_dbm, params)
+    assert got.hex() == two_call_budget(tx, rx, tx_power_dbm, params).hex()
 
 
 def test_rssi_calibration_anchor():
@@ -401,6 +444,36 @@ def test_burst_precedes_frames_at_an_equal_start():
     sim.schedule_at(500_000, lambda: send("b"))
     sim.run_until(500_000)
     assert [tx.source_id for tx in channel._log] == [NOISE_SOURCE_ID, "a", "b"]
+
+
+def test_a_second_noise_train_is_refused():
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
+    channel.add_noise(NoiseConfig(jitter_ms=0), 2_000_000, sim.rng("noise-schedule"))
+    sim.schedule_at(500_000, lambda: channel.begin_transmission("a", Position(1, 0), data_packet(), 14.0))
+    sim.run_until(500_000)
+    train, log = channel._train, list(channel._log)
+    with pytest.raises(RuntimeError, match="noise train"):
+        channel.add_noise(NoiseConfig(period_ms=300), 2_000_000, sim.rng("noise-schedule-2"))
+    assert channel._train is train and channel._log == log
+
+
+@pytest.mark.parametrize("late_us, logged", [(0, False), (1, True)])
+def test_a_frame_logs_the_next_burst_only_if_it_ends_after_its_start(late_us, logged):
+    # Bursts start every 500 ms on the dot.  A frame that ends exactly on
+    # the first one's start does not overlap it: it logs nothing and leaves
+    # the cursor; one that ends a microsecond later logs it.
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    channel.add_receiver(Probe("gw", Position(0, 0), hears=((PacketKind.DATA, None),)))
+    channel.add_noise(NoiseConfig(jitter_ms=0), 2_000_000, sim.rng("noise-schedule"))
+    airtime = time_on_air_us(data_packet().size_bytes, LoraParams())
+    begin = 500_000 - airtime + late_us
+    sim.schedule_at(begin, lambda: channel.begin_transmission("a", Position(1, 0), data_packet(), 14.0))
+    sim.run_until(begin)
+    bursts = [tx.start_us for tx in channel._log if tx.source_id == NOISE_SOURCE_ID]
+    assert (bursts, channel._train.next) == (([500_000], 1) if logged else ([], 0))
 
 
 def test_shadowing_is_drawn_from_the_channel_stream_only():
