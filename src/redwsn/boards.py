@@ -12,13 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .channel import Channel, Position
-from .engine import Simulator, in_windows, ms_to_us
+from .engine import Simulator, check_int_fields, in_windows, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, check_tx_power
 from .mac import SarbConfig, SarbMac
 from .packets import (
@@ -66,7 +65,8 @@ class FaultSpec:
 
     def __post_init__(self):
         # Whole milliseconds: window_us would round away a fractional one.
-        if not (isinstance(self.start_ms, int) and isinstance(self.end_ms, int)):
+        # check_int_fields's rule, so a bool is refused too.
+        if not (type(self.start_ms) is int and type(self.end_ms) is int):
             raise ValueError("fault start_ms and end_ms must be integers")
         if not 0 <= self.start_ms < self.end_ms:
             raise ValueError("fault window must have 0 <= start_ms < end_ms")
@@ -260,7 +260,7 @@ class _RadioBoard:
             return None
         busy = self.channel.busy_until(self.entity_id)
         if busy > self.sim.now_us:
-            self.sim.schedule_at(busy + 1, lambda: self.transmit(packet))
+            self.sim.schedule_at(busy + 1, self.transmit, packet)
             return None
         return self.channel.begin_transmission(self.entity_id, self.position, packet, self.tx_power_dbm)
 
@@ -345,6 +345,7 @@ class SecondaryConfig:
     anomaly_rel_threshold: float = 0.25
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.heartbeat_period_ms <= 0 or not 0 < self.anomaly_rel_threshold < math.inf:
             raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive and finite")
         if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
@@ -392,7 +393,7 @@ class SecondaryBoard(_RadioBoard):
     def _arm_watchdog(self, deadline_us: int) -> None:
         self._watchdog_arms += 1
         arm = self._watchdog_arms
-        self.sim.schedule_at(deadline_us, partial(self._watchdog_expired, arm))
+        self.sim.schedule_at(deadline_us, self._watchdog_expired, arm)
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None:
         if self._outages_us and not self.is_powered():
@@ -440,13 +441,14 @@ class SecondaryBoard(_RadioBoard):
     def _schedule_send(self, corrective: bool) -> None:
         # Every call follows a passed _substitute_allowed(), at least one
         # sensing interval after the previous pass; sense_duration_ms is
-        # shorter than that interval, so the previous fire() has already run.
-        def fire():
-            packet = self.data_packet(corrective=corrective)
-            if packet is not None:
-                self.transmit(packet)
+        # shorter than that interval, so the previous substitute has already
+        # gone out.
+        self.sim.schedule_in(self._sense_duration_us, self._send_substitute, corrective)
 
-        self.sim.schedule_in(self._sense_duration_us, fire)
+    def _send_substitute(self, corrective: bool) -> None:
+        packet = self.data_packet(corrective=corrective)
+        if packet is not None:
+            self.transmit(packet)
 
     def _heartbeat(self) -> None:
         self.sim.schedule_in(self._heartbeat_us, self._heartbeat)

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .engine import Simulator, drawn_ahead, ms_to_us
+from .engine import Simulator, check_int_fields, drawn_ahead, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, LoraParams, check_tx_power, time_on_air_us
 from .packets import Packet, PacketKind
 
@@ -162,6 +161,7 @@ class NoiseConfig:
     tx_power_dbm: float = 14.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.period_ms <= 0:
             raise ValueError("noise period_ms must be positive")
         if self.payload_bytes < 0 or self.jitter_ms < 0:
@@ -383,7 +383,7 @@ class Channel:
             log.append(tx)
         # A frame nobody hears is only interference.
         if audience:
-            self.sim.schedule_at(end, partial(self._resolve, tx))
+            self.sim.schedule_at(end, self._resolve, tx)
         return end
 
     def _audience(self, packet: Packet) -> list[tuple[int, Receiver]]:

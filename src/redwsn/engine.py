@@ -1,23 +1,29 @@
 """Deterministic discrete-event core.
 
 Time is kept as integer microseconds so that sub-millisecond LoRa airtimes
-(e.g. 138.496 ms) order events exactly, with no float drift.  Events fire
-by time, then in the order they were scheduled.  The queue is keyed by
-instant (see ``Simulator``), so an event that ties with another costs a
-list append, not a heap push.  Events are never cancelled: an owner whose
-timer can go stale checks its own state when the timer fires.
+(e.g. 138.496 ms) order events exactly, with no float drift.
+``schedule_at(t, fn, *args)`` queues ``fn`` with its arguments, and the
+loop calls ``fn(*args)`` at ``t``; as with asyncio's ``call_at``, a caller
+passes a bound method and its arguments, with no closure or partial built
+per event.  Events fire by time, then in the order they were scheduled.
+The queue is keyed by instant (see ``Simulator``), so an event that ties
+with another costs a list append, not a heap push.  Events are never
+cancelled: an owner whose timer can go stale checks its own state when the
+timer fires.
 Randomness comes from labeled streams derived from a single master seed, so
 adding a consumer never perturbs the draws of another.
 
-Two rules that every layer shares live here too: a fault window is active
-over [start, end) (``in_windows``), and a stream drawn a block ahead yields
-the values of one draw per item (``drawn_ahead``).
+Three rules that every layer shares live here too: a fault window is
+active over [start, end) (``in_windows``), a stream drawn a block ahead
+yields the values of one draw per item (``drawn_ahead``), and a config's
+int field holds an int (``check_int_fields``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import fields
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator
 
@@ -29,6 +35,18 @@ US_PER_MS = 1000
 def ms_to_us(ms: float) -> int:
     """Convert milliseconds to the internal integer-microsecond unit."""
     return int(round(ms * US_PER_MS))
+
+
+def check_int_fields(config, error: type[ValueError] = ValueError) -> None:
+    """Refuse a dataclass config whose int-typed field holds anything but
+    an int, naming the field: the loader's rule, so a bool, a float (NaN
+    and the infinities too) or a numpy integer is refused.  A fractional
+    value would be rounded away by ``ms_to_us`` or fail far from its field."""
+    for f in fields(config):
+        if f.type in ("int", int):
+            value = getattr(config, f.name)
+            if type(value) is not int:
+                raise error(f"{type(config).__name__}.{f.name} must be an int, got {value!r}")
 
 
 def in_windows(windows_us: Iterable[tuple[int, int]], t_us: int) -> bool:
@@ -54,7 +72,12 @@ def drawn_ahead(draw: Callable[[], Iterable]) -> Iterator:
 
 
 class SchedulingError(ValueError):
-    """Raised when an event is scheduled before the current clock."""
+    """Raised when an event is scheduled before the current clock, or at a
+    time that is not a number."""
+
+
+# A queued event: the callback and the arguments it is called with.
+_Event = tuple[Callable[..., None], tuple]
 
 
 def stream_rng(master_seed: int, stream_id: str) -> np.random.Generator:
@@ -73,44 +96,50 @@ class Simulator:
     """Single-threaded event loop with an integer-microsecond clock.
 
     ``_times`` is a heap of the distinct pending instants; ``_due`` maps
-    each to its callback, or to a list of them in scheduling order once the
-    instant is tied.  A callback scheduled at the instant that is running
-    starts a new entry there, so it runs after the rest of the instant: the
-    tie rule is time, then scheduling order.
+    each to its event, a ``(fn, args)`` pair, or to a list of them in
+    scheduling order once the instant is tied.  An event scheduled at the
+    instant that is running starts a new entry there, so it runs after the
+    rest of the instant: the tie rule is time, then scheduling order.
     """
 
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.now_us: int = 0
         self._times: list[int] = []
-        self._due: dict[int, Callable[[], None] | list[Callable[[], None]]] = {}
+        self._due: dict[int, _Event | list[_Event]] = {}
 
     def rng(self, stream_id: str) -> np.random.Generator:
         return stream_rng(self.master_seed, stream_id)
 
-    def schedule_at(self, t_us: int, fn: Callable[[], None]) -> None:
+    def schedule_at(self, t_us: int, fn: Callable[..., None], *args) -> None:
+        """Call ``fn(*args)`` at ``t_us``."""
         # Written so that NaN, which compares false, is refused too.
         if not t_us >= self.now_us:
             raise SchedulingError(f"cannot schedule at {t_us} us; clock is at {self.now_us} us")
         due = self._due
         pending = due.get(t_us)
         if pending is None:
-            due[t_us] = fn
+            due[t_us] = (fn, args)
             heappush(self._times, t_us)
         elif pending.__class__ is list:
-            pending.append(fn)
+            pending.append((fn, args))
         else:
-            due[t_us] = [pending, fn]
+            due[t_us] = [pending, (fn, args)]
 
-    def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now_us + int(delay_us), fn)
+    def schedule_in(self, delay_us: int, fn: Callable[..., None], *args) -> None:
+        """Call ``fn(*args)`` ``delay_us`` after now."""
+        try:
+            t_us = self.now_us + int(delay_us)
+        except (ValueError, OverflowError):  # NaN or an infinity
+            raise SchedulingError(f"cannot schedule {delay_us} us ahead") from None
+        self.schedule_at(t_us, fn, *args)
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with time <= t_end_us; leave the clock at
         t_end_us.  Returns the number of callbacks run.
 
         If a callback raises, the clock stays at its instant, and the
-        callbacks of that instant it did not reach stay pending, ahead of any
+        events of that instant it did not reach stay pending, ahead of any
         scheduled there since.
         """
         if not t_end_us >= self.now_us:
@@ -124,31 +153,33 @@ class Simulator:
             if pending.__class__ is list:
                 rest = iter(pending)
                 try:
-                    for fn in rest:
-                        fn()
+                    for fn, args in rest:
+                        fn(*args)
                 except BaseException:
                     self._requeue(t, list(rest))
                     raise
                 processed += len(pending)
             else:
-                pending()
+                fn, args = pending
+                fn(*args)
                 processed += 1
         self.now_us = t_end_us
         return processed
 
-    def _requeue(self, t_us: int, callbacks: list[Callable[[], None]]) -> None:
-        """Put back the callbacks an exception left unrun at ``t_us``, ahead
+    def _requeue(self, t_us: int, events: list[_Event]) -> None:
+        """Put back the events an exception left unrun at ``t_us``, ahead
         of any scheduled there since."""
-        if not callbacks:
+        if not events:
             return
         since = self._due.get(t_us)
         if since is None:
             heappush(self._times, t_us)
         else:
-            callbacks += since if since.__class__ is list else [since]
-        self._due[t_us] = callbacks
+            events += since if since.__class__ is list else [since]
+        self._due[t_us] = events
 
     def close(self) -> None:
-        """Drop every pending event, releasing the callbacks."""
+        """Drop every pending event, releasing the callbacks and their
+        arguments."""
         self._times.clear()
         self._due.clear()

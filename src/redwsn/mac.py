@@ -10,12 +10,11 @@ baseline: one transmission every fixed interval, no acks, no queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import Simulator, drawn_ahead, ms_to_us
+from .engine import Simulator, check_int_fields, drawn_ahead, ms_to_us
 from .packets import Packet
 
 
@@ -33,6 +32,7 @@ class SarbConfig:
     fixed_interval_ms: int = 30_000
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.slot_min_ms <= 0 or self.retx_interval_ms <= 0:
             raise ValueError("mac slot_min_ms and retx_interval_ms must be positive")
         if self.retx_slots_per_cycle < 0:
@@ -195,7 +195,7 @@ class SarbMac:
             # tracked with a second timer.
             self.queue.push(packet)
             return
-        self.sim.schedule_at(end_us + self._ack_timeout_us, partial(self._ack_timeout, packet))
+        self.sim.schedule_at(end_us + self._ack_timeout_us, self._ack_timeout, packet)
         self._pending = packet
 
     def _ack_timeout(self, packet: Packet) -> None:

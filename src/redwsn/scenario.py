@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
-from .engine import ms_to_us
+from .engine import check_int_fields, ms_to_us
 from .gateway import GatewayConfig
 from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
@@ -47,6 +47,7 @@ class ScenarioConfig:
     secondary: SecondaryConfig = SecondaryConfig()
 
     def __post_init__(self):
+        check_int_fields(self, ConfigError)
         if self.duration_ms <= 0:
             raise ConfigError("duration_ms must be positive")
         if not self.nodes:

@@ -46,6 +46,21 @@ def test_equal_timestamps_fire_in_insertion_order():
     assert fired == ["a", "b", "c"]
 
 
+def test_an_event_is_called_with_its_arguments_in_order():
+    sim = Simulator()
+    calls = []
+
+    def record(*args):
+        calls.append((sim.now_us, args))
+
+    sim.schedule_at(10, record, "a", 1, None)
+    sim.schedule_at(10, record)
+    sim.schedule_in(5, record, ("one tuple",))
+    sim.schedule_at(20, record, 2, "b")
+    assert sim.run_until(20) == 4
+    assert calls == [(5, (("one tuple",),)), (10, ("a", 1, None)), (10, ()), (20, (2, "b"))]
+
+
 def test_events_may_schedule_followups():
     sim = Simulator()
     fired = []
@@ -78,6 +93,22 @@ def test_close_cancels_every_pending_event():
     assert fired == [10]
 
 
+def test_close_releases_the_arguments_of_pending_events():
+    class Payload:
+        pass
+
+    sim = Simulator()
+    alone, tied = Payload(), Payload()
+    sim.schedule_at(40, id, alone)
+    sim.schedule_at(50, id, 1)
+    sim.schedule_at(50, id, tied)
+    held = [weakref.ref(alone), weakref.ref(tied)]
+    del alone, tied
+    assert all(ref() is not None for ref in held)
+    sim.close()
+    assert [ref() for ref in held] == [None, None]
+
+
 def test_scheduling_in_the_past_raises():
     sim = Simulator()
     sim.run_until(100)
@@ -103,6 +134,20 @@ def test_nan_times_are_refused_and_change_nothing():
     assert fired == [100]
 
 
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_a_delay_that_is_not_a_number_is_refused_and_changes_nothing(delay):
+    # int() of these raises ValueError or OverflowError, not SchedulingError.
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(100, fired.append, 100)
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.schedule_in(delay, fired.append, "bad")
+    assert sim.now_us == 10
+    assert sim.run_until(1_000) == 1
+    assert fired == [100]
+
+
 def test_an_exception_leaves_the_rest_of_its_instant_pending():
     sim = Simulator()
     fired = []
@@ -121,6 +166,25 @@ def test_an_exception_leaves_the_rest_of_its_instant_pending():
     assert sim.now_us == 10
     assert sim.run_until(100) == 3
     assert fired == ["a", "c", "late", "d"]
+
+
+def test_the_events_an_exception_leaves_pending_keep_their_arguments():
+    sim = Simulator()
+    fired = []
+
+    def boom(message):
+        sim.schedule_at(10, fired.append, "late")
+        raise RuntimeError(message)
+
+    sim.schedule_at(10, fired.append, "a")
+    sim.schedule_at(10, boom, "boom")
+    sim.schedule_at(10, fired.extend, ("c", "d"))
+    sim.schedule_at(10, fired.append, "e")
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run_until(100)
+    assert fired == ["a"]
+    assert sim.run_until(100) == 3
+    assert fired == ["a", "c", "d", "e", "late"]
 
 
 FOLLOW_UP_DELAYS = (0, 1, 2, 5)
@@ -142,16 +206,21 @@ def test_events_fire_by_time_then_scheduling_order(events, t_end):
     sim = Simulator()
     fired = []
 
-    def event(label, children):
-        def fire():
-            fired.append((sim.now_us, label))
-            for k, (delay, grandchildren) in enumerate(children):
-                sim.schedule_in(delay, event(label + (k,), grandchildren))
+    def fire(label, children):
+        fired.append((sim.now_us, label))
+        for k, (delay, grandchildren) in enumerate(children):
+            schedule(sim.schedule_in, delay, label + (k,), grandchildren)
 
-        return fire
+    def schedule(method, when, label, children):
+        # Every other event carries its label and follow-ups as arguments;
+        # the rest close over them, so both kinds share instants.
+        if label[-1] % 2:
+            method(when, lambda: fire(label, children))
+        else:
+            method(when, fire, label, children)
 
     for i, (t, children) in enumerate(events):
-        sim.schedule_at(t, event((i,), children))
+        schedule(sim.schedule_at, t, (i,), children)
     count = sim.run_until(t_end)
 
     # The reference: always fire the pending event with the least (time,

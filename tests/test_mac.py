@@ -241,28 +241,32 @@ def test_a_data_slot_schedules_its_retransmission_slots_then_the_next_slot(retx_
     scheduled = []
     schedule_at = h.sim.schedule_at
 
-    def record(t_us, fn):
-        scheduled.append((t_us, fn))
-        schedule_at(t_us, fn)
+    def record(t_us, fn, *args):
+        scheduled.append((t_us, fn, args))
+        schedule_at(t_us, fn, *args)
 
     h.sim.schedule_at = record
     h.mac.start()
-    [(slot_us, first)] = scheduled
+    [(slot_us, first, ())] = scheduled
     assert first == h.mac._data_slot
     scheduled.clear()
     h.sim.run_until(slot_us)
 
     n = retx_slots if enabled else 0
     retx_us = ms_to_us(cfg.retx_interval_ms)
-    assert scheduled[:n] == [(slot_us + k * retx_us, h.mac._retx_slot) for k in range(1, n + 1)]
-    next_us, following = scheduled[n]
-    assert following == h.mac._data_slot
+    assert scheduled[:n] == [(slot_us + k * retx_us, h.mac._retx_slot, ()) for k in range(1, n + 1)]
+    next_us, following, no_args = scheduled[n]
+    assert following == h.mac._data_slot and no_args == ()
     if enabled:
         assert (next_us - slot_us) % ms_to_us(cfg.slot_step_ms) == 0
         assert ms_to_us(cfg.slot_min_ms) <= next_us - slot_us <= ms_to_us(cfg.slot_max_ms)
-        # Then the ack timer of the frame the slot sent; nothing else.
-        [(timer_us, _)] = scheduled[n + 1 :]
+        # Then the ack timer of the frame the slot sent, which it is called
+        # with; nothing else.
+        [(timer_us, timer, timer_args)] = scheduled[n + 1 :]
         assert timer_us == slot_us + h.airtime_us + ms_to_us(cfg.ack_timeout_ms)
+        assert timer == h.mac._ack_timeout
+        [packet] = timer_args
+        assert packet is h.sent[0][1]
     else:
         assert next_us == slot_us + ms_to_us(cfg.fixed_interval_ms)
         assert len(scheduled) == n + 1

@@ -77,3 +77,66 @@ def test_per_event_code_reads_no_enum_member_through_its_class():
         if (loads := enum_member_loads((package / name).read_text()))
     }
     assert found == {}
+
+
+_SCHEDULERS = {"schedule_at", "schedule_in"}
+
+
+def per_event_closures(source: str) -> list[tuple[str, int]]:
+    """(what, line) of each ``partial(...)`` call, and of each lambda or
+    function defined in the caller that is passed to ``schedule_at`` or
+    ``schedule_in``: a callable built per event, where a bound method and
+    its arguments would do."""
+    found = []
+
+    def visit(node, local_defs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local_defs = {
+                child.name for child in ast.walk(node) if child is not node and isinstance(child, ast.FunctionDef)
+            }
+        for child in ast.iter_child_nodes(node):
+            visit(child, local_defs)
+        if not isinstance(node, ast.Call):
+            return
+        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if callee == "partial":
+            found.append(("partial", node.lineno))
+        elif callee in _SCHEDULERS:
+            for arg in node.args:
+                if isinstance(arg, ast.Lambda):
+                    found.append(("lambda", arg.lineno))
+                elif isinstance(arg, ast.Name) and arg.id in local_defs:
+                    found.append((f"closure {arg.id}", arg.lineno))
+
+    visit(ast.parse(source), set())
+    return found
+
+
+def test_the_closure_guard_sees_partials_lambdas_and_local_functions():
+    source = (
+        "from functools import partial\n"
+        "class Board:\n"
+        "    def __init__(self, rng):\n"
+        "        self.draw = lambda: rng.normal()\n"
+        "    def arm(self, sim, arm):\n"
+        "        sim.schedule_at(5, self.expired, arm)\n"
+        "        sim.schedule_at(5, partial(self.expired, arm))\n"
+        "        sim.schedule_in(1, lambda: self.expired(arm))\n"
+        "        def fire():\n"
+        "            self.expired(arm)\n"
+        "        self.sim.schedule_in(1, fire)\n"
+    )
+    assert per_event_closures(source) == [("partial", 7), ("lambda", 8), ("closure fire", 11)]
+
+
+def test_per_event_code_schedules_bound_methods_with_their_arguments():
+    """A partial or closure built per event costs an allocation and an extra
+    call frame when it fires; ``Simulator.schedule_at(t, fn, *args)`` takes
+    the bound method and its arguments instead."""
+    package = Path(redwsn.__file__).parent
+    found = {
+        name: closures
+        for name in ("boards.py", "gateway.py", "mac.py", "channel.py")
+        if (closures := per_event_closures((package / name).read_text()))
+    }
+    assert found == {}

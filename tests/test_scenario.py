@@ -358,6 +358,31 @@ def test_sections_built_in_python_refuse_non_finite_floats(section, field, value
         replace(section, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        # Rounded to a 0 us ack timeout, it ran: HF seed 1 reported 22
+        # duplicates, against 3.
+        (GWF.mac, "ack_timeout_ms", 0.0004),
+        # It ran with a 181.4 ms data airtime.
+        (GWF.lora, "spreading_factor", 7.5),
+        # These two failed later, in ScenarioConfig, with a bare ValueError
+        # or OverflowError from ms_to_us that named no field.
+        (GWF.noise, "period_ms", math.nan),
+        (GWF.secondary, "heartbeat_period_ms", math.inf),
+        # A bool is not an int, as the loader has it.
+        (GWF, "max_monitoring_delay_ms", True),
+        (GWF.faults[0], "start_ms", False),
+    ],
+    ids=lambda v: type(v).__name__ if is_dataclass(v) else None,
+)
+def test_sections_built_in_python_refuse_non_int_values_in_int_fields(section, field, value):
+    # build_preset + replace bypasses the loader's int rule; the section
+    # refuses the value itself, by the field's name.
+    with pytest.raises(ValueError, match=field):
+        replace(section, **{field: value})
+
+
 def test_flat_empty_preset_fails_at_load(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("preset =\n")
