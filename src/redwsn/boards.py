@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import Channel, Position
-from .engine import Simulator, check_int_fields, in_windows, ms_to_us
+from .engine import Simulator, check_typed_fields, in_windows, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, check_tx_power
 from .mac import SarbConfig, SarbMac
 from .packets import (
@@ -43,15 +43,6 @@ class FaultKind(Enum):
     GATEWAY_FAILURE = "gateway_failure"
 
 
-_SENSOR_FAULTS = (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY)
-# Enum members read per event, as module names: on 3.11 a load through the
-# class goes through EnumType's __getattr__ path (183 against 46 ns).
-_DATA = PacketKind.DATA
-_HEARTBEAT = PacketKind.HEARTBEAT
-_SECONDARY = BoardRole.SECONDARY
-_READ_FAILURE = FaultKind.SENSOR_READ_FAILURE
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault, active during [start, end)."""
@@ -64,13 +55,16 @@ class FaultSpec:
     anomaly_multiplier: float = 1.5
 
     def __post_init__(self):
+        # The loader parses the kind; a string would match no kind and inject nothing.
+        if type(self.kind) is not FaultKind:
+            raise ValueError(f"fault kind must be a FaultKind, got {self.kind!r}")
         # Whole milliseconds: window_us would round away a fractional one.
-        # check_int_fields's rule, so a bool is refused too.
+        # check_typed_fields's rule, so a bool is refused too.
         if not (type(self.start_ms) is int and type(self.end_ms) is int):
             raise ValueError("fault start_ms and end_ms must be integers")
         if not 0 <= self.start_ms < self.end_ms:
             raise ValueError("fault window must have 0 <= start_ms < end_ms")
-        if self.kind in _SENSOR_FAULTS:
+        if self.kind in (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY):
             if self.affected_sensor not in SENSOR_FIELDS:
                 raise ValueError(f"unknown sensor field: {self.affected_sensor!r}")
         if not math.isfinite(self.anomaly_multiplier):  # NaN is kept for an unread sensor
@@ -166,6 +160,7 @@ class NodeConfig:
     tx_power_dbm: float = 14.0
 
     def __post_init__(self):
+        check_typed_fields(self)
         check_tx_power(self.tx_power_dbm)
 
     @property
@@ -182,27 +177,33 @@ class _RadioBoard:
         sim: Simulator,
         channel: Channel,
         node: NodeConfig,
-        role: BoardRole,
+        role: str,
         faults: tuple[FaultSpec, ...],
-        hears: tuple[tuple[PacketKind, Optional[str]], ...],
+        hears: tuple[tuple[str, Optional[str]], ...],
     ):
         self.sim = sim
         self.channel = channel
         self.node_id = node.id
         self.role = role
-        self.entity_id = f"{node.id}.{role.value}"
+        self.entity_id = f"{node.id}.{role}"
         self.position = node.position if role is BoardRole.PRIMARY else node.secondary_position
         self.rx_extra_loss_db = 0.0
         own = [f for f in faults if f.target == self.entity_id]
         self.fault_windows_us = [f.window_us for f in own]
         self._outages_us = [f.window_us for f in own if f.kind is FaultKind.HARD_FAILURE]
-        # Only sensor faults name a field; any other kind may carry anything
-        # in affected_sensor.
-        self._sensor_faults = [
-            (SENSOR_FIELDS.index(f.affected_sensor), *f.window_us, f)
-            for f in own
-            if f.kind in _SENSOR_FAULTS
-        ]
+        # Per sensor fault: the field's index, the window, the factor the
+        # value is multiplied by and the reading's tag.  A read failure's
+        # factor is NaN, which makes any value NaN.  Only sensor faults name
+        # a field; any other kind may carry anything in affected_sensor.
+        self._sensor_faults: list[tuple[int, int, int, float, str]] = []
+        for f in own:
+            if f.kind is FaultKind.SENSOR_READ_FAILURE:
+                factor, tag = math.nan, f"read_failure:{f.affected_sensor}"
+            elif f.kind is FaultKind.SENSOR_ANOMALY:
+                factor, tag = f.anomaly_multiplier, f"anomaly:{f.affected_sensor}"
+            else:
+                continue
+            self._sensor_faults.append((SENSOR_FIELDS.index(f.affected_sensor), *f.window_us, factor, tag))
         self.tx_power_dbm = node.tx_power_dbm
         self._noise = _SensorNoise(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
@@ -226,15 +227,10 @@ class _RadioBoard:
         if not self._sensor_faults:
             return reading_from_fields((tuple(values), NO_FAULT_TAGS))
         tags = set()
-        for i, start, end, fault in self._sensor_faults:
-            if not start <= now_us < end:
-                continue
-            if fault.kind is _READ_FAILURE:
-                values[i] = math.nan
-                tags.add(f"read_failure:{fault.affected_sensor}")
-            else:
-                values[i] *= fault.anomaly_multiplier
-                tags.add(f"anomaly:{fault.affected_sensor}")
+        for i, start, end, factor, tag in self._sensor_faults:
+            if start <= now_us < end:
+                values[i] *= factor
+                tags.add(tag)
         return SensorReading(tuple(values), frozenset(tags))
 
     def data_packet(self, emergency: bool = False, corrective: bool = False) -> Optional[Packet]:
@@ -247,7 +243,7 @@ class _RadioBoard:
         # The seq is taken before the reading is sensed, as the fields are
         # evaluated in order.
         return packet_from_fields(
-            (_DATA, self.node_id, self.role, next(self._seq), DATA_BYTES, self.sense(), emergency, corrective)
+            (PacketKind.DATA, self.node_id, self.role, next(self._seq), DATA_BYTES, self.sense(), emergency, corrective)
         )
 
     def transmit(self, packet: Packet) -> Optional[int]:
@@ -301,7 +297,7 @@ class PrimaryBoard(_RadioBoard):
         faults do not change, and a reading lies between the ones that the
         lowest and the highest clipped noise make: each of its steps is
         monotone in the noise."""
-        edges = sorted({t for _, start, end, _ in self._sensor_faults for t in (start, end)})
+        edges = sorted({t for _, start, end, _, _ in self._sensor_faults for t in (start, end)})
         return [
             (start, end)
             for start, end in zip(edges, edges[1:])
@@ -345,7 +341,7 @@ class SecondaryConfig:
     anomaly_rel_threshold: float = 0.25
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_typed_fields(self)
         if self.heartbeat_period_ms <= 0 or not 0 < self.anomaly_rel_threshold < math.inf:
             raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive and finite")
         if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
@@ -373,7 +369,7 @@ class SecondaryBoard(_RadioBoard):
         # channel never resolves a frame at its own transmitter.
         super().__init__(sim, channel, node, BoardRole.SECONDARY, faults, ((PacketKind.DATA, node.id),))
         self.cfg = cfg
-        self._sensor_windows_us = [(start, end) for _, start, end, _ in self._sensor_faults]
+        self._sensor_windows_us = [(start, end) for _, start, end, _, _ in self._sensor_faults]
         self._noise_can_flag = noise_can_flag(cfg.anomaly_rel_threshold)
         self._interval_us = ms_to_us(cfg.sensing_interval_ms)
         self._sense_duration_us = ms_to_us(cfg.sense_duration_ms)
@@ -454,7 +450,8 @@ class SecondaryBoard(_RadioBoard):
         self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
         if not self.is_powered():
             return
+        seq = next(self._seq)
         packet = packet_from_fields(
-            (_HEARTBEAT, self.node_id, _SECONDARY, next(self._seq), self.cfg.heartbeat_bytes, None, False, False)
+            (PacketKind.HEARTBEAT, self.node_id, BoardRole.SECONDARY, seq, self.cfg.heartbeat_bytes, None, False, False)
         )
         self.transmit(packet)

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .engine import Simulator, check_int_fields, drawn_ahead, ms_to_us
+from .engine import Simulator, check_typed_fields, drawn_ahead, ms_to_us
 from .lora import MAX_PAYLOAD_BYTES, LoraParams, check_tx_power, time_on_air_us
 from .packets import Packet, PacketKind
 
@@ -35,9 +35,6 @@ class Position:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("positions must be finite")
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ class Receiver(Protocol):
     # pairs; a None node id passes every node.  A frame is resolved only at
     # the receivers that hear it; to the rest it is interference.  The
     # channel reads it once, when the receiver registers.
-    hears: tuple[tuple[PacketKind, Optional[str]], ...]
+    hears: tuple[tuple[str, Optional[str]], ...]
 
     def on_receive(self, packet: Packet, rssi_dbm: float, now_us: int) -> None: ...
 
@@ -161,7 +158,7 @@ class NoiseConfig:
     tx_power_dbm: float = 14.0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_typed_fields(self)
         if self.period_ms <= 0:
             raise ValueError("noise period_ms must be positive")
         if self.payload_bytes < 0 or self.jitter_ms < 0:
@@ -223,9 +220,9 @@ class Channel:
         self._receivers: list[Receiver] = []
         # Keyed by (x, y, power) floats, which hash and compare in C.
         self._mean_dbm: dict[tuple[float, float, float], dict[int, float]] = {}
-        self._audiences: dict[tuple[PacketKind, str], list[tuple[int, Receiver]]] = {}
+        self._audiences: dict[tuple[str, str], list[tuple[int, Receiver]]] = {}
         # Each ``hears`` entry -> the receivers listing it, with their indices.
-        self._hearers: dict[tuple[PacketKind, Optional[str]], list[tuple[int, Receiver]]] = {}
+        self._hearers: dict[tuple[str, Optional[str]], list[tuple[int, Receiver]]] = {}
         # Frames and noise bursts that may still overlap a frame to resolve,
         # by start time.
         self._log: list[Transmission] = []

@@ -16,7 +16,7 @@ adding a consumer never perturbs the draws of another.
 Three rules that every layer shares live here too: a fault window is
 active over [start, end) (``in_windows``), a stream drawn a block ahead
 yields the values of one draw per item (``drawn_ahead``), and a config's
-int field holds an int (``check_int_fields``).
+int or bool field holds exactly that type (``check_typed_fields``).
 """
 
 from __future__ import annotations
@@ -37,16 +37,23 @@ def ms_to_us(ms: float) -> int:
     return int(round(ms * US_PER_MS))
 
 
-def check_int_fields(config, error: type[ValueError] = ValueError) -> None:
-    """Refuse a dataclass config whose int-typed field holds anything but
-    an int, naming the field: the loader's rule, so a bool, a float (NaN
-    and the infinities too) or a numpy integer is refused.  A fractional
-    value would be rounded away by ``ms_to_us`` or fail far from its field."""
+# The annotations whose fields hold exactly that type: the type, or its
+# name under ``from __future__ import annotations``.
+_EXACT_TYPES = {int: int, "int": int, bool: bool, "bool": bool}
+
+
+def check_typed_fields(config, error: type[ValueError] = ValueError) -> None:
+    """Refuse a dataclass config whose int or bool field holds anything but
+    exactly that type, naming the field: the loader's rule.  An int field
+    refuses a bool, a float (NaN and the infinities too) or a numpy integer,
+    which ``ms_to_us`` would round away or which would fail far from its
+    field; a bool field refuses ``"false"`` or ``0``, which would run as the
+    wrong switch."""
     for f in fields(config):
-        if f.type in ("int", int):
-            value = getattr(config, f.name)
-            if type(value) is not int:
-                raise error(f"{type(config).__name__}.{f.name} must be an int, got {value!r}")
+        ftype = _EXACT_TYPES.get(f.type)
+        value = getattr(config, f.name)
+        if ftype is not None and type(value) is not ftype:
+            raise error(f"{type(config).__name__}.{f.name} must be {ftype.__name__}, got {value!r}")
 
 
 def in_windows(windows_us: Iterable[tuple[int, int]], t_us: int) -> bool:

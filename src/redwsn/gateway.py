@@ -10,19 +10,9 @@ from typing import NamedTuple
 
 from .boards import FaultSpec
 from .channel import Channel, Position
-from .engine import Simulator, in_windows
+from .engine import Simulator, check_typed_fields, in_windows
 from .lora import check_tx_power
 from .packets import BoardRole, Packet, PacketKind, packet_from_fields
-
-# The server record's strings, looked up rather than read through Enum's
-# ``value`` property once per reception; a frame without a role records "".
-_ROLE_NAMES = {None: "", **{role: role.value for role in BoardRole}}
-_KIND_NAMES = {kind: kind.value for kind in PacketKind}
-# Enum members read per reception, as module names: on 3.11 a load through
-# the class goes through EnumType's __getattr__ path (183 against 46 ns).
-_DATA = PacketKind.DATA
-_ACK = PacketKind.ACK
-_PRIMARY = BoardRole.PRIMARY
 
 
 class ServerEntry(NamedTuple):
@@ -59,11 +49,10 @@ class Server:
         return len(self.raw) - len(self._first_seen)
 
     def on_gateway_reception(self, gateway_id: str, packet: Packet, rssi_dbm: float, now_us: int) -> None:
-        reading = packet.reading
+        kind, node_id, role, seq, _, reading, _, _ = packet
         # The tag test first: it is cheaper than the scan for a NaN.
-        valid = packet.kind is _DATA and reading is not None and not reading.fault_tags and reading.is_complete()
-        node_id, role, seq = packet.node_id, _ROLE_NAMES[packet.board_role], packet.seq
-        entry = entry_from_fields((node_id, role, seq, _KIND_NAMES[packet.kind], now_us, gateway_id, rssi_dbm, valid))
+        valid = kind is PacketKind.DATA and reading is not None and not reading.fault_tags and reading.is_complete()
+        entry = entry_from_fields((node_id, role, seq, kind, now_us, gateway_id, rssi_dbm, valid))
         self.raw.append(entry)
         self._first_seen.setdefault((node_id, role, seq), entry)
 
@@ -82,6 +71,7 @@ class GatewayConfig:
     tx_power_dbm: float = 14.0
 
     def __post_init__(self):
+        check_typed_fields(self)
         # A gain would lift frames above the AGC ceiling that clamps them.
         if not 0 <= self.extra_loss_db < math.inf:
             raise ValueError("extra_loss_db must not be negative, and must be finite")
@@ -123,7 +113,7 @@ class Gateway:
         if self._outages_us and self.failed(now_us):
             return
         self.server.on_gateway_reception(self.entity_id, packet, rssi_dbm, now_us)
-        if packet.kind is _DATA and packet.board_role is _PRIMARY and self.cfg.acks_enabled:
+        if packet.kind is PacketKind.DATA and packet.board_role is BoardRole.PRIMARY and self.cfg.acks_enabled:
             self._send_ack(packet)
 
     def _send_ack(self, packet: Packet) -> None:
@@ -132,5 +122,5 @@ class Gateway:
         if self.channel.busy_until(self.entity_id) > self.sim.now_us:
             return
         # An ack carries the node id and seq of the frame it acknowledges.
-        ack = packet_from_fields((_ACK, packet.node_id, None, packet.seq, self.ACK_BYTES, None, False, False))
+        ack = packet_from_fields((PacketKind.ACK, packet.node_id, "", packet.seq, self.ACK_BYTES, None, False, False))
         self.channel.begin_transmission(self.entity_id, self.position, ack, self.cfg.tx_power_dbm)

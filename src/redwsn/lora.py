@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import check_int_fields, ms_to_us
+from .engine import check_typed_fields, ms_to_us
 
 # The SX127x's largest payload: its length field is one byte.
 MAX_PAYLOAD_BYTES = 255
@@ -39,7 +39,7 @@ class LoraParams:
     crc_on: bool = True
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_typed_fields(self)
         if not 6 <= self.spreading_factor <= 12:
             raise ValueError("spreading factor must be in 6..12")
         if self.spreading_factor == 6 and self.explicit_header:

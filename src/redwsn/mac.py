@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import Simulator, check_int_fields, drawn_ahead, ms_to_us
+from .engine import Simulator, check_typed_fields, drawn_ahead, ms_to_us
 from .packets import Packet
 
 
@@ -32,7 +32,7 @@ class SarbConfig:
     fixed_interval_ms: int = 30_000
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_typed_fields(self)
         if self.slot_min_ms <= 0 or self.retx_interval_ms <= 0:
             raise ValueError("mac slot_min_ms and retx_interval_ms must be positive")
         if self.retx_slots_per_cycle < 0:

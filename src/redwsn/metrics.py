@@ -26,6 +26,7 @@ import numpy as np
 
 from .engine import in_windows
 from .gateway import ServerEntry
+from .packets import BoardRole
 
 
 class Epoch(NamedTuple):
@@ -66,8 +67,8 @@ def epoch_ledger(
     arrivals = _arrivals(entries)
     ledger: list[Epoch] = []
     for node, slots in slots_by_node.items():
-        primary = arrivals.get((node, "primary"), [])
-        secondary = arrivals.get((node, "secondary"), [])
+        primary = arrivals.get((node, BoardRole.PRIMARY), [])
+        secondary = arrivals.get((node, BoardRole.SECONDARY), [])
         windows = fault_windows_by_node.get(node)
         p = s = 0
         for slot in slots:
@@ -88,11 +89,11 @@ def epoch_ledger(
     return ledger
 
 
-def compute_prr(ledger: list[Epoch], roles: tuple[str, ...] = ("primary", "secondary")) -> float:
+def compute_prr(ledger: list[Epoch], roles: tuple[str, ...] = (BoardRole.PRIMARY, BoardRole.SECONDARY)) -> float:
     """Fraction of the ledger's epochs served by a board in roles."""
     if not ledger:
         raise ValueError("expected schedule is empty")
-    primary, secondary = "primary" in roles, "secondary" in roles
+    primary, secondary = BoardRole.PRIMARY in roles, BoardRole.SECONDARY in roles
     return sum(
         1 for row in ledger if (primary and row.primary_us is not None) or (secondary and row.secondary_us is not None)
     ) / len(ledger)
@@ -124,7 +125,7 @@ def delay_violations(
     arrivals = _arrivals(entries)
     violations = 0
     for node in node_ids:
-        times = sorted(arrivals.get((node, "primary"), []) + arrivals.get((node, "secondary"), []))
+        times = sorted(arrivals.get((node, BoardRole.PRIMARY), []) + arrivals.get((node, BoardRole.SECONDARY), []))
         checkpoints = [0, *times, duration_us]
         violations += sum(
             1 for a, b in zip(checkpoints, checkpoints[1:]) if b - a > bound_us

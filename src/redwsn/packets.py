@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from enum import Enum
 from types import MethodType
 from typing import NamedTuple, Optional
 
@@ -25,26 +24,21 @@ _EMERGENCY_BOUNDS = [(lo, hi) for _, lo, hi in SENSOR_TABLE.values()]
 DATA_BYTES = 76
 
 
-# Both enums hash by identity, in C, in place of Enum's Python-level hash of
-# the member name: every frame's audience is looked up by (kind, node id).
-# Members are singletons that compare by identity, so equal members still
-# hash equal; only the hash values differ, and no report depends on them.
+# The frame kinds and board roles, as the strings the server records.  Every
+# frame and board holds these very objects, so a kind or role compares by
+# identity.
 
 
-class PacketKind(Enum):
+class PacketKind:
     DATA = "data"
     HEARTBEAT = "heartbeat"
     ACK = "ack"
     NOISE = "noise"
 
-    __hash__ = object.__hash__
 
-
-class BoardRole(Enum):
+class BoardRole:
     PRIMARY = "primary"
     SECONDARY = "secondary"
-
-    __hash__ = object.__hash__
 
 
 # The tags of a reading with no fault applied, one object for all of them.
@@ -82,9 +76,9 @@ class Packet(NamedTuple):
     """One frame on the air.  A tuple: built once per frame, ack and
     heartbeat, it costs less than a frozen dataclass and is as immutable."""
 
-    kind: PacketKind
+    kind: str  # a PacketKind attribute
     node_id: str = ""
-    board_role: Optional[BoardRole] = None
+    board_role: str = ""  # a BoardRole attribute; "" on an ack or a noise burst
     seq: int = 0
     size_bytes: int = 0
     reading: Optional[SensorReading] = None

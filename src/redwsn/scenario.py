@@ -19,12 +19,12 @@ from typing import get_args, get_origin, get_type_hints
 
 from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
-from .engine import check_int_fields, ms_to_us
+from .engine import check_typed_fields, ms_to_us
 from .gateway import GatewayConfig
 from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
 from .metrics import IterationMetrics, MetricsReport
-from .packets import DATA_BYTES
+from .packets import DATA_BYTES, BoardRole
 from .simulation import Simulation
 
 
@@ -47,7 +47,7 @@ class ScenarioConfig:
     secondary: SecondaryConfig = SecondaryConfig()
 
     def __post_init__(self):
-        check_int_fields(self, ConfigError)
+        check_typed_fields(self, ConfigError)
         if self.duration_ms <= 0:
             raise ConfigError("duration_ms must be positive")
         if not self.nodes:
@@ -107,8 +107,8 @@ class ScenarioConfig:
         self._check_fault_overlap()
 
     def _board_ids(self) -> list[str]:
-        ids = [f"{n.id}.primary" for n in self.nodes]
-        return ids + [f"{n.id}.secondary" for n in self.nodes if n.has_secondary]
+        ids = [f"{n.id}.{BoardRole.PRIMARY}" for n in self.nodes]
+        return ids + [f"{n.id}.{BoardRole.SECONDARY}" for n in self.nodes if n.has_secondary]
 
     def _check_radio_ids(self):
         # The channel keys busy time and deafness by radio id.

@@ -18,6 +18,7 @@ from .metrics import (
     epoch_ledger,
     rssi_summary,
 )
+from .packets import BoardRole
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -83,7 +84,7 @@ class Simulation:
         windows = {node_id: primary.fault_windows_us for node_id, primary in self.primaries.items()}
         self.epochs = epoch_ledger(entries, slots, windows, duration_us, bound_us)
         prr = compute_prr(self.epochs)
-        prr_primary = compute_prr(self.epochs, roles=("primary",))
+        prr_primary = compute_prr(self.epochs, roles=(BoardRole.PRIMARY,))
         detection = compute_detection_rate(self.epochs)
         violations = delay_violations(entries, list(self.primaries), duration_us, bound_us)
         rssi_by_gateway: dict[str, list[float]] = {gw.entity_id: [] for gw in self.gateways}

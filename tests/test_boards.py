@@ -510,7 +510,8 @@ def test_every_reading_is_a_tuple_of_python_floats():
     assert all(type(r.values) is tuple and len(r.values) == len(SENSOR_FIELDS) for _, r in built)
     assert all(type(v) is float for _, r in built for v in r.values)
     kinds = {(role, tag.split(":")[0]) for role, r in built for tag in r.fault_tags}
-    assert kinds == {(role, kind) for role in BoardRole for kind in ("read_failure", "anomaly")}
+    roles = (BoardRole.PRIMARY, BoardRole.SECONDARY)
+    assert kinds == {(role, kind) for role in roles for kind in ("read_failure", "anomaly")}
     assert any(not r.is_complete() for _, r in built)
 
 

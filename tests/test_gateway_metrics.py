@@ -168,8 +168,8 @@ def test_validity_rules():
 
 
 def reference_server_entry(gateway_id, packet, rssi_dbm, now_us):
-    """The server record built by keyword, reading the enums' ``value``: the
-    oracle for the positional record."""
+    """The server record built by keyword: the oracle for the positional
+    record."""
     valid = (
         packet.kind is PacketKind.DATA
         and packet.reading is not None
@@ -178,9 +178,9 @@ def reference_server_entry(gateway_id, packet, rssi_dbm, now_us):
     )
     return ServerEntry(
         node_id=packet.node_id,
-        board_role=packet.board_role.value if packet.board_role else "",
+        board_role=packet.board_role,
         seq=packet.seq,
-        kind=packet.kind.value,
+        kind=packet.kind,
         time_us=now_us,
         gateway_id=gateway_id,
         rssi_dbm=rssi_dbm,
@@ -190,7 +190,7 @@ def reference_server_entry(gateway_id, packet, rssi_dbm, now_us):
 
 @given(
     kind=st.sampled_from((PacketKind.DATA, PacketKind.HEARTBEAT, PacketKind.ACK)),
-    role=st.sampled_from((BoardRole.PRIMARY, BoardRole.SECONDARY, None)),
+    role=st.sampled_from((BoardRole.PRIMARY, BoardRole.SECONDARY, "")),
     # None: a frame without a reading; otherwise the reading's NaN fields.
     nan_fields=st.none() | st.sets(st.sampled_from(SENSOR_FIELDS), max_size=3),
     tags=st.frozensets(st.sampled_from(("anomaly:co2_ppm", "read_failure:co2_ppm")), max_size=2),
@@ -488,7 +488,12 @@ def test_rssi_summary_equals_numpy_bit_for_bit(samples):
 
 @given(
     st.lists(
-        st.tuples(st.sampled_from(("n1", "n2", "n10")), st.integers(0, 3), st.sampled_from(BoardRole), st.integers(0, 2)),
+        st.tuples(
+            st.sampled_from(("n1", "n2", "n10")),
+            st.integers(0, 3),
+            st.sampled_from((BoardRole.PRIMARY, BoardRole.SECONDARY)),
+            st.integers(0, 2),
+        ),
         max_size=30,
     )
 )

@@ -11,16 +11,15 @@ def test_package_imports_and_exports_resolve():
     assert missing == []
 
 
-_ENUMS = {"PacketKind", "BoardRole", "FaultKind"}
+_ENUMS = {"FaultKind"}
 # Functions that run once per board, gateway or run, not per event.
 _SET_UP = {"__init__", "__post_init__"}
 _SET_UP_QUALNAMES = {"Channel.add_noise"}
 
 
 def enum_member_loads(source: str) -> list[tuple[str, int]]:
-    """(qualified name, line) of each ``PacketKind.X``, ``BoardRole.X`` or
-    ``FaultKind.X`` load whose innermost enclosing function, or lambda, is
-    not set-up code."""
+    """(qualified name, line) of each ``FaultKind.X`` load whose innermost
+    enclosing function, or lambda, is not set-up code."""
     found = []
 
     def visit(node, scope, in_function):
@@ -49,17 +48,17 @@ def enum_member_loads(source: str) -> list[tuple[str, int]]:
 
 def test_the_enum_guard_sees_loads_in_per_event_code_only():
     source = (
-        "_DATA = PacketKind.DATA\n"
+        "_HARD = FaultKind.HARD_FAILURE\n"
         "class Board:\n"
-        "    ROLE = BoardRole.PRIMARY\n"
+        "    KIND = FaultKind.SENSOR_ANOMALY\n"
         "    def __init__(self):\n"
-        "        self.kind = PacketKind.ACK\n"
+        "        self.kind = FaultKind.SENSOR_READ_FAILURE\n"
         "        self.later = lambda: FaultKind.HARD_FAILURE\n"
-        "    def on_receive(self, packet):\n"
-        "        return packet.kind is PacketKind.DATA\n"
+        "    def on_receive(self, fault):\n"
+        "        return fault.kind is FaultKind.SENSOR_ANOMALY\n"
         "def helper():\n"
         "    def inner():\n"
-        "        return BoardRole.SECONDARY\n"
+        "        return FaultKind.GATEWAY_FAILURE\n"
     )
     assert enum_member_loads(source) == [("Board.__init__.<lambda>", 6), ("Board.on_receive", 8), ("helper.inner", 11)]
 
@@ -67,9 +66,12 @@ def test_the_enum_guard_sees_loads_in_per_event_code_only():
 def test_per_event_code_reads_no_enum_member_through_its_class():
     """On CPython 3.11, loading an Enum member through its class costs about
     183 ns against 46 ns for a plain class attribute: EnumType defines
-    ``__getattr__``, which turns off the fast attribute path.  The frame path
-    reads members through module names such as ``_DATA`` instead.  From 3.12
-    the load is cheap, but the package supports 3.10 and 3.11 too."""
+    ``__getattr__``, which turns off the fast attribute path.  So the frame
+    path reads no Enum member: frame kinds and board roles are plain string
+    attributes of plain classes, and each board resolves what its faults'
+    ``FaultKind`` means at set-up.  ``FaultKind`` stays an Enum, since the
+    loader parses it from config.  From 3.12 the load is cheap, but the
+    package supports 3.10 and 3.11 too."""
     package = Path(redwsn.__file__).parent
     found = {
         name: loads

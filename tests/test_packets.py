@@ -82,7 +82,7 @@ def test_packet_helper_builds_the_data_frame_the_constructor_does(emergency, cor
 
 
 def test_packet_helper_builds_the_ack_and_heartbeat_the_constructor_does():
-    ack = packet_from_fields((PacketKind.ACK, "n1", None, 7, 8, None, False, False))
+    ack = packet_from_fields((PacketKind.ACK, "n1", "", 7, 8, None, False, False))
     assert_same_record(ack, Packet(kind=PacketKind.ACK, node_id="n1", seq=7, size_bytes=8))
     beat = packet_from_fields((PacketKind.HEARTBEAT, "n1", BoardRole.SECONDARY, 3, 12, None, False, False))
     expected = Packet(kind=PacketKind.HEARTBEAT, node_id="n1", board_role=BoardRole.SECONDARY, seq=3, size_bytes=12)

@@ -59,7 +59,7 @@ def test_gwf_preset_has_backup_gateway():
     ids = [g.id for g in cfg.gateways]
     assert ids == ["gw-home", "gw-backup"]
     backup = cfg.gateways[1]
-    assert backup.position.distance_to(Position(0, 0)) == pytest.approx(12.0)
+    assert backup.position == Position(12.0, 0.0)
     assert backup.extra_loss_db > 0 and not backup.acks_enabled
     assert cfg.faults == (FaultSpec(FaultKind.GATEWAY_FAILURE, "gw-home", 300_000, 1_500_000),)
 
@@ -379,6 +379,32 @@ def test_sections_built_in_python_refuse_non_finite_floats(section, field, value
 def test_sections_built_in_python_refuse_non_int_values_in_int_fields(section, field, value):
     # build_preset + replace bypasses the loader's int rule; the section
     # refuses the value itself, by the field's name.
+    with pytest.raises(ValueError, match=field):
+        replace(section, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        # Each of these ran at seed 1, as if its field held the default or
+        # the other switch.  A kind string injected no fault: PRR 1.000 and
+        # primary-only 1.000, against 0.841 and 0.333.
+        (build_preset("HF").faults[0], "kind", "hard_failure"),
+        # It ran SARB: 1.000 / 1.000, against control-noise-noSARB's 0.828 / 0.603.
+        (GWF.mac, "enabled", "false"),
+        # It kept the noise: 10 delay violations, against control-clean's 0.
+        (GWF.noise, "enabled", "false"),
+        # It kept the secondary: PRR 0.841, against HF-noRedundancy's 0.333.
+        (GWF.nodes[0], "has_secondary", "no"),
+        (GWF.lora, "crc_on", 0),
+        (GWF.lora, "explicit_header", "yes"),
+        (GWF.gateways[0], "acks_enabled", 1),
+    ],
+    ids=lambda v: type(v).__name__ if is_dataclass(v) else None,
+)
+def test_sections_built_in_python_refuse_non_bool_values_and_unparsed_fault_kinds(section, field, value):
+    # The loader parses bools and fault kinds; replace passes any value
+    # through, so the section refuses it itself, by the field's name.
     with pytest.raises(ValueError, match=field):
         replace(section, **{field: value})
 

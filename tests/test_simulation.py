@@ -11,8 +11,9 @@ from dataclasses import replace
 import pytest
 
 from redwsn import simulation
-from redwsn.channel import Position
+from redwsn.channel import Channel, Position
 from redwsn.engine import ms_to_us
+from redwsn.packets import BoardRole, PacketKind
 from redwsn.scenario import PRESET_NAMES, NodeConfig, build_preset
 from redwsn.simulation import Simulation
 
@@ -129,3 +130,27 @@ def test_a_second_run_is_refused_and_leaves_the_first_runs_results():
     assert sim.server.duplicate_count == metrics.duplicate_count
     assert simulation.compute_prr(sim.epochs) == metrics.prr_redundant
     assert all(primary.expected_slots_us for primary in sim.primaries.values())
+
+
+@pytest.mark.parametrize("preset", ["HF", "GWF"])
+def test_frames_and_boards_hold_the_kind_and_role_constants_themselves(monkeypatch, preset):
+    # Code that reads a kind or a role compares it by identity, the
+    # benchmark tracer's substitute count too: an equal string built again
+    # would match nothing.
+    kinds = (PacketKind.DATA, PacketKind.HEARTBEAT, PacketKind.ACK, PacketKind.NOISE)
+    roles = (BoardRole.PRIMARY, BoardRole.SECONDARY)
+    frames = []
+    begin = Channel.begin_transmission
+
+    def recorded(self, source_id, position, packet, tx_power_dbm):
+        frames.append(packet)
+        return begin(self, source_id, position, packet, tx_power_dbm)
+
+    monkeypatch.setattr(Channel, "begin_transmission", recorded)
+    sim = Simulation(build_preset(preset), 1)
+    boards = [*sim.primaries.values(), *sim.secondaries.values()]
+    sim.run()
+    assert {packet.kind for packet in frames} == {PacketKind.DATA, PacketKind.HEARTBEAT, PacketKind.ACK}
+    assert all(any(packet.kind is kind for kind in kinds) for packet in frames)
+    assert all(any(packet.board_role is role for role in (*roles, "")) for packet in frames)
+    assert len(boards) == 2 and all(any(board.role is role for role in roles) for board in boards)
