@@ -33,8 +33,7 @@ class Position:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("positions must be finite")
+        check_typed_fields(self)
 
 
 @dataclass(frozen=True)
@@ -56,21 +55,18 @@ class ChannelParams:
     agc_ceiling_dbm: float = -90.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.reference_loss_db, self.sensitivity_dbm, self.agc_ceiling_dbm))):
-            raise ValueError("channel reference_loss_db, sensitivity_dbm and agc_ceiling_dbm must be finite")
-        # Each bound below also refuses NaN; an infinite value gives
-        # NaN RSSI stats or a frame no receiver (or every receiver) decodes.
-        if not 0 <= self.path_loss_exponent < math.inf:
+        check_typed_fields(self)
+        if self.path_loss_exponent < 0:
             # A negative one: a farther receiver would hear the frame louder.
-            raise ValueError("channel path_loss_exponent must not be negative, and must be finite")
-        if not 0 < self.reference_distance_m < math.inf:
-            raise ValueError("channel reference_distance_m must be positive, and must be finite")
-        if not 0 <= self.shadowing_sigma_db < math.inf:
-            raise ValueError("channel shadowing_sigma_db must not be negative, and must be finite")
-        if not 0 < self.capture_threshold_db < math.inf:
+            raise ValueError("channel path_loss_exponent must not be negative")
+        if self.reference_distance_m <= 0:
+            raise ValueError("channel reference_distance_m must be positive")
+        if self.shadowing_sigma_db < 0:
+            raise ValueError("channel shadowing_sigma_db must not be negative")
+        if self.capture_threshold_db <= 0:
             # At or below 0 dB two overlapping frames within -threshold dB
             # of each other would both be decoded at one receiver.
-            raise ValueError("channel capture_threshold_db must be positive, and must be finite")
+            raise ValueError("channel capture_threshold_db must be positive")
         if self.agc_ceiling_dbm < self.sensitivity_dbm:
             # Every frame would be clamped below the sensitivity.
             raise ValueError("channel agc_ceiling_dbm must not be below sensitivity_dbm")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import check_typed_fields, holds_type
+
 DEFAULT_FAILURE_RATE = 1e-4  # per hour
 DEFAULT_REPAIR_RATE = 20.83e-3  # per hour (one repair roughly every 48 h)
 
@@ -27,10 +29,13 @@ class BirthDeathModel:
     repair_rate: float = DEFAULT_REPAIR_RATE
 
     def __post_init__(self):
+        # Before the type rule, so that NaN or inf is refused in the model's words.
+        for name, rate in (("failure_rate", self.failure_rate), ("repair_rate", self.repair_rate)):
+            if not (holds_type(rate, float) and rate > 0):
+                raise ValueError(f"{name}: rates must be finite and positive")
+        check_typed_fields(self)
         if self.n_boards < 1:
             raise ValueError("need at least one board")
-        if not (0 < self.failure_rate < math.inf and 0 < self.repair_rate < math.inf):
-            raise ValueError("rates must be finite and positive")
 
 
 def build_generator(model: BirthDeathModel) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MethodType
@@ -73,8 +72,8 @@ class GatewayConfig:
     def __post_init__(self):
         check_typed_fields(self)
         # A gain would lift frames above the AGC ceiling that clamps them.
-        if not 0 <= self.extra_loss_db < math.inf:
-            raise ValueError("extra_loss_db must not be negative, and must be finite")
+        if self.extra_loss_db < 0:
+            raise ValueError("extra_loss_db must not be negative")
         check_tx_power(self.tx_power_dbm)
 
 

@@ -15,11 +15,11 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, is_dataclass, replace
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
-from .engine import check_typed_fields, ms_to_us
+from .engine import check_typed_fields, field_types, holds_type, ms_to_us, type_name
 from .gateway import GatewayConfig
 from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
@@ -236,7 +236,7 @@ def _build(cls, tree, path: str, base=None):
     A section that rejects its values is named in the error."""
     if not isinstance(tree, dict):
         raise ConfigError(f"{path}: expected nested keys, got {tree!r}")
-    hints = get_type_hints(cls)
+    hints = field_types(cls)
     kwargs = {}
     for key, value in tree.items():
         where = f"{path}.{key}" if path else key
@@ -255,15 +255,13 @@ def _coerce(value, ftype, path: str, current=None):
     """``value`` as the declared field type.
 
     Strings (every flat-file value) parse into the type; other JSON values
-    must already have it, except that an integer serves as a float.  A float
-    must be finite: flat ``nan``/``inf`` and JSON ``NaN``/``Infinity`` are
-    refused.  A position is ``[x, y]`` or ``{"x": .., "y": ..}``; any other
-    dataclass field is a section whose keys replace those of ``current``.
+    must already have it, except that an integer serves as a float.  Then it
+    must hold the type (``holds_type``).  A position is ``[x, y]`` or
+    ``{"x": .., "y": ..}``; any other dataclass field is a section whose keys
+    replace those of ``current``.
     """
     args = get_args(ftype)
-    if type(None) in args:  # Optional[T]
-        if value is None:
-            return None
+    if type(None) in args and value is not None:  # Optional[T]; holds_type takes None
         (ftype,) = (t for t in args if t is not type(None))
     if get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -283,11 +281,9 @@ def _coerce(value, ftype, path: str, current=None):
             value = ftype(value)
         except (ValueError, OverflowError):
             pass
-    if ftype is float and type(value) is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite float, got {value!r}")
-    if type(value) is ftype:
+    if holds_type(value, ftype):
         return value
-    raise ConfigError(f"{path}: expected {ftype.__name__}, got {value!r}")
+    raise ConfigError(f"{path}: expected {type_name(ftype)}, got {value!r}")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

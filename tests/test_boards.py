@@ -96,7 +96,7 @@ def test_fault_spec_validation():
     with pytest.raises(ValueError):
         FaultSpec(kind=FaultKind.SENSOR_READ_FAILURE, target="n1.primary", affected_sensor="nope")
     # window_us would round a fractional millisecond away.
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="start_ms"):
         FaultSpec(kind=FaultKind.HARD_FAILURE, target="n1.primary", start_ms=100.0004, end_ms=200)
 
 

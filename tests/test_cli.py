@@ -113,6 +113,13 @@ def test_sim_run_csv_to_file(capsys, tmp_path):
     assert json_out.read_text() == capsys.readouterr().out
 
 
+def test_sim_run_refuses_an_integer_too_large_for_a_float_as_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"channel": {"reference_loss_db": 1' + "0" * 400 + "}}")
+    assert main_sim(["run", str(cfg), "--seeds", "1"]) == EXIT_CONFIG
+    assert "channel.reference_loss_db" in capsys.readouterr().err
+
+
 def test_sim_run_out_into_missing_directory_fails_before_simulating(capsys, tmp_path, monkeypatch):
     def run_scenario(cfg, seeds):
         raise AssertionError("the scenario ran")

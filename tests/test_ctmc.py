@@ -36,6 +36,13 @@ def test_model_refuses_non_finite_rates(rate):
         BirthDeathModel(2, repair_rate=rate)
 
 
+@pytest.mark.parametrize("n_boards", [2.5, True, "2"])
+def test_model_refuses_a_board_count_that_is_not_an_int(n_boards):
+    # 2.5 failed later, in range(); True built a one-board model.
+    with pytest.raises(ValueError, match="n_boards"):
+        BirthDeathModel(n_boards)
+
+
 def test_generator_structure():
     lam, mu = 2.0, 5.0
     q = build_generator(BirthDeathModel(3, failure_rate=lam, repair_rate=mu))

@@ -1,11 +1,16 @@
 import json
 import math
 from dataclasses import is_dataclass, replace
+from typing import Union, get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Position
+from redwsn.ctmc import BirthDeathModel
 from redwsn.lora import BANDWIDTHS_HZ
 from redwsn.scenario import (
     PRESET_NAMES,
@@ -330,37 +335,37 @@ def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
         load_scenario(str(path))
 
 
+def test_json_integer_too_large_for_a_float_fails_at_load(tmp_path):
+    # float() of it raised a bare OverflowError where only isfinite was asked.
+    path = tmp_path / "bad.json"
+    path.write_text('{"channel": {"reference_loss_db": 1' + "0" * 400 + "}}")
+    with pytest.raises(ConfigError, match="channel.reference_loss_db: expected a finite float"):
+        load_scenario(str(path))
+
+
 GWF = build_preset("GWF")
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "section, field",
-    [
-        (GWF.channel, "reference_loss_db"),
-        (GWF.channel, "sensitivity_dbm"),
-        (GWF.channel, "agc_ceiling_dbm"),
-        (GWF.channel, "path_loss_exponent"),
-        (GWF.channel, "capture_threshold_db"),
-        (GWF.channel, "shadowing_sigma_db"),
-        (GWF.channel, "reference_distance_m"),
-        (GWF.gateways[1], "extra_loss_db"),
-        (GWF.secondary, "anomaly_rel_threshold"),
-        (FaultSpec(FaultKind.SENSOR_ANOMALY, "n1.primary", affected_sensor="co2_ppm"), "anomaly_multiplier"),
-    ],
-    ids=lambda v: type(v).__name__ if is_dataclass(v) else v,
-)
-def test_sections_built_in_python_refuse_non_finite_floats(section, field, value):
-    # build_preset + replace bypasses the loader's finite-float check; the
-    # section refuses the value itself.  NaN stays reserved for an unread
-    # sensor, and no NaN reaches a report.
-    with pytest.raises(ValueError, match=field):
-        replace(section, **{field: value})
+# Floats that NaN is reserved against: NaN marks an unread sensor only, and
+# no NaN may reach a report.
+FINITE_FLOAT_FIELDS = [
+    (GWF.channel, "reference_loss_db"),
+    (GWF.channel, "sensitivity_dbm"),
+    (GWF.channel, "agc_ceiling_dbm"),
+    (GWF.channel, "path_loss_exponent"),
+    (GWF.channel, "capture_threshold_db"),
+    (GWF.channel, "shadowing_sigma_db"),
+    (GWF.channel, "reference_distance_m"),
+    (GWF.gateways[1], "extra_loss_db"),
+    (GWF.secondary, "anomaly_rel_threshold"),
+    (FaultSpec(FaultKind.SENSOR_ANOMALY, "n1.primary", affected_sensor="co2_ppm"), "anomaly_multiplier"),
+]
 
 
 @pytest.mark.parametrize(
     "section, field, value",
     [
+        *((section, field, value) for section, field in FINITE_FLOAT_FIELDS for value in (math.nan, math.inf, -math.inf)),
         # Rounded to a 0 us ack timeout, it ran: HF seed 1 reported 22
         # duplicates, against 3.
         (GWF.mac, "ack_timeout_ms", 0.0004),
@@ -373,19 +378,6 @@ def test_sections_built_in_python_refuse_non_finite_floats(section, field, value
         # A bool is not an int, as the loader has it.
         (GWF, "max_monitoring_delay_ms", True),
         (GWF.faults[0], "start_ms", False),
-    ],
-    ids=lambda v: type(v).__name__ if is_dataclass(v) else None,
-)
-def test_sections_built_in_python_refuse_non_int_values_in_int_fields(section, field, value):
-    # build_preset + replace bypasses the loader's int rule; the section
-    # refuses the value itself, by the field's name.
-    with pytest.raises(ValueError, match=field):
-        replace(section, **{field: value})
-
-
-@pytest.mark.parametrize(
-    "section, field, value",
-    [
         # Each of these ran at seed 1, as if its field held the default or
         # the other switch.  A kind string injected no fault: PRR 1.000 and
         # primary-only 1.000, against 0.841 and 0.333.
@@ -399,14 +391,75 @@ def test_sections_built_in_python_refuse_non_int_values_in_int_fields(section, f
         (GWF.lora, "crc_on", 0),
         (GWF.lora, "explicit_header", "yes"),
         (GWF.gateways[0], "acks_enabled", 1),
+        # A position that is not a Position built, then failed in Simulation
+        # with an AttributeError, far from its field.
+        (GWF.nodes[0], "position", (2.0, 0.0)),
+        (GWF.gateways[1], "position", [12.0, 0.0]),
+        (GWF.noise, "position", {"x": -1.5, "y": 0.5}),
+        (GWF.channel, "shadowing_sigma_db", "2"),
+        # A float must be finite as a float: this raised a bare OverflowError.
+        pytest.param(GWF.channel, "reference_loss_db", 10**400, id="ChannelParams-reference_loss_db-10**400"),
+        (GWF, "nodes", ("n1",)),
+        (GWF, "nodes", list(GWF.nodes)),
+        (GWF, "noise", None),
+        (GWF.nodes[0], "id", 1),
+        (GWF.faults[0], "target", 1),
     ],
     ids=lambda v: type(v).__name__ if is_dataclass(v) else None,
 )
-def test_sections_built_in_python_refuse_non_bool_values_and_unparsed_fault_kinds(section, field, value):
-    # The loader parses bools and fault kinds; replace passes any value
-    # through, so the section refuses it itself, by the field's name.
+def test_sections_built_in_python_refuse_values_not_of_the_field_type(section, field, value):
+    # build_preset + replace bypasses the loader; the section refuses the
+    # value itself, by the field's name.
     with pytest.raises(ValueError, match=field):
         replace(section, **{field: value})
+
+
+# Values of many types, for every field of every config section.
+VALUE_POOL = (
+    None, True, False, 0, 3, -1, 2.5, -0.5, math.nan, math.inf, -math.inf, 10**400, np.int64(3), np.float64(2.0),
+    "", "n1", "1.5", "hard_failure", b"n1", (), ("n1",), (2.0, 0.0), [], [2.0, 0.0], {}, {"x": 1.0, "y": 0.0},
+    Position(1.0, 2.0), FaultKind.SENSOR_ANOMALY, GWF.nodes, GWF.gateways, GWF.faults, GWF.nodes[0], GWF.noise,
+    GWF.mac, GWF.channel, GWF.lora, GWF.secondary, object(),
+)
+VALUES = st.sampled_from(VALUE_POOL) | (st.integers() | st.floats() | st.text(max_size=3))
+SECTIONS = (
+    GWF, *GWF.nodes, *GWF.gateways, GWF.faults[0], build_preset("SF2").faults[0], GWF.noise, GWF.mac, GWF.channel,
+    GWF.lora, GWF.secondary, Position(1.0, 2.0), BirthDeathModel(2),
+)
+
+
+def of_declared_type(value, ftype) -> bool:
+    """The README's type rule, restated apart from engine.holds_type."""
+    if ftype is float:
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # isfinite converts an int to a float first
+            return False
+    if get_origin(ftype) is Union:  # Optional[T]
+        return value is None or of_declared_type(value, get_args(ftype)[0])
+    if get_origin(ftype) is tuple:
+        return type(value) is tuple and all(of_declared_type(v, get_args(ftype)[0]) for v in value)
+    if ftype in (int, bool):
+        return type(value) is ftype
+    return isinstance(value, ftype)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_config_field_refuses_a_value_of_another_type_by_name(data):
+    # Each field of a section, set to any value: a ValueError that names the
+    # field, or a section whose field holds its declared type.  Never a
+    # TypeError, AttributeError or OverflowError from a range check.
+    section = data.draw(st.sampled_from(SECTIONS))
+    for field, ftype in get_type_hints(type(section)).items():
+        value = data.draw(VALUES, label=field)
+        try:
+            replace(section, **{field: value})
+        except ValueError as exc:
+            # A value of the declared type may fail a range check named otherwise.
+            assert of_declared_type(value, ftype) or field in str(exc)
+        else:
+            assert of_declared_type(value, ftype)
 
 
 def test_flat_empty_preset_fails_at_load(tmp_path):
