@@ -12,13 +12,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
 from .channel import Channel, Position
-from .engine import Simulator, check_typed_fields, in_windows, ms_to_us
-from .lora import MAX_PAYLOAD_BYTES, check_tx_power
+from .engine import NOT_NEGATIVE, POSITIVE, Simulator, check_typed_fields, in_windows, ms_to_us
+from .lora import PAYLOAD_BYTES, TX_POWER_DBM
 from .mac import SarbConfig, SarbMac
 from .packets import (
     DATA_BYTES,
@@ -49,15 +49,15 @@ class FaultSpec:
 
     kind: FaultKind
     target: str  # "<node>.primary", "<node>.secondary" or a gateway id
-    start_ms: int = 300_000  # minutes 5..25 of a 30-minute run
+    start_ms: Annotated[int, NOT_NEGATIVE] = 300_000  # minutes 5..25 of a 30-minute run
     end_ms: int = 1_500_000
     affected_sensor: Optional[str] = None
     anomaly_multiplier: float = 1.5
 
     def __post_init__(self):
         check_typed_fields(self)
-        if not 0 <= self.start_ms < self.end_ms:
-            raise ValueError("fault window must have 0 <= start_ms < end_ms")
+        if self.start_ms >= self.end_ms:
+            raise ValueError("FaultSpec.start_ms must be less than end_ms")
         if self.kind in (FaultKind.SENSOR_READ_FAILURE, FaultKind.SENSOR_ANOMALY):
             if self.affected_sensor not in SENSOR_FIELDS:
                 raise ValueError(f"unknown sensor field: {self.affected_sensor!r}")
@@ -149,11 +149,10 @@ class NodeConfig:
     id: str
     position: Position = Position(2.0, 0.0)
     has_secondary: bool = True
-    tx_power_dbm: float = 14.0
+    tx_power_dbm: Annotated[float, TX_POWER_DBM] = 14.0
 
     def __post_init__(self):
         check_typed_fields(self)
-        check_tx_power(self.tx_power_dbm)
 
     @property
     def secondary_position(self) -> Position:
@@ -325,23 +324,17 @@ class PrimaryBoard(_RadioBoard):
 @dataclass(frozen=True)
 class SecondaryConfig:
     sensing_interval_ms: int = 35_000
-    heartbeat_period_ms: int = 60_000
+    heartbeat_period_ms: Annotated[int, POSITIVE] = 60_000
     # Time the board needs to read all sensors before a substitute
     # transmission goes out.
-    sense_duration_ms: int = 3_500
-    heartbeat_bytes: int = 12
-    anomaly_rel_threshold: float = 0.25
+    sense_duration_ms: Annotated[int, NOT_NEGATIVE] = 3_500
+    heartbeat_bytes: Annotated[int, PAYLOAD_BYTES] = 12
+    anomaly_rel_threshold: Annotated[float, POSITIVE] = 0.25
 
     def __post_init__(self):
         check_typed_fields(self)
-        if self.heartbeat_period_ms <= 0 or self.anomaly_rel_threshold <= 0:
-            raise ValueError("secondary heartbeat_period_ms and anomaly_rel_threshold must be positive")
-        if self.sense_duration_ms < 0 or self.heartbeat_bytes < 0:
-            raise ValueError("secondary sense_duration_ms and heartbeat_bytes must not be negative")
-        if self.heartbeat_bytes > MAX_PAYLOAD_BYTES:
-            raise ValueError(f"secondary heartbeat_bytes must not exceed the LoRa maximum, {MAX_PAYLOAD_BYTES}")
         if self.sense_duration_ms >= self.sensing_interval_ms:
-            raise ValueError("secondary sense_duration_ms must be less than sensing_interval_ms")
+            raise ValueError("SecondaryConfig.sense_duration_ms must be less than sensing_interval_ms")
 
 
 class SecondaryBoard(_RadioBoard):

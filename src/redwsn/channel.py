@@ -18,12 +18,12 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Annotated, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .engine import Simulator, check_typed_fields, drawn_ahead, ms_to_us
-from .lora import MAX_PAYLOAD_BYTES, LoraParams, check_tx_power, time_on_air_us
+from .engine import NOT_NEGATIVE, POSITIVE, Simulator, check_typed_fields, drawn_ahead, ms_to_us
+from .lora import PAYLOAD_BYTES, TX_POWER_DBM, LoraParams, time_on_air_us
 from .packets import Packet, PacketKind
 
 
@@ -46,30 +46,22 @@ class ChannelParams:
     behind one wall, stays above the receiver sensitivity.
     """
 
-    path_loss_exponent: float = 2.0
-    reference_distance_m: float = 1.0
+    # A negative exponent: a farther receiver would hear the frame louder.
+    path_loss_exponent: Annotated[float, NOT_NEGATIVE] = 2.0
+    reference_distance_m: Annotated[float, POSITIVE] = 1.0
     reference_loss_db: float = 106.0
-    shadowing_sigma_db: float = 2.0
-    capture_threshold_db: float = 6.0
+    shadowing_sigma_db: Annotated[float, NOT_NEGATIVE] = 2.0
+    # At or below 0 dB two overlapping frames within -threshold dB of each
+    # other would both be decoded at one receiver.
+    capture_threshold_db: Annotated[float, POSITIVE] = 6.0
     sensitivity_dbm: float = -120.0
     agc_ceiling_dbm: float = -90.0
 
     def __post_init__(self):
         check_typed_fields(self)
-        if self.path_loss_exponent < 0:
-            # A negative one: a farther receiver would hear the frame louder.
-            raise ValueError("channel path_loss_exponent must not be negative")
-        if self.reference_distance_m <= 0:
-            raise ValueError("channel reference_distance_m must be positive")
-        if self.shadowing_sigma_db < 0:
-            raise ValueError("channel shadowing_sigma_db must not be negative")
-        if self.capture_threshold_db <= 0:
-            # At or below 0 dB two overlapping frames within -threshold dB
-            # of each other would both be decoded at one receiver.
-            raise ValueError("channel capture_threshold_db must be positive")
         if self.agc_ceiling_dbm < self.sensitivity_dbm:
             # Every frame would be clamped below the sensitivity.
-            raise ValueError("channel agc_ceiling_dbm must not be below sensitivity_dbm")
+            raise ValueError("ChannelParams.agc_ceiling_dbm must not be below sensitivity_dbm")
 
 
 def link_budget_dbm(tx: Position, rx: Position, tx_power_dbm: float, params: ChannelParams) -> float:
@@ -145,23 +137,16 @@ class NoiseConfig:
     """Periodic interferer: one burst of payload_bytes every period +- jitter."""
 
     enabled: bool = True
-    period_ms: int = 500
-    payload_bytes: int = 10
+    period_ms: Annotated[int, POSITIVE] = 500
+    payload_bytes: Annotated[int, PAYLOAD_BYTES] = 10
     # Jitter breaks the phase lock between the burst train and the MAC
     # timers, which all live on the same 500 ms grid.
-    jitter_ms: int = 50
+    jitter_ms: Annotated[int, NOT_NEGATIVE] = 50
     position: Position = Position(-1.5, 0.5)
-    tx_power_dbm: float = 14.0
+    tx_power_dbm: Annotated[float, TX_POWER_DBM] = 14.0
 
     def __post_init__(self):
         check_typed_fields(self)
-        if self.period_ms <= 0:
-            raise ValueError("noise period_ms must be positive")
-        if self.payload_bytes < 0 or self.jitter_ms < 0:
-            raise ValueError("noise payload_bytes and jitter_ms must not be negative")
-        if self.payload_bytes > MAX_PAYLOAD_BYTES:
-            raise ValueError(f"noise payload_bytes must not exceed the LoRa maximum, {MAX_PAYLOAD_BYTES}")
-        check_tx_power(self.tx_power_dbm)
 
 
 @dataclass

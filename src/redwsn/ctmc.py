@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .engine import check_typed_fields, holds_type
+from .engine import Interval, check_typed_fields, holds_type
 
 DEFAULT_FAILURE_RATE = 1e-4  # per hour
 DEFAULT_REPAIR_RATE = 20.83e-3  # per hour (one repair roughly every 48 h)
@@ -24,7 +25,7 @@ class BirthDeathModel:
     """Boards fail independently, i*l in state i, and one repairer works at
     m whatever the backlog."""
 
-    n_boards: int
+    n_boards: Annotated[int, Interval(1)]
     failure_rate: float = DEFAULT_FAILURE_RATE
     repair_rate: float = DEFAULT_REPAIR_RATE
 
@@ -34,8 +35,6 @@ class BirthDeathModel:
             if not (holds_type(rate, float) and rate > 0):
                 raise ValueError(f"{name}: rates must be finite and positive")
         check_typed_fields(self)
-        if self.n_boards < 1:
-            raise ValueError("need at least one board")
 
 
 def build_generator(model: BirthDeathModel) -> np.ndarray:

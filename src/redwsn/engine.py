@@ -16,7 +16,7 @@ adding a consumer never perturbs the draws of another.
 Three rules that every layer shares live here too: a fault window is
 active over [start, end) (``in_windows``), a stream drawn a block ahead
 yields the values of one draw per item (``drawn_ahead``), and a config
-field holds its declared type (``holds_type``, for sections and loader).
+field holds its declared type within its bound (``check_typed_fields``).
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import sys
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Container, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,17 +57,62 @@ def type_name(ftype) -> str:
     return "a finite float" if ftype is float else (str(ftype) if get_args(ftype) else ftype.__name__)
 
 
-# A config class's field types by name, cached: get_type_hints takes ~130 us on ScenarioConfig.
-field_types = functools.cache(get_type_hints)
+@dataclass(frozen=True)
+class Interval:
+    """A config field's bound: the numbers from ``lo`` to ``hi``, both
+    included, except ``lo`` when ``lo_open``."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        return (self.lo < value if self.lo_open else self.lo <= value) and value <= self.hi
+
+    def __str__(self) -> str:
+        low = f"{'>' if self.lo_open else '>='} {self.lo:g}"
+        return low if self.hi == math.inf else f"{low} and <= {self.hi:g}"
+
+
+POSITIVE = Interval(0, lo_open=True)
+NOT_NEGATIVE = Interval(0)
+
+
+def bound_text(bound: Container) -> str:
+    """The rule a bound states, as a refusal prints it: ``>= 6 and <= 12``, ``> 0``."""
+    return str(bound) if isinstance(bound, Interval) else f"one of {bound}"
+
+
+def value_text(value) -> str:
+    """``repr(value)``, or what it is if it holds an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or a tuple holding one
+        what = f"an int of {value.bit_length()} bits" if type(value) is int else f"a {type(value).__name__}"
+        return f"{what} too long to print"
+
+
+@functools.cache
+def declared_fields(cls) -> dict[str, tuple[type, Container | None]]:
+    """A config class's (type, bound) by field, from ``type`` (no bound) or
+    ``Annotated[type, bound]``.  Cached: get_type_hints takes ~130 us on ScenarioConfig."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {name: get_args(t) if get_origin(t) is Annotated else (t, None) for name, t in hints.items()}
 
 
 def check_typed_fields(config, error: type[ValueError] = ValueError) -> None:
     """Refuse a config with a field that does not hold its declared type,
-    naming the field.  Sections call this before their range checks."""
-    for name, ftype in field_types(type(config)).items():
+    or lies outside its declared bound, naming the field and the rule.
+    Sections call this before their cross-field checks."""
+    for name, (ftype, bound) in declared_fields(type(config)).items():
         value = getattr(config, name)
         if not holds_type(value, ftype):
-            raise error(f"{type(config).__name__}.{name} must be {type_name(ftype)}, got {value!r}")
+            rule = type_name(ftype)
+        elif bound is not None and value not in bound:
+            rule = bound_text(bound)
+        else:
+            continue
+        raise error(f"{type(config).__name__}.{name} must be {rule}, got {value_text(value)}")
 
 
 def in_windows(windows_us: Iterable[tuple[int, int]], t_us: int) -> bool:

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MethodType
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 from .boards import FaultSpec
 from .channel import Channel, Position
-from .engine import Simulator, check_typed_fields, in_windows
-from .lora import check_tx_power
+from .engine import NOT_NEGATIVE, Simulator, check_typed_fields, in_windows
+from .lora import TX_POWER_DBM
 from .packets import BoardRole, Packet, PacketKind, packet_from_fields
 
 
@@ -66,15 +66,12 @@ class GatewayConfig:
     id: str
     position: Position = Position(0.0, 0.0)
     acks_enabled: bool = True
-    extra_loss_db: float = 0.0
-    tx_power_dbm: float = 14.0
+    # A gain would lift frames above the AGC ceiling that clamps them.
+    extra_loss_db: Annotated[float, NOT_NEGATIVE] = 0.0
+    tx_power_dbm: Annotated[float, TX_POWER_DBM] = 14.0
 
     def __post_init__(self):
         check_typed_fields(self)
-        # A gain would lift frames above the AGC ceiling that clamps them.
-        if self.extra_loss_db < 0:
-            raise ValueError("extra_loss_db must not be negative")
-        check_tx_power(self.tx_power_dbm)
 
 
 class Gateway:

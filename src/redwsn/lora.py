@@ -4,21 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
-from .engine import check_typed_fields, ms_to_us
+from .engine import POSITIVE, Interval, check_typed_fields, ms_to_us
 
-# The SX127x's largest payload: its length field is one byte.
-MAX_PAYLOAD_BYTES = 255
+# The SX127x's payload sizes: its length field is one byte.
+PAYLOAD_BYTES = Interval(0, 255)
 # The SX127x's signal bandwidths, 7.8 kHz to 500 kHz.
 BANDWIDTHS_HZ = (7_800, 10_400, 15_600, 20_800, 31_250, 41_700, 62_500, 125_000, 250_000, 500_000)
 # The SX1276's transmit power range.
-MIN_TX_POWER_DBM, MAX_TX_POWER_DBM = -4.0, 20.0
-
-
-def check_tx_power(tx_power_dbm: float) -> None:
-    """Refuse a transmit power the radio cannot set (NaN included)."""
-    if not MIN_TX_POWER_DBM <= tx_power_dbm <= MAX_TX_POWER_DBM:
-        raise ValueError(f"tx_power_dbm must be in {MIN_TX_POWER_DBM:g}..{MAX_TX_POWER_DBM:g} dBm (SX1276)")
+TX_POWER_DBM = Interval(-4.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -31,26 +26,18 @@ class LoraParams:
     The simulation is single-channel.
     """
 
-    spreading_factor: int = 7
-    bandwidth_hz: int = 125_000
-    coding_rate_denominator: int = 5  # 4/5 .. 4/8
-    preamble_symbols: int = 8
+    spreading_factor: Annotated[int, Interval(6, 12)] = 7
+    bandwidth_hz: Annotated[int, BANDWIDTHS_HZ] = 125_000
+    coding_rate_denominator: Annotated[int, Interval(5, 8)] = 5  # 4/5 .. 4/8
+    preamble_symbols: Annotated[int, POSITIVE] = 8
     explicit_header: bool = True
     crc_on: bool = True
 
     def __post_init__(self):
         check_typed_fields(self)
-        if not 6 <= self.spreading_factor <= 12:
-            raise ValueError("spreading factor must be in 6..12")
         if self.spreading_factor == 6 and self.explicit_header:
             # The SX127x datasheet allows SF6 in implicit-header mode only.
-            raise ValueError("spreading factor 6 needs an implicit header (explicit_header false)")
-        if not 5 <= self.coding_rate_denominator <= 8:
-            raise ValueError("coding rate denominator must be in 5..8 (4/5..4/8)")
-        if self.bandwidth_hz not in BANDWIDTHS_HZ:
-            raise ValueError(f"bandwidth_hz must be one of the SX127x bandwidths {BANDWIDTHS_HZ}")
-        if self.preamble_symbols <= 0:
-            raise ValueError("preamble must have at least one symbol")
+            raise ValueError("LoraParams.spreading_factor 6 needs explicit_header false (an implicit header)")
 
 
 def symbol_time_ms(params: LoraParams) -> float:

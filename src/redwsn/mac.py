@@ -10,43 +10,36 @@ baseline: one transmission every fixed interval, no acks, no queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
 import numpy as np
 
-from .engine import Simulator, check_typed_fields, drawn_ahead, ms_to_us
+from .engine import NOT_NEGATIVE, POSITIVE, Simulator, check_typed_fields, drawn_ahead, ms_to_us
 from .packets import Packet
 
 
 @dataclass(frozen=True)
 class SarbConfig:
-    slot_min_ms: int = 20_000
+    slot_min_ms: Annotated[int, POSITIVE] = 20_000
     slot_max_ms: int = 30_000
-    slot_step_ms: int = 500
-    retx_interval_ms: int = 6_000
-    retx_slots_per_cycle: int = 2
-    queue_capacity: int = 10
-    ack_timeout_ms: int = 2_000
+    slot_step_ms: Annotated[int, POSITIVE] = 500
+    retx_interval_ms: Annotated[int, POSITIVE] = 6_000
+    retx_slots_per_cycle: Annotated[int, NOT_NEGATIVE] = 2
+    queue_capacity: Annotated[int, NOT_NEGATIVE] = 10
+    ack_timeout_ms: Annotated[int, POSITIVE] = 2_000
     enabled: bool = True
     # Baseline when disabled: fixed interval, no retransmission.
-    fixed_interval_ms: int = 30_000
+    fixed_interval_ms: Annotated[int, POSITIVE] = 30_000
 
     def __post_init__(self):
         check_typed_fields(self)
-        if self.slot_min_ms <= 0 or self.retx_interval_ms <= 0:
-            raise ValueError("mac slot_min_ms and retx_interval_ms must be positive")
-        if self.retx_slots_per_cycle < 0:
-            raise ValueError("mac retx_slots_per_cycle must not be negative")
         if self.slot_min_ms > self.slot_max_ms:
-            raise ValueError("slot_min must not exceed slot_max")
-        if self.slot_step_ms <= 0 or (self.slot_max_ms - self.slot_min_ms) % self.slot_step_ms:
-            raise ValueError("slot range must be divisible by the step")
+            raise ValueError("SarbConfig.slot_min_ms must not exceed slot_max_ms")
+        if (self.slot_max_ms - self.slot_min_ms) % self.slot_step_ms:
+            raise ValueError("SarbConfig.slot_max_ms - slot_min_ms must be a multiple of slot_step_ms")
         if self.retx_slots_per_cycle * self.retx_interval_ms >= self.slot_min_ms:
-            raise ValueError("retransmission slots must fit before the earliest next data slot")
-        if self.queue_capacity < 0 or self.ack_timeout_ms <= 0:
-            raise ValueError("mac queue_capacity must not be negative and ack_timeout_ms must be positive")
-        if self.fixed_interval_ms <= 0:
-            raise ValueError("fixed_interval_ms must be positive")
+            # Retransmission slots must fit before the earliest next data slot.
+            raise ValueError("SarbConfig.retx_slots_per_cycle * retx_interval_ms must be less than slot_min_ms")
 
     @property
     def max_interval_ms(self) -> int:

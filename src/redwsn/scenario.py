@@ -15,11 +15,11 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, is_dataclass, replace
-from typing import get_args, get_origin
+from typing import Annotated, get_args, get_origin
 
 from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
-from .engine import check_typed_fields, field_types, holds_type, ms_to_us, type_name
+from .engine import POSITIVE, check_typed_fields, declared_fields, holds_type, ms_to_us, type_name, value_text
 from .gateway import GatewayConfig
 from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     name: str = "custom"
     duration_ms: int = 1_800_000
-    max_monitoring_delay_ms: int = 40_000
+    max_monitoring_delay_ms: Annotated[int, POSITIVE] = 40_000
     nodes: tuple[NodeConfig, ...] = (NodeConfig(id="n1"),)
     gateways: tuple[GatewayConfig, ...] = (GatewayConfig(id="gw-home"),)
     faults: tuple[FaultSpec, ...] = ()
@@ -48,8 +48,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_typed_fields(self, ConfigError)
-        if self.duration_ms <= 0:
-            raise ConfigError("duration_ms must be positive")
         if not self.nodes:
             raise ConfigError("at least one node is required")
         if not self.gateways:
@@ -60,10 +58,9 @@ class ScenarioConfig:
                 f"secondary.sensing_interval_ms must exceed the MAC's longest data interval"
                 f" ({self.mac.max_interval_ms} ms), or the watchdog fires before every data slot"
             )
-        if self.max_monitoring_delay_ms <= 0:
-            raise ConfigError("max_monitoring_delay_ms must be positive")
         # The first data slot comes at most one interval in; its monitoring
-        # window must fit in the run, or no epoch can be scored.
+        # window must fit in the run, or no epoch can be scored.  This refuses
+        # every duration_ms <= 0 too, so that field declares no bound.
         shortest = self.mac.max_interval_ms + self.max_monitoring_delay_ms
         if self.duration_ms < shortest:
             raise ConfigError(f"duration_ms must be at least {shortest}")
@@ -235,17 +232,17 @@ def _build(cls, tree, path: str, base=None):
     """A ``cls`` from a tree of keys, or ``base`` with those keys replaced.
     A section that rejects its values is named in the error."""
     if not isinstance(tree, dict):
-        raise ConfigError(f"{path}: expected nested keys, got {tree!r}")
-    hints = field_types(cls)
+        raise ConfigError(f"{path}: expected nested keys, got {value_text(tree)}")
+    fields = declared_fields(cls)
     kwargs = {}
     for key, value in tree.items():
         where = f"{path}.{key}" if path else key
-        if key not in hints:
+        if key not in fields:
             raise ConfigError(f"unknown key: {where}")
-        kwargs[key] = _coerce(value, hints[key], where, getattr(base, key, None))
+        kwargs[key] = _coerce(value, fields[key][0], where, getattr(base, key, None))
     try:
         return replace(base, **kwargs) if base is not None else cls(**kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # a TypeError: a required key is missing
         if not path:  # the scenario's own checks name their keys
             raise
         raise ConfigError(f"{path}: {exc}") from exc
@@ -265,7 +262,7 @@ def _coerce(value, ftype, path: str, current=None):
         (ftype,) = (t for t in args if t is not type(None))
     if get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
+            raise ConfigError(f"{path}: expected a list, got {value_text(value)}")
         item, _ = get_args(ftype)  # every tuple field is tuple[T, ...]
         return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if ftype is Position:
@@ -283,7 +280,7 @@ def _coerce(value, ftype, path: str, current=None):
             pass
     if holds_type(value, ftype):
         return value
-    raise ConfigError(f"{path}: expected {type_name(ftype)}, got {value!r}")
+    raise ConfigError(f"{path}: expected {type_name(ftype)}, got {value_text(value)}")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

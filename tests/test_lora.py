@@ -91,7 +91,7 @@ def test_us_variant_consistent():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         LoraParams(spreading_factor=5)
-    with pytest.raises(ValueError, match="spreading factor 6 needs an implicit header"):
+    with pytest.raises(ValueError, match="LoraParams.spreading_factor 6 needs explicit_header false"):
         LoraParams(spreading_factor=6)
     with pytest.raises(ValueError):
         LoraParams(coding_rate_denominator=9)

@@ -32,9 +32,9 @@ def test_config_rejects_bad_values():
         SarbConfig(slot_step_ms=0)
     with pytest.raises(ValueError):
         SarbConfig(retx_interval_ms=12_000)  # 2 x 12 s >= 20 s
-    with pytest.raises(ValueError, match="ack_timeout_ms must be positive"):
+    with pytest.raises(ValueError, match="SarbConfig.ack_timeout_ms must be > 0, got 0"):
         SarbConfig(ack_timeout_ms=0)
-    with pytest.raises(ValueError, match="queue_capacity must not be negative"):
+    with pytest.raises(ValueError, match="SarbConfig.queue_capacity must be >= 0, got -1"):
         SarbConfig(queue_capacity=-1)
     # An empty queue only turns retransmission off.
     assert SarbConfig(queue_capacity=0).queue_capacity == 0

@@ -142,3 +142,85 @@ def test_per_event_code_schedules_bound_methods_with_their_arguments():
         if (closures := per_event_closures((package / name).read_text()))
     }
     assert found == {}
+
+
+def lone_field_bounds(source: str) -> list[tuple[str, int]]:
+    """(class, line) of each comparison in a ``__post_init__`` between one
+    ``self.<field>`` and constants only (literals and UPPER_CASE names),
+    where nothing else the check's condition reads is a field: a range
+    check of one field, which belongs in its declared bound.  Each operand
+    of an ``or`` is a check of its own; an enclosing ``if`` is part of the
+    condition."""
+    found = []
+
+    def fields(expr) -> set[str]:
+        return {
+            node.attr
+            for node in ast.walk(expr)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+
+    def constant(expr) -> bool:
+        if isinstance(expr, ast.UnaryOp):
+            return constant(expr.operand)
+        if isinstance(expr, ast.Tuple):
+            return all(map(constant, expr.elts))
+        return isinstance(expr, ast.Constant) or (isinstance(expr, ast.Name) and expr.id.isupper())
+
+    def visit(statements, cls, outer):
+        for stmt in statements:
+            if isinstance(stmt, ast.If):
+                test = stmt.test
+                checks = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or) else [test]
+                for check in checks:
+                    if len(outer | fields(check)) != 1:
+                        continue
+                    for cmp in (node for node in ast.walk(check) if isinstance(node, ast.Compare)):
+                        operands = [cmp.left, *cmp.comparators]
+                        if all(constant(op) or fields(op) == {getattr(op, "attr", None)} for op in operands):
+                            found.append((cls, cmp.lineno))
+                visit(stmt.body, cls, outer | fields(test))
+                visit(stmt.orelse, cls, outer | fields(test))
+            elif isinstance(stmt, (ast.For, ast.While, ast.With)):
+                visit(stmt.body, cls, outer)
+
+    for cls in (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                visit(fn.body, cls.name, set())
+    return found
+
+
+def test_the_bound_guard_sees_one_field_range_checks_only():
+    source = (
+        "class Config:\n"
+        "    def __post_init__(self):\n"
+        "        check_typed_fields(self)\n"
+        "        if self.a < 0:\n"
+        "            raise ValueError\n"
+        "        if not -4 <= self.b <= MAX_B or self.c <= self.d:\n"
+        "            raise ValueError\n"
+        "        if self.e == 6 and self.f:\n"
+        "            raise ValueError\n"
+        "        if self.kind in (Kind.X, Kind.Y):\n"
+        "            if self.g not in FIELDS:\n"
+        "                raise ValueError\n"
+        "        for name in NAMES:\n"
+        "            if self.h <= 0 or self.i > 255:\n"
+        "                raise ValueError\n"
+        "        if self.j < limit:\n"
+        "            raise ValueError\n"
+    )
+    assert lone_field_bounds(source) == [("Config", 4), ("Config", 6), ("Config", 14), ("Config", 14)]
+
+
+def test_no_config_checks_the_range_of_one_field_by_hand():
+    """A single-field bound is declared next to the field's type
+    (``Annotated[int, Interval(6, 12)]``), where ``check_typed_fields``
+    refuses a value outside it by name; ``__post_init__`` keeps only the
+    checks between fields."""
+    package = Path(redwsn.__file__).parent
+    found = {
+        path.name: lines for path in sorted(package.glob("*.py")) if (lines := lone_field_bounds(path.read_text()))
+    }
+    assert found == {}

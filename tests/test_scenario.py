@@ -1,7 +1,9 @@
 import json
 import math
+import re
 from dataclasses import is_dataclass, replace
-from typing import Union, get_args, get_origin, get_type_hints
+from pathlib import Path
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from redwsn.boards import FaultKind, FaultSpec
 from redwsn.channel import Position
 from redwsn.ctmc import BirthDeathModel
+from redwsn.engine import Interval, bound_text
 from redwsn.lora import BANDWIDTHS_HZ
 from redwsn.scenario import (
     PRESET_NAMES,
@@ -159,7 +162,10 @@ GWF_BACKUP = {"id": "gw-backup", "position": [12.0, 0.0], "acks_enabled": False,
         ({"duration_ms": 180000.5}, "duration_ms"),
         ({"noise": {"enabled": 0}}, "noise.enabled"),
         ({"noise": {"position": [1, 2, 3]}}, "noise.position"),
-        ({"noise": {"position": {"x": 1}}}, "'y'"),
+        # A missing required key is named with its section, not left to a bare TypeError.
+        ({"noise": {"position": {"x": 1}}}, "^noise.position: .*'y'"),
+        ({"nodes": [{"id": "n1", "position": {"x": 1}}]}, r"^nodes\[0\].position: .*'y'"),
+        ({"nodes": [{"position": [1, 0]}]}, r"^nodes\[0\]: .*'id'"),
         ({"faults": [{**HF_FAULT, "target": "n1.primray"}]}, "n1.primray"),
         ({"faults": [{**HF_FAULT, "start_ms": "x"}]}, r"faults\[0\].start_ms"),
         ({"faults": [{**HF_FAULT, "kind": "meltdown"}]}, r"faults\[0\].kind"),
@@ -247,11 +253,27 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
             "secondary.sensing_interval_ms",
         ),
         ({"faults": [{**HF_FAULT, "start_ms": -1000}]}, "start_ms"),
-        ({"secondary": {"sense_duration_ms": 40_000}}, "sense_duration_ms must be less than sensing_interval_ms"),
+        (
+            {"secondary": {"sense_duration_ms": 40_000}},
+            "secondary: SecondaryConfig.sense_duration_ms must be less than sensing_interval_ms",
+        ),
         # A value a section refuses is reported under the section's path.
         (
             {"preset": "HF", "faults": [HF_FAULT, {**HF_FAULT, "start_ms": -1000}]},
-            r"faults\[1\]: fault window must have 0 <= start_ms < end_ms",
+            r"faults\[1\]: FaultSpec.start_ms must be >= 0, got -1000",
+        ),
+        (
+            {"faults": [{**HF_FAULT, "start_ms": 5000, "end_ms": 5000}]},
+            r"faults\[0\]: FaultSpec.start_ms must be less than end_ms",
+        ),
+        ({"mac": {"slot_min_ms": 30_500}}, "mac: SarbConfig.slot_min_ms must not exceed slot_max_ms"),
+        (
+            {"mac": {"slot_step_ms": 300}},
+            "mac: SarbConfig.slot_max_ms - slot_min_ms must be a multiple of slot_step_ms",
+        ),
+        (
+            {"mac": {"retx_interval_ms": 12_000}},
+            r"mac: SarbConfig.retx_slots_per_cycle \* retx_interval_ms must be less than slot_min_ms",
         ),
         ({"mac": {"slot_min_ms": 0}}, "mac: "),
         ({"secondary": {"heartbeat_bytes": -1}}, "secondary: "),
@@ -259,15 +281,21 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"channel": {"reference_distance_m": 0}}, "channel: "),
         ({"lora": {"spreading_factor": 5}}, "lora: "),
         # The SX127x runs SF6 with an implicit header only.
-        ({"preset": "control-clean", "lora": {"spreading_factor": 6}}, "lora: spreading factor 6 needs an implicit header"),
+        (
+            {"preset": "control-clean", "lora": {"spreading_factor": 6}},
+            "lora: LoraParams.spreading_factor 6 needs explicit_header false",
+        ),
         # Every frame was clamped below the sensitivity: PRR 0, no receptions.
-        ({"preset": "HF", "channel": {"agc_ceiling_dbm": -130}}, "channel: .*agc_ceiling_dbm"),
+        (
+            {"preset": "HF", "channel": {"agc_ceiling_dbm": -130}},
+            "channel: ChannelParams.agc_ceiling_dbm must not be below sensitivity_dbm",
+        ),
         # The same through one gateway's extra loss, applied after the clamp.
         ({"preset": "HF", "gateways": [{"id": "gw-home", "extra_loss_db": 40}]}, r"gateways\[0\]\.extra_loss_db"),
         # A gain lifted gw-home's frames above the -90 dBm AGC ceiling.
         (
             {"preset": "GWF", "gateways": [{"id": "gw-home", "extra_loss_db": -30}, GWF_BACKUP]},
-            r"gateways\[0\]: extra_loss_db must not be negative",
+            r"gateways\[0\]: GatewayConfig.extra_loss_db must be >= 0, got -30.0",
         ),
         # A preset key that names no preset ran the default scenario.
         ({"preset": ""}, "unknown preset: ''"),
@@ -275,9 +303,15 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"preset": None}, "unknown preset: None"),
         ({"preset": False}, "unknown preset: False"),
         # Beyond the LoRa maximum of 255 bytes: 2.95 s bursts, PRR 0.
-        ({"preset": "HF", "noise": {"payload_bytes": 2000}}, "noise: .*payload_bytes must not exceed"),
-        ({"noise": {"payload_bytes": 256}}, "noise: .*payload_bytes must not exceed"),
-        ({"secondary": {"heartbeat_bytes": 256}}, "secondary: .*heartbeat_bytes must not exceed"),
+        (
+            {"preset": "HF", "noise": {"payload_bytes": 2000}},
+            "noise: NoiseConfig.payload_bytes must be >= 0 and <= 255, got 2000",
+        ),
+        ({"noise": {"payload_bytes": 256}}, "noise: NoiseConfig.payload_bytes must be >= 0 and <= 255, got 256"),
+        (
+            {"secondary": {"heartbeat_bytes": 256}},
+            "secondary: SecondaryConfig.heartbeat_bytes must be >= 0 and <= 255, got 256",
+        ),
         # The burst outlasted the period, so the noise board jammed the
         # channel back to back: PRR 0, no reception at gw-home.
         ({"preset": "HF", "lora": {"spreading_factor": 11}}, "noise burst .* lasts 577.536 ms"),
@@ -285,12 +319,27 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         # The same when the jitter reaches past a 41 ms burst.
         ({"preset": "HF", "noise": {"jitter_ms": 480}}, "noise.period_ms - noise.jitter_ms"),
         # No SX127x bandwidth: a data frame lasted 23.1 s, PRR 0.
-        ({"preset": "HF", "lora": {"bandwidth_hz": 1000}}, "lora: bandwidth_hz must be one of"),
-        ({"preset": "HF", "lora": {"bandwidth_hz": 1_000_000}}, "lora: bandwidth_hz must be one of"),
+        (
+            {"preset": "HF", "lora": {"bandwidth_hz": 1000}},
+            r"lora: LoraParams.bandwidth_hz must be one of \(7800, .*, 500000\), got 1000",
+        ),
+        (
+            {"preset": "HF", "lora": {"bandwidth_hz": 1_000_000}},
+            r"lora: LoraParams.bandwidth_hz must be one of \(7800, .*, 500000\), got 1000000",
+        ),
         # Beyond the SX1276's power range: -200 dBm put nothing on the air.
-        ({"preset": "HF", "nodes": [{"id": "n1", "tx_power_dbm": -200}]}, r"nodes\[0\]: tx_power_dbm must be in -4..20"),
-        ({"preset": "HF", "gateways": [{"id": "gw-home", "tx_power_dbm": 21}]}, r"gateways\[0\]: tx_power_dbm"),
-        ({"preset": "HF", "noise": {"tx_power_dbm": -4.5}}, "noise: tx_power_dbm"),
+        (
+            {"preset": "HF", "nodes": [{"id": "n1", "tx_power_dbm": -200}]},
+            r"nodes\[0\]: NodeConfig.tx_power_dbm must be >= -4 and <= 20, got -200.0",
+        ),
+        (
+            {"preset": "HF", "gateways": [{"id": "gw-home", "tx_power_dbm": 21}]},
+            r"gateways\[0\]: GatewayConfig.tx_power_dbm must be >= -4 and <= 20, got 21.0",
+        ),
+        (
+            {"preset": "HF", "noise": {"tx_power_dbm": -4.5}},
+            "noise: NoiseConfig.tx_power_dbm must be >= -4 and <= 20, got -4.5",
+        ),
         # A data frame that, with its ack wait, outlasts the gap to the MAC's
         # next slot: 52.6 s, 13.1 s, 5.2 s and 10.4 s frames against 6 s - 2 s.
         *(
@@ -306,11 +355,17 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
             "mac.slot_min_ms",
         ),
         # A negative exponent makes a farther receiver hear the frame louder.
-        ({"preset": "GWF", "channel": {"path_loss_exponent": -3}}, "path_loss_exponent must not be negative"),
+        (
+            {"preset": "GWF", "channel": {"path_loss_exponent": -3}},
+            "channel: ChannelParams.path_loss_exponent must be >= 0, got -3.0",
+        ),
         # At or below 0 dB two overlapping frames can both be decoded at one
         # receiver: -10 dB cleared every delay violation of control-noise.
         *(
-            ({"preset": "control-noise", "channel": {"capture_threshold_db": c}}, "channel: .*capture_threshold_db must be positive")
+            (
+                {"preset": "control-noise", "channel": {"capture_threshold_db": c}},
+                f"channel: ChannelParams.capture_threshold_db must be > 0, got {c}.0",
+            )
             for c in (-10, 0)
         ),
         # Each 41.216 ms heartbeat deferred the next 20 ms one: a run that never ended.
@@ -332,6 +387,13 @@ def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
     path = tmp_path / "bad.cfg"
     path.write_text(f"preset = SF2\nchannel.capture_threshold_db = {value}\n")
     with pytest.raises(ConfigError, match="channel.capture_threshold_db: expected a finite float"):
+        load_scenario(str(path))
+
+
+def test_flat_position_with_one_coordinate_names_its_key(tmp_path):
+    path = tmp_path / "one-coordinate.cfg"
+    path.write_text("noise.position.x = 1\n")
+    with pytest.raises(ConfigError, match="^noise.position: .*'y'"):
         load_scenario(str(path))
 
 
@@ -414,6 +476,17 @@ def test_sections_built_in_python_refuse_values_not_of_the_field_type(section, f
         replace(section, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [(Position(1.0, 2.0), "x", 10**5000), (GWF.lora, "spreading_factor", 10**5000), (GWF, "nodes", (10**5000,))],
+    ids=["float", "bound", "tuple"],
+)
+def test_an_int_too_long_to_print_is_refused_by_field_name(section, field, value):
+    # Formatting the value raised Python's "Exceeds the limit (4300 digits)", naming no field.
+    with pytest.raises(ValueError, match=f"^{type(section).__name__}.{field} must be .*, got "):
+        replace(section, **{field: value})
+
+
 # Values of many types, for every field of every config section.
 VALUE_POOL = (
     None, True, False, 0, 3, -1, 2.5, -0.5, math.nan, math.inf, -math.inf, 10**400, np.int64(3), np.float64(2.0),
@@ -444,22 +517,150 @@ def of_declared_type(value, ftype) -> bool:
     return isinstance(value, ftype)
 
 
+def declared_bounds(cls, prefix=""):
+    """(key, class, field, type, bound) of each field under ``cls`` that
+    declares a bound (``Annotated[type, bound]``), read from the annotations.
+    A key under a list holds ``[]``: ``nodes[].tx_power_dbm``."""
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        ftype, *bound = get_args(hint) if get_origin(hint) is Annotated else (hint,)
+        item, key = ftype, prefix + name
+        if get_origin(ftype) is tuple:
+            item, key = get_args(ftype)[0], key + "[]"
+        if is_dataclass(item):
+            yield from declared_bounds(item, key + ".")
+        elif bound:
+            yield key, cls, name, ftype, bound[0]
+
+
+DECLARED_BOUNDS = [*declared_bounds(ScenarioConfig), *declared_bounds(BirthDeathModel, "BirthDeathModel.")]
+BOUNDS = {(cls, field): bound for _, cls, field, _, bound in DECLARED_BOUNDS}
+
+
+def edge_values(ftype, bound) -> list[tuple[object, bool]]:
+    """(value, accepted) at each edge of a bound: the last value inside it
+    and the nearest one past it, 1 away for an int and the adjacent float
+    for a float.  A tuple of values has each member and its int neighbours."""
+    if not isinstance(bound, Interval):
+        return [(v, True) for v in bound] + [(v + d, False) for v in bound for d in (-1, 1) if v + d not in bound]
+
+    def past(x, direction):
+        return x + direction if ftype is int else math.nextafter(x, direction * math.inf)
+
+    lo = ftype(bound.lo)
+    edges = [(past(lo, 1), True), (lo, False)] if bound.lo_open else [(lo, True), (past(lo, -1), False)]
+    if bound.hi < math.inf:
+        edges += [(ftype(bound.hi), True), (past(ftype(bound.hi), 1), False)]
+    return edges
+
+
+def within_bound(value, bound) -> bool:
+    """The bound, restated from its ends apart from Interval.__contains__."""
+    if not isinstance(bound, Interval):
+        return value in bound
+    return (value > bound.lo if bound.lo_open else value >= bound.lo) and value <= bound.hi
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_every_config_field_refuses_a_value_of_another_type_by_name(data):
-    # Each field of a section, set to any value: a ValueError that names the
-    # field, or a section whose field holds its declared type.  Never a
+    # Each field of a section, set to any value, or to a value at or next to
+    # its declared bound: a ValueError that names the field, or a section
+    # whose field holds its declared type within its bound.  Never a
     # TypeError, AttributeError or OverflowError from a range check.
     section = data.draw(st.sampled_from(SECTIONS))
     for field, ftype in get_type_hints(type(section)).items():
-        value = data.draw(VALUES, label=field)
+        bound = BOUNDS.get((type(section), field))
+        edges = () if bound is None else [value for value, _ in edge_values(ftype, bound)]
+        value = data.draw(VALUES | st.sampled_from(edges) if edges else VALUES, label=field)
+        declared = of_declared_type(value, ftype) and (bound is None or within_bound(value, bound))
         try:
             replace(section, **{field: value})
         except ValueError as exc:
-            # A value of the declared type may fail a range check named otherwise.
-            assert of_declared_type(value, ftype) or field in str(exc)
+            # A value of the declared type and bound may fail a cross-field check named otherwise.
+            assert declared or field in str(exc)
         else:
-            assert of_declared_type(value, ftype)
+            assert declared
+
+
+# What each key's edge values need beside them to pass the cross-field
+# checks: a 1 ms noise period with the noise off, a 1 ms heartbeat period
+# with no secondary, SF6 with an implicit header, and so on.
+EDGE_CONTEXT = {
+    "noise.period_ms": {"noise": {"enabled": False}},
+    "mac.slot_min_ms": {"mac": {"enabled": False, "slot_step_ms": 1, "retx_slots_per_cycle": 0}},
+    "mac.retx_interval_ms": {"mac": {"enabled": False}},
+    "secondary.heartbeat_period_ms": {"nodes": [{"id": "n1", "has_secondary": False}]},
+    "lora.spreading_factor": {"lora": {"explicit_header": False}, "noise": {"enabled": False}},
+    "lora.bandwidth_hz": {"noise": {"enabled": False}},
+}
+LIST_ENTRIES = {"nodes": {"id": "n1"}, "gateways": {"id": "gw-home"}, "faults": HF_FAULT}
+SECTION_OF = {
+    type(s): s
+    for s in (
+        GWF, GWF.nodes[0], GWF.gateways[0], GWF.faults[0], GWF.noise, GWF.mac, GWF.channel, GWF.lora, GWF.secondary,
+        BirthDeathModel(2),
+    )
+}
+EDGE_CASES = [
+    (key, cls, field, bound, value, accepted)
+    for key, cls, field, ftype, bound in DECLARED_BOUNDS
+    for value, accepted in edge_values(ftype, bound)
+]
+
+
+def key_tree(key: str, value) -> dict:
+    """The JSON tree that sets one loader key; a list key goes in the list's one entry."""
+    head, _, rest = key.partition(".")
+    if not rest:
+        return {head: value}
+    if head.endswith("[]"):
+        return {head[:-2]: [{**LIST_ENTRIES[head[:-2]], **key_tree(rest, value)}]}
+    return {head: key_tree(rest, value)}
+
+
+def merged(a: dict, b: dict) -> dict:
+    return {**a, **{k: merged(a[k], v) if isinstance(a.get(k), dict) else v for k, v in b.items()}}
+
+
+def loaded_value(cfg, key: str):
+    for part in key.split("."):
+        cfg = getattr(cfg, part.removesuffix("[]"))
+        cfg = cfg[0] if part.endswith("[]") else cfg
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "key, cls, field, bound, value, accepted", EDGE_CASES, ids=[f"{case[0]}={case[4]!r}" for case in EDGE_CASES]
+)
+def test_each_declared_bound_takes_its_edge_and_refuses_the_value_past_it(
+    tmp_path, key, cls, field, bound, value, accepted
+):
+    refusal = re.escape(f"{cls.__name__}.{field} must be {bound_text(bound)}, got {value!r}")
+    context = EDGE_CONTEXT.get(key, {})
+    # Built in Python, beside the context's keys of the same section.
+    kwargs = {**context.get(key.partition(".")[0], {}), field: value}
+    if accepted:
+        assert getattr(replace(SECTION_OF[cls], **kwargs), field) == value
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            replace(SECTION_OF[cls], **kwargs)
+    if cls is BirthDeathModel:  # not a config key
+        return
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(merged(context, key_tree(key, value))))
+    if accepted:
+        assert loaded_value(load_scenario(str(path)), key) == value
+    else:
+        section = key.replace("[]", "[0]").rpartition(".")[0]
+        with pytest.raises(ConfigError, match=(re.escape(f"{section}: ") if section else "^") + refusal):
+            load_scenario(str(path))
+
+
+def test_the_readme_table_lists_every_declared_bound():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([^`]+)` \| (`.+`) \|$", readme, re.M)
+    listed = {(rule, key) for rule, keys in rows for key in re.findall(r"`([^`]+)`", keys)}
+    assert listed == {(bound_text(bound), key) for key, _, _, _, bound in DECLARED_BOUNDS}
 
 
 def test_flat_empty_preset_fails_at_load(tmp_path):
