@@ -21,7 +21,7 @@ fault = cfg.faults[0]
 sim = Simulation(cfg, seed=5)
 metrics = sim.run()
 
-print(f"fault: {fault.kind.value} on {fault.target}, "
+print(f"fault: {fault.kind} on {fault.target}, "
       f"{fault.start_ms // 60000}..{fault.end_ms // 60000} min\n")
 
 previous = 0.0

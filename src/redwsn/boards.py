@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Annotated, Optional
 
 import numpy as np
@@ -36,18 +35,24 @@ from .packets import (
 )
 
 
-class FaultKind(Enum):
+class FaultKind:
+    """The fault kinds, as the strings the loader reads.  A kind loaded from
+    a file is an equal string, not one of these objects: compare with ==."""
+
     HARD_FAILURE = "hard_failure"
     SENSOR_READ_FAILURE = "sensor_read_failure"
     SENSOR_ANOMALY = "sensor_anomaly"
     GATEWAY_FAILURE = "gateway_failure"
 
 
+FAULT_KINDS = tuple(kind for name, kind in vars(FaultKind).items() if name.isupper())
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault, active during [start, end)."""
 
-    kind: FaultKind
+    kind: Annotated[str, FAULT_KINDS]
     target: str  # "<node>.primary", "<node>.secondary" or a gateway id
     start_ms: Annotated[int, NOT_NEGATIVE] = 300_000  # minutes 5..25 of a 30-minute run
     end_ms: int = 1_500_000
@@ -181,16 +186,16 @@ class _RadioBoard:
         self.rx_extra_loss_db = 0.0
         own = [f for f in faults if f.target == self.entity_id]
         self.fault_windows_us = [f.window_us for f in own]
-        self._outages_us = [f.window_us for f in own if f.kind is FaultKind.HARD_FAILURE]
+        self._outages_us = [f.window_us for f in own if f.kind == FaultKind.HARD_FAILURE]
         # Per sensor fault: the field's index, the window, the factor the
         # value is multiplied by and the reading's tag.  A read failure's
         # factor is NaN, which makes any value NaN.  Only sensor faults name
         # a field; any other kind may carry anything in affected_sensor.
         self._sensor_faults: list[tuple[int, int, int, float, str]] = []
         for f in own:
-            if f.kind is FaultKind.SENSOR_READ_FAILURE:
+            if f.kind == FaultKind.SENSOR_READ_FAILURE:
                 factor, tag = math.nan, f"read_failure:{f.affected_sensor}"
-            elif f.kind is FaultKind.SENSOR_ANOMALY:
+            elif f.kind == FaultKind.SENSOR_ANOMALY:
                 factor, tag = f.anomaly_multiplier, f"anomaly:{f.affected_sensor}"
             else:
                 continue

@@ -14,7 +14,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .engine import Interval, check_typed_fields, holds_type
+from .engine import POSITIVE, Interval, check_typed_fields
 
 DEFAULT_FAILURE_RATE = 1e-4  # per hour
 DEFAULT_REPAIR_RATE = 20.83e-3  # per hour (one repair roughly every 48 h)
@@ -26,14 +26,10 @@ class BirthDeathModel:
     m whatever the backlog."""
 
     n_boards: Annotated[int, Interval(1)]
-    failure_rate: float = DEFAULT_FAILURE_RATE
-    repair_rate: float = DEFAULT_REPAIR_RATE
+    failure_rate: Annotated[float, POSITIVE] = DEFAULT_FAILURE_RATE
+    repair_rate: Annotated[float, POSITIVE] = DEFAULT_REPAIR_RATE
 
     def __post_init__(self):
-        # Before the type rule, so that NaN or inf is refused in the model's words.
-        for name, rate in (("failure_rate", self.failure_rate), ("repair_rate", self.repair_rate)):
-            if not (holds_type(rate, float) and rate > 0):
-                raise ValueError(f"{name}: rates must be finite and positive")
         check_typed_fields(self)
 
 

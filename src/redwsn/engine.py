@@ -54,6 +54,8 @@ def holds_type(value, ftype) -> bool:
 
 
 def type_name(ftype) -> str:
+    if type(None) in get_args(ftype):  # Optional[T]
+        return f"{type_name(get_args(ftype)[0])} or None"
     return "a finite float" if ftype is float else (str(ftype) if get_args(ftype) else ftype.__name__)
 
 

@@ -19,7 +19,7 @@ from typing import Annotated, get_args, get_origin
 
 from .boards import FaultKind, FaultSpec, NodeConfig, SecondaryConfig
 from .channel import NOISE_SOURCE_ID, ChannelParams, NoiseConfig, Position
-from .engine import POSITIVE, check_typed_fields, declared_fields, holds_type, ms_to_us, type_name, value_text
+from .engine import POSITIVE, check_typed_fields, declared_fields, ms_to_us, value_text
 from .gateway import GatewayConfig
 from .lora import LoraParams, time_on_air_us
 from .mac import SarbConfig
@@ -119,17 +119,17 @@ class ScenarioConfig:
         gateways = {g.id for g in self.gateways}
         boards = set(self._board_ids())
         for f in self.faults:
-            if f.kind is FaultKind.GATEWAY_FAILURE:
+            if f.kind == FaultKind.GATEWAY_FAILURE:
                 if f.target not in gateways:
                     raise ConfigError(f"gateway_failure target {f.target!r} is not a gateway id")
             elif f.target not in boards:
                 raise ConfigError(
-                    f"{f.kind.value} target {f.target!r} is not a board"
+                    f"{f.kind} target {f.target!r} is not a board"
                     " (<node>.primary, or <node>.secondary for a node with a secondary)"
                 )
 
     def _check_fault_overlap(self):
-        hard = [f for f in self.faults if f.kind is FaultKind.HARD_FAILURE]
+        hard = [f for f in self.faults if f.kind == FaultKind.HARD_FAILURE]
         for i, a in enumerate(hard):
             for b in hard[i + 1 :]:
                 if a.target == b.target and a.start_ms < b.end_ms and b.start_ms < a.end_ms:
@@ -249,17 +249,14 @@ def _build(cls, tree, path: str, base=None):
 
 
 def _coerce(value, ftype, path: str, current=None):
-    """``value`` as the declared field type.
+    """``value`` parsed into the declared field type where it can be.
 
-    Strings (every flat-file value) parse into the type; other JSON values
-    must already have it, except that an integer serves as a float.  Then it
-    must hold the type (``holds_type``).  A position is ``[x, y]`` or
-    ``{"x": .., "y": ..}``; any other dataclass field is a section whose keys
-    replace those of ``current``.
+    Strings (every flat-file value) parse into an int, float or bool field's
+    type, and a JSON integer serves as a float; a value that does not parse
+    is left as it is, for its section to refuse by the field's name.  A
+    position is ``[x, y]`` or ``{"x": .., "y": ..}``; any other dataclass
+    field is a section whose keys replace those of ``current``.
     """
-    args = get_args(ftype)
-    if type(None) in args and value is not None:  # Optional[T]; holds_type takes None
-        (ftype,) = (t for t in args if t is not type(None))
     if get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value_text(value)}")
@@ -272,15 +269,13 @@ def _coerce(value, ftype, path: str, current=None):
     if is_dataclass(ftype):
         return _build(ftype, value, path, current)
     if ftype is bool and isinstance(value, str):
-        value = _BOOL_WORDS.get(value.lower(), value)
-    elif isinstance(value, str) or (ftype is float and type(value) is int):
+        return _BOOL_WORDS.get(value.lower(), value)
+    if ftype in (int, float) and (isinstance(value, str) or (ftype is float and type(value) is int)):
         try:
-            value = ftype(value)
+            return ftype(value)
         except (ValueError, OverflowError):
             pass
-    if holds_type(value, ftype):
-        return value
-    raise ConfigError(f"{path}: expected {type_name(ftype)}, got {value_text(value)}")
+    return value
 
 
 def load_scenario(path: str) -> ScenarioConfig:

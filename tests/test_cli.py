@@ -117,7 +117,7 @@ def test_sim_run_refuses_an_integer_too_large_for_a_float_as_a_config_error(caps
     cfg = tmp_path / "huge.json"
     cfg.write_text('{"channel": {"reference_loss_db": 1' + "0" * 400 + "}}")
     assert main_sim(["run", str(cfg), "--seeds", "1"]) == EXIT_CONFIG
-    assert "channel.reference_loss_db" in capsys.readouterr().err
+    assert "channel: ChannelParams.reference_loss_db must be a finite float" in capsys.readouterr().err
 
 
 def test_sim_run_out_into_missing_directory_fails_before_simulating(capsys, tmp_path, monkeypatch):

@@ -121,6 +121,6 @@ def test_mttf_non_repairable():
     with pytest.raises(ValueError):
         mttf_non_repairable(0)
     # The model refuses these rates, and so does the MTTF.
-    for rate in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="finite and positive"):
+    for rate, rule in ((math.nan, "a finite float"), (math.inf, "a finite float"), (0.0, "> 0"), (-1.0, "> 0")):
+        with pytest.raises(ValueError, match=f"^BirthDeathModel.failure_rate must be {rule}, got {rate!r}$"):
             mttf_non_repairable(2, rate)

@@ -11,74 +11,21 @@ def test_package_imports_and_exports_resolve():
     assert missing == []
 
 
-_ENUMS = {"FaultKind"}
-# Functions that run once per board, gateway or run, not per event.
-_SET_UP = {"__init__", "__post_init__"}
-_SET_UP_QUALNAMES = {"Channel.add_noise"}
-
-
-def enum_member_loads(source: str) -> list[tuple[str, int]]:
-    """(qualified name, line) of each ``FaultKind.X`` load whose innermost
-    enclosing function, or lambda, is not set-up code."""
-    found = []
-
-    def visit(node, scope, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name], not isinstance(child, ast.ClassDef))
-                continue
-            if isinstance(child, ast.Lambda):
-                visit(child, [*scope, "<lambda>"], True)
-                continue
-            if (
-                in_function
-                and isinstance(child, ast.Attribute)
-                and isinstance(child.ctx, ast.Load)
-                and isinstance(child.value, ast.Name)
-                and child.value.id in _ENUMS
-            ):
-                qualname = ".".join(scope)
-                if scope[-1] not in _SET_UP and qualname not in _SET_UP_QUALNAMES:
-                    found.append((qualname, child.lineno))
-            visit(child, scope, in_function)
-
-    visit(ast.parse(source), [], False)
-    return found
-
-
-def test_the_enum_guard_sees_loads_in_per_event_code_only():
-    source = (
-        "_HARD = FaultKind.HARD_FAILURE\n"
-        "class Board:\n"
-        "    KIND = FaultKind.SENSOR_ANOMALY\n"
-        "    def __init__(self):\n"
-        "        self.kind = FaultKind.SENSOR_READ_FAILURE\n"
-        "        self.later = lambda: FaultKind.HARD_FAILURE\n"
-        "    def on_receive(self, fault):\n"
-        "        return fault.kind is FaultKind.SENSOR_ANOMALY\n"
-        "def helper():\n"
-        "    def inner():\n"
-        "        return FaultKind.GATEWAY_FAILURE\n"
-    )
-    assert enum_member_loads(source) == [("Board.__init__.<lambda>", 6), ("Board.on_receive", 8), ("helper.inner", 11)]
-
-
-def test_per_event_code_reads_no_enum_member_through_its_class():
-    """On CPython 3.11, loading an Enum member through its class costs about
-    183 ns against 46 ns for a plain class attribute: EnumType defines
-    ``__getattr__``, which turns off the fast attribute path.  So the frame
-    path reads no Enum member: frame kinds and board roles are plain string
-    attributes of plain classes, and each board resolves what its faults'
-    ``FaultKind`` means at set-up.  ``FaultKind`` stays an Enum, since the
-    loader parses it from config.  From 3.12 the load is cheap, but the
-    package supports 3.10 and 3.11 too."""
+def test_no_module_of_the_package_imports_enum():
+    """Frame kinds, board roles and fault kinds are strings held by plain
+    classes.  On CPython 3.11 loading an Enum member through its class costs
+    about 183 ns against 46 ns for a plain class attribute (EnumType defines
+    ``__getattr__``), and a declared bound refuses an unknown fault kind by
+    name, so no module needs an Enum."""
     package = Path(redwsn.__file__).parent
-    found = {
-        name: loads
-        for name in ("boards.py", "gateway.py", "mac.py", "channel.py")
-        if (loads := enum_member_loads((package / name).read_text()))
-    }
-    assert found == {}
+    importers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(alias.name == "enum" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "enum")
+    ]
+    assert importers == []
 
 
 _SCHEDULERS = {"schedule_at", "schedule_in"}

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import is_dataclass, replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
@@ -136,8 +136,19 @@ def test_load_json_config(tmp_path):
     )
     cfg = load_scenario(str(path))
     assert not cfg.nodes[0].has_secondary
-    assert cfg.faults[0].kind is FaultKind.HARD_FAILURE
+    assert cfg.faults[0].kind == FaultKind.HARD_FAILURE
     assert not cfg.noise.enabled
+
+
+@pytest.mark.parametrize("preset", ["HF", "SF1", "SF2", "GWF"])
+def test_faults_loaded_from_json_run_as_the_preset_faults_do(tmp_path, preset):
+    # A kind read from a file is an equal string, not FaultKind's own object:
+    # set-up code that compared kinds with `is` dropped the faults of HF, SF1 and SF2.
+    cfg = build_preset(preset)
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps({"preset": preset, "faults": [asdict(f) for f in cfg.faults]}))
+    loaded = load_scenario(str(path))
+    assert report_to_json(run_scenario(loaded, [1])) == report_to_json(run_scenario(cfg, [1]))
 
 
 @pytest.mark.parametrize("position", [[1, 2], {"x": 1, "y": 2}])
@@ -160,15 +171,22 @@ GWF_BACKUP = {"id": "gw-backup", "position": [12.0, 0.0], "acks_enabled": False,
     [
         ({"duration_ms": True}, "duration_ms"),
         ({"duration_ms": 180000.5}, "duration_ms"),
-        ({"noise": {"enabled": 0}}, "noise.enabled"),
+        ({"noise": {"enabled": 0}}, "^noise: NoiseConfig.enabled must be bool, got 0$"),
         ({"noise": {"position": [1, 2, 3]}}, "noise.position"),
         # A missing required key is named with its section, not left to a bare TypeError.
         ({"noise": {"position": {"x": 1}}}, "^noise.position: .*'y'"),
         ({"nodes": [{"id": "n1", "position": {"x": 1}}]}, r"^nodes\[0\].position: .*'y'"),
         ({"nodes": [{"position": [1, 0]}]}, r"^nodes\[0\]: .*'id'"),
         ({"faults": [{**HF_FAULT, "target": "n1.primray"}]}, "n1.primray"),
-        ({"faults": [{**HF_FAULT, "start_ms": "x"}]}, r"faults\[0\].start_ms"),
-        ({"faults": [{**HF_FAULT, "kind": "meltdown"}]}, r"faults\[0\].kind"),
+        ({"faults": [{**HF_FAULT, "start_ms": "x"}]}, r"^faults\[0\]: FaultSpec.start_ms must be int, got 'x'$"),
+        (
+            {"faults": [{**HF_FAULT, "kind": "meltdown"}]},
+            r"^faults\[0\]: FaultSpec.kind must be one of \('hard_failure', .*\), got 'meltdown'$",
+        ),
+        (
+            {"faults": [{**SF2_FAULT, "affected_sensor": 3}]},
+            r"^faults\[0\]: FaultSpec.affected_sensor must be str or None, got 3$",
+        ),
         ({"thresholds": {}}, "thresholds"),
     ],
 )
@@ -236,11 +254,17 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
         ({"channel": {"shadowing_sigma_db": -3}}, "shadowing_sigma_db"),
         ({"channel": {"reference_distance_m": 0}}, "reference_distance_m"),
         # JSON NaN: no corrective is ever sent, or every frame is captured.
-        ({"preset": "SF2", "secondary": {"anomaly_rel_threshold": math.nan}}, "secondary.anomaly_rel_threshold"),
-        ({"preset": "SF2", "channel": {"capture_threshold_db": math.nan}}, "channel.capture_threshold_db"),
+        (
+            {"preset": "SF2", "secondary": {"anomaly_rel_threshold": math.nan}},
+            "secondary: SecondaryConfig.anomaly_rel_threshold must be a finite float, got nan",
+        ),
+        (
+            {"preset": "SF2", "channel": {"capture_threshold_db": math.nan}},
+            "channel: ChannelParams.capture_threshold_db must be a finite float, got nan",
+        ),
         (
             {"faults": [{**SF2_FAULT, "anomaly_multiplier": math.nan}]},
-            r"faults\[0\].anomaly_multiplier",
+            r"faults\[0\]: FaultSpec.anomaly_multiplier must be a finite float, got nan",
         ),
         # Presets come only from the list; suffixes used to stack or be dropped.
         ({"preset": "HF-noSARB-noRedundancy"}, "HF-noSARB-noRedundancy"),
@@ -386,7 +410,8 @@ def test_configs_that_cannot_run_fail_at_load(tmp_path, tree, message):
 def test_flat_non_finite_floats_fail_at_load(tmp_path, value):
     path = tmp_path / "bad.cfg"
     path.write_text(f"preset = SF2\nchannel.capture_threshold_db = {value}\n")
-    with pytest.raises(ConfigError, match="channel.capture_threshold_db: expected a finite float"):
+    refusal = f"^channel: ChannelParams.capture_threshold_db must be a finite float, got {float(value)!r}$"
+    with pytest.raises(ConfigError, match=refusal):
         load_scenario(str(path))
 
 
@@ -401,7 +426,8 @@ def test_json_integer_too_large_for_a_float_fails_at_load(tmp_path):
     # float() of it raised a bare OverflowError where only isfinite was asked.
     path = tmp_path / "bad.json"
     path.write_text('{"channel": {"reference_loss_db": 1' + "0" * 400 + "}}")
-    with pytest.raises(ConfigError, match="channel.reference_loss_db: expected a finite float"):
+    refusal = "^channel: ChannelParams.reference_loss_db must be a finite float, got 10{400}$"
+    with pytest.raises(ConfigError, match=refusal):
         load_scenario(str(path))
 
 
@@ -440,10 +466,10 @@ FINITE_FLOAT_FIELDS = [
         # A bool is not an int, as the loader has it.
         (GWF, "max_monitoring_delay_ms", True),
         (GWF.faults[0], "start_ms", False),
+        # A kind is one of the strings the loader reads, not an old Enum member's name.
+        (build_preset("HF").faults[0], "kind", "HARD_FAILURE"),
         # Each of these ran at seed 1, as if its field held the default or
-        # the other switch.  A kind string injected no fault: PRR 1.000 and
-        # primary-only 1.000, against 0.841 and 0.333.
-        (build_preset("HF").faults[0], "kind", "hard_failure"),
+        # the other switch.
         # It ran SARB: 1.000 / 1.000, against control-noise-noSARB's 0.828 / 0.603.
         (GWF.mac, "enabled", "false"),
         # It kept the noise: 10 delay violations, against control-clean's 0.
@@ -539,8 +565,11 @@ BOUNDS = {(cls, field): bound for _, cls, field, _, bound in DECLARED_BOUNDS}
 def edge_values(ftype, bound) -> list[tuple[object, bool]]:
     """(value, accepted) at each edge of a bound: the last value inside it
     and the nearest one past it, 1 away for an int and the adjacent float
-    for a float.  A tuple of values has each member and its int neighbours."""
+    for a float.  A tuple of numbers has each member and its int neighbours,
+    and a tuple of strings each member and its upper-case spelling."""
     if not isinstance(bound, Interval):
+        if ftype is str:  # the upper-case spelling is a fault kind's old Enum member name
+            return [(v, True) for v in bound] + [(v.upper(), False) for v in bound]
         return [(v, True) for v in bound] + [(v + d, False) for v in bound for d in (-1, 1) if v + d not in bound]
 
     def past(x, direction):
@@ -582,9 +611,11 @@ def test_every_config_field_refuses_a_value_of_another_type_by_name(data):
             assert declared
 
 
-# What each key's edge values need beside them to pass the cross-field
-# checks: a 1 ms noise period with the noise off, a 1 ms heartbeat period
-# with no secondary, SF6 with an implicit header, and so on.
+# What each key's edge values, or one (key, value) pair, need beside them
+# to pass the cross-field checks: a 1 ms noise period with the noise off, a
+# 1 ms heartbeat period with no secondary, SF6 with an implicit header, a
+# sensor for a sensor fault (any other kind may carry one too) and a
+# gateway target for a gateway failure.
 EDGE_CONTEXT = {
     "noise.period_ms": {"noise": {"enabled": False}},
     "mac.slot_min_ms": {"mac": {"enabled": False, "slot_step_ms": 1, "retx_slots_per_cycle": 0}},
@@ -592,6 +623,8 @@ EDGE_CONTEXT = {
     "secondary.heartbeat_period_ms": {"nodes": [{"id": "n1", "has_secondary": False}]},
     "lora.spreading_factor": {"lora": {"explicit_header": False}, "noise": {"enabled": False}},
     "lora.bandwidth_hz": {"noise": {"enabled": False}},
+    "faults[].kind": {"faults": [{"affected_sensor": "co2_ppm"}]},
+    ("faults[].kind", FaultKind.GATEWAY_FAILURE): {"faults": [{"target": "gw-home"}]},
 }
 LIST_ENTRIES = {"nodes": {"id": "n1"}, "gateways": {"id": "gw-home"}, "faults": HF_FAULT}
 SECTION_OF = {
@@ -618,8 +651,11 @@ def key_tree(key: str, value) -> dict:
     return {head: key_tree(rest, value)}
 
 
-def merged(a: dict, b: dict) -> dict:
-    return {**a, **{k: merged(a[k], v) if isinstance(a.get(k), dict) else v for k, v in b.items()}}
+def merged(a, b):
+    """``b``'s keys over ``a``'s, merging nested keys and a list's one entry."""
+    if isinstance(a, list):  # one entry, as key_tree writes it
+        return [merged(a[0], b[0])]
+    return {**a, **{k: merged(a[k], v) if isinstance(a.get(k), (dict, list)) else v for k, v in b.items()}}
 
 
 def loaded_value(cfg, key: str):
@@ -636,9 +672,14 @@ def test_each_declared_bound_takes_its_edge_and_refuses_the_value_past_it(
     tmp_path, key, cls, field, bound, value, accepted
 ):
     refusal = re.escape(f"{cls.__name__}.{field} must be {bound_text(bound)}, got {value!r}")
-    context = EDGE_CONTEXT.get(key, {})
+    context = EDGE_CONTEXT.get((key, value), EDGE_CONTEXT.get(key, {}))
     # Built in Python, beside the context's keys of the same section.
-    kwargs = {**context.get(key.partition(".")[0], {}), field: value}
+    head = key.partition(".")[0]
+    if head.endswith("[]"):
+        (beside,) = context.get(head[:-2], [{}])
+    else:
+        beside = context.get(head, {})
+    kwargs = {**beside, field: value}
     if accepted:
         assert getattr(replace(SECTION_OF[cls], **kwargs), field) == value
     else:
@@ -647,7 +688,7 @@ def test_each_declared_bound_takes_its_edge_and_refuses_the_value_past_it(
     if cls is BirthDeathModel:  # not a config key
         return
     path = tmp_path / "edge.json"
-    path.write_text(json.dumps(merged(context, key_tree(key, value))))
+    path.write_text(json.dumps(merged(key_tree(key, value), context)))
     if accepted:
         assert loaded_value(load_scenario(str(path)), key) == value
     else:
@@ -815,7 +856,7 @@ def test_resolve_scenario_accepts_presets_and_paths(tmp_path):
     assert resolve_scenario("HF").name == "HF"
     path = tmp_path / "c.cfg"
     path.write_text("preset = SF1\n")
-    assert resolve_scenario(str(path)).faults[0].kind is FaultKind.SENSOR_READ_FAILURE
+    assert resolve_scenario(str(path)).faults[0].kind == FaultKind.SENSOR_READ_FAILURE
 
 
 # -- execution and export --------------------------------------------------------
