@@ -137,15 +137,8 @@ class _SensorNoise:
         whole, at = divmod(spent, _BLOCK_ROWS)
         if whole:
             self._rng.standard_normal((whole * _BLOCK_ROWS, len(SENSOR_FIELDS)))
-        # In place on the one block: min then max is clip for finite values,
-        # and the sum and product commute, so the values are clip's.
-        block = self._rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
-        block *= _SENSOR_NOISE_REL
-        np.minimum(block, _NOISE_CLIP, out=block)
-        np.maximum(block, -_NOISE_CLIP, out=block)
-        block += 1.0
-        block *= _NOMINAL_VALUES
-        self._block = block
+        z = self._rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
+        self._block = _NOMINAL_VALUES * (1.0 + np.clip(z * _SENSOR_NOISE_REL, -_NOISE_CLIP, _NOISE_CLIP))
         return at
 
 
@@ -310,7 +303,7 @@ class PrimaryBoard(_RadioBoard):
         exactly 5 s before its first poll."""
         self.mac.start()
         if self._poll_windows_us:
-            self.sim.schedule_in(_SENSING_POLL_US, self._sensing_poll)
+            self.sim.schedule_at(self.sim.now_us + _SENSING_POLL_US, self._sensing_poll)
 
     def _sensing_poll(self) -> None:
         now = self.sim.now_us
@@ -374,7 +367,7 @@ class SecondaryBoard(_RadioBoard):
 
     def start(self) -> None:
         self._arm_watchdog(self.sim.now_us + self._interval_us)
-        self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
+        self.sim.schedule_at(self.sim.now_us + self._heartbeat_us, self._heartbeat)
 
     def _arm_watchdog(self, deadline_us: int) -> None:
         self._watchdog_arms += 1
@@ -429,7 +422,7 @@ class SecondaryBoard(_RadioBoard):
         # sensing interval after the previous pass; sense_duration_ms is
         # shorter than that interval, so the previous substitute has already
         # gone out.
-        self.sim.schedule_in(self._sense_duration_us, self._send_substitute, corrective)
+        self.sim.schedule_at(self.sim.now_us + self._sense_duration_us, self._send_substitute, corrective)
 
     def _send_substitute(self, corrective: bool) -> None:
         packet = self.data_packet(corrective=corrective)
@@ -437,7 +430,7 @@ class SecondaryBoard(_RadioBoard):
             self.transmit(packet)
 
     def _heartbeat(self) -> None:
-        self.sim.schedule_in(self._heartbeat_us, self._heartbeat)
+        self.sim.schedule_at(self.sim.now_us + self._heartbeat_us, self._heartbeat)
         if not self.is_powered():
             return
         seq = next(self._seq)

@@ -9,7 +9,7 @@ per event.  Events fire by time, then in the order they were scheduled.
 The queue is keyed by instant (see ``Simulator``), so an event that ties
 with another costs a list append, not a heap push.  Events are never
 cancelled: an owner whose timer can go stale checks its own state when the
-timer fires.
+timer fires.  A callback that raises ends the run; nothing resumes it.
 Randomness comes from labeled streams derived from a single master seed, so
 adding a consumer never perturbs the draws of another.
 
@@ -165,9 +165,11 @@ class Simulator:
 
     ``_times`` is a heap of the distinct pending instants; ``_due`` maps
     each to its event, a ``(fn, args)`` pair, or to a list of them in
-    scheduling order once the instant is tied.  An event scheduled at the
-    instant that is running starts a new entry there, so it runs after the
-    rest of the instant: the tie rule is time, then scheduling order.
+    scheduling order once the instant is tied.  A lone event skips the
+    list: most instants of the paper's presets hold one.  An event
+    scheduled at the instant that is running starts a new entry there, so
+    it runs after the rest of the instant: the tie rule is time, then
+    scheduling order.
     """
 
     def __init__(self, master_seed: int = 0):
@@ -194,21 +196,13 @@ class Simulator:
         else:
             due[t_us] = [pending, (fn, args)]
 
-    def schedule_in(self, delay_us: int, fn: Callable[..., None], *args) -> None:
-        """Call ``fn(*args)`` ``delay_us`` after now."""
-        try:
-            t_us = self.now_us + int(delay_us)
-        except (ValueError, OverflowError):  # NaN or an infinity
-            raise SchedulingError(f"cannot schedule {delay_us} us ahead") from None
-        self.schedule_at(t_us, fn, *args)
-
     def run_until(self, t_end_us: int) -> int:
         """Process every event with time <= t_end_us; leave the clock at
         t_end_us.  Returns the number of callbacks run.
 
-        If a callback raises, the clock stays at its instant, and the
-        events of that instant it did not reach stay pending, ahead of any
-        scheduled there since.
+        A callback that raises ends the run: the exception leaves here with
+        the clock at its instant, the events of that instant it did not
+        reach are dropped, and the Simulator is not run again.
         """
         if not t_end_us >= self.now_us:
             raise SchedulingError("t_end is in the past")
@@ -219,13 +213,8 @@ class Simulator:
             self.now_us = t
             pending = due.pop(t)
             if pending.__class__ is list:
-                rest = iter(pending)
-                try:
-                    for fn, args in rest:
-                        fn(*args)
-                except BaseException:
-                    self._requeue(t, list(rest))
-                    raise
+                for fn, args in pending:
+                    fn(*args)
                 processed += len(pending)
             else:
                 fn, args = pending
@@ -233,18 +222,6 @@ class Simulator:
                 processed += 1
         self.now_us = t_end_us
         return processed
-
-    def _requeue(self, t_us: int, events: list[_Event]) -> None:
-        """Put back the events an exception left unrun at ``t_us``, ahead
-        of any scheduled there since."""
-        if not events:
-            return
-        since = self._due.get(t_us)
-        if since is None:
-            heappush(self._times, t_us)
-        else:
-            events += since if since.__class__ is list else [since]
-        self._due[t_us] = events
 
     def close(self) -> None:
         """Drop every pending event, releasing the callbacks and their

@@ -791,7 +791,7 @@ def run_polls(faults, seed, reference, mac_cfg):
 
         def poll():
             nonlocal in_emergency
-            sim.schedule_in(POLL_US, poll)
+            sim.schedule_at(sim.now_us + POLL_US, poll)
             now_ms = sim.now_us / 1000
             crossed = (
                 primary.is_powered()
@@ -802,7 +802,7 @@ def run_polls(faults, seed, reference, mac_cfg):
                 primary.mac.on_emergency(primary.data_packet(emergency=True))
             in_emergency = crossed
 
-        sim.schedule_in(POLL_US, poll)
+        sim.schedule_at(sim.now_us + POLL_US, poll)
     else:
         primary.start()
     secondary.start()

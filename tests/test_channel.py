@@ -150,6 +150,34 @@ def test_below_sensitivity_is_lost():
     assert probe.heard == []
 
 
+# Within the reference distance and with no shadowing the link budget is
+# exact: 14 dBm arrives at 14 - 106 = -92.0 dBm, 20 dBm at -86.0 dBm.
+NEAR = Position(0.5, 0)
+
+
+@pytest.mark.parametrize("sensitivity, heard", [(-92.0, True), (math.nextafter(-92.0, 0), False)])
+def test_a_frame_exactly_at_the_sensitivity_is_delivered(sensitivity, heard):
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params(sensitivity_dbm=sensitivity))
+    probe = Probe("gw", Position(0, 0))
+    channel.add_receiver(probe)
+    channel.begin_transmission("n1.primary", NEAR, data_packet(), 14.0)
+    sim.run_until(1_000_000)
+    assert [rssi for _, rssi, _ in probe.heard] == ([-92.0] if heard else [])
+
+
+@pytest.mark.parametrize("capture_db, heard", [(6.0, ["strong"]), (6.001, [])])
+def test_a_frame_exactly_the_capture_threshold_above_its_interferer_is_delivered(capture_db, heard):
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params(capture_threshold_db=capture_db, agc_ceiling_dbm=-80.0))
+    probe = Probe("gw", Position(0, 0))
+    channel.add_receiver(probe)
+    channel.begin_transmission("strong", NEAR, data_packet("strong"), 20.0)
+    channel.begin_transmission("weak", Position(0, 0.5), data_packet("weak"), 14.0)
+    sim.run_until(1_000_000)
+    assert [p.node_id for p, _, _ in probe.heard] == heard
+
+
 def test_collision_kills_both_when_no_capture():
     sim = Simulator()
     channel = Channel(sim, params=quiet_params())
@@ -418,6 +446,19 @@ def test_receivers_cannot_join_while_a_frame_is_on_the_air():
     channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
     sim.run_until(2_000_000)
     assert len(late.heard) == 1
+
+
+def test_receivers_cannot_join_at_the_instant_a_frame_ends():
+    sim = Simulator()
+    channel = Channel(sim, params=quiet_params())
+    channel.add_receiver(Probe("gw", Position(0, 0)))
+    channel.begin_transmission("n1.primary", Position(2, 0), data_packet(), 14.0)
+    end_us = time_on_air_us(data_packet().size_bytes, LoraParams())
+    sim.run_until(end_us)
+    with pytest.raises(RuntimeError, match="no frame is on the air"):
+        channel.add_receiver(Probe("late", Position(1, 0)))
+    sim.run_until(end_us + 1)
+    channel.add_receiver(Probe("late", Position(1, 0)))
 
 
 def test_receivers_cannot_join_after_the_noise_train():

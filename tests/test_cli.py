@@ -5,6 +5,8 @@ import pytest
 
 from redwsn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main_avail, main_sim
 from redwsn.metrics import IterationMetrics, MetricsReport
+from redwsn.scenario import build_preset
+from redwsn.simulation import Simulation
 
 
 def test_avail_table_output(capsys):
@@ -224,6 +226,31 @@ def test_sim_run_refuses_to_print_a_report_that_is_not_json(capsys, tmp_path, mo
     captured = capsys.readouterr()
     assert captured.out == "" and "runtime error" in captured.err and "JSON" in captured.err
     assert not out.exists()
+
+
+def a_server_that_fails(monkeypatch):
+    def on_gateway_reception(self, gateway_id, packet, rssi_dbm, now_us):
+        raise RuntimeError("the server failed")
+
+    monkeypatch.setattr("redwsn.gateway.Server.on_gateway_reception", on_gateway_reception)
+
+
+def test_sim_run_exits_on_a_callback_that_raises_and_writes_no_report(capsys, tmp_path, monkeypatch):
+    a_server_that_fails(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main_sim(["run", "HF", "--seeds", "1", "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and "runtime error: the server failed" in captured.err
+    assert not out.exists()
+
+
+def test_a_simulation_whose_run_raised_is_not_run_again(monkeypatch):
+    a_server_that_fails(monkeypatch)
+    run = Simulation(build_preset("HF"), seed=1)
+    with pytest.raises(RuntimeError, match="the server failed"):
+        run.run()
+    with pytest.raises(RuntimeError, match="runs once"):
+        run.run()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -28,14 +28,14 @@ def test_no_module_of_the_package_imports_enum():
     assert importers == []
 
 
-_SCHEDULERS = {"schedule_at", "schedule_in"}
+_SCHEDULERS = {"schedule_at"}
 
 
 def per_event_closures(source: str) -> list[tuple[str, int]]:
     """(what, line) of each ``partial(...)`` call, and of each lambda or
-    function defined in the caller that is passed to ``schedule_at`` or
-    ``schedule_in``: a callable built per event, where a bound method and
-    its arguments would do."""
+    function defined in the caller that is passed to ``schedule_at``: a
+    callable built per event, where a bound method and its arguments would
+    do."""
     found = []
 
     def visit(node, local_defs):
@@ -70,10 +70,10 @@ def test_the_closure_guard_sees_partials_lambdas_and_local_functions():
         "    def arm(self, sim, arm):\n"
         "        sim.schedule_at(5, self.expired, arm)\n"
         "        sim.schedule_at(5, partial(self.expired, arm))\n"
-        "        sim.schedule_in(1, lambda: self.expired(arm))\n"
+        "        sim.schedule_at(sim.now_us + 1, lambda: self.expired(arm))\n"
         "        def fire():\n"
         "            self.expired(arm)\n"
-        "        self.sim.schedule_in(1, fire)\n"
+        "        self.sim.schedule_at(self.sim.now_us + 1, fire)\n"
     )
     assert per_event_closures(source) == [("partial", 7), ("lambda", 8), ("closure fire", 11)]
 

@@ -299,6 +299,12 @@ def test_removed_keys_are_unknown(tmp_path, tree, key):
             {"mac": {"retx_interval_ms": 12_000}},
             r"mac: SarbConfig.retx_slots_per_cycle \* retx_interval_ms must be less than slot_min_ms",
         ),
+        # 2 x 10 000 ms equals slot_min_ms: the last retransmission slot
+        # would fall on the earliest next data slot.
+        (
+            {"mac": {"retx_interval_ms": 10_000}},
+            r"mac: SarbConfig.retx_slots_per_cycle \* retx_interval_ms must be less than slot_min_ms",
+        ),
         ({"mac": {"slot_min_ms": 0}}, "mac: "),
         ({"secondary": {"heartbeat_bytes": -1}}, "secondary: "),
         ({"noise": {"period_ms": 0}}, "noise: "),
@@ -764,6 +770,16 @@ def test_flat_path_loss_loads(tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"preset": "GWF", "channel": {"path_loss_exponent": 0}}))
     assert load_scenario(str(path)).channel.path_loss_exponent == 0
+
+
+def test_an_agc_ceiling_at_the_sensitivity_loads_and_runs(tmp_path):
+    # Every frame is clamped to the sensitivity, which still hears it.
+    path = tmp_path / "agc.json"
+    path.write_text(json.dumps({"channel": {"agc_ceiling_dbm": -120, "sensitivity_dbm": -120}}))
+    (run,) = run_scenario(load_scenario(str(path)), [1]).iterations
+    assert run.prr_redundant > 0
+    values = [value for stats in run.rssi.values() for stat, value in stats.items() if stat != "count"]
+    assert values and set(values) == {-120.0}
 
 
 def test_small_positive_capture_threshold_loads(tmp_path):
