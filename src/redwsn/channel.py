@@ -67,12 +67,18 @@ class ChannelParams:
 def link_budget_dbm(tx: Position, rx: Position, tx_power_dbm: float, params: ChannelParams) -> float:
     """Transmit power minus the log-distance path loss on the tx->rx link,
     in dBm: the received power before shadowing and the AGC clamp.
-    Distances below the reference distance are floored to it."""
+    Distances below the reference distance are floored to it.  A flat link
+    (exponent 0) loses the reference loss alone: its log term is 0.0 for
+    every finite ratio, and 0 times the log of a ratio that overflows to
+    inf would be NaN."""
+    exponent = params.path_loss_exponent
+    if not exponent:
+        return tx_power_dbm - params.reference_loss_db
     ref = params.reference_distance_m
     d = math.hypot(tx.x - rx.x, tx.y - rx.y)
     if d < ref:
         d = ref
-    return tx_power_dbm - (params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(d / ref))
+    return tx_power_dbm - (params.reference_loss_db + 10.0 * exponent * math.log10(d / ref))
 
 
 def rssi_at(
@@ -194,10 +200,8 @@ class Channel:
         self._sensitivity_dbm = params.sensitivity_dbm
         self._capture_db = params.capture_threshold_db
         rng, sigma = sim.rng("channel-shadowing"), params.shadowing_sigma_db
-        # None without shadowing: a link then takes no draw.
-        self._shadowing: Optional[Iterator[float]] = (
-            drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist()) if sigma > 0 else None
-        )
+        # At sigma 0 every draw is 0.0, which leaves an RSSI as it was.
+        self._shadowing: Iterator[float] = drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist())
         self._receivers: list[Receiver] = []
         # Keyed by (x, y, power) floats, which hash and compare in C.
         self._mean_dbm: dict[tuple[float, float, float], dict[int, float]] = {}
@@ -420,8 +424,7 @@ class Channel:
                 rssi = tx.mean_dbm.get(i)
                 if rssi is None:
                     rssi = tx.mean_dbm[i] = link_budget_dbm(tx.position, receiver.position, tx.tx_power_dbm, params)
-                if shadowing is not None:
-                    rssi += next(shadowing)
+                rssi += next(shadowing)
                 rssi = tx_rssi[i] = (agc if agc < rssi else rssi) - extra_loss
             if rssi < sensitivity:
                 continue
@@ -437,8 +440,7 @@ class Channel:
                         interference = other.mean_dbm[i] = link_budget_dbm(
                             other.position, receiver.position, other.tx_power_dbm, params
                         )
-                    if shadowing is not None:
-                        interference += next(shadowing)
+                    interference += next(shadowing)
                     interference = other.rssi[i] = (agc if agc < interference else interference) - extra_loss
                 if rssi < interference + capture:
                     break

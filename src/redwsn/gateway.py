@@ -36,10 +36,15 @@ entry_from_fields = MethodType(tuple.__new__, ServerEntry)
 
 class Server:
     """Loss-free backhaul endpoint: collects gateway forwards and keeps the
-    earliest copy per (node, board, seq)."""
+    earliest copy per (node, board, seq).
+
+    ``arrivals`` is the arrival table the metrics score: per (node, board
+    role), the times (us) of the first copies of valid data, ascending
+    because the clock only moves forward."""
 
     def __init__(self):
         self.raw: list[ServerEntry] = []
+        self.arrivals: dict[tuple[str, str], list[int]] = {}
         self._first_seen: dict[tuple[str, str, int], ServerEntry] = {}
 
     @property
@@ -53,7 +58,8 @@ class Server:
         valid = kind is PacketKind.DATA and reading is not None and not reading.fault_tags and reading.is_complete()
         entry = entry_from_fields((node_id, role, seq, kind, now_us, gateway_id, rssi_dbm, valid))
         self.raw.append(entry)
-        self._first_seen.setdefault((node_id, role, seq), entry)
+        if self._first_seen.setdefault((node_id, role, seq), entry) is entry and valid:
+            self.arrivals.setdefault((node_id, role), []).append(now_us)
 
     def deduplicated(self) -> list[ServerEntry]:
         """Unique stream ordered by earliest reception time (stable)."""

@@ -62,14 +62,11 @@ class RetxQueue:
         return len(self._items)
 
     def push(self, packet: Packet) -> Optional[Packet]:
-        """Append a packet; returns the evicted oldest packet, if any."""
-        evicted = None
-        if self.capacity == 0:
-            return packet
-        if len(self._items) >= self.capacity:
-            evicted = self._items.pop(0)
-        self._items.append(packet)
-        return evicted
+        """Append a packet; returns the evicted oldest packet, if any (at
+        capacity 0, the packet itself)."""
+        items = self._items
+        items.append(packet)
+        return items.pop(0) if len(items) > self.capacity else None
 
     def pop(self) -> Packet:
         """Remove and return the most recently pushed packet."""

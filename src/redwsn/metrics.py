@@ -3,13 +3,15 @@ violations, RSSI stats.
 
 A *monitoring epoch* is an expected primary data slot.  An epoch counts as
 covered when a valid data packet from the node (either board) reaches the
-server within the maximum monitoring delay of the slot time (ServerEntry
-states the validity rule).  ``epoch_ledger`` decides this once per run;
-PRR and detection reduce its rows, so the with- and without-redundancy
-ratios share one base.  Slots, arrival times, bounds and the run's duration
-are integer microseconds, the simulation clock's unit, so an arrival exactly
-one bound after a slot or after the previous arrival is exactly on the
-bound.  A bound of ``inf`` means no bound.
+server within the maximum monitoring delay of the slot time.  The server's
+arrival table holds those receptions: per (node, board role), the ascending
+times of the first copies of valid data (gateway.Server states the validity
+rule).  ``epoch_ledger`` decides coverage once per run; PRR and detection
+reduce its rows, so the with- and without-redundancy ratios share one base.
+Slots, arrival times, bounds and the run's duration are integer
+microseconds, the simulation clock's unit, so an arrival exactly one bound
+after a slot or after the previous arrival is exactly on the bound.  A
+bound of ``inf`` means no bound.
 
 The RSSI stats are numpy's, bit for bit, from one sort in plain Python:
 per-gateway logs are short, so numpy's per-call overhead would dominate.
@@ -25,7 +27,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .engine import in_windows
-from .gateway import ServerEntry
 from .packets import BoardRole
 
 
@@ -40,23 +41,12 @@ class Epoch(NamedTuple):
     secondary_us: Optional[int]
 
 
-def _arrivals(entries: list[ServerEntry]) -> dict[tuple[str, str], list[int]]:
-    """Per (node, board role), the sorted arrival times (us) of valid data."""
-    times: dict[tuple[str, str], list[int]] = {}
-    for e in entries:
-        if e.valid:
-            times.setdefault((e.node_id, e.board_role), []).append(e.time_us)
-    for node_times in times.values():
-        node_times.sort()
-    return times
-
-
 def epoch_ledger(
-    entries: list[ServerEntry],
+    arrivals: dict[tuple[str, str], list[int]],
     slots_by_node: dict[str, list[int]],
     fault_windows_by_node: dict[str, list[tuple[int, int]]],
     duration_us: int,
-    bound_us: float = 40_000_000,
+    bound_us: float,
 ) -> list[Epoch]:
     """One row per scored epoch: a slot whose whole window fits inside the
     run (the horizon would truncate any other).  It is fault-active when it
@@ -64,7 +54,6 @@ def epoch_ledger(
 
     A node's slots ascend, as the MAC records them, so one walk finds each
     board's first arrival at or after every slot from the previous one."""
-    arrivals = _arrivals(entries)
     ledger: list[Epoch] = []
     for node, slots in slots_by_node.items():
         primary = arrivals.get((node, BoardRole.PRIMARY), [])
@@ -113,16 +102,13 @@ def compute_detection_rate(ledger: list[Epoch]) -> Optional[float]:
 
 
 def delay_violations(
-    entries: list[ServerEntry],
+    arrivals: dict[tuple[str, str], list[int]],
     node_ids: list[str],
     duration_us: int,
-    bound_us: float = 40_000_000,
+    bound_us: float,
 ) -> int:
     """Count of per-node gaps between consecutive valid data receptions that
     exceed the maximum monitoring delay (run boundaries included)."""
-    if bound_us <= 0:
-        raise ValueError("bound must be positive")
-    arrivals = _arrivals(entries)
     violations = 0
     for node in node_ids:
         times = sorted(arrivals.get((node, BoardRole.PRIMARY), []) + arrivals.get((node, BoardRole.SECONDARY), []))

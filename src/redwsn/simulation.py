@@ -46,20 +46,21 @@ class Simulation:
 
     def run(self) -> IterationMetrics:
         """Run the scenario and score it.  A Simulation runs once: the run
-        releases the boards' MACs and the channel's receivers."""
+        releases the boards' MACs and the channel's receivers, however it
+        ends."""
         if self._ran:
             raise RuntimeError("a Simulation runs once; build a new one to run again")
         self._ran = True
         cfg = self.cfg
         duration_us = ms_to_us(cfg.duration_ms)
-        for primary in self.primaries.values():
-            primary.start()
-        for secondary in self.secondaries.values():
-            secondary.start()
-        if cfg.noise.enabled:
-            self.channel.add_noise(cfg.noise, duration_us, self.sim.rng("noise-schedule"))
-        self.sim.run_until(duration_us)
         try:
+            for primary in self.primaries.values():
+                primary.start()
+            for secondary in self.secondaries.values():
+                secondary.start()
+            if cfg.noise.enabled:
+                self.channel.add_noise(cfg.noise, duration_us, self.sim.rng("noise-schedule"))
+            self.sim.run_until(duration_us)
             return self._metrics(duration_us)
         finally:
             self._release()
@@ -78,15 +79,15 @@ class Simulation:
     # -- metrics -------------------------------------------------------------
 
     def _metrics(self, duration_us: int) -> IterationMetrics:
-        entries = self.server.deduplicated()
+        arrivals = self.server.arrivals
         bound_us = ms_to_us(self.cfg.max_monitoring_delay_ms)
         slots = {node_id: primary.expected_slots_us for node_id, primary in self.primaries.items()}
         windows = {node_id: primary.fault_windows_us for node_id, primary in self.primaries.items()}
-        self.epochs = epoch_ledger(entries, slots, windows, duration_us, bound_us)
+        self.epochs = epoch_ledger(arrivals, slots, windows, duration_us, bound_us)
         prr = compute_prr(self.epochs)
         prr_primary = compute_prr(self.epochs, roles=(BoardRole.PRIMARY,))
         detection = compute_detection_rate(self.epochs)
-        violations = delay_violations(entries, list(self.primaries), duration_us, bound_us)
+        violations = delay_violations(arrivals, list(self.primaries), duration_us, bound_us)
         rssi_by_gateway: dict[str, list[float]] = {gw.entity_id: [] for gw in self.gateways}
         for e in self.server.raw:
             rssi_by_gateway[e.gateway_id].append(e.rssi_dbm)

@@ -72,6 +72,15 @@ def test_path_loss_log_distance():
     assert path_loss_db(0.1, params) == pytest.approx(at_ref)
 
 
+def test_flat_link_loses_the_reference_loss_at_any_distance():
+    # Over a denormal reference distance d / ref overflows to inf, and 0
+    # times its log would be NaN.
+    params = quiet_params(path_loss_exponent=0.0, reference_distance_m=1e-320)
+    for distance_m in (0.0, 1e-320, 2.0, 1e6):
+        assert path_loss_db(distance_m, params) == params.reference_loss_db
+        assert rssi_at(Position(0, 0), Position(distance_m, 0), 14.0, None, params) == 14.0 - params.reference_loss_db
+
+
 def two_call_budget(tx, rx, tx_power_dbm, params):
     """The link budget as three calls made it: the distance, the path loss
     with its floor, and the difference."""

@@ -122,6 +122,17 @@ def test_sim_run_refuses_an_integer_too_large_for_a_float_as_a_config_error(caps
     assert "channel: ChannelParams.reference_loss_db must be a finite float" in capsys.readouterr().err
 
 
+def test_sim_run_on_a_flat_link_over_a_denormal_reference_distance_reports_finite_rssi(capsys, tmp_path):
+    # The loader accepts both values; d / ref overflows to inf, and a NaN
+    # RSSI would pass every test and break the JSON report.
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"preset": "HF", "channel": {"path_loss_exponent": 0, "reference_distance_m": 1e-320}}))
+    assert main_sim(["run", str(cfg), "--seeds", "1"]) == EXIT_OK
+    [iteration] = json.loads(capsys.readouterr().out)["iterations"]
+    stats = [value for gateway in iteration["rssi"].values() for name, value in gateway.items() if name != "count"]
+    assert stats and all(map(math.isfinite, stats))
+
+
 def test_sim_run_out_into_missing_directory_fails_before_simulating(capsys, tmp_path, monkeypatch):
     def run_scenario(cfg, seeds):
         raise AssertionError("the scenario ran")

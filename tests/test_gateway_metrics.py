@@ -26,6 +26,10 @@ def full_reading():
     return SensorReading(values=(10.0,) * len(SENSOR_FIELDS))
 
 
+# A complete reading the server refuses: it carries an injected-fault tag.
+TAGGED_READING = SensorReading(full_reading().values, frozenset({"anomaly:co2_ppm"}))
+
+
 def data_packet(seq=1, role=BoardRole.PRIMARY, reading=None, fault_tags=frozenset(), **kw):
     if reading is None:
         reading = SensorReading(full_reading().values, fault_tags)
@@ -235,12 +239,23 @@ def entry(time_us, role="primary", valid=True, seq=None, node="n1"):
     )
 
 
+def served(entries):
+    """The arrival table of a server that received the entries, each its
+    own frame, in clock order; an invalid entry's frame carries a tag."""
+    server = Server()
+    for seq, e in enumerate(sorted(entries, key=lambda e: e.time_us)):
+        reading = full_reading() if e.valid else TAGGED_READING
+        packet = Packet(PacketKind.DATA, e.node_id, e.board_role, seq, 76, reading)
+        server.on_gateway_reception(e.gateway_id, packet, e.rssi_dbm, e.time_us)
+    return server.arrivals
+
+
 # Far past every slot the metric tests use, so each of them is scored.
 HORIZON_US = 10**12
 
 
 def ledger(entries, slots, fault_windows=None):
-    return epoch_ledger(entries, slots, fault_windows or {}, HORIZON_US, bound_us=40_000_000)
+    return epoch_ledger(served(entries), slots, fault_windows or {}, HORIZON_US, bound_us=40_000_000)
 
 
 def test_prr_counts_covered_epochs():
@@ -397,7 +412,7 @@ def test_ledger_reductions_equal_the_per_metric_scans(case):
     fault_slots = {
         node: [t for t in scored[node] if any(s <= t < e for s, e in fault_windows.get(node, []))] for node in scored
     }
-    epochs = epoch_ledger(entries, slots, fault_windows, duration_us, bound_us)
+    epochs = epoch_ledger(served(entries), slots, fault_windows, duration_us, bound_us)
 
     assert len(epochs) == sum(len(s) for s in scored.values())
     assert sum(row.fault_active for row in epochs) == sum(len(s) for s in fault_slots.values())
@@ -409,11 +424,11 @@ def test_ledger_reductions_equal_the_per_metric_scans(case):
 
 
 def test_delay_violations_count_gaps_and_boundaries():
-    entries = [entry(10_000_000), entry(90_000_000)]
+    arrivals = served([entry(10_000_000), entry(90_000_000)])
     # Gaps: 0->10 s ok, 10->90 s violation, 90->100 s ok.
-    assert delay_violations(entries, ["n1"], duration_us=100_000_000) == 1
-    assert delay_violations([], ["n1"], duration_us=100_000_000) == 1  # single 0 -> end gap
-    assert delay_violations(entries, ["n1"], duration_us=100_000_000, bound_us=float("inf")) == 0
+    assert delay_violations(arrivals, ["n1"], duration_us=100_000_000, bound_us=40_000_000) == 1
+    assert delay_violations({}, ["n1"], duration_us=100_000_000, bound_us=40_000_000) == 1  # single 0 -> end gap
+    assert delay_violations(arrivals, ["n1"], duration_us=100_000_000, bound_us=float("inf")) == 0
 
 
 def test_delay_gap_of_exactly_the_bound_is_no_violation():
@@ -422,9 +437,9 @@ def test_delay_gap_of_exactly_the_bound_is_no_violation():
     server = Server()
     for seq, now_us in enumerate((121_138_496, 161_138_496), start=1):
         server.on_gateway_reception("gw", data_packet(seq=seq), -98.0, now_us)
-    entries = server.deduplicated()
-    assert delay_violations(entries, ["n1"], duration_us=161_139_000, bound_us=40_000_000) == 1  # 0 -> 121 s
-    assert delay_violations(entries, ["n1"], duration_us=161_139_000, bound_us=39_999_999) == 2
+    arrivals = server.arrivals
+    assert delay_violations(arrivals, ["n1"], duration_us=161_139_000, bound_us=40_000_000) == 1  # 0 -> 121 s
+    assert delay_violations(arrivals, ["n1"], duration_us=161_139_000, bound_us=39_999_999) == 2
 
 
 def test_rssi_summary_stats():
@@ -507,6 +522,38 @@ def test_dedup_order_equals_the_time_node_seq_key(forwards):
     for e in server.raw:
         first.setdefault((e.node_id, e.board_role, e.seq), e)
     assert server.deduplicated() == sorted(first.values(), key=lambda e: (e.time_us, e.node_id, e.seq))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("gw-a", "gw-b")),
+            st.sampled_from(("n1", "n2")),
+            st.sampled_from((BoardRole.PRIMARY, BoardRole.SECONDARY)),
+            # Few seqs, so copies and retransmissions of one frame recur.
+            st.integers(0, 3),
+            st.sampled_from(("data", "invalid", "heartbeat")),
+            # Steps of the clock; 0 puts receptions on the same microsecond.
+            st.integers(0, 2),
+        ),
+        max_size=40,
+    )
+)
+def test_arrival_table_is_the_valid_deduplicated_times_by_node_and_role(receptions):
+    server = Server()
+    now_us = 0
+    for gateway_id, node, role, seq, sort, step in receptions:
+        now_us += step
+        if sort == "heartbeat":
+            packet = Packet(PacketKind.HEARTBEAT, node, role, seq, 12)
+        else:
+            packet = Packet(PacketKind.DATA, node, role, seq, 76, full_reading() if sort == "data" else TAGGED_READING)
+        server.on_gateway_reception(gateway_id, packet, -98.0, now_us)
+    expected = {}
+    for e in server.deduplicated():
+        if e.valid:
+            expected.setdefault((e.node_id, e.board_role), []).append(e.time_us)
+    assert server.arrivals == expected
 
 
 def test_server_entry_is_immutable():

@@ -2,14 +2,17 @@
 match the files under tests/golden/ byte for byte.
 
 The cases are every preset at seeds 5 and 6, a 50-node and a 200-node noisy
-run, and the noisy control with zero noise jitter, with one node and with
-ten.  Without jitter, noise bursts start on the same microsecond as MAC
-slots; with ten nodes the reports depend on how the channel orders a burst
-and a frame with the same start, so control-noise-x10-jitter0 pins the rule
-that a burst precedes a frame at an equal start.  In the 200-node run most
-frames begin and end with others, so nearly every resolve reuses the window
-of frames on the air that the channel keeps per (start, end).  avail-n6.json is the stdout of
-`sim avail --format json --n-max 6`, the CTMC's failure probabilities.
+run, the noisy control with zero noise jitter, with one node and with ten,
+and the noisy control without shadowing and with no retransmission queue,
+where every shadowing draw is zero and every push is evicted.  Without
+jitter, noise bursts start on the same microsecond as MAC slots; with ten
+nodes the reports depend on how the channel orders a burst and a frame with
+the same start, so control-noise-x10-jitter0 pins the rule that a burst
+precedes a frame at an equal start.  In the 200-node run most frames begin
+and end with others, so nearly every resolve reuses the window of frames on
+the air that the channel keeps per (start, end).  avail-n6.json is the
+stdout of `sim avail --format json --n-max 6`, the CTMC's failure
+probabilities.
 
 Regenerate only in a change that says why behaviour moved:
     PYTHONPATH=src python tests/test_golden.py
@@ -54,12 +57,22 @@ def _no_jitter(cfg):
     return replace(cfg, name=f"{cfg.name}-jitter0", noise=replace(cfg.noise, jitter_ms=0))
 
 
+def _no_shadowing_no_queue(cfg):
+    return replace(
+        cfg,
+        name=f"{cfg.name}-sigma0-cap0",
+        channel=replace(cfg.channel, shadowing_sigma_db=0.0),
+        mac=replace(cfg.mac, queue_capacity=0),
+    )
+
+
 CASES = {
     **{name: (lambda name=name: build_preset(name), SEEDS) for name in PRESET_NAMES},
     "control-noise-x50": (lambda: _fleet(50), [5]),
     "control-noise-x200": (lambda: _fleet(200), [5]),
     "control-noise-jitter0": (lambda: _no_jitter(build_preset("control-noise")), SEEDS),
     "control-noise-x10-jitter0": (lambda: _no_jitter(_fleet(10)), SEEDS),
+    "control-noise-sigma0-cap0": (lambda: _no_shadowing_no_queue(build_preset("control-noise")), SEEDS),
 }
 
 

@@ -60,6 +60,13 @@ def test_queue_eviction_removes_oldest():
     assert [q.pop().seq for _ in range(3)] == [4, 3, 2]
 
 
+def test_queue_of_capacity_zero_evicts_each_push():
+    q = RetxQueue(capacity=0)
+    packets = [make_packet(seq) for seq in range(3)]
+    assert [q.push(p) for p in packets] == packets
+    assert len(q) == 0
+
+
 def test_queue_pop_empty_raises():
     q = RetxQueue()
     with pytest.raises(IndexError):

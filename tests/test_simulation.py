@@ -1,5 +1,6 @@
 """A finished Simulation keeps its results readable and is freed by
-reference counting alone, without waiting for the cycle collector.  A
+reference counting alone, without waiting for the cycle collector, also
+when a callback ends its run by raising.  A
 node's slot schedule depends on nothing but its own stream.  Every epoch
 count and ratio of a run is a reduction of its epoch ledger.  Reversing
 the order of same-microsecond events keeps every preset's headline numbers,
@@ -16,6 +17,7 @@ import pytest
 from redwsn import simulation
 from redwsn.channel import Channel, Position
 from redwsn.engine import SchedulingError, Simulator, ms_to_us
+from redwsn.gateway import Server
 from redwsn.packets import BoardRole, PacketKind
 from redwsn.scenario import PRESET_NAMES, NodeConfig, build_preset, report_to_json, run_scenario
 from redwsn.simulation import Simulation
@@ -46,6 +48,24 @@ def test_finished_run_is_freed_without_the_cycle_collector():
         del sim
         assert channel() is None
         assert secondary() is None
+    finally:
+        gc.enable()
+
+
+def test_a_run_a_callback_ends_is_freed_without_the_cycle_collector(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("server down")
+
+    monkeypatch.setattr(Server, "on_gateway_reception", refuse)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(build_preset("HF"), seed=1)
+        channel = weakref.ref(sim.channel)
+        with pytest.raises(RuntimeError, match="server down"):
+            sim.run()
+        del sim
+        assert channel() is None
     finally:
         gc.enable()
 
