@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Annotated, Optional
+from typing import Annotated, Iterator, Optional
 
 import numpy as np
 
 from .channel import Channel, Position
-from .engine import NOT_NEGATIVE, POSITIVE, Simulator, check_typed_fields, in_windows, ms_to_us
+from .engine import NOT_NEGATIVE, POSITIVE, Simulator, check_typed_fields, drawn_ahead, in_windows, ms_to_us
 from .lora import PAYLOAD_BYTES, TX_POWER_DBM
 from .mac import SarbConfig, SarbMac
 from .packets import (
@@ -99,47 +99,16 @@ def noise_can_flag(rel_threshold: float) -> bool:
     return detect_anomaly(high, low, threshold) or detect_anomaly(low, high, threshold)
 
 
-class _SensorNoise:
-    """A board's fault-free sensor values, one row per reading: nominal
-    times 1 + the clipped noise, drawn _BLOCK_ROWS readings at a time as one
-    array.
+def _noise_rows(rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """A board's fault-free sensor values, one row per reading built:
+    nominal times 1 + the clipped noise, drawn _BLOCK_ROWS readings at a
+    time as one array (see drawn_ahead)."""
 
-    A reading that is never built still spends its row (``skip``); the
-    skip only moves the row index.  The next row taken drops the skipped
-    rows: the rest of the current block, then whole skipped blocks as one
-    raw draw of their size, which consumes the same normals, then a fresh
-    block.  So every row taken is the one a draw per reading would give, and
-    a stream whose rows are all skipped draws nothing.
-    """
+    def draw() -> np.ndarray:
+        z = rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
+        return _NOMINAL_VALUES * (1.0 + np.clip(z * _SENSOR_NOISE_REL, -_NOISE_CLIP, _NOISE_CLIP))
 
-    __slots__ = ("_rng", "_block", "_at")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block: Optional[np.ndarray] = None
-        # The index in the block of the next row; at or past its end, the
-        # rows up to that index are spent and a refill drops them.
-        self._at = _BLOCK_ROWS
-
-    def skip(self) -> None:
-        self._at += 1
-
-    def take(self) -> list[float]:
-        at = self._at
-        if at >= _BLOCK_ROWS:
-            at = self._refill(at - _BLOCK_ROWS)
-        self._at = at + 1
-        return self._block[at].tolist()
-
-    def _refill(self, spent: int) -> int:
-        """Drop the ``spent`` rows that follow the current block and draw a
-        fresh block; returns the index in it of the next row."""
-        whole, at = divmod(spent, _BLOCK_ROWS)
-        if whole:
-            self._rng.standard_normal((whole * _BLOCK_ROWS, len(SENSOR_FIELDS)))
-        z = self._rng.standard_normal((_BLOCK_ROWS, len(SENSOR_FIELDS)))
-        self._block = _NOMINAL_VALUES * (1.0 + np.clip(z * _SENSOR_NOISE_REL, -_NOISE_CLIP, _NOISE_CLIP))
-        return at
+    return drawn_ahead(draw)
 
 
 @dataclass(frozen=True)
@@ -194,7 +163,7 @@ class _RadioBoard:
                 continue
             self._sensor_faults.append((SENSOR_FIELDS.index(f.affected_sensor), *f.window_us, factor, tag))
         self.tx_power_dbm = node.tx_power_dbm
-        self._noise = _SensorNoise(sim.rng(f"{self.entity_id}-sensor"))
+        self._noise = _noise_rows(sim.rng(f"{self.entity_id}-sensor"))
         self._seq = itertools.count(1)
         self.hears = hears
         channel.add_receiver(self)
@@ -205,7 +174,7 @@ class _RadioBoard:
 
     def sense(self) -> SensorReading:
         """Fresh reading; callers check power first."""
-        return self._reading(self._noise.take(), self.sim.now_us)
+        return self._reading(next(self._noise).tolist(), self.sim.now_us)
 
     def _reading(self, values: list[float], now_us: int) -> SensorReading:
         """The reading at now_us from the fault-free ``values``, which it
@@ -385,8 +354,7 @@ class SecondaryBoard(_RadioBoard):
             return  # retransmission of a packet already considered
         if self._is_faulty(packet):
             self._last_responded_seq = packet.seq
-            if self._substitute_allowed():
-                self._schedule_send(corrective=True)
+            self._substitute(corrective=True)
 
     def _is_faulty(self, packet: Packet) -> bool:
         reading = packet.reading
@@ -394,35 +362,32 @@ class SecondaryBoard(_RadioBoard):
         if not (self._noise_can_flag or reading.fault_tags or (windows and in_windows(windows, self.sim.now_us))):
             # Both readings are nominal times clipped noise: a reading is
             # tagged with every sensor fault active when it was built.  So the
-            # comparison cannot flag; spend the noise row a reading would.
-            self._noise.skip()
+            # comparison cannot flag, and no reading is built.
             return False
         if not reading.is_complete():
             return True
         return detect_anomaly(reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
 
-    def _substitute_allowed(self) -> bool:
-        if self.sim.now_us < self._next_substitute_us:
+    def _substitute(self, corrective: bool) -> bool:
+        """Schedule a substitute for when the board has sensed, at most one
+        per sensing interval; returns whether it scheduled one.  As
+        sense_duration_ms is shorter than that interval, the previous
+        substitute has already gone out."""
+        now = self.sim.now_us
+        if now < self._next_substitute_us:
             return False
-        self._next_substitute_us = self.sim.now_us + self._interval_us
+        self._next_substitute_us = now + self._interval_us
+        self.sim.schedule_at(now + self._sense_duration_us, self._send_substitute, corrective)
         return True
 
     def _watchdog_expired(self, arm: int) -> None:
         if arm != self._watchdog_arms:
             return
         deadline = self.sim.now_us + self._interval_us
-        if self.is_powered() and self._substitute_allowed():
-            self._schedule_send(corrective=False)
+        if self.is_powered() and self._substitute(corrective=False):
             # The next silence countdown starts once this substitute is out.
             deadline += self._sense_duration_us
         self._arm_watchdog(deadline)
-
-    def _schedule_send(self, corrective: bool) -> None:
-        # Every call follows a passed _substitute_allowed(), at least one
-        # sensing interval after the previous pass; sense_duration_ms is
-        # shorter than that interval, so the previous substitute has already
-        # gone out.
-        self.sim.schedule_at(self.sim.now_us + self._sense_duration_us, self._send_substitute, corrective)
 
     def _send_substitute(self, corrective: bool) -> None:
         packet = self.data_packet(corrective=corrective)

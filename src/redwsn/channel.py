@@ -196,9 +196,6 @@ class Channel:
         self.sim = sim
         self.params = params
         self.lora = lora
-        self._agc_ceiling_dbm = params.agc_ceiling_dbm
-        self._sensitivity_dbm = params.sensitivity_dbm
-        self._capture_db = params.capture_threshold_db
         rng, sigma = sim.rng("channel-shadowing"), params.shadowing_sigma_db
         # At sigma 0 every draw is 0.0, which leaves an RSSI as it was.
         self._shadowing: Iterator[float] = drawn_ahead(lambda: rng.normal(0.0, sigma, _DRAW_BLOCK).tolist())
@@ -403,11 +400,11 @@ class Channel:
         # Half-duplex: a receiver that transmitted during any part of the
         # frame hears nothing.  Every other receiver sees all overlapping
         # frames as interference.
-        sensitivity = self._sensitivity_dbm
-        capture = self._capture_db
-        agc = self._agc_ceiling_dbm
-        shadowing = self._shadowing
         params = self.params
+        sensitivity = params.sensitivity_dbm
+        capture = params.capture_threshold_db
+        agc = params.agc_ceiling_dbm
+        shadowing = self._shadowing
         tx_rssi = tx.rssi
         for i, receiver in tx.audience:
             if receiver.entity_id in deaf:

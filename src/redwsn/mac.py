@@ -9,8 +9,9 @@ baseline: one transmission every fixed interval, no acks, no queue.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Annotated, Callable, Optional
+from typing import Annotated, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -113,8 +114,9 @@ class SarbMac:
         self._transmit = transmit
         self._on_slot = on_slot
         self.queue = RetxQueue(cfg.queue_capacity)
-        # Data slots fall on the grid slot_min + k * slot_step, k uniform in
-        # 0..steps.  A disabled MAC never draws from its stream.
+        # Each data slot's offset from the one before.  With SARB, slots fall
+        # on the grid slot_min + k * slot_step, k uniform in 0..steps; without
+        # it, every fixed interval, and the MAC never draws from its stream.
         min_us, step_us = ms_to_us(cfg.slot_min_ms), ms_to_us(cfg.slot_step_ms)
         steps = (cfg.slot_max_ms - cfg.slot_min_ms) // cfg.slot_step_ms
 
@@ -122,8 +124,9 @@ class SarbMac:
             # In Python integers: int64 arithmetic would wrap past 2**63 us.
             return [min_us + k * step_us for k in rng.integers(0, steps + 1, _DRAW_BLOCK).tolist()]
 
-        self._offsets_us = drawn_ahead(draw)
-        self._fixed_interval_us = ms_to_us(cfg.fixed_interval_ms)
+        self._offsets_us: Iterator[int] = (
+            drawn_ahead(draw) if cfg.enabled else itertools.repeat(ms_to_us(cfg.fixed_interval_ms))
+        )
         self._ack_timeout_us = ms_to_us(cfg.ack_timeout_ms)
         # Fixed per run, so read per slot without a call: whether SARB runs
         # and the retransmission slots' offsets from their data slot.
@@ -136,17 +139,12 @@ class SarbMac:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self.sim.schedule_at(self._draw_offset_us(), self._data_slot)
+        self.sim.schedule_at(self.sim.now_us + next(self._offsets_us), self._data_slot)
 
     def power_cycle(self) -> None:
         """Volatile state is lost when the board loses power."""
         self.queue.clear()
         self._pending = None
-
-    def _draw_offset_us(self) -> int:
-        if not self.enabled:
-            return self.sim.now_us + self._fixed_interval_us
-        return self.sim.now_us + next(self._offsets_us)
 
     # -- slots --------------------------------------------------------------
 
@@ -158,7 +156,7 @@ class SarbMac:
         retx_slot = self._retx_slot
         for offset_us in self._retx_offsets_us:
             self.sim.schedule_at(now + offset_us, retx_slot)
-        self.sim.schedule_at(self._draw_offset_us(), self._data_slot)
+        self.sim.schedule_at(now + next(self._offsets_us), self._data_slot)
         packet = self._build_packet(False)
         if packet is not None:
             self._send(packet)

@@ -17,7 +17,7 @@ from redwsn.boards import (
     SecondaryConfig,
 )
 from redwsn.channel import Channel, ChannelParams, Position
-from redwsn.engine import Simulator, ms_to_us, stream_rng
+from redwsn.engine import Simulator, in_windows, ms_to_us, stream_rng
 from redwsn.mac import SarbConfig
 from redwsn.metrics import MetricsReport
 from redwsn.packets import (
@@ -54,8 +54,20 @@ class GatewayProbe:
         return out
 
 
+class StreamsSimulator(Simulator):
+    """A Simulator that keeps each stream it hands out, by label."""
+
+    def __init__(self, master_seed):
+        super().__init__(master_seed)
+        self.streams = {}
+
+    def rng(self, stream_id):
+        rng = self.streams[stream_id] = super().rng(stream_id)
+        return rng
+
+
 def build_node(faults=(), seed=0, with_secondary=True, secondary_cfg=SecondaryConfig(), mac_cfg=SarbConfig()):
-    sim = Simulator(master_seed=seed)
+    sim = StreamsSimulator(master_seed=seed)
     channel = Channel(sim, params=ChannelParams(shadowing_sigma_db=0.0))
     gw = GatewayProbe()
     channel.add_receiver(gw)
@@ -571,53 +583,46 @@ def test_block_draws_match_one_draw_per_reading(seed, faults, order):
 @given(
     seed=st.integers(0, 2**16),
     faults=st.sampled_from([(), tuple(MIXED_FAULTS + SECONDARY_FAULTS)]),
-    # Each step is a reading on one board, or a run of rows it skips; a run
-    # can be longer than one 32-row noise block, or two.
-    steps=st.lists(
-        st.tuples(st.sampled_from(["primary", "secondary"]), st.one_of(st.just("sense"), st.integers(1, 80))),
-        max_size=40,
-    ),
+    # Each step is a run of readings on one board; a run can be longer than
+    # one 32-row noise block, or two, and a board may never read.
+    steps=st.lists(st.tuples(st.sampled_from(["primary", "secondary"]), st.integers(1, 80)), max_size=12),
 )
-@example(seed=3, faults=(), steps=[("secondary", 70), ("secondary", "sense"), ("primary", 33), ("primary", "sense")])
-@example(seed=4, faults=(), steps=[("secondary", 32), ("secondary", 32), ("secondary", "sense")])
-@example(seed=5, faults=(), steps=[("primary", "sense"), ("primary", 31), ("primary", "sense"), ("secondary", 100)])
-def test_skipped_rows_leave_every_row_taken_as_one_draw_per_reading(seed, faults, steps):
+@example(seed=3, faults=(), steps=[("secondary", 70), ("primary", 33), ("primary", 1)])
+@example(seed=4, faults=(), steps=[("secondary", 32), ("secondary", 32), ("secondary", 1)])
+@example(seed=5, faults=(), steps=[("primary", 1), ("primary", 31), ("primary", 1)])
+def test_rows_are_drawn_only_for_readings_and_each_is_one_draw_per_reading(seed, faults, steps):
     sim, _, primary, secondary = build_node(faults=faults, seed=seed)
     boards_by_role = {"primary": primary, "secondary": secondary}
     sense_rngs = {role: stream_rng(seed, f"n1.{role}-sensor") for role in boards_by_role}
-    sensed = set()
     got, want = [], []
-    for k, (role, step) in enumerate(steps):
+    for k, (role, readings) in enumerate(steps):
         sim.run_until(ms_to_us(2_500 * k))
         board, rng = boards_by_role[role], sense_rngs[role]
-        if step == "sense":
-            sensed.add(role)
+        for _ in range(readings):
             reading = board.sense()
             got.append((reading.values, reading.fault_tags))
             want.append(per_call_sense(rng, faults, board.entity_id, 2_500 * k))
-            continue
-        for _ in range(step):
-            board._noise.skip()
-            per_call_sense(rng, faults, board.entity_id, 2_500 * k)
     assert [(bits(v), tags) for v, tags in got] == [(bits(v), tags) for v, tags in want]
-    # A board that never senses has drawn nothing, however many rows it
-    # skipped.
-    for role in boards_by_role.keys() - sensed:
+    # A board that never reads has drawn nothing.
+    for role in boards_by_role.keys() - {role for role, _ in steps}:
         fresh = stream_rng(seed, f"n1.{role}-sensor")
-        assert boards_by_role[role]._noise._rng.bit_generator.state == fresh.bit_generator.state
+        assert sim.streams[f"n1.{role}-sensor"].bit_generator.state == fresh.bit_generator.state
 
 
 def test_a_secondary_that_only_overhears_draws_no_noise():
     # At the default threshold clipped noise cannot flag a reading, so the
-    # secondary skips a row per data frame it overhears and never senses.
+    # secondary builds no reading for the data frames it overhears.
     sim, gw, primary, secondary = build_node(seed=11)
+    verdicts = []
+    is_faulty = secondary._is_faulty
+    secondary._is_faulty = lambda packet: verdicts.append(is_faulty(packet)) or verdicts[-1]
     primary.start()
     secondary.start()
     sim.run_until(ms_to_us(1_200_000))
     assert not gw.data(BoardRole.SECONDARY)
-    assert secondary._noise._at > 2 * boards._BLOCK_ROWS
+    assert len(verdicts) > 2 * boards._BLOCK_ROWS and not any(verdicts)
     fresh = stream_rng(11, "n1.secondary-sensor")
-    assert secondary._noise._rng.bit_generator.state == fresh.bit_generator.state
+    assert sim.streams["n1.secondary-sensor"].bit_generator.state == fresh.bit_generator.state
 
 
 def test_standard_normal_times_scale_is_the_normal_draw_bit_for_bit():
@@ -639,8 +644,8 @@ class OutlierDraws:
 
 
 def test_noise_is_clipped_at_6_sigma():
-    noise = boards._SensorNoise(OutlierDraws())
-    rows = [noise.take() for _ in range(40)]  # 40 rows cross a refill
+    noise = boards._noise_rows(OutlierDraws())
+    rows = [next(noise).tolist() for _ in range(40)]  # 40 rows cross a refill
     clipped = NOMINAL * np.array([1 - 0.03, 1 + 0.03] * 6)
     assert [bits(row) for row in rows] == [bits(clipped)] * 40
 
@@ -988,14 +993,26 @@ def test_readings_inside_the_clip_never_flag_where_the_corners_cannot(primary, s
     assert not boards.detect_anomaly(p, s, threshold)
 
 
-class ComparingSecondary(SecondaryBoard):
-    """SecondaryBoard._is_faulty as it was before its short path: every
-    complete overheard reading is compared with a fresh reading of its own."""
+class CheckingSecondary(SecondaryBoard):
+    """SecondaryBoard with its short path checked.  Where the board builds
+    no reading, this one builds one from a stream of its own, so the board's
+    rows still go to the readings it builds, and asserts that comparing it
+    does not flag."""
+
+    def __init__(self, sim, channel, node, faults, cfg):
+        super().__init__(sim, channel, node, faults, cfg)
+        self._check_rows = boards._noise_rows(sim.rng(f"{self.entity_id}-check"))
+        self.skips = 0
 
     def _is_faulty(self, packet):
-        if not packet.reading.is_complete():
-            return True
-        return boards.detect_anomaly(packet.reading, self.sense(), rel_threshold=self.cfg.anomaly_rel_threshold)
+        now = self.sim.now_us
+        if self._noise_can_flag or packet.reading.fault_tags or in_windows(self._sensor_windows_us, now):
+            return super()._is_faulty(packet)
+        self.skips += 1
+        own = self._reading(next(self._check_rows).tolist(), now)
+        flagged = detect_anomaly(packet.reading, own, self.cfg.anomaly_rel_threshold)
+        assert not flagged
+        return flagged
 
 
 def with_threshold(preset, threshold):
@@ -1022,7 +1039,8 @@ SHORT_PATH_CASES = {
 
 def run_recording_frames(cfg, seed, monkeypatch, secondary_cls):
     """One run's data frames (seq, role, corrective, fault tags, start time),
-    its report, and the number of comparisons its secondaries made."""
+    its report, the number of comparisons its secondaries made, and the
+    number of checked skips (for a CheckingSecondary)."""
     monkeypatch.setattr(simulation, "SecondaryBoard", secondary_cls)
     comparisons = 0
 
@@ -1044,20 +1062,19 @@ def run_recording_frames(cfg, seed, monkeypatch, secondary_cls):
     run.channel.begin_transmission = recorded
     report = report_to_json(MetricsReport(cfg.name, [seed], [run.run()]))
     monkeypatch.undo()
-    return frames, report, comparisons
+    skips = sum(getattr(secondary, "skips", 0) for secondary in run.secondaries.values())
+    return frames, report, comparisons, skips
 
 
 @pytest.mark.parametrize("case", SHORT_PATH_CASES)
 @pytest.mark.parametrize("seed", [1, 2])
-def test_secondary_short_path_matches_a_secondary_that_always_compares(case, seed, monkeypatch):
+def test_secondary_short_path_matches_a_secondary_that_checks_each_skip(case, seed, monkeypatch):
     cfg = SHORT_PATH_CASES[case]
-    frames, report, compared = run_recording_frames(cfg, seed, monkeypatch, SecondaryBoard)
-    want_frames, want_report, want_compared = run_recording_frames(cfg, seed, monkeypatch, ComparingSecondary)
+    frames, report, compared, _ = run_recording_frames(cfg, seed, monkeypatch, SecondaryBoard)
+    want_frames, want_report, want_compared, skips = run_recording_frames(cfg, seed, monkeypatch, CheckingSecondary)
     assert frames == want_frames
     assert report == want_report
+    assert compared == want_compared
     assert any(corrective for _, _, corrective, _, _ in want_frames) or case == "secondary-read-failure"
-    # Comparisons are skipped only where noise alone cannot flag.
-    if boards.noise_can_flag(cfg.secondary.anomaly_rel_threshold):
-        assert compared == want_compared
-    else:
-        assert compared < want_compared
+    # Comparisons are skipped exactly where noise alone cannot flag.
+    assert (skips > 0) is not boards.noise_can_flag(cfg.secondary.anomaly_rel_threshold)

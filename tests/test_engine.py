@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from redwsn import boards
 from redwsn.channel import Channel, ChannelParams, Position
 from redwsn.engine import (
     SchedulingError,
@@ -251,7 +252,7 @@ def grid_offsets_us(cfg, seed, n):
     """The first n slot offsets a fresh SarbMac draws from its grid."""
     sim = Simulator(master_seed=seed)
     mac = SarbMac(sim, cfg, sim.rng("mac"), lambda _: None, lambda _: None, lambda _: None)
-    return [mac._draw_offset_us() for _ in range(n)]
+    return [next(mac._offsets_us) for _ in range(n)]
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -342,10 +343,16 @@ def test_drawn_ahead_equals_one_draw_per_item(kind):
 
 
 class Holder:
-    """An owner whose only reference to its stream is the iterator."""
+    """An owner whose only reference to its stream is the iterator, which
+    it has drawn a block of."""
 
-    def __init__(self, rng):
-        self.items = drawn_ahead(lambda: rng.normal(0.0, 1.0, 8).tolist())
+    def __init__(self, items):
+        self.items = items
+        next(items)
+
+
+def normals(rng):
+    return drawn_ahead(lambda: rng.normal(0.0, 1.0, 8).tolist())
 
 
 def sensing_channel(sim):
@@ -367,14 +374,19 @@ def sensing_channel(sim):
 
 def drawing_mac(sim):
     mac = SarbMac(sim, SarbConfig(), sim.rng("mac"), lambda _: None, lambda _: None, lambda _: None)
-    mac._draw_offset_us()
+    next(mac._offsets_us)
     return mac
 
 
 @pytest.mark.parametrize(
     "make_owner",
-    [lambda sim: Holder(sim.rng("x")), sensing_channel, drawing_mac],
-    ids=["holder", "channel", "mac"],
+    [
+        lambda sim: Holder(normals(sim.rng("x"))),
+        lambda sim: Holder(boards._noise_rows(sim.rng("n1.primary-sensor"))),
+        sensing_channel,
+        drawing_mac,
+    ],
+    ids=["holder", "sensor", "channel", "mac"],
 )
 def test_an_owner_of_a_drawn_ahead_stream_dies_on_del(make_owner):
     sim = Simulator(master_seed=1)

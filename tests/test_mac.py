@@ -287,7 +287,7 @@ def test_block_drawn_offsets_match_one_draw_per_slot(steps):
     scalar = stream_rng(11, "mac")
     expected = [20_000_000 + 500_000 * int(scalar.integers(0, steps + 1)) for _ in range(4 * 32 + 1)]
     mac = Harness(cfg=cfg, seed=11).mac
-    assert [mac._draw_offset_us() for _ in range(4 * 32 + 1)] == expected
+    assert [next(mac._offsets_us) for _ in range(4 * 32 + 1)] == expected
 
 
 def test_offsets_past_the_int64_range_stay_exact():
@@ -298,7 +298,7 @@ def test_offsets_past_the_int64_range_stay_exact():
     scalar = stream_rng(11, "mac")
     expected = [20_000_000 + step_ms * 1000 * int(scalar.integers(0, 3)) for _ in range(40)]
     mac = Harness(cfg=cfg, seed=11).mac
-    assert [mac._draw_offset_us() for _ in range(40)] == expected
+    assert [next(mac._offsets_us) for _ in range(40)] == expected
     assert max(expected) > 2**63
 
 
